@@ -117,19 +117,8 @@ def solve_astar(
     zero = np.zeros(n, dtype=np.int64)
     upper = min(tables.upper_bound, objective(inst, zero))
 
-    shifts_all = np.stack([inst.shifts(i) for i in range(1, n + 1)])
-    cons_all = inst.gamma[:, None] * np.abs(shifts_all)
-    w_src = inst.c[0] * shifts_all[0]
-    w_between = [
-        inst.c[i] * shifts_all[i][None, :]
-        + inst.alpha
-        * np.abs(
-            int(inst.x[i]) - int(inst.x[i - 1])
-            + shifts_all[i][None, :]
-            - shifts_all[i - 1][:, None]
-        )
-        for i in range(1, n)
-    ]
+    # weights_all[layer][j] and cons_all[layer]: edges out of (layer, j)
+    weights_all, cons_all = tables.weights, tables.cons
     dom = _dominated_masks(inst) if opts.edge_pruning else None
 
     lam_arr = np.array([t.lam for t in tables.zeta])
@@ -186,14 +175,11 @@ def solve_astar(
             continue
 
         head = layer + 1
-        cons = cons_all[head - 1]
+        cons = cons_all[layer]
+        weights = weights_all[layer][j]
         ok = cons <= eta
-        if layer == 0:
-            weights = w_src
-        else:
-            weights = w_between[layer - 1][j]
-            if dom is not None and layer <= n - 1:
-                ok = ok & ~dom[layer - 1][j]
+        if dom is not None and layer >= 1:
+            ok = ok & ~dom[layer - 1][j]
         cand = np.flatnonzero(ok)
         if cand.size == 0:
             continue

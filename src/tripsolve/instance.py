@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Any, Mapping
+from typing import Any, Mapping, Optional
 
 import numpy as np
 
@@ -105,6 +105,29 @@ class Solution:
 _FIELDS = ("n", "alpha", "delta", "xi", "x", "gamma", "c")
 
 
+def _integer(value: Any) -> Optional[int]:
+    """Exact integer value of a scalar field, None when it has none;
+    integral floats such as 3.0 count, other values are never truncated."""
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+        return int(value)
+    if isinstance(value, (float, np.floating)) and float(value).is_integer():
+        return int(value)
+    return None
+
+
+def _integers(value: Any, name: str, problems: list[str]) -> np.ndarray:
+    """int64 vector of an integer-valued field. Non-integral entries are
+    reported in problems and read truncated, non-finite ones as 0."""
+    raw = np.asarray(value)
+    if raw.dtype.kind in "iu":
+        return raw.astype(np.int64, copy=False)
+    as_float = raw.astype(np.float64)
+    finite = np.isfinite(as_float)
+    if not np.all(finite & (as_float == np.trunc(as_float))):
+        problems.append(f"{name} entries must be integers")
+    return np.where(finite, np.trunc(as_float), 0.0).astype(np.int64)
+
+
 def validate(raw: Mapping[str, Any]) -> TripInstance:
     """Check a candidate instance record and return the immutable instance.
 
@@ -118,16 +141,16 @@ def validate(raw: Mapping[str, Any]) -> TripInstance:
         )
 
     problems: list[str] = []
-    n = int(raw["n"])
-    if n < 1:
-        raise InstanceError(f"n = {n} must be a positive integer")
+    n = _integer(raw["n"])
+    if n is None or n < 1:
+        raise InstanceError(f"n = {raw['n']!r} must be a positive integer")
 
-    xi = np.asarray(raw["xi"], dtype=np.int64)
-    x = np.asarray(raw["x"], dtype=np.int64)
-    gamma = np.asarray(raw["gamma"], dtype=np.int64)
+    xi = _integers(raw["xi"], "xi", problems)
+    x = _integers(raw["x"], "x", problems)
+    gamma = _integers(raw["gamma"], "gamma", problems)
     c = np.asarray(raw["c"], dtype=np.float64)
     alpha = float(raw["alpha"])
-    delta = int(raw["delta"])
+    delta = _integer(raw["delta"])
 
     if xi.ndim != 1 or len(xi) < 1:
         problems.append("xi must be a nonempty vector")
@@ -143,13 +166,15 @@ def validate(raw: Mapping[str, Any]) -> TripInstance:
     if len(gamma) == n:
         for i in np.flatnonzero(gamma < 1):
             problems.append(f"gamma_{i + 1} = {gamma[i]} must be >= 1")
-    raw_gamma = np.asarray(raw["gamma"])
-    if raw_gamma.ndim == 1 and len(raw_gamma) == n and not np.all(raw_gamma == gamma):
-        problems.append("gamma entries must be integers")
-    if alpha < 0:
+    if c.ndim == 1:
+        for i in np.flatnonzero(~np.isfinite(c)):
+            problems.append(f"c_{i + 1} = {c[i]} must be finite")
+    if not np.isfinite(alpha):
+        problems.append(f"alpha = {alpha} must be finite")
+    elif alpha < 0:
         problems.append(f"alpha = {alpha} must be nonnegative")
-    if delta < 0:
-        problems.append(f"delta = {delta} must be a nonnegative integer")
+    if delta is None or delta < 0:
+        problems.append(f"delta = {raw['delta']!r} must be a nonnegative integer")
 
     if problems:
         raise InstanceError("; ".join(problems))
@@ -213,7 +238,3 @@ def read_instance(text: str) -> TripInstance:
 
 def write_instance(inst: TripInstance) -> str:
     return json.dumps(inst.to_dict())
-
-
-def solution_to_json(sol: Solution) -> str:
-    return json.dumps(sol.to_dict())

@@ -10,6 +10,19 @@ A bisection over lam locates a near-optimal multiplier: relaxed paths that
 overuse the budget push the bracket up, paths within budget push it down and
 double as feasible incumbents, and a path hitting the budget exactly proves
 its own optimality, ending the search outright.
+
+Each relaxed graph is evaluated by a backward sweep over the layers, and a
+sweep costs about the same for one multiplier as for a few: per layer it is
+a handful of numpy operations on (m, m) arrays, so interpreter overhead
+dominates. The multiplier-free edge weights are therefore built once per
+instance (`layer_weights`), and `relaxed_sweep` evaluates several
+multipliers in one pass. The bisection speculates on that: with the bracket
+(lo, hi) known, the midpoints of the next SPECULATION_DEPTH bisection steps
+can only be 0.5 * (lo + hi) and the midpoints of its two halves, so one
+sweep evaluates all of them, and the bisection then walks its usual path
+through those results. It evaluates exactly the multipliers a one-at-a-time
+bisection would, in the same float arithmetic, and keeps only the tables on
+its path, so its output does not depend on the speculation.
 """
 
 from __future__ import annotations
@@ -23,6 +36,7 @@ import numpy as np
 
 from .graph import NodeRef
 from .instance import (
+    InstanceError,
     Solution,
     SolverStats,
     TripInstance,
@@ -33,6 +47,14 @@ from .instance import (
 # Cost comparisons treat differences below this as ties so that the
 # smallest-budget path among equal-cost paths is selected reproducibly.
 COST_TIE_TOL = 1e-12
+# tie key of an entry outside the cost ties, above every real key
+_NO_KEY = np.iinfo(np.int64).max
+
+# Bisection steps covered by one batched sweep. At depth 2 a sweep carries
+# three multipliers. On the 100 subproblems of a heat run (n = 256, m = 26)
+# the bisection took 0.58x, 0.46x and 0.49x of the one-at-a-time time at
+# depth 1, 2 and 3: deeper sweeps waste more of their multipliers.
+SPECULATION_DEPTH = 2
 
 
 @dataclass(frozen=True)
@@ -69,9 +91,9 @@ class LagrangeTables:
     lambda_star: float = 0.0
     iterations: int = 0  # bisection steps, endpoint evaluations excluded
     log: list[tuple[float, float, int]] = field(default_factory=list)
-
-    def heuristic(self, node: NodeRef) -> float:
-        return heuristic_h(self.inst, self, node)
+    # multiplier-free edge weights and consumptions, see layer_weights
+    weights: Optional[list[np.ndarray]] = None
+    cons: Optional[np.ndarray] = None
 
     def dual_bound(self) -> float:
         """Best lower bound on the constrained optimum over all multipliers."""
@@ -88,61 +110,106 @@ class LagrangeTables:
         return out.getvalue()
 
 
-def _lex_min_rows(
-    total: np.ndarray, res_row: np.ndarray, tol: float = COST_TIE_TOL
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-row minimum of (cost, budget) pairs, cost ties within tol broken
-    by the smaller budget, remaining ties by the smaller column index.
+def layer_weights(inst: TripInstance) -> tuple[list[np.ndarray], np.ndarray]:
+    """Multiplier-free edge weights and budget consumptions of the quotient
+    graph, indexed by the tail layer i = 0..n-1 (0 is the source).
 
-    total: (m, k) costs; res_row: (k,) budgets shared by all rows.
-    Returns (chosen index, chosen cost, chosen budget) per row.
+    weights[i][j, j'] is the weight of the edge from value index j in layer
+    i to value index j' in layer i + 1,
+    c_{i+1} * shift_j' + alpha * |x_{i+1} - x_i + shift_j' - shift_j|,
+    where the jump term reduces to alpha * |xi_j' - xi_j|. weights[0] has
+    the single row of the source, whose edges carry no jump term.
+    cons[i, j'] = gamma_{i+1} * |shift_j'| is the consumption of the same
+    edges, shape (n, m).
+
+    The weights are one (m, m) array per layer, not one (n, m, m) block:
+    a block of several MB, freed after each solve, kept the allocator's heap
+    from shrinking between solves and raised the peak RSS of a knapsack
+    replay that alternates topo and A* by 7%, against 1-2% this way.
     """
-    cmin = total.min(axis=1, keepdims=True)
-    tied = total <= cmin + tol
-    res_masked = np.where(tied, res_row[None, :], np.iinfo(np.int64).max)
-    rmin = res_masked.min(axis=1)
-    idx = (tied & (res_masked == rmin[:, None])).argmax(axis=1)
-    rows = np.arange(total.shape[0])
-    return idx, total[rows, idx], rmin
+    m = inst.m
+    shifts = inst.xi[None, :] - inst.x[:, None]  # (n, m): shifts(i + 1)
+    # tie keys are budget * m + column in int64, budgets at most this cap
+    if int(inst.xi[-1] - inst.xi[0]) * int(inst.gamma.max()) * inst.n * m >= 2**62:
+        raise InstanceError("budget use too large for the int64 tie keys")
+    linear = inst.c[:, None] * shifts
+    jump = inst.alpha * np.abs(inst.xi[None, :] - inst.xi[:, None])
+    weights = [linear[:1]] + [linear[i] + jump for i in range(1, inst.n)]
+    return weights, inst.gamma[:, None] * np.abs(shifts)
+
+
+def _lex_min(
+    total: np.ndarray, key: np.ndarray, offsets: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-row minimum over the last axis of total (K, rows, m) in the order
+    (cost, budget, column): costs within COST_TIE_TOL of the row minimum tie,
+    and among them the smallest key = budget * m + column wins.
+
+    key: (K, m), shared by all rows of one multiplier; offsets: (K, rows),
+    the flat index of each row's first entry.
+    Returns (cost, budget, column), each (K, rows).
+    """
+    m = total.shape[-1]
+    tied = total <= np.minimum.reduce(total, axis=-1)[..., None] + COST_TIE_TOL
+    best = np.minimum.reduce(np.where(tied, key[:, None, :], _NO_KEY), axis=-1)
+    col = best % m
+    return total.reshape(-1)[offsets + col], best // m, col
+
+
+def relaxed_sweep(
+    inst: TripInstance,
+    lams,
+    weights: Optional[list[np.ndarray]] = None,
+    cons: Optional[np.ndarray] = None,
+) -> list[ZetaTable]:
+    """Backward sweeps over the quotient graph with weights increased by
+    lam times the edge consumption, for every lam in lams at once.
+
+    weights and cons come from layer_weights and are built when omitted.
+    Table k is bitwise the table of a sweep for lams[k] alone: each entry is
+    computed as (weight + lam * consumption) + cost-to-sink, in that order.
+    """
+    if weights is None or cons is None:
+        weights, cons = layer_weights(inst)
+    n, m = inst.n, inst.m
+    lam = np.asarray(lams, dtype=np.float64)
+    k = lam.size
+    lam_cons = lam[None, :, None] * cons[:, None, :]  # (n, K, m)
+    key_cons = cons * m + np.arange(m)  # (budget * m + column) per edge
+    cost = np.zeros((n, k, m))
+    res = np.zeros((n, k, m), dtype=np.int64)
+    choice = np.full((n, k, m), -1, dtype=np.int64)
+    offsets = np.arange(0, k * m * m, m).reshape(k, m)
+    # last layer: only the zero-weight, zero-consumption sink edge
+    for i in range(n - 1, 0, -1):
+        total = weights[i] + lam_cons[i][:, None, :]
+        total += cost[i][:, None, :]
+        cost[i - 1], res[i - 1], choice[i - 1] = _lex_min(
+            total, key_cons[i] + res[i] * m, offsets
+        )
+    total = weights[0] + lam_cons[0][:, None, :]
+    total += cost[0][:, None, :]
+    cost_s, res_s, choice_s = _lex_min(
+        total, key_cons[0] + res[0] * m, np.arange(0, k * m, m)[:, None]
+    )
+    return [
+        ZetaTable(
+            lam=float(lam[q]),
+            cost=np.ascontiguousarray(cost[:, q]),
+            res=np.ascontiguousarray(res[:, q]),
+            choice=np.ascontiguousarray(choice[:, q]),
+            source_cost=float(cost_s[q, 0]),
+            source_res=int(res_s[q, 0]),
+            source_choice=int(choice_s[q, 0]),
+        )
+        for q in range(k)
+    ]
 
 
 def relaxed_costs_to_sink(inst: TripInstance, lam: float) -> ZetaTable:
     """Backward sweep over the quotient graph with weights increased by
     lam times the edge consumption."""
-    n, m = inst.n, inst.m
-    cost = np.zeros((n, m))
-    res = np.zeros((n, m), dtype=np.int64)
-    choice = np.full((n, m), -1, dtype=np.int64)
-    # last layer: only the zero-weight, zero-consumption sink edge
-    shifts_head = inst.shifts(n)
-    for i in range(n - 1, 0, -1):
-        shifts_tail = inst.shifts(i)
-        cons_head = inst.gamma[i] * np.abs(shifts_head)
-        jump = np.abs(
-            int(inst.x[i]) - int(inst.x[i - 1])
-            + shifts_head[None, :]
-            - shifts_tail[:, None]
-        )
-        weight = inst.c[i] * shifts_head[None, :] + inst.alpha * jump
-        total = weight + lam * cons_head[None, :] + cost[i][None, :]
-        res_thru = cons_head + res[i]
-        idx, cost[i - 1], res[i - 1] = _lex_min_rows(total, res_thru)
-        choice[i - 1] = idx
-        shifts_head = shifts_tail
-    shifts1 = inst.shifts(1)
-    cons1 = inst.gamma[0] * np.abs(shifts1)
-    total_s = (inst.c[0] * shifts1 + lam * cons1 + cost[0])[None, :]
-    res_s = cons1 + res[0]
-    idx, cost_s, res_min = _lex_min_rows(total_s, res_s)
-    return ZetaTable(
-        lam=float(lam),
-        cost=cost,
-        res=res,
-        choice=choice,
-        source_cost=float(cost_s[0]),
-        source_res=int(res_min[0]),
-        source_choice=int(idx[0]),
-    )
+    return relaxed_sweep(inst, [lam])[0]
 
 
 def extract_path_step(inst: TripInstance, table: ZetaTable) -> np.ndarray:
@@ -175,6 +242,19 @@ def _solution_from_step(
     )
 
 
+def _midpoints(lo: float, hi: float, epsilon: float, depth: int) -> list[float]:
+    """Every multiplier the bisection can evaluate within its next `depth`
+    steps from the bracket (lo, hi), computed as the bisection computes it."""
+    if depth == 0 or hi - lo < epsilon:
+        return []
+    mid = 0.5 * (lo + hi)
+    return (
+        [mid]
+        + _midpoints(lo, mid, epsilon, depth - 1)
+        + _midpoints(mid, hi, epsilon, depth - 1)
+    )
+
+
 def binary_search(inst: TripInstance, epsilon: float) -> LagrangeTables:
     """Bisection for a multiplier within epsilon of an optimal one.
 
@@ -186,14 +266,23 @@ def binary_search(inst: TripInstance, epsilon: float) -> LagrangeTables:
     multiplier bracketed: budget overshoot raises the lower end, slack
     lowers the upper end and updates the incumbent, an exact budget hit is
     returned as the proven optimum.
+
+    Both endpoints share one batched sweep, and each later sweep evaluates
+    every midpoint of the next SPECULATION_DEPTH steps; only the tables on
+    the path taken enter the result.
     """
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
-    tables = LagrangeTables(inst=inst)
+    weights, cons = layer_weights(inst)
+    tables = LagrangeTables(inst=inst, weights=weights, cons=cons)
     upper0 = float(np.max(np.abs(inst.c))) + 2.0 * inst.alpha
+    swept: dict[float, ZetaTable] = {}
+
+    def sweep(lams: list[float]) -> None:
+        swept.update(zip(lams, relaxed_sweep(inst, lams, weights, cons)))
 
     def evaluate(lam: float) -> tuple[ZetaTable, np.ndarray, int]:
-        table = relaxed_costs_to_sink(inst, lam)
+        table = swept[lam]
         tables.lambdas.append(table.lam)
         tables.zeta.append(table)
         d = extract_path_step(inst, table)
@@ -219,6 +308,7 @@ def binary_search(inst: TripInstance, epsilon: float) -> LagrangeTables:
         tables.zeta = [tables.zeta[k] for k in order]
         return tables
 
+    sweep([0.0, upper0])
     _, d0, res0 = evaluate(0.0)
     if res0 <= inst.delta:
         # the unconstrained optimum fits the budget: done
@@ -235,6 +325,8 @@ def binary_search(inst: TripInstance, epsilon: float) -> LagrangeTables:
     lam = hi
     while hi - lo >= epsilon:
         lam = 0.5 * (lo + hi)
+        if lam not in swept:
+            sweep(_midpoints(lo, hi, epsilon, SPECULATION_DEPTH))
         tables.iterations += 1
         _, d, res = evaluate(lam)
         if res > inst.delta:

@@ -61,6 +61,19 @@ def test_solve_validation_failure(tmp_path, capsys):
     assert "ascending" in err
 
 
+@pytest.mark.parametrize("alpha, c", [("NaN", "[0.0, 0.0]"), ("1.0", "[NaN, 0.0]")])
+def test_solve_non_finite_input_exits_2(tmp_path, capsys, alpha, c):
+    # json.loads accepts the bare token NaN
+    bad = tmp_path / "nan.json"
+    bad.write_text(f'{{"n": 2, "alpha": {alpha}, "delta": 2, "xi": [0, 1], '
+                   f'"x": [0, 0], "gamma": [1, 1], "c": {c}}}')
+    for solver in ("topo", "astar"):
+        code, out, err = run_cli(capsys, "solve", str(bad), "--solver", solver)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "finite" in err
+
+
 def test_missing_file(capsys):
     code, _, err = run_cli(capsys, "solve", "/nonexistent/inst.json")
     assert code != 0 and "error" in err

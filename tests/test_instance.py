@@ -66,6 +66,44 @@ def test_validate_collects_all_violations():
     assert "x_2" in str(err.value) and "delta" in str(err.value)
 
 
+@pytest.mark.parametrize(
+    "overrides, field",
+    [
+        ({"alpha": float("nan")}, "alpha"),
+        ({"alpha": float("inf")}, "alpha"),
+        ({"c": [float("nan"), 0.0]}, "c_1"),
+        ({"c": [0.0, float("-inf")]}, "c_2"),
+    ],
+)
+def test_validate_rejects_non_finite_costs(overrides, field):
+    with pytest.raises(InstanceError, match=field):
+        validate(base_raw(**overrides))
+
+
+@pytest.mark.parametrize(
+    "overrides, field",
+    [
+        ({"n": 2.5}, "n"),
+        ({"n": float("nan")}, "n"),
+        ({"delta": 2.9}, "delta"),
+        ({"x": [0.4, 0]}, "x entries"),
+        ({"x": [float("nan"), 0]}, "x entries"),
+        ({"xi": [0, 1.5], "x": [0, 0]}, "xi entries"),
+    ],
+)
+def test_validate_rejects_non_integral_values(overrides, field):
+    # each of these was silently truncated before: n=2.5 read as 2,
+    # delta=2.9 as 2, x_1=0.4 as 0
+    with pytest.raises(InstanceError, match=field):
+        validate(base_raw(**overrides))
+
+
+def test_validate_accepts_integral_floats():
+    inst = validate(base_raw(n=2.0, delta=2.0, x=[0.0, 1.0], xi=[0.0, 1.0]))
+    assert inst.n == 2 and inst.delta == 2
+    assert inst.x.dtype == np.int64 and inst.x.tolist() == [0, 1]
+
+
 def test_instance_arrays_immutable():
     inst = validate(base_raw())
     with pytest.raises(ValueError):

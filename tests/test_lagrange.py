@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from tripsolve.graph import build_explicit, sink_node
+from tripsolve.graph import build_explicit, edge_weight, sink_node
 from tripsolve.instance import objective, validate
 from tripsolve.lagrange import (
     COST_TIE_TOL,
@@ -13,8 +13,10 @@ from tripsolve.lagrange import (
     extract_path_step,
     heuristic_h,
     heuristic_table,
+    layer_weights,
     relaxed_costs_to_sink,
     relaxed_objective,
+    relaxed_sweep,
 )
 from tripsolve.oracle import enumerate_steps, gen_random
 from tripsolve.topo import solve_topo
@@ -335,3 +337,171 @@ def test_debug_csv_has_one_line_per_evaluation(derived3):
 def test_epsilon_must_be_positive(derived3):
     with pytest.raises(ValueError):
         binary_search(derived3, epsilon=0.0)
+
+
+def reference_sweep(inst, lam):
+    """One relaxed backward sweep, layer by layer, with the tie rule spelled
+    out: cheapest cost within COST_TIE_TOL, then smallest budget, then
+    smallest index. Returns (cost, res, choice, source triple)."""
+    n, m = inst.n, inst.m
+    cost = np.zeros((n, m))
+    res = np.zeros((n, m), dtype=np.int64)
+    choice = np.full((n, m), -1, dtype=np.int64)
+
+    def lex_min_rows(total, res_row):
+        cmin = total.min(axis=1, keepdims=True)
+        tied = total <= cmin + COST_TIE_TOL
+        res_masked = np.where(tied, res_row[None, :], np.iinfo(np.int64).max)
+        rmin = res_masked.min(axis=1)
+        idx = (tied & (res_masked == rmin[:, None])).argmax(axis=1)
+        return idx, total[np.arange(total.shape[0]), idx], rmin
+
+    shifts_head = inst.shifts(n)
+    for i in range(n - 1, 0, -1):
+        shifts_tail = inst.shifts(i)
+        cons_head = inst.gamma[i] * np.abs(shifts_head)
+        jump = np.abs(
+            int(inst.x[i]) - int(inst.x[i - 1])
+            + shifts_head[None, :]
+            - shifts_tail[:, None]
+        )
+        weight = inst.c[i] * shifts_head[None, :] + inst.alpha * jump
+        total = weight + lam * cons_head[None, :] + cost[i][None, :]
+        choice[i - 1], cost[i - 1], res[i - 1] = lex_min_rows(
+            total, cons_head + res[i]
+        )
+        shifts_head = shifts_tail
+    shifts1 = inst.shifts(1)
+    cons1 = inst.gamma[0] * np.abs(shifts1)
+    total_s = (inst.c[0] * shifts1 + lam * cons1 + cost[0])[None, :]
+    idx, cost_s, res_s = lex_min_rows(total_s, cons1 + res[0])
+    return cost, res, choice, (float(cost_s[0]), int(res_s[0]), int(idx[0]))
+
+
+def sequential_bisection(inst, epsilon):
+    """binary_search's contract, one relaxed_costs_to_sink call per
+    evaluated multiplier: (lambdas in evaluation order, tables, log,
+    iterations, lambda_star, incumbent step, early-exit step and the
+    iteration count each was found at)."""
+    lambdas, zeta, log = [], [], []
+    state = {"iterations": 0, "upper": math.inf, "incumbent": None}
+
+    def evaluate(lam):
+        table = relaxed_costs_to_sink(inst, lam)
+        lambdas.append(table.lam)
+        zeta.append(table)
+        log.append((table.lam, table.source_cost - lam * inst.delta, table.source_res))
+        return extract_path_step(inst, table), table.source_res
+
+    def note_feasible(d):
+        if objective(inst, d) < state["upper"]:
+            state["upper"] = objective(inst, d)
+            state["incumbent"] = (d, state["iterations"])
+
+    def finish(lam_star, optimal):
+        exit_ = None if optimal is None else (optimal, state["iterations"])
+        return (lambdas, zeta, log, state["iterations"], lam_star,
+                state["incumbent"], exit_)
+
+    d0, res0 = evaluate(0.0)
+    if res0 <= inst.delta:
+        return finish(0.0, d0)
+    upper0 = float(np.max(np.abs(inst.c))) + 2.0 * inst.alpha
+    d_up, res_up = evaluate(upper0)
+    if res_up == inst.delta:
+        return finish(upper0, d_up)
+    note_feasible(d_up)
+    lo, hi = 0.0, upper0
+    lam = hi
+    while hi - lo >= epsilon:
+        lam = 0.5 * (lo + hi)
+        state["iterations"] += 1
+        d, res = evaluate(lam)
+        if res > inst.delta:
+            lo = lam
+        elif res == inst.delta:
+            return finish(lam, d)
+        else:
+            hi = lam
+            note_feasible(d)
+    return finish(lam, None)
+
+
+def assert_tables_equal(a, b):
+    assert a.lam == b.lam
+    assert np.array_equal(a.cost, b.cost)
+    assert np.array_equal(a.res, b.res)
+    assert np.array_equal(a.choice, b.choice)
+    assert (a.source_cost, a.source_res, a.source_choice) == (
+        b.source_cost, b.source_res, b.source_choice
+    )
+
+
+def equivalence_instances(count=320, seed=1200):
+    rng = np.random.default_rng(seed)
+    out = [
+        gen_random(1, 3, 2, 0.5, seed=seed),  # n = 1: no inner layer
+        gen_random(5, 1, 2, 0.5, seed=seed),  # m = 1: only the zero step
+    ]
+    for k in range(count - len(out)):
+        n = int(rng.integers(1, 13))
+        m = int(rng.integers(1, 6))
+        delta = int(rng.integers(0, 3 * n + 1))
+        alpha = float(rng.choice([0.0, 0.1, 1.0, 3.0]))
+        out.append(gen_random(n, m, delta, alpha, seed=seed + 1 + k))
+    return out
+
+
+def test_binary_search_matches_sequential_bisection():
+    exits = searched = 0
+    for inst in equivalence_instances():
+        for eps in (1e-6, 1e-3, 0.3):
+            lambdas, zeta, log, iterations, lam_star, incumbent, exit_ = (
+                sequential_bisection(inst, eps)
+            )
+            tables = binary_search(inst, eps)
+            order = np.argsort(lambdas)
+            assert tables.lambdas == [lambdas[k] for k in order]
+            for got, k in zip(tables.zeta, order):
+                assert_tables_equal(got, zeta[k])
+            assert tables.log == log
+            assert tables.iterations == iterations
+            assert tables.lambda_star == lam_star
+            for sol, want in ((tables.incumbent, incumbent), (tables.early_exit, exit_)):
+                assert (sol is None) == (want is None)
+                if want is not None:
+                    assert np.array_equal(sol.d, want[0])
+                    assert sol.stats.preprocessing_iterations == want[1]
+            exits += exit_ is not None
+            searched += exit_ is None
+    assert exits > 0 and searched > 0  # both ends of the search are covered
+
+
+def test_relaxed_sweep_matches_reference_sweep():
+    for inst in equivalence_instances(60, seed=1300):
+        lams = [0.0, 0.37, 1.0, 2.5]
+        batch = relaxed_sweep(inst, lams)
+        for lam, got in zip(lams, batch):
+            single = relaxed_costs_to_sink(inst, lam)
+            assert_tables_equal(got, single)
+            cost, res, choice, source = reference_sweep(inst, lam)
+            assert np.array_equal(single.cost, cost)
+            assert np.array_equal(single.res, res)
+            assert np.array_equal(single.choice, choice)
+            assert (single.source_cost, single.source_res, single.source_choice) == source
+
+
+def test_layer_weights_match_edge_weight():
+    for inst in equivalence_instances(40, seed=1400):
+        weights, cons = layer_weights(inst)
+        assert len(weights) == inst.n and cons.shape == (inst.n, inst.m)
+        for i in range(inst.n):
+            tail = inst.shifts(i) if i else np.zeros(1, dtype=np.int64)
+            head = inst.shifts(i + 1)
+            assert weights[i].shape == (len(tail), inst.m)
+            for j, delta_u in enumerate(tail):
+                for j2, delta_v in enumerate(head):
+                    assert weights[i][j, j2] == edge_weight(
+                        inst, i, int(delta_u), int(delta_v)
+                    )
+                    assert cons[i, j2] == inst.gamma[i] * abs(int(delta_v))
