@@ -16,6 +16,7 @@ benchmark harness.
 
 from .instance import (
     InstanceError,
+    RadiusCache,
     Solution,
     SolverStats,
     TripInstance,
@@ -43,6 +44,7 @@ __all__ = [
     "AstarOptions",
     "ControlProblem",
     "InstanceError",
+    "RadiusCache",
     "SlipConfig",
     "SlipTrace",
     "Solution",

@@ -27,6 +27,7 @@ import numpy as np
 
 from .graph import NodeRef
 from .instance import (
+    RadiusCache,
     Solution,
     SolverStats,
     TripInstance,
@@ -89,6 +90,7 @@ def solve_astar(
     inst: TripInstance,
     epsilon: Optional[float] = None,
     options: Optional[AstarOptions] = None,
+    cache: Optional[RadiusCache] = None,
 ) -> Solution:
     """Globally optimal step vector by preprocessed A* search.
 
@@ -97,13 +99,18 @@ def solve_astar(
     no search happens at all. Otherwise A* runs from source to sink with
     f = path cost + heuristic; ties prefer larger remaining capacity, then
     the deeper layer, then the smaller value index.
+
+    With a cache, the bisection's sweeps and the dominated-edge masks, which
+    do not depend on the radius, are kept there for later calls on the same
+    instance. Without one, the bisection's tables off its path are freed
+    before the search.
     """
     t0 = time.perf_counter()
     opts = options or AstarOptions()
     inst = clamp_delta(inst)
     if epsilon is None:
         epsilon = default_epsilon(inst)
-    tables = binary_search(inst, epsilon)
+    tables = binary_search(inst, epsilon, cache)
     prep = tables.iterations
     if tables.early_exit is not None:
         sol = tables.early_exit
@@ -119,7 +126,11 @@ def solve_astar(
 
     # weights_all[layer][j] and cons_all[layer]: edges out of (layer, j)
     weights_all, cons_all = tables.weights, tables.cons
-    dom = _dominated_masks(inst) if opts.edge_pruning else None
+    dom = None
+    if opts.edge_pruning and cache is None:
+        dom = _dominated_masks(inst)
+    elif opts.edge_pruning:
+        dom = cache.entry("dominated", inst, lambda: _dominated_masks(inst))
 
     lam_arr = np.array([t.lam for t in tables.zeta])
     zcost = np.stack([t.cost for t in tables.zeta])  # (L, n, m)

@@ -9,9 +9,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Any, Mapping, Optional
+from typing import Any, Callable, Mapping, Optional, TypeVar
 
 import numpy as np
+
+T = TypeVar("T")
 
 
 class InstanceError(ValueError):
@@ -66,6 +68,49 @@ class TripInstance:
             "gamma": self.gamma.tolist(),
             "c": self.c.tolist(),
         }
+
+
+def _same(a: np.ndarray, b: np.ndarray) -> bool:
+    return a is b or bool(np.array_equal(a, b))
+
+
+@dataclass
+class RadiusCache:
+    """Solver work that does not depend on the radius, kept while one
+    instance is solved at several radii.
+
+    Each entry serves its instance at every radius up to the one it was
+    built at. A query for another instance (any of n, alpha, xi, x, gamma,
+    c differs in content) empties the cache; a query above an entry's
+    radius rebuilds that entry.
+    """
+
+    inst: Optional[TripInstance] = None
+    entries: dict[str, tuple[int, Any]] = field(default_factory=dict)
+
+    def matches(self, inst: TripInstance) -> bool:
+        """True when inst differs from the cached instance at most in delta."""
+        ref = self.inst
+        return (
+            ref is not None
+            and ref.n == inst.n
+            and ref.alpha == inst.alpha
+            and _same(ref.xi, inst.xi)
+            and _same(ref.x, inst.x)
+            and _same(ref.gamma, inst.gamma)
+            and _same(ref.c, inst.c)
+        )
+
+    def entry(self, name: str, inst: TripInstance, build: Callable[[], T]) -> T:
+        """The entry `name` for inst, made by build() when the cache has none
+        that serves inst.delta."""
+        if not self.matches(inst):
+            self.inst = inst
+            self.entries = {}
+        kept = self.entries.get(name)
+        if kept is None or kept[0] < inst.delta:
+            kept = self.entries[name] = (inst.delta, build())
+        return kept[1]
 
 
 @dataclass

@@ -23,6 +23,14 @@ sweep evaluates all of them, and the bisection then walks its usual path
 through those results. It evaluates exactly the multipliers a one-at-a-time
 bisection would, in the same float arithmetic, and keeps only the tables on
 its path, so its output does not depend on the speculation.
+
+Neither the weights nor a relaxed sweep read the radius delta: it enters
+only when the bisection compares a path's budget use with it. The bisections
+of one instance at several radii start from the same bracket and evaluate
+many of the same multipliers, so a RadiusCache keeps the weights and every
+swept table (the Sweeps record), and a sweep evaluates only multipliers not
+swept before. The tables read from the cache are the floats a new sweep
+would compute, and the path still decides which of them enter the result.
 """
 
 from __future__ import annotations
@@ -37,6 +45,7 @@ import numpy as np
 from .graph import NodeRef
 from .instance import (
     InstanceError,
+    RadiusCache,
     Solution,
     SolverStats,
     TripInstance,
@@ -136,6 +145,29 @@ def layer_weights(inst: TripInstance) -> tuple[list[np.ndarray], np.ndarray]:
     jump = inst.alpha * np.abs(inst.xi[None, :] - inst.xi[:, None])
     weights = [linear[:1]] + [linear[i] + jump for i in range(1, inst.n)]
     return weights, inst.gamma[:, None] * np.abs(shifts)
+
+
+@dataclass
+class Sweeps:
+    """The radius-free work of the bisections of one instance: the weights
+    and consumptions of layer_weights, and every relaxed table swept so far,
+    by its exact multiplier."""
+
+    weights: list[np.ndarray]
+    cons: np.ndarray
+    swept: dict[float, ZetaTable] = field(default_factory=dict)
+
+    @classmethod
+    def build(cls, inst: TripInstance) -> "Sweeps":
+        return cls(*layer_weights(inst))
+
+    def sweep(self, inst: TripInstance, lams: list[float]) -> None:
+        """Sweep every multiplier of lams not swept yet."""
+        new = [lam for lam in lams if lam not in self.swept]
+        if new:
+            self.swept.update(
+                zip(new, relaxed_sweep(inst, new, self.weights, self.cons))
+            )
 
 
 def _lex_min(
@@ -255,7 +287,9 @@ def _midpoints(lo: float, hi: float, epsilon: float, depth: int) -> list[float]:
     )
 
 
-def binary_search(inst: TripInstance, epsilon: float) -> LagrangeTables:
+def binary_search(
+    inst: TripInstance, epsilon: float, cache: Optional[RadiusCache] = None
+) -> LagrangeTables:
     """Bisection for a multiplier within epsilon of an optimal one.
 
     The multiplier 0 is evaluated first: if its cheapest path (smallest
@@ -269,20 +303,20 @@ def binary_search(inst: TripInstance, epsilon: float) -> LagrangeTables:
 
     Both endpoints share one batched sweep, and each later sweep evaluates
     every midpoint of the next SPECULATION_DEPTH steps; only the tables on
-    the path taken enter the result.
+    the path taken enter the result. With a cache, the weights and the
+    swept tables are kept there, and multipliers swept by an earlier
+    bisection of the same instance are not swept again.
     """
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
-    weights, cons = layer_weights(inst)
-    tables = LagrangeTables(inst=inst, weights=weights, cons=cons)
+    if cache is None:
+        cache = RadiusCache()
+    sweeps = cache.entry("sweeps", inst, lambda: Sweeps.build(inst))
+    tables = LagrangeTables(inst=inst, weights=sweeps.weights, cons=sweeps.cons)
     upper0 = float(np.max(np.abs(inst.c))) + 2.0 * inst.alpha
-    swept: dict[float, ZetaTable] = {}
-
-    def sweep(lams: list[float]) -> None:
-        swept.update(zip(lams, relaxed_sweep(inst, lams, weights, cons)))
 
     def evaluate(lam: float) -> tuple[ZetaTable, np.ndarray, int]:
-        table = swept[lam]
+        table = sweeps.swept[lam]
         tables.lambdas.append(table.lam)
         tables.zeta.append(table)
         d = extract_path_step(inst, table)
@@ -308,7 +342,7 @@ def binary_search(inst: TripInstance, epsilon: float) -> LagrangeTables:
         tables.zeta = [tables.zeta[k] for k in order]
         return tables
 
-    sweep([0.0, upper0])
+    sweeps.sweep(inst, [0.0, upper0])
     _, d0, res0 = evaluate(0.0)
     if res0 <= inst.delta:
         # the unconstrained optimum fits the budget: done
@@ -325,8 +359,8 @@ def binary_search(inst: TripInstance, epsilon: float) -> LagrangeTables:
     lam = hi
     while hi - lo >= epsilon:
         lam = 0.5 * (lo + hi)
-        if lam not in swept:
-            sweep(_midpoints(lo, hi, epsilon, SPECULATION_DEPTH))
+        if lam not in sweeps.swept:
+            sweeps.sweep(inst, _midpoints(lo, hi, epsilon, SPECULATION_DEPTH))
         tables.iterations += 1
         _, d, res = evaluate(lam)
         if res > inst.delta:

@@ -10,13 +10,24 @@ outer iteration. A subproblem whose model predicts no decrease certifies a
 stationary iterate and stops the run; at radius zero only the zero step is
 feasible, so a run that rejects its way down always terminates through that
 same certificate.
+
+The subproblems of one outer iteration differ only in the radius: c, x,
+alpha, xi and gamma stay fixed while a rejected step halves delta. Each
+outer iteration therefore validates its instance once, derives every radius
+from it with dataclasses.replace, and hands the solvers one RadiusCache for
+the iteration. topo builds its dynamic program once, at the first radius,
+and reads every smaller radius from it (the states of radius delta - s are
+the states of radius delta with at least s capacity left); the A* bisection
+keeps its relaxed sweeps, which never read delta, and sweeps again only
+multipliers it has not evaluated yet. Every answer is the one a solver
+without the cache returns.
 """
 
 from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -26,7 +37,7 @@ from scipy.signal import fftconvolve
 from scipy.special import erf
 
 from .astar import solve_astar
-from .instance import Solution, TripInstance, validate
+from .instance import RadiusCache, Solution, TripInstance, validate
 from .topo import solve_topo
 
 
@@ -95,14 +106,16 @@ class SlipTrace:
     wall_seconds: float = 0.0
 
 
-def _solve_subproblem(inst: TripInstance, config: SlipConfig) -> Solution:
+def _solve_subproblem(
+    inst: TripInstance, config: SlipConfig, cache: RadiusCache
+) -> Solution:
     if config.solver == "topo":
-        return solve_topo(inst)
+        return solve_topo(inst, cache=cache)
     if config.solver == "astar":
-        return solve_astar(inst, config.epsilon)
+        return solve_astar(inst, config.epsilon, cache=cache)
     if inst.delta < config.delta_d:  # hybrid
-        return solve_topo(inst)
-    return solve_astar(inst, config.epsilon)
+        return solve_topo(inst, cache=cache)
+    return solve_astar(inst, config.epsilon, cache=cache)
 
 
 def run_slip(
@@ -127,21 +140,23 @@ def run_slip(
 
     for outer in range(1, config.max_outer + 1):
         coeffs = problem.gradient_coeffs(x)
+        base = validate(
+            {
+                "n": problem.n,
+                "alpha": config.alpha,
+                "delta": config.delta0,
+                "xi": problem.xi.tolist(),
+                "x": x.tolist(),
+                "gamma": problem.gamma.tolist(),
+                "c": coeffs.tolist(),
+            }
+        )
+        cache = RadiusCache()
         delta = config.delta0
         inner = 0
         while True:
-            inst = validate(
-                {
-                    "n": problem.n,
-                    "alpha": config.alpha,
-                    "delta": delta,
-                    "xi": problem.xi.tolist(),
-                    "x": x.tolist(),
-                    "gamma": problem.gamma.tolist(),
-                    "c": coeffs.tolist(),
-                }
-            )
-            sol = _solve_subproblem(inst, config)
+            inst = replace(base, delta=delta)
+            sol = _solve_subproblem(inst, config, cache)
             predicted = config.alpha * total_variation(x) - sol.objective
             if predicted <= 0.0:
                 trace.steps.append(

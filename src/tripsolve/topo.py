@@ -3,100 +3,160 @@
 Processes every reachable (layer, value, remaining budget) state exactly
 once, so the running time is linear in the graph size, i.e. proportional to
 n * delta * |xi|^2. The cost tables roll layer by layer; only the
-predecessor choices are kept for the whole horizon so the optimal step can
-be reconstructed.
+predecessor choices, the last layer's costs and two per-layer counts are
+kept, in a TopoTables record, so the optimal step can be reconstructed.
+
+One set of tables answers every radius up to the one it was built at. The
+states of radius delta - s are exactly the states of radius delta whose
+remaining capacity eta is at least s, shifted down by s: a path's capacity
+only falls, so no state with eta >= s is reached through one below s, and
+each of them carries the same cost and the same predecessor choice, the same
+floats compared in the same order. The answer at radius delta - s is
+therefore read from the capacity columns s.. of the tables, and its visit
+counters from the per-layer counts of finite states by capacity and of
+successors by consumption. A trust-region run that halves its radius after a
+rejected step passes a RadiusCache and builds the tables once per instance.
 """
 
 from __future__ import annotations
 
 import time
+from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
-from .instance import Solution, SolverStats, TripInstance, clamp_delta, objective
+from .instance import (
+    RadiusCache,
+    Solution,
+    SolverStats,
+    TripInstance,
+    clamp_delta,
+    objective,
+)
 
 _INF = np.inf
 
 
-def solve_topo(inst: TripInstance) -> Solution:
+@dataclass(frozen=True)
+class TopoTables:
+    """The layer-ordered dynamic program of one instance at radius delta.
+
+    pred[i - 1, j, eta] is the value index in layer i - 1 of the best
+    predecessor of the layer-i state (value index j, remaining capacity eta),
+    -1 where the state is unreachable or i = 1. last_cost[j, eta] is the cost
+    of the layer-n state. finite[i - 1, eta] counts the reachable layer-i
+    states with capacity eta; succ[i - 1, t] counts the value indices of
+    layer i + 1 whose edges consume at most t, i = 1..n-1. The counts are at
+    most m and share pred's dtype.
+    """
+
+    delta: int
+    pred: np.ndarray  # (n, m, delta + 1)
+    last_cost: np.ndarray  # (m, delta + 1) float
+    finite: np.ndarray  # (n, delta + 1)
+    succ: np.ndarray  # (n - 1, delta + 1)
+
+    @classmethod
+    def build(cls, inst: TripInstance) -> "TopoTables":
+        n, m, width = inst.n, inst.m, inst.delta + 1
+        pred_dtype = np.int8 if m <= np.iinfo(np.int8).max else np.int16
+        pred = np.full((n, m, width), -1, dtype=pred_dtype)
+        finite = np.zeros((n, width), dtype=pred_dtype)
+        succ = np.zeros((n - 1, width), dtype=pred_dtype)
+        capacities = np.arange(width)
+
+        shifts = inst.shifts(1)
+        cons = inst.gamma[0] * np.abs(shifts)
+        cost = np.full((m, width), _INF)
+        reachable = cons <= inst.delta
+        cost[reachable, (inst.delta - cons)[reachable]] = inst.c[0] * shifts[reachable]
+        finite[0] = np.isfinite(cost).sum(axis=0)
+
+        for head in range(2, n + 1):
+            shifts_v = inst.shifts(head)
+            cons_v = inst.gamma[head - 1] * np.abs(shifts_v)
+            jump = np.abs(
+                int(inst.x[head - 1]) - int(inst.x[head - 2])
+                + shifts_v[None, :]
+                - shifts[:, None]
+            )
+            weight = inst.c[head - 1] * shifts_v[None, :] + inst.alpha * jump
+
+            # stacked[j', j, eta] = cost of reaching (head-1, j, eta) + edge to j'
+            stacked = cost[None, :, :] + weight.T[:, :, None]
+            best_prev = stacked.argmin(axis=1)  # smallest value index on ties
+            arrived = stacked.min(axis=1)
+            succ[head - 2] = np.searchsorted(np.sort(cons_v), capacities, side="right")
+
+            new_cost = np.full((m, width), _INF)
+            for j in range(m):
+                used = int(cons_v[j])
+                if used >= width:
+                    continue
+                span = width - used
+                new_cost[j, :span] = arrived[j, used:]
+                pred[head - 1, j, :span] = best_prev[j, used:]
+            cost = new_cost
+            shifts = shifts_v
+            finite[head - 1] = np.isfinite(cost).sum(axis=0)
+
+        return cls(delta=inst.delta, pred=pred, last_cost=cost, finite=finite, succ=succ)
+
+    def solution(self, inst: TripInstance) -> Solution:
+        """The optimum of inst, which must be the tables' instance at a
+        clamped radius of at most delta, with solve_topo's tie rule."""
+        s = self.delta - inst.delta
+        if s < 0:
+            raise ValueError(f"radius {inst.delta} above the tables' {self.delta}")
+        n = inst.n
+        width = self.delta + 1
+        cost = self.last_cost[:, s:]
+        ties = np.argwhere(cost == cost.min())
+        order = np.lexsort((ties[:, 0], -ties[:, 1]))  # max capacity, then min index
+        j_best, eta_best = (int(v) for v in ties[order[0]])
+        eta_best += s  # capacity in the tables' coordinates
+
+        d = np.zeros(n, dtype=np.int64)
+        j, eta = j_best, eta_best
+        for i in range(n, 0, -1):
+            shift = int(inst.xi[j] - inst.x[i - 1])
+            d[i - 1] = shift
+            j_prev = int(self.pred[i - 1, j, eta]) if i > 1 else -1
+            eta += int(inst.gamma[i - 1]) * abs(shift)  # capacity one layer back
+            j = j_prev
+
+        finite = self.finite[:, s:].astype(np.int64)
+        nodes = int(finite.sum()) + 2  # plus source and sink
+        # source out-edges, edges between layers, sink edges
+        edges = int(
+            finite[0].sum()
+            + (finite[:-1] * self.succ[:, : width - s]).sum()
+            + finite[-1].sum()
+        )
+        return Solution(
+            d=d,
+            objective=objective(inst, d),
+            resource=self.delta - eta_best,
+            stats=SolverStats(nodes_expanded=nodes, nodes_generated=edges),
+        )
+
+
+def solve_topo(inst: TripInstance, cache: Optional[RadiusCache] = None) -> Solution:
     """Globally optimal step vector by layer-ordered dynamic programming.
 
     Among minimum-cost terminal states the one with the smallest budget use
     wins, then the smallest value index; predecessor ties prefer the smaller
     value index. This makes the result deterministic.
+
+    With a cache, the tables are kept there and a later call for the same
+    instance at a radius no larger reads its answer from them.
     """
     t0 = time.perf_counter()
     inst = clamp_delta(inst)
-    n, m, width = inst.n, inst.m, inst.delta + 1
-
-    pred_dtype = np.int8 if m <= np.iinfo(np.int8).max else np.int16
-    pred = np.full((n, m, width), -1, dtype=pred_dtype)
-
-    shifts = inst.shifts(1)
-    cons = inst.gamma[0] * np.abs(shifts)
-    cost = np.full((m, width), _INF)
-    reachable = cons <= inst.delta
-    cost[reachable, (inst.delta - cons)[reachable]] = inst.c[0] * shifts[reachable]
-
-    nodes = int(reachable.sum())
-    edges = int(reachable.sum())  # source out-edges
-
-    for head in range(2, n + 1):
-        shifts_v = inst.shifts(head)
-        cons_v = inst.gamma[head - 1] * np.abs(shifts_v)
-        jump = np.abs(
-            int(inst.x[head - 1]) - int(inst.x[head - 2])
-            + shifts_v[None, :]
-            - shifts[:, None]
-        )
-        weight = inst.c[head - 1] * shifts_v[None, :] + inst.alpha * jump
-
-        # stacked[j', j, eta] = cost of reaching (head-1, j, eta) + edge to j'
-        stacked = cost[None, :, :] + weight.T[:, :, None]
-        best_prev = stacked.argmin(axis=1)  # smallest value index on ties
-        arrived = stacked.min(axis=1)
-
-        finite_prev = np.isfinite(cost)
-        edges += int(
-            np.searchsorted(np.sort(cons_v), np.nonzero(finite_prev)[1], side="right").sum()
-        )
-
-        new_cost = np.full((m, width), _INF)
-        for j in range(m):
-            used = int(cons_v[j])
-            if used >= width:
-                continue
-            span = width - used
-            new_cost[j, :span] = arrived[j, used:]
-            pred[head - 1, j, :span] = best_prev[j, used:]
-        cost = new_cost
-        shifts = shifts_v
-        nodes += int(np.isfinite(cost).sum())
-
-    edges += int(np.isfinite(cost).sum())  # sink edges
-    nodes += 2  # source and sink
-
-    best_value = cost.min()
-    ties = np.argwhere(cost == best_value)
-    order = np.lexsort((ties[:, 0], -ties[:, 1]))  # max capacity, then min index
-    j_best, eta_best = (int(v) for v in ties[order[0]])
-
-    d = np.zeros(n, dtype=np.int64)
-    j, eta = j_best, eta_best
-    for i in range(n, 0, -1):
-        shift = int(inst.xi[j] - inst.x[i - 1])
-        d[i - 1] = shift
-        j_prev = int(pred[i - 1, j, eta]) if i > 1 else -1
-        eta += int(inst.gamma[i - 1]) * abs(shift)  # capacity one layer back
-        j = j_prev
-
-    return Solution(
-        d=d,
-        objective=objective(inst, d),
-        resource=inst.delta - eta_best,
-        stats=SolverStats(
-            nodes_expanded=nodes,
-            nodes_generated=edges,
-            wall_seconds=time.perf_counter() - t0,
-        ),
-    )
+    if cache is None:
+        cache = RadiusCache()
+    tables = cache.entry("topo", inst, lambda: TopoTables.build(inst))
+    sol = tables.solution(inst)
+    sol.stats.wall_seconds = time.perf_counter() - t0
+    return sol

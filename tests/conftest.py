@@ -1,7 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from tripsolve.instance import TripInstance, validate
+from tripsolve.instance import RadiusCache, TripInstance, validate
 from tripsolve.oracle import gen_random
 
 
@@ -55,3 +57,48 @@ def small_corpus(count: int, start_seed: int = 0) -> list[TripInstance]:
 @pytest.fixture(scope="session")
 def corpus200() -> list[TripInstance]:
     return small_corpus(200)
+
+
+def radius_corpus(count: int = 320) -> list[TripInstance]:
+    """Random instances (n 1..39, m 1..7) at a largest radius, including
+    n = 1, m = 1 and alpha = 0, for solving at halving radii."""
+    out = []
+    rng = np.random.default_rng(4242)
+    for k in range(count):
+        n = 1 if k % 40 == 0 else int(rng.integers(1, 40))
+        m = 1 if k % 40 == 1 else int(rng.integers(1, 8))
+        alpha = 0.0 if k % 40 == 2 else float(rng.choice([0.0, 0.05, 0.3, 1.0]))
+        delta0 = int(rng.integers(0, 2 * n + 3))
+        out.append(gen_random(n, m, delta0, alpha, seed=7000 + k))
+    return out
+
+
+def halving(delta0: int) -> list[int]:
+    """The radii d0, d0 // 2, ..., 1, 0 of a trust-region iteration that
+    rejects every step."""
+    radii = [delta0]
+    while radii[-1] > 0:
+        radii.append(radii[-1] // 2)
+    return radii
+
+
+def solution_fields(sol) -> tuple:
+    """Everything deterministic a solver reports."""
+    st = sol.stats
+    return (
+        sol.d.tolist(),
+        sol.objective,
+        sol.resource,
+        st.nodes_expanded,
+        st.nodes_generated,
+        st.preprocessing_iterations,
+    )
+
+
+def assert_cached_radii_match(solve, inst: TripInstance) -> None:
+    """Solve inst at halving radii through one RadiusCache; each answer
+    must equal a solve without the cache."""
+    cache = RadiusCache()
+    for delta in halving(inst.delta):
+        at = dataclasses.replace(inst, delta=delta)
+        assert solution_fields(solve(at, cache=cache)) == solution_fields(solve(at))

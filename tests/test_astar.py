@@ -1,10 +1,13 @@
+import dataclasses
+import functools
 from collections import Counter
 
 import numpy as np
 import pytest
 
+from conftest import assert_cached_radii_match, radius_corpus, solution_fields
 from tripsolve.astar import AstarOptions, edge_dominated, solve_astar
-from tripsolve.instance import validate
+from tripsolve.instance import RadiusCache, clamp_delta, validate
 from tripsolve.oracle import gen_random
 from tripsolve.topo import solve_topo
 
@@ -159,3 +162,38 @@ def test_preprocessing_counter_reported():
     assert abs(sol.objective - topo.objective) <= 1e-9
     if sol.stats.nodes_expanded > 0:
         assert sol.stats.preprocessing_iterations > 0
+
+
+def test_cached_radii_match_fresh_solves():
+    # the default tolerance, and coarser ones that end the bisection sooner
+    epsilons = (None, 1e-3, 0.3)
+    for k, inst in enumerate(radius_corpus()):
+        solve = functools.partial(solve_astar, epsilon=epsilons[k % 3])
+        assert_cached_radii_match(solve, inst)
+
+
+def test_cached_radii_with_many_values():
+    inst = gen_random(6, 130, 40, 0.3, seed=11)
+    assert inst.gamma.max() > 1
+    assert_cached_radii_match(solve_astar, inst)
+
+
+def test_cached_radii_above_the_clamp_cap():
+    inst = gen_random(5, 3, 10**6, 0.3, seed=12)
+    assert clamp_delta(inst).delta < inst.delta // 2
+    assert_cached_radii_match(solve_astar, inst)
+
+
+def test_cache_rebuilds_for_changed_instances():
+    inst = gen_random(12, 5, 10, 0.2, seed=14)
+    rng = np.random.default_rng(14)
+    others = [
+        dataclasses.replace(inst, c=-inst.c),
+        dataclasses.replace(inst, x=rng.choice(inst.xi, size=inst.n)),
+        dataclasses.replace(inst, delta=2 * inst.delta),
+    ]
+    for other in others:
+        cache = RadiusCache()
+        solve_astar(inst, cache=cache)
+        cached = solution_fields(solve_astar(other, cache=cache))
+        assert cached == solution_fields(solve_astar(other))

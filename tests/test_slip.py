@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
 
+import tripsolve.slip
+from conftest import solution_fields
+from tripsolve.astar import solve_astar
 from tripsolve.slip import (
     ControlProblem,
     SlipConfig,
@@ -13,6 +16,7 @@ from tripsolve.slip import (
     total_variation,
     write_trace,
 )
+from tripsolve.topo import solve_topo
 
 
 def test_total_variation_examples():
@@ -223,3 +227,45 @@ def test_trace_roundtrip(tmp_path):
     path2 = tmp_path / "trace2.jsonl"
     write_trace(trace2, str(path2))
     assert path.read_bytes() == path2.read_bytes()
+
+
+def _without_cache(solve):
+    def call(inst, *args, cache=None, **kwargs):
+        return solve(inst, *args, **kwargs)
+
+    return call
+
+
+@pytest.mark.parametrize(
+    "problem, config",
+    [
+        (make_heat_problem(32), SlipConfig(alpha=1e-4, delta0=16, solver="astar")),
+        (make_heat_problem(32), SlipConfig(alpha=1e-4, delta0=16, solver="topo")),
+        (
+            make_heat_problem(32),
+            SlipConfig(alpha=1e-4, delta0=16, solver="hybrid", delta_d=8),
+        ),
+        (make_signal_problem(64, seed=3), SlipConfig(alpha=1e-3, delta0=8)),
+    ],
+    ids=["heat-astar", "heat-topo", "heat-hybrid", "signal-topo"],
+)
+def test_radius_cache_leaves_every_step_unchanged(problem, config, tmp_path, monkeypatch):
+    x0 = np.zeros(problem.n, dtype=int)
+    trace = run_slip(problem, x0, config)
+    assert any(step.inner > 0 for step in trace.steps)  # radii were reused
+    for step in trace.steps:
+        use_topo = config.solver == "topo" or (
+            config.solver == "hybrid" and step.instance.delta < config.delta_d
+        )
+        fresh = solve_topo(step.instance) if use_topo else solve_astar(step.instance)
+        assert solution_fields(step.solution) == solution_fields(fresh)
+
+    # the same run with solvers that drop the cache writes the same trace
+    monkeypatch.setattr(tripsolve.slip, "solve_topo", _without_cache(solve_topo))
+    monkeypatch.setattr(tripsolve.slip, "solve_astar", _without_cache(solve_astar))
+    uncached = run_slip(problem, x0, config)
+    write_trace(trace, str(tmp_path / "cached.jsonl"))
+    write_trace(uncached, str(tmp_path / "uncached.jsonl"))
+    assert (tmp_path / "cached.jsonl").read_bytes() == (
+        tmp_path / "uncached.jsonl"
+    ).read_bytes()

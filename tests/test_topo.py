@@ -1,12 +1,14 @@
+import dataclasses
 import time
 
 import numpy as np
 import pytest
 
+from conftest import assert_cached_radii_match, radius_corpus, solution_fields
 from tripsolve.graph import build_explicit
-from tripsolve.instance import validate
+from tripsolve.instance import RadiusCache, clamp_delta, validate
 from tripsolve.oracle import gen_random, solve_bruteforce
-from tripsolve.topo import solve_topo
+from tripsolve.topo import TopoTables, solve_topo
 
 
 def test_derived_optimum(derived3):
@@ -124,3 +126,44 @@ def test_runtime_scales_about_linearly_in_graph_size():
     big = min(_timed(256, 32, s) for s in range(3))
     # 4x the node count; allow a generous factor-of-2 tolerance on top
     assert big <= 8.5 * small + 0.05
+
+
+def test_cached_radii_match_fresh_solves():
+    for inst in radius_corpus():
+        assert_cached_radii_match(solve_topo, inst)
+
+
+def test_cached_radii_with_int16_predecessors():
+    inst = gen_random(6, 130, 40, 0.3, seed=11)  # m > 127: int16 pred
+    assert inst.gamma.max() > 1
+    assert TopoTables.build(inst).pred.dtype == np.int16
+    assert_cached_radii_match(solve_topo, inst)
+
+
+def test_cached_radii_above_the_clamp_cap():
+    inst = gen_random(5, 3, 10**6, 0.3, seed=12)
+    assert clamp_delta(inst).delta < inst.delta // 2
+    assert_cached_radii_match(solve_topo, inst)
+
+
+def test_tables_refuse_a_larger_radius():
+    inst = gen_random(5, 3, 4, 0.3, seed=13)
+    tables = TopoTables.build(inst)
+    with pytest.raises(ValueError):
+        tables.solution(dataclasses.replace(inst, delta=5))
+
+
+def test_cache_rebuilds_for_changed_instances():
+    inst = gen_random(12, 5, 10, 0.2, seed=14)
+    rng = np.random.default_rng(14)
+    others = [
+        dataclasses.replace(inst, c=-inst.c),
+        dataclasses.replace(inst, x=rng.choice(inst.xi, size=inst.n)),
+        dataclasses.replace(inst, delta=2 * inst.delta),
+    ]
+    for other in others:
+        cache = RadiusCache()
+        solve_topo(inst, cache=cache)
+        cached = solution_fields(solve_topo(other, cache=cache))
+        assert cached == solution_fields(solve_topo(other))
+        assert cached != solution_fields(solve_topo(inst))
