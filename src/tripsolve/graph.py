@@ -72,6 +72,24 @@ def edge_weight(
     return float(linear + inst.alpha * jump)
 
 
+def edge_terms(inst: TripInstance) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The terms of every edge weight and consumption, for the vectorised
+    solvers: (cons, linear, jump).
+
+    linear[i, j] = c_{i+1} * shift_j and cons[i, j] = gamma_{i+1} * |shift_j|,
+    with shift_j = xi_j - x_{i+1}, shape (n, m); jump[j, j'] =
+    alpha * |xi_j' - xi_j|, shape (m, m). The edge into value index j' of
+    layer i + 1 weighs linear[i, j'] + jump[j, j'] from value index j of
+    layer i >= 1, and linear[0, j'] from the source, as edge_weight: the
+    integers |x_{i+1} - x_i + shift_j' - shift_j| are |xi_j' - xi_j|.
+    """
+    shifts = inst.xi[None, :] - inst.x[:, None]
+    cons = inst.gamma[:, None] * np.abs(shifts)
+    linear = inst.c[:, None] * shifts
+    jump = inst.alpha * np.abs(inst.xi[None, :] - inst.xi[:, None])
+    return cons, linear, jump
+
+
 def _shift_of(inst: TripInstance, node: NodeRef) -> int:
     if node.layer == 0 or node.layer == inst.n + 1:
         return 0

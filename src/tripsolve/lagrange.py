@@ -28,9 +28,10 @@ Neither the weights nor a relaxed sweep read the radius delta: it enters
 only when the bisection compares a path's budget use with it. The bisections
 of one instance at several radii start from the same bracket and evaluate
 many of the same multipliers, so a RadiusCache keeps the weights and every
-swept table (the Sweeps record), and a sweep evaluates only multipliers not
-swept before. The tables read from the cache are the floats a new sweep
-would compute, and the path still decides which of them enter the result.
+swept table with its relaxed path's step (the Sweeps record), and a sweep
+evaluates only multipliers not swept before. The tables read from the cache
+are the floats a new sweep would compute, and the path still decides which
+of them enter the result.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from typing import Optional
 
 import numpy as np
 
-from .graph import NodeRef
+from .graph import NodeRef, edge_terms
 from .instance import (
     InstanceError,
     RadiusCache,
@@ -124,12 +125,10 @@ def layer_weights(inst: TripInstance) -> tuple[list[np.ndarray], np.ndarray]:
     graph, indexed by the tail layer i = 0..n-1 (0 is the source).
 
     weights[i][j, j'] is the weight of the edge from value index j in layer
-    i to value index j' in layer i + 1,
-    c_{i+1} * shift_j' + alpha * |x_{i+1} - x_i + shift_j' - shift_j|,
-    where the jump term reduces to alpha * |xi_j' - xi_j|. weights[0] has
-    the single row of the source, whose edges carry no jump term.
-    cons[i, j'] = gamma_{i+1} * |shift_j'| is the consumption of the same
-    edges, shape (n, m).
+    i to value index j' in layer i + 1, linear[i, j'] + jump[j, j'] in the
+    terms of graph.edge_terms. weights[0] has the single row of the source,
+    whose edges carry no jump term. cons[i, j'] = gamma_{i+1} * |shift_j'|
+    is the consumption of the same edges, shape (n, m).
 
     The weights are one (m, m) array per layer, not one (n, m, m) block:
     a block of several MB, freed after each solve, kept the allocator's heap
@@ -137,25 +136,24 @@ def layer_weights(inst: TripInstance) -> tuple[list[np.ndarray], np.ndarray]:
     replay that alternates topo and A* by 7%, against 1-2% this way.
     """
     m = inst.m
-    shifts = inst.xi[None, :] - inst.x[:, None]  # (n, m): shifts(i + 1)
     # tie keys are budget * m + column in int64, budgets at most this cap
     if int(inst.xi[-1] - inst.xi[0]) * int(inst.gamma.max()) * inst.n * m >= 2**62:
         raise InstanceError("budget use too large for the int64 tie keys")
-    linear = inst.c[:, None] * shifts
-    jump = inst.alpha * np.abs(inst.xi[None, :] - inst.xi[:, None])
+    cons, linear, jump = edge_terms(inst)
     weights = [linear[:1]] + [linear[i] + jump for i in range(1, inst.n)]
-    return weights, inst.gamma[:, None] * np.abs(shifts)
+    return weights, cons
 
 
 @dataclass
 class Sweeps:
     """The radius-free work of the bisections of one instance: the weights
-    and consumptions of layer_weights, and every relaxed table swept so far,
-    by its exact multiplier."""
+    and consumptions of layer_weights, every relaxed table swept so far, by
+    its exact multiplier, and the relaxed path's step of each table read."""
 
     weights: list[np.ndarray]
     cons: np.ndarray
     swept: dict[float, ZetaTable] = field(default_factory=dict)
+    steps: dict[float, np.ndarray] = field(default_factory=dict)
 
     @classmethod
     def build(cls, inst: TripInstance) -> "Sweeps":
@@ -168,6 +166,13 @@ class Sweeps:
             self.swept.update(
                 zip(new, relaxed_sweep(inst, new, self.weights, self.cons))
             )
+
+    def step(self, inst: TripInstance, lam: float) -> np.ndarray:
+        """The relaxed path's step of the table swept at lam."""
+        d = self.steps.get(lam)
+        if d is None:
+            d = self.steps[lam] = extract_path_step(inst, self.swept[lam])
+        return d
 
 
 def _lex_min(
@@ -267,7 +272,7 @@ def _solution_from_step(
     inst: TripInstance, d: np.ndarray, iterations: int
 ) -> Solution:
     return Solution(
-        d=d,
+        d=d.copy(),  # d is kept in the Sweeps record
         objective=objective(inst, d),
         resource=resource_use(inst, d),
         stats=SolverStats(preprocessing_iterations=iterations),
@@ -319,7 +324,7 @@ def binary_search(
         table = sweeps.swept[lam]
         tables.lambdas.append(table.lam)
         tables.zeta.append(table)
-        d = extract_path_step(inst, table)
+        d = sweeps.step(inst, lam)
         tables.log.append(
             (table.lam, table.source_cost - lam * inst.delta, table.source_res)
         )

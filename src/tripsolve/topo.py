@@ -1,10 +1,18 @@
 """Exact solver by dynamic programming in layer order.
 
 Processes every reachable (layer, value, remaining budget) state exactly
-once, so the running time is linear in the graph size, i.e. proportional to
-n * delta * |xi|^2. The cost tables roll layer by layer; only the
-predecessor choices, the last layer's costs and two per-layer counts are
-kept, in a TopoTables record, so the optimal step can be reconstructed.
+once. Each layer i is restricted to its reach window: the value indices j
+with gamma_i * |xi_j - x_i| <= delta. The window is a contiguous index range,
+since xi is strictly ascending and x_i is one of its values, and it is
+exact: a value index outside it overspends the budget on its own, while one
+inside it is reached by the path that steps there and nowhere else. The
+states outside the windows are therefore unreachable, and leaving them out
+changes no float and no tie. A layer costs delta * w_i * w_{i-1} for windows
+of w_i and w_{i-1} value indices, so the running time is proportional to
+delta * sum_i w_i * w_{i-1}, at most n * delta * |xi|^2 when every window
+is full. The cost tables roll layer by layer; only the predecessor choices,
+the last layer's costs and two per-layer counts are kept, in a TopoTables
+record, so the optimal step can be reconstructed.
 
 One set of tables answers every radius up to the one it was built at. The
 states of radius delta - s are exactly the states of radius delta whose
@@ -26,6 +34,7 @@ from typing import Optional
 
 import numpy as np
 
+from .graph import edge_terms
 from .instance import (
     RadiusCache,
     Solution,
@@ -63,45 +72,51 @@ class TopoTables:
         pred_dtype = np.int8 if m <= np.iinfo(np.int8).max else np.int16
         pred = np.full((n, m, width), -1, dtype=pred_dtype)
         finite = np.zeros((n, width), dtype=pred_dtype)
-        succ = np.zeros((n - 1, width), dtype=pred_dtype)
-        capacities = np.arange(width)
+        cons, linear, jump = edge_terms(inst)
+        # succ[i - 1, t] counts the consumptions of layer i + 1 up to t
+        bins = np.arange(n - 1)[:, None] * (width + 1) + np.minimum(cons[1:], width)
+        tally = np.bincount(bins.ravel(), minlength=(n - 1) * (width + 1))
+        succ = tally.reshape(n - 1, width + 1)[:, :width].cumsum(axis=1)
 
-        shifts = inst.shifts(1)
-        cons = inst.gamma[0] * np.abs(shifts)
-        cost = np.full((m, width), _INF)
-        reachable = cons <= inst.delta
-        cost[reachable, (inst.delta - cons)[reachable]] = inst.c[0] * shifts[reachable]
+        # reach windows: value index j of layer i is reachable iff
+        # gamma_i * |xi_j - x_i| <= delta, a contiguous range lo_i..hi_i - 1
+        full = int(inst.xi[-1] - inst.xi[0])  # no |xi_j - x_i| is larger
+        reach = np.where(inst.gamma > 0, inst.delta // np.maximum(inst.gamma, 1), full)
+        lo = np.searchsorted(inst.xi, inst.x - reach, side="left").tolist()
+        hi = np.searchsorted(inst.xi, inst.x + reach, side="right").tolist()
+        used_by = cons.tolist()
+
+        # cost[j - lo_i, eta]: cost of the layer-i state (j, eta), j in the window
+        a, b = lo[0], hi[0]
+        cost = np.full((b - a, width), _INF)
+        cost[np.arange(b - a), inst.delta - cons[0, a:b]] = linear[0, a:b]
         finite[0] = np.isfinite(cost).sum(axis=0)
 
-        for head in range(2, n + 1):
-            shifts_v = inst.shifts(head)
-            cons_v = inst.gamma[head - 1] * np.abs(shifts_v)
-            jump = np.abs(
-                int(inst.x[head - 1]) - int(inst.x[head - 2])
-                + shifts_v[None, :]
-                - shifts[:, None]
-            )
-            weight = inst.c[head - 1] * shifts_v[None, :] + inst.alpha * jump
-
-            # stacked[j', j, eta] = cost of reaching (head-1, j, eta) + edge to j'
+        for i in range(1, n):  # head layer i + 1, tail window a..b-1
+            pa, pb, a, b = a, b, lo[i], hi[i]
+            weight = linear[i, a:b] + jump[pa:pb, a:b]
+            # stacked[j', j, eta] = cost of reaching (i, pa + j, eta) + edge to a + j'
             stacked = cost[None, :, :] + weight.T[:, :, None]
-            best_prev = stacked.argmin(axis=1)  # smallest value index on ties
             arrived = stacked.min(axis=1)
-            succ[head - 2] = np.searchsorted(np.sort(cons_v), capacities, side="right")
+            best_prev = stacked.argmin(axis=1) + pa  # smallest value index on ties
+            best_prev[arrived == _INF] = -1
 
-            new_cost = np.full((m, width), _INF)
-            for j in range(m):
-                used = int(cons_v[j])
-                if used >= width:
-                    continue
+            cost = np.full((b - a, width), _INF)
+            for j, used in enumerate(used_by[i][a:b]):
                 span = width - used
-                new_cost[j, :span] = arrived[j, used:]
-                pred[head - 1, j, :span] = best_prev[j, used:]
-            cost = new_cost
-            shifts = shifts_v
-            finite[head - 1] = np.isfinite(cost).sum(axis=0)
+                cost[j, :span] = arrived[j, used:]
+                pred[i, a + j, :span] = best_prev[j, used:]
+            finite[i] = np.isfinite(cost).sum(axis=0)
 
-        return cls(delta=inst.delta, pred=pred, last_cost=cost, finite=finite, succ=succ)
+        last_cost = np.full((m, width), _INF)
+        last_cost[a:b] = cost
+        return cls(
+            delta=inst.delta,
+            pred=pred,
+            last_cost=last_cost,
+            finite=finite,
+            succ=succ.astype(pred_dtype),
+        )
 
     def solution(self, inst: TripInstance) -> Solution:
         """The optimum of inst, which must be the tables' instance at a

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 
@@ -5,7 +6,8 @@ import numpy as np
 import pytest
 
 from tripsolve.graph import build_explicit, edge_weight, sink_node
-from tripsolve.instance import objective, validate
+from conftest import halving
+from tripsolve.instance import RadiusCache, objective, validate
 from tripsolve.lagrange import (
     COST_TIE_TOL,
     LagrangeTables,
@@ -452,29 +454,47 @@ def equivalence_instances(count=320, seed=1200):
     return out
 
 
+def assert_matches_sequential(inst, eps, tables) -> bool:
+    """binary_search's result tables equal sequential_bisection's; True
+    when the search exited with a proven optimum."""
+    lambdas, zeta, log, iterations, lam_star, incumbent, exit_ = (
+        sequential_bisection(inst, eps)
+    )
+    order = np.argsort(lambdas)
+    assert tables.lambdas == [lambdas[k] for k in order]
+    for got, k in zip(tables.zeta, order):
+        assert_tables_equal(got, zeta[k])
+    assert tables.log == log
+    assert tables.iterations == iterations
+    assert tables.lambda_star == lam_star
+    for sol, want in ((tables.incumbent, incumbent), (tables.early_exit, exit_)):
+        assert (sol is None) == (want is None)
+        if want is not None:
+            assert np.array_equal(sol.d, want[0])
+            assert sol.stats.preprocessing_iterations == want[1]
+    return exit_ is not None
+
+
 def test_binary_search_matches_sequential_bisection():
     exits = searched = 0
     for inst in equivalence_instances():
         for eps in (1e-6, 1e-3, 0.3):
-            lambdas, zeta, log, iterations, lam_star, incumbent, exit_ = (
-                sequential_bisection(inst, eps)
-            )
-            tables = binary_search(inst, eps)
-            order = np.argsort(lambdas)
-            assert tables.lambdas == [lambdas[k] for k in order]
-            for got, k in zip(tables.zeta, order):
-                assert_tables_equal(got, zeta[k])
-            assert tables.log == log
-            assert tables.iterations == iterations
-            assert tables.lambda_star == lam_star
-            for sol, want in ((tables.incumbent, incumbent), (tables.early_exit, exit_)):
-                assert (sol is None) == (want is None)
-                if want is not None:
-                    assert np.array_equal(sol.d, want[0])
-                    assert sol.stats.preprocessing_iterations == want[1]
-            exits += exit_ is not None
-            searched += exit_ is None
+            exited = assert_matches_sequential(inst, eps, binary_search(inst, eps))
+            exits += exited
+            searched += not exited
     assert exits > 0 and searched > 0  # both ends of the search are covered
+
+
+def test_cached_bisections_match_sequential_bisection():
+    for inst in equivalence_instances(80, seed=1500):
+        cache = RadiusCache()
+        for delta in halving(inst.delta):
+            at = dataclasses.replace(inst, delta=delta)
+            tables = binary_search(at, 1e-3, cache=cache)
+            assert_matches_sequential(at, 1e-3, tables)
+            for sol in (tables.incumbent, tables.early_exit):
+                if sol is not None:
+                    sol.d += 1  # the cache keeps its own copy of every step
 
 
 def test_relaxed_sweep_matches_reference_sweep():

@@ -4,10 +4,15 @@ import time
 import numpy as np
 import pytest
 
-from conftest import assert_cached_radii_match, radius_corpus, solution_fields
+from conftest import (
+    assert_cached_radii_match,
+    halving,
+    radius_corpus,
+    solution_fields,
+)
 from tripsolve.graph import build_explicit
-from tripsolve.instance import RadiusCache, clamp_delta, validate
-from tripsolve.oracle import gen_random, solve_bruteforce
+from tripsolve.instance import RadiusCache, TripInstance, clamp_delta, validate
+from tripsolve.oracle import gen_random, knapsack_reduce, solve_bruteforce
 from tripsolve.topo import TopoTables, solve_topo
 
 
@@ -138,6 +143,7 @@ def test_cached_radii_with_int16_predecessors():
     assert inst.gamma.max() > 1
     assert TopoTables.build(inst).pred.dtype == np.int16
     assert_cached_radii_match(solve_topo, inst)
+    assert_matches_dense(inst)
 
 
 def test_cached_radii_above_the_clamp_cap():
@@ -167,3 +173,120 @@ def test_cache_rebuilds_for_changed_instances():
         cached = solution_fields(solve_topo(other, cache=cache))
         assert cached == solution_fields(solve_topo(other))
         assert cached != solution_fields(solve_topo(inst))
+
+
+def dense_tables(inst: TripInstance) -> tuple[TopoTables, np.ndarray]:
+    """The DP over every value index of every layer, without reach windows,
+    as a reference: the tables (pred as argmin leaves it, 0 at some
+    unreachable states) and reached (n, m, delta + 1), the mask of the
+    reachable states of each layer."""
+    n, m, width = inst.n, inst.m, inst.delta + 1
+    pred_dtype = np.int8 if m <= np.iinfo(np.int8).max else np.int16
+    pred = np.full((n, m, width), -1, dtype=pred_dtype)
+    reached = np.zeros((n, m, width), dtype=bool)
+    succ = np.zeros((n - 1, width), dtype=pred_dtype)
+    capacities = np.arange(width)
+
+    shifts = inst.shifts(1)
+    cons = inst.gamma[0] * np.abs(shifts)
+    cost = np.full((m, width), np.inf)
+    reachable = cons <= inst.delta
+    cost[reachable, (inst.delta - cons)[reachable]] = inst.c[0] * shifts[reachable]
+    reached[0] = np.isfinite(cost)
+
+    for head in range(2, n + 1):
+        shifts_v = inst.shifts(head)
+        cons_v = inst.gamma[head - 1] * np.abs(shifts_v)
+        jump = np.abs(
+            int(inst.x[head - 1]) - int(inst.x[head - 2])
+            + shifts_v[None, :]
+            - shifts[:, None]
+        )
+        weight = inst.c[head - 1] * shifts_v[None, :] + inst.alpha * jump
+        stacked = cost[None, :, :] + weight.T[:, :, None]
+        best_prev = stacked.argmin(axis=1)
+        arrived = stacked.min(axis=1)
+        succ[head - 2] = np.searchsorted(np.sort(cons_v), capacities, side="right")
+
+        new_cost = np.full((m, width), np.inf)
+        for j in range(m):
+            used = int(cons_v[j])
+            if used >= width:
+                continue
+            span = width - used
+            new_cost[j, :span] = arrived[j, used:]
+            pred[head - 1, j, :span] = best_prev[j, used:]
+        cost = new_cost
+        shifts = shifts_v
+        reached[head - 1] = np.isfinite(cost)
+
+    finite = reached.sum(axis=1).astype(pred_dtype)
+    tables = TopoTables(
+        delta=inst.delta, pred=pred, last_cost=cost, finite=finite, succ=succ
+    )
+    return tables, reached
+
+
+def assert_matches_dense(inst: TripInstance) -> None:
+    """The windowed tables of inst equal the dense reference: bitwise costs,
+    exact counts, pred at every reachable state and -1 elsewhere, and the
+    same solution at halving radii."""
+    inst = clamp_delta(inst)
+    got = TopoTables.build(inst)
+    ref, reached = dense_tables(inst)
+    assert got.last_cost.tobytes() == ref.last_cost.tobytes()
+    for name in ("finite", "succ"):
+        assert getattr(got, name).dtype == getattr(ref, name).dtype
+        assert np.array_equal(getattr(got, name), getattr(ref, name))
+    assert got.pred.dtype == ref.pred.dtype
+    assert np.array_equal(got.pred[reached], ref.pred[reached])
+    assert np.all(got.pred[~reached] == -1)
+    for delta in halving(inst.delta):
+        at = dataclasses.replace(inst, delta=delta)
+        assert solution_fields(got.solution(at)) == solution_fields(ref.solution(at))
+
+
+def test_windowed_tables_match_dense_dp():
+    for inst in radius_corpus():
+        assert_matches_dense(inst)
+
+
+def test_windowed_tables_with_free_and_costly_layers():
+    for seed in range(40):
+        inst = gen_random(9, 6, 2 + seed % 7, 0.3, seed=300 + seed)
+        rng = np.random.default_rng(seed)
+        free = inst.gamma * (rng.random(inst.n) < 0.4)  # gamma_i = 0: full window
+        costly = inst.gamma * 50  # window of the one value x_i
+        for gamma in (free, costly, np.where(free > 0, costly, 0)):
+            assert_matches_dense(dataclasses.replace(inst, gamma=gamma))
+
+
+def _knapsacks(items: int, draws: int, seed: int):
+    rng = np.random.default_rng(seed)
+    for _ in range(draws):
+        weights = rng.integers(1, 20, size=items)
+        values = weights + 5.0 + rng.uniform(0.0, 0.01, size=items)
+        capacity = max(int(weights.max()), int(weights.sum()) // 3)  # keeps every item
+        yield knapsack_reduce(values.tolist(), weights.tolist(), capacity, 1.0).instance
+
+
+def test_windowed_tables_on_knapsack_reductions():
+    for items in (3, 8, 16):
+        for inst in _knapsacks(items, 4, seed=items):
+            assert_matches_dense(inst)
+
+
+def test_knapsack_reductions_match_bruteforce():
+    for items in (1, 2, 3):  # n = m = 2 * items + 1
+        for inst in _knapsacks(items, 4 if items < 3 else 2, seed=50 + items):
+            bf = solve_bruteforce(inst)
+            sol = solve_topo(inst)
+            assert sol.objective == pytest.approx(bf.objective, abs=1e-9)
+            assert sol.resource <= inst.delta
+
+
+def test_pred_is_minus_one_at_unreachable_states():
+    inst = gen_random(6, 5, 3, 0.3, seed=2)
+    tables = TopoTables.build(inst)
+    assert np.all(tables.finite[2, 1:3] == 0)  # no layer-3 state there
+    assert np.all(tables.pred[2, 3, 1:3] == -1)
