@@ -18,6 +18,7 @@ from .instance import (
     InstanceError,
     RadiusCache,
     Solution,
+    SolverError,
     SolverStats,
     TripInstance,
     clamp_delta,
@@ -48,6 +49,7 @@ __all__ = [
     "SlipConfig",
     "SlipTrace",
     "Solution",
+    "SolverError",
     "SolverStats",
     "TripInstance",
     "clamp_delta",

@@ -14,21 +14,42 @@ the sink is optimal. Three independent prunings cut the search space:
   most the cost.
 
 States are packed integers in a hash map; the graph is never materialized.
+Two structures keep the work per expansion small, and both only leave out
+what the search could never read, so every expansion, f value and counter
+is that of a search over all m value indices:
+
+* successor rows: a (layer, value index) class builds the list of its
+  out-edges on its first expansion, as Python (consumption, head value
+  index, weight) triples sorted by (consumption, value index), with the
+  dominated edges left out. The heads are those of the next layer's reach
+  window (graph.reach_windows), the only ones whose edges consume at most
+  the radius. A label with capacity eta follows the prefix of the row with
+  consumption <= eta, exactly the heads the budget admits. The rows do not
+  depend on the capacity, so a RadiusCache keeps them for every radius up
+  to the one they were built at. The pushes of one expansion reach
+  distinct states and every heap entry is a distinct tuple, so pushing the
+  heads in this order instead of by value index pops the same sequence.
+* windowed heuristic table: lagrange.heuristic_table fills the heuristic
+  over the reach windows only, (n, widest window, delta + 1), with the
+  floats of the dense table; a label's head always lies in its layer's
+  window, since its edge consumed at most the radius.
 """
 
 from __future__ import annotations
 
 import heapq
+import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
 
-from .graph import NodeRef
+from .graph import NodeRef, reach_windows
 from .instance import (
     RadiusCache,
     Solution,
+    SolverError,
     SolverStats,
     TripInstance,
     clamp_delta,
@@ -73,17 +94,51 @@ def edge_dominated(
     return bool(lhs > inst.alpha * abs(delta_v))
 
 
-def _dominated_masks(inst: TripInstance) -> list[np.ndarray]:
-    """masks[i - 1][j, j'] flags prunable edges from layer i to i + 1,
-    i = 1..n-1."""
-    masks = []
-    for i in range(1, inst.n):
-        du = inst.shifts(i)[:, None]
-        dv = inst.shifts(i + 1)[None, :]
-        base = int(inst.x[i]) - int(inst.x[i - 1]) - du
-        lhs = inst.c[i] * dv + inst.alpha * (np.abs(base + dv) - np.abs(base))
-        masks.append((lhs > inst.alpha * np.abs(dv)) & (dv != 0))
-    return masks
+@dataclass
+class SuccessorRows:
+    """The out-edges of the (layer, value index) classes a search expands,
+    built on first use.
+
+    rows[layer * m + j] lists (consumption, value index, weight) of the
+    edges from value index j of layer 0..n-1 into the reach window of layer
+    + 1 at the radius of inst, sorted by (consumption, value index), less
+    the dominated edges when pruned is set. weights and cons are those of
+    lagrange.layer_weights.
+    """
+
+    inst: TripInstance
+    weights: list[np.ndarray]
+    cons: np.ndarray
+    pruned: bool
+    rows: dict[int, list[tuple[int, int, float]]] = field(default_factory=dict)
+    lo: list[int] = field(init=False)
+    hi: list[int] = field(init=False)
+
+    def __post_init__(self) -> None:
+        self.lo, self.hi = (w.tolist() for w in reach_windows(self.inst))
+
+    def build(self, layer: int, j: int) -> list[tuple[int, int, float]]:
+        """Build, keep and return the row of value index j in layer."""
+        inst = self.inst
+        a, b = self.lo[layer], self.hi[layer]
+        heads = np.arange(a, b)
+        if self.pruned and layer >= 1:
+            # edge_dominated for every head of the window at once, with alpha
+            # factored out of the two jump terms
+            du = inst.xi[j] - inst.x[layer - 1]
+            dv = inst.xi[a:b] - inst.x[layer]
+            base = int(inst.x[layer]) - int(inst.x[layer - 1]) - du
+            lhs = inst.c[layer] * dv + inst.alpha * (np.abs(base + dv) - np.abs(base))
+            heads = heads[~((lhs > inst.alpha * np.abs(dv)) & (dv != 0))]
+        row = sorted(
+            zip(
+                self.cons[layer, heads].tolist(),
+                heads.tolist(),
+                self.weights[layer][j, heads].tolist(),
+            )
+        )
+        self.rows[layer * inst.m + j] = row
+        return row
 
 
 def solve_astar(
@@ -100,10 +155,14 @@ def solve_astar(
     f = path cost + heuristic; ties prefer larger remaining capacity, then
     the deeper layer, then the smaller value index.
 
-    With a cache, the bisection's sweeps and the dominated-edge masks, which
-    do not depend on the radius, are kept there for later calls on the same
-    instance. Without one, the bisection's tables off its path are freed
+    With a cache, the bisection's sweeps and the successor rows, which do
+    not depend on the radius, are kept there for later calls on the same
+    instance; rows built with and without edge pruning are separate
+    entries. Without one, the bisection's tables off its path are freed
     before the search.
+
+    Raises SolverError when the search exhausts without reaching the sink,
+    which a consistent heuristic and a feasible zero step rule out.
     """
     t0 = time.perf_counter()
     opts = options or AstarOptions()
@@ -123,34 +182,31 @@ def solve_astar(
     n, m, width = inst.n, inst.m, inst.delta + 1
     zero = np.zeros(n, dtype=np.int64)
     upper = min(tables.upper_bound, objective(inst, zero))
+    bound = upper + PRUNE_TOL
 
-    # weights_all[layer][j] and cons_all[layer]: edges out of (layer, j)
-    weights_all, cons_all = tables.weights, tables.cons
-    dom = None
-    if opts.edge_pruning and cache is None:
-        dom = _dominated_masks(inst)
-    elif opts.edge_pruning:
-        dom = cache.entry("dominated", inst, lambda: _dominated_masks(inst))
+    def successor_rows() -> SuccessorRows:
+        return SuccessorRows(inst, tables.weights, tables.cons, opts.edge_pruning)
 
-    lam_arr = np.array([t.lam for t in tables.zeta])
-    zcost = np.stack([t.cost for t in tables.zeta])  # (L, n, m)
-    h_dense: Optional[np.ndarray] = None
-    if n * m * width <= opts.heuristic_table_cap:
-        h_dense = heuristic_table(inst, tables)
+    if cache is None:
+        succ = successor_rows()
+    else:
+        name = f"successor rows, edge pruning {opts.edge_pruning}"
+        succ = cache.entry(name, inst, successor_rows)
+    rows = succ.rows
 
-    def h_row(head: int, etas: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        """Heuristic values for prospective labels in layer `head`."""
-        if h_dense is not None:
-            return h_dense[head - 1, cols, etas]
-        sub = zcost[:, head - 1, cols]  # (L, k)
-        return (sub - lam_arr[:, None] * etas[None, :]).max(axis=0)
+    lo, hi = reach_windows(inst)
+    window_start = lo.tolist()  # heuristic table row of value index j: j - lo
+    h_table: Optional[np.ndarray] = None
+    if n * int((hi - lo).max()) * width <= opts.heuristic_table_cap:
+        h_table = heuristic_table(inst, tables)
+    else:
+        lam_arr = np.array([t.lam for t in tables.zeta])
+        zcost = np.stack([t.cost for t in tables.zeta])  # (L, n, m)
 
     # packed state: (layer * m + value_index) * width + capacity
-    def pack(layer: int, j: int, eta: int) -> int:
-        return (layer * m + j) * width + eta
-
-    src = pack(0, 0, inst.delta)
-    snk = pack(n + 1, 0, 0)
+    src = inst.delta
+    snk = (n + 1) * m * width
+    inf = math.inf
     g_of: dict[int, float] = {src: 0.0}
     parent: dict[int, int] = {}
     closed: set[int] = set()
@@ -158,72 +214,70 @@ def solve_astar(
     heap: list[tuple[float, int, int, int, int, float]] = []
     h_src = max(t.source_cost - t.lam * inst.delta for t in tables.zeta)
     heapq.heappush(heap, (h_src, -inst.delta, 0, 0, src, 0.0))
+    heappush, heappop = heapq.heappush, heapq.heappop
+    listener = opts.expansion_listener
+    ub_pruning, dominance = opts.upper_bound_pruning, opts.node_dominance
     expanded = 0
     generated = 1
 
-    best_goal_g = np.inf
+    best_goal_g = inf
     while heap:
-        f, neg_eta, neg_layer, j, packed, g = heapq.heappop(heap)
-        if packed in closed or g > g_of.get(packed, np.inf):
+        f, neg_eta, neg_layer, j, packed, g = heappop(heap)
+        if packed in closed or g > g_of.get(packed, inf):
             continue
         closed.add(packed)
         expanded += 1
         layer, eta = -neg_layer, -neg_eta
-        if opts.expansion_listener is not None:
-            opts.expansion_listener(NodeRef(layer, j, eta), f)
+        if listener is not None:
+            listener(NodeRef(layer, j, eta), f)
         if packed == snk:
             best_goal_g = g
             break
-        if opts.node_dominance and 1 <= layer <= n:
+        if dominance and 1 <= layer <= n:
             expanded_classes.setdefault(layer * m + j, []).append((eta, g))
 
         if layer == n:
-            if g < g_of.get(snk, np.inf):
+            if g < g_of.get(snk, inf):
                 g_of[snk] = g
                 parent[snk] = packed
-                heapq.heappush(heap, (g, 0, -(n + 1), 0, snk, g))
+                heappush(heap, (g, 0, -(n + 1), 0, snk, g))
                 generated += 1
             continue
 
+        row = rows.get(packed // width)  # key layer * m + j
+        if row is None:
+            row = succ.build(layer, j)
         head = layer + 1
-        cons = cons_all[layer]
-        weights = weights_all[layer][j]
-        ok = cons <= eta
-        if dom is not None and layer >= 1:
-            ok = ok & ~dom[layer - 1][j]
-        cand = np.flatnonzero(ok)
-        if cand.size == 0:
-            continue
-        new_eta = eta - cons[cand]
-        new_g = g + weights[cand]
-        h_vals = h_row(head, new_eta, cand)
-        for k in range(cand.size):
-            j2 = int(cand[k])
-            eta2 = int(new_eta[k])
-            g2 = float(new_g[k])
-            p2 = pack(head, j2, eta2)
-            if g2 >= g_of.get(p2, np.inf):
+        at_head = head * m
+        if h_table is not None:
+            h_head, first = h_table[layer], window_start[layer]
+        for used, j2, w in row:
+            if used > eta:
+                break
+            eta2 = eta - used
+            g2 = g + w
+            p2 = (at_head + j2) * width + eta2
+            if g2 >= g_of.get(p2, inf):
                 continue
-            if (
-                opts.upper_bound_pruning
-                and g2 + h_vals[k] > upper + PRUNE_TOL
-            ):
+            if h_table is not None:
+                f2 = g2 + h_head.item(j2 - first, eta2)
+            else:
+                f2 = g2 + (zcost[:, layer, j2] - lam_arr * eta2).max()
+            if ub_pruning and f2 > bound:
                 continue
-            if opts.node_dominance:
-                entries = expanded_classes.get(head * m + j2)
+            if dominance:
+                entries = expanded_classes.get(at_head + j2)
                 if entries is not None and any(
                     e_eta >= eta2 and e_g <= g2 for e_eta, e_g in entries
                 ):
                     continue
             g_of[p2] = g2
             parent[p2] = packed
-            heapq.heappush(
-                heap, (g2 + h_vals[k], -eta2, -head, j2, p2, g2)
-            )
+            heappush(heap, (f2, -eta2, -head, j2, p2, g2))
             generated += 1
 
-    if not np.isfinite(best_goal_g):
-        raise AssertionError("search exhausted without reaching the sink")
+    if best_goal_g == inf:
+        raise SolverError("search exhausted without reaching the sink")
 
     d = np.zeros(n, dtype=np.int64)
     at = parent[snk]

@@ -19,6 +19,7 @@ from .astar import AstarOptions, solve_astar
 from .instance import (
     InstanceError,
     Solution,
+    SolverError,
     TripInstance,
     read_instance,
     write_instance,
@@ -289,7 +290,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (InstanceError, OSError, ValueError, json.JSONDecodeError) as exc:
+    except (
+        InstanceError,
+        SolverError,
+        OSError,
+        ValueError,
+        json.JSONDecodeError,
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -90,6 +90,24 @@ def edge_terms(inst: TripInstance) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return cons, linear, jump
 
 
+def reach_windows(inst: TripInstance) -> tuple[np.ndarray, np.ndarray]:
+    """The reach window of every layer, (lo, hi), each of shape (n,).
+
+    Value index j of layer i is reachable within the budget iff
+    gamma_i * |xi_j - x_i| <= delta, which holds exactly for the contiguous
+    range lo[i - 1] <= j < hi[i - 1]: xi is strictly ascending and holds
+    x_i. An index outside it overspends the budget on its own; one inside it
+    is reached by the path that steps there and nowhere else. gamma_i = 0,
+    which validate rejects but a hand-built instance can hold, gets the full
+    range.
+    """
+    full = int(inst.xi[-1] - inst.xi[0])  # no |xi_j - x_i| is larger
+    reach = np.where(inst.gamma > 0, inst.delta // np.maximum(inst.gamma, 1), full)
+    lo = np.searchsorted(inst.xi, inst.x - reach, side="left")
+    hi = np.searchsorted(inst.xi, inst.x + reach, side="right")
+    return lo, hi
+
+
 def _shift_of(inst: TripInstance, node: NodeRef) -> int:
     if node.layer == 0 or node.layer == inst.n + 1:
         return 0

@@ -20,6 +20,11 @@ class InstanceError(ValueError):
     """Raised when a candidate instance violates an invariant."""
 
 
+class SolverError(RuntimeError):
+    """Raised when a solver finds one of its own invariants broken on a
+    valid instance: a defect of the solver, not of the input."""
+
+
 @dataclass(frozen=True)
 class TripInstance:
     """One trust-region integer step problem.

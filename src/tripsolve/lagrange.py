@@ -43,11 +43,12 @@ from typing import Optional
 
 import numpy as np
 
-from .graph import NodeRef, edge_terms
+from .graph import NodeRef, edge_terms, reach_windows
 from .instance import (
     InstanceError,
     RadiusCache,
     Solution,
+    SolverError,
     SolverStats,
     TripInstance,
     objective,
@@ -355,7 +356,7 @@ def binary_search(
 
     _, d_up, res_up = evaluate(upper0)
     if res_up > inst.delta:  # cannot happen: the zero step is optimal here
-        raise AssertionError("relaxed path at the upper endpoint overuses budget")
+        raise SolverError("relaxed path at the upper endpoint overuses budget")
     if res_up == inst.delta:
         return finish(upper0, d_up)
     note_feasible(d_up)
@@ -396,13 +397,29 @@ def heuristic_h(inst: TripInstance, tables: LagrangeTables, node: NodeRef) -> fl
 def heuristic_table(
     inst: TripInstance, tables: LagrangeTables
 ) -> np.ndarray:
-    """Dense heuristic lookup H[layer - 1, value_index, capacity] for the
-    inner layers 1..n; worthwhile when the state space fits in memory."""
-    n, m, width = inst.n, inst.m, inst.delta + 1
+    """Heuristic lookup over the reach windows of the inner layers 1..n:
+    H[layer - 1, j - lo[layer - 1], capacity] = heuristic_h of the node
+    (layer, j, capacity) for every j in the layer's window lo..hi - 1, with
+    (lo, hi) = graph.reach_windows(inst).
+
+    The table has shape (n, wmax, delta + 1), wmax the widest window; the
+    slots past a narrower window are padding that belongs to no node. No
+    node outside the windows is reachable, so a search never reads them.
+    Each entry is cost - lam * capacity, maximised over the tables in the
+    order of tables.zeta, the floats heuristic_h computes.
+    """
+    lo, hi = reach_windows(inst)
+    width = inst.delta + 1
+    wmax = int((hi - lo).max())
+    # padding slots repeat value index m - 1, so every gather stays in range
+    cols = np.minimum(lo[:, None] + np.arange(wmax), inst.m - 1)
+    layers = np.arange(inst.n)[:, None]
     caps = np.arange(width, dtype=np.float64)
-    h = np.full((n, m, width), -np.inf)
+    h = np.full((inst.n, wmax, width), -np.inf)
     for t in tables.zeta:
-        np.maximum(h, t.cost[:, :, None] - t.lam * caps[None, None, :], out=h)
+        np.maximum(
+            h, t.cost[layers, cols][:, :, None] - t.lam * caps[None, None, :], out=h
+        )
     return h
 
 

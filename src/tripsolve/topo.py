@@ -34,8 +34,9 @@ from typing import Optional
 
 import numpy as np
 
-from .graph import edge_terms
+from .graph import edge_terms, reach_windows
 from .instance import (
+    InstanceError,
     RadiusCache,
     Solution,
     SolverStats,
@@ -45,6 +46,10 @@ from .instance import (
 )
 
 _INF = np.inf
+# Largest predecessor table TopoTables.build allocates, in bytes. clamp_delta
+# alone lets delta grow to n * range(xi) * max(gamma), and the table grows
+# with it; the largest shipped use (a 48-item knapsack reduction) needs 1.9 MB.
+PRED_TABLE_CAP = 256_000_000
 
 
 @dataclass(frozen=True)
@@ -57,7 +62,8 @@ class TopoTables:
     of the layer-n state. finite[i - 1, eta] counts the reachable layer-i
     states with capacity eta; succ[i - 1, t] counts the value indices of
     layer i + 1 whose edges consume at most t, i = 1..n-1. The counts are at
-    most m and share pred's dtype.
+    most m and share pred's dtype. build raises InstanceError, before it
+    allocates anything, when pred would take more than PRED_TABLE_CAP bytes.
     """
 
     delta: int
@@ -70,6 +76,12 @@ class TopoTables:
     def build(cls, inst: TripInstance) -> "TopoTables":
         n, m, width = inst.n, inst.m, inst.delta + 1
         pred_dtype = np.int8 if m <= np.iinfo(np.int8).max else np.int16
+        pred_bytes = n * m * width * np.dtype(pred_dtype).itemsize
+        if pred_bytes > PRED_TABLE_CAP:
+            raise InstanceError(
+                f"the predecessor table needs {pred_bytes} bytes, over the "
+                f"cap of {PRED_TABLE_CAP}; lower delta"
+            )
         pred = np.full((n, m, width), -1, dtype=pred_dtype)
         finite = np.zeros((n, width), dtype=pred_dtype)
         cons, linear, jump = edge_terms(inst)
@@ -78,12 +90,7 @@ class TopoTables:
         tally = np.bincount(bins.ravel(), minlength=(n - 1) * (width + 1))
         succ = tally.reshape(n - 1, width + 1)[:, :width].cumsum(axis=1)
 
-        # reach windows: value index j of layer i is reachable iff
-        # gamma_i * |xi_j - x_i| <= delta, a contiguous range lo_i..hi_i - 1
-        full = int(inst.xi[-1] - inst.xi[0])  # no |xi_j - x_i| is larger
-        reach = np.where(inst.gamma > 0, inst.delta // np.maximum(inst.gamma, 1), full)
-        lo = np.searchsorted(inst.xi, inst.x - reach, side="left").tolist()
-        hi = np.searchsorted(inst.xi, inst.x + reach, side="right").tolist()
+        lo, hi = (w.tolist() for w in reach_windows(inst))
         used_by = cons.tolist()
 
         # cost[j - lo_i, eta]: cost of the layer-i state (j, eta), j in the window

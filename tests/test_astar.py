@@ -5,11 +5,26 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from conftest import assert_cached_radii_match, radius_corpus, solution_fields
+from astar_reference import solve_astar_reference
+from conftest import (
+    assert_cached_radii_match,
+    halving,
+    radius_corpus,
+    solution_fields,
+)
 from tripsolve.astar import AstarOptions, edge_dominated, solve_astar
 from tripsolve.instance import RadiusCache, clamp_delta, validate
-from tripsolve.oracle import gen_random
+from tripsolve.oracle import gen_random, knapsack_reduce
 from tripsolve.topo import solve_topo
+
+OPTION_VARIANTS = [
+    {},
+    {"edge_pruning": False},
+    {"upper_bound_pruning": False},
+    {"edge_pruning": False, "upper_bound_pruning": False},
+    {"node_dominance": True},
+    {"heuristic_table_cap": 0},  # the on-the-fly heuristic
+]
 
 
 def test_derived_instance(derived3):
@@ -197,3 +212,63 @@ def test_cache_rebuilds_for_changed_instances():
         solve_astar(inst, cache=cache)
         cached = solution_fields(solve_astar(other, cache=cache))
         assert cached == solution_fields(solve_astar(other))
+
+
+def _knapsack_instances():
+    rng = np.random.default_rng(77)
+    for items in (3, 8, 16, 24):
+        weights = rng.integers(1, 20, size=items)
+        values = weights + 5.0 + rng.uniform(0.0, 0.01, size=items)
+        capacity = int(weights.sum()) // 3
+        yield knapsack_reduce(values.tolist(), weights.tolist(), capacity, 1.0).instance
+
+
+def _assert_search_matches_reference(inst, variant, cache):
+    """Solve inst at cached halving radii with solve_astar and with the
+    reference loop: same expansions with the same f, same answer."""
+    for delta in halving(inst.delta):
+        at = dataclasses.replace(inst, delta=delta)
+        seen, expected = [], []
+        sol = solve_astar(
+            at,
+            options=AstarOptions(
+                **variant, expansion_listener=lambda node, f: seen.append((node, f))
+            ),
+            cache=cache,
+        )
+        ref = solve_astar_reference(
+            at,
+            options=AstarOptions(
+                **variant, expansion_listener=lambda node, f: expected.append((node, f))
+            ),
+            cache=cache,
+        )
+        assert seen == expected
+        assert solution_fields(sol) == solution_fields(ref)
+
+
+def test_search_matches_reference_loop_on_corpus():
+    # each instance runs under one variant, every variant on 1/6 of the corpus
+    for k, inst in enumerate(radius_corpus()):
+        variant = OPTION_VARIANTS[k % len(OPTION_VARIANTS)]
+        _assert_search_matches_reference(inst, variant, RadiusCache())
+
+
+@pytest.mark.parametrize("variant", OPTION_VARIANTS)
+def test_search_matches_reference_loop_on_knapsacks(variant):
+    for inst in _knapsack_instances():
+        _assert_search_matches_reference(inst, variant, RadiusCache())
+
+
+def test_cache_mixes_edge_pruning_off_and_on():
+    on, off = AstarOptions(), AstarOptions(edge_pruning=False)
+    differ = 0
+    for inst in radius_corpus(30):
+        cache = RadiusCache()
+        for delta in halving(inst.delta):
+            at = dataclasses.replace(inst, delta=delta)
+            fresh = [solution_fields(solve_astar(at, options=o)) for o in (off, on)]
+            cached = [solution_fields(solve_astar(at, options=o, cache=cache)) for o in (off, on)]
+            assert cached == fresh
+            differ += fresh[0][4] != fresh[1][4]  # generated counts
+    assert differ > 0  # pruning changes the search somewhere in the corpus

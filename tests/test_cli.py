@@ -1,9 +1,12 @@
 import csv
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
+import tripsolve.astar
+import tripsolve.lagrange
 from tripsolve.cli import main
 from tripsolve.instance import read_instance
 
@@ -72,6 +75,44 @@ def test_solve_non_finite_input_exits_2(tmp_path, capsys, alpha, c):
         assert code == 2 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "finite" in err
+
+
+def _exhaust_search(monkeypatch):
+    # a heuristic of +inf makes upper-bound pruning drop every label
+    table = tripsolve.astar.heuristic_table
+    monkeypatch.setattr(
+        tripsolve.astar,
+        "heuristic_table",
+        lambda inst, tables: np.full_like(table(inst, tables), np.inf),
+    )
+
+
+def _overuse_at_upper_endpoint(monkeypatch):
+    # every relaxed path, the zero step at the upper endpoint too, overspends
+    sweep = tripsolve.lagrange.relaxed_sweep
+    monkeypatch.setattr(
+        tripsolve.lagrange,
+        "relaxed_sweep",
+        lambda inst, lams, *rest: [
+            dataclasses.replace(t, source_res=inst.delta + 1)
+            for t in sweep(inst, lams, *rest)
+        ],
+    )
+
+
+@pytest.mark.parametrize(
+    "break_solver, message",
+    [
+        (_exhaust_search, "search exhausted"),
+        (_overuse_at_upper_endpoint, "upper endpoint"),
+    ],
+)
+def test_solver_error_exits_2(instance_file, capsys, monkeypatch, break_solver, message):
+    break_solver(monkeypatch)
+    code, out, err = run_cli(capsys, "solve", str(instance_file), "--solver", "astar")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert message in err
 
 
 def test_missing_file(capsys):

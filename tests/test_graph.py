@@ -9,6 +9,7 @@ from tripsolve.graph import (
     path_to_step,
     path_weight,
     q_successors,
+    reach_windows,
     sink_node,
     source_node,
     step_to_path,
@@ -278,3 +279,11 @@ def test_random_path_roundtrips(corpus200):
         assert np.array_equal(back, d)
         assert abs(path_weight(inst, path) - objective(inst, d)) <= 1e-9
         checked += 1
+
+
+def test_reach_windows_hold_exactly_the_affordable_values(corpus200):
+    for inst in corpus200:
+        lo, hi = reach_windows(inst)
+        for i in range(1, inst.n + 1):
+            affordable = inst.gamma[i - 1] * np.abs(inst.shifts(i)) <= inst.delta
+            assert np.flatnonzero(affordable).tolist() == list(range(lo[i - 1], hi[i - 1]))

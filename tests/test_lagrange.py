@@ -5,8 +5,14 @@ import math
 import numpy as np
 import pytest
 
-from tripsolve.graph import build_explicit, edge_weight, sink_node
-from conftest import halving
+from tripsolve.graph import (
+    NodeRef,
+    build_explicit,
+    edge_weight,
+    reach_windows,
+    sink_node,
+)
+from conftest import halving, radius_corpus
 from tripsolve.instance import RadiusCache, objective, validate
 from tripsolve.lagrange import (
     COST_TIE_TOL,
@@ -306,12 +312,31 @@ def test_heuristic_consistency_exhaustive():
 def test_heuristic_table_matches_pointwise(derived3):
     tables = binary_search(derived3, epsilon=1e-3)
     dense = heuristic_table(derived3, tables)
+    lo, _ = reach_windows(derived3)
     graph = build_explicit(derived3)
     for node in graph.nodes:
         if 1 <= node.layer <= derived3.n:
             assert dense[
-                node.layer - 1, node.value_index, node.capacity
+                node.layer - 1, node.value_index - lo[node.layer - 1], node.capacity
             ] == pytest.approx(heuristic_h(derived3, tables, node), abs=1e-12)
+
+
+def test_windowed_heuristic_table_equals_heuristic_h():
+    checked = 0
+    for inst in radius_corpus(60):
+        tables = binary_search(inst, epsilon=1e-3)
+        h = heuristic_table(inst, tables)
+        lo, hi = reach_windows(inst)
+        assert h.shape == (inst.n, int((hi - lo).max()), inst.delta + 1)
+        for layer in range(1, inst.n + 1):
+            for j in range(lo[layer - 1], hi[layer - 1]):
+                for eta in range(inst.delta + 1):
+                    node = NodeRef(layer, j, eta)
+                    assert h[layer - 1, j - lo[layer - 1], eta] == heuristic_h(
+                        inst, tables, node
+                    )
+                    checked += 1
+    assert checked > 0
 
 
 def test_early_exit_matches_topo(corpus200):

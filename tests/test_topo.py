@@ -1,5 +1,6 @@
 import dataclasses
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,9 +12,15 @@ from conftest import (
     solution_fields,
 )
 from tripsolve.graph import build_explicit
-from tripsolve.instance import RadiusCache, TripInstance, clamp_delta, validate
+from tripsolve.instance import (
+    InstanceError,
+    RadiusCache,
+    TripInstance,
+    clamp_delta,
+    validate,
+)
 from tripsolve.oracle import gen_random, knapsack_reduce, solve_bruteforce
-from tripsolve.topo import TopoTables, solve_topo
+from tripsolve.topo import PRED_TABLE_CAP, TopoTables, solve_topo
 
 
 def test_derived_optimum(derived3):
@@ -290,3 +297,28 @@ def test_pred_is_minus_one_at_unreachable_states():
     tables = TopoTables.build(inst)
     assert np.all(tables.finite[2, 1:3] == 0)  # no layer-3 state there
     assert np.all(tables.pred[2, 3, 1:3] == -1)
+
+
+def test_oversized_tables_rejected_before_allocation():
+    # clamp_delta keeps this radius: no step vector can use all of it
+    inst = validate(
+        {
+            "n": 200,
+            "alpha": 0.5,
+            "delta": 10**8,
+            "xi": [0, 10**6],
+            "x": [0] * 200,
+            "gamma": [1] * 200,
+            "c": [-1.0] * 200,
+        }
+    )
+    assert clamp_delta(inst).delta == inst.delta
+    assert inst.n * inst.m * (inst.delta + 1) > PRED_TABLE_CAP
+    tracemalloc.start()
+    try:
+        with pytest.raises(InstanceError, match="predecessor table"):
+            solve_topo(inst)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
