@@ -2,16 +2,13 @@
 
 The search runs with the multiplier-relaxation heuristic, which is
 consistent, so every node is expanded at most once and the first path into
-the sink is optimal. Three independent prunings cut the search space:
+the sink is optimal. Two independent prunings cut the search space:
 
 * dominated edges: a nonzero step whose immediate cost exceeds the zero
   step's cost by more than the worst-case saving on the following jump can
   never lie on an optimal path;
 * upper-bound pruning: labels whose optimistic total exceeds the best known
-  feasible cost are dropped;
-* optional label dominance: a label is dropped when some already expanded
-  label of the same (layer, value) class has at least the capacity and at
-  most the cost.
+  feasible cost are dropped.
 
 States are packed integers in a hash map; the graph is never materialized.
 Two structures keep the work per expansion small, and both only leave out
@@ -59,39 +56,37 @@ from .instance import (
 from .lagrange import binary_search, default_epsilon, heuristic_table
 
 PRUNE_TOL = 1e-9
+# largest heuristic table, in entries, built before the search; above it the
+# heuristic is evaluated per push from the multiplier cost tables
+HEURISTIC_TABLE_CAP = 40_000_000
 
 
 @dataclass
 class AstarOptions:
     edge_pruning: bool = True
     upper_bound_pruning: bool = True
-    node_dominance: bool = False
-    heuristic_table_cap: int = 40_000_000
     expansion_listener: Optional[Callable[[NodeRef, float], None]] = None
 
 
 def edge_dominated(
-    inst: TripInstance, layer: int, delta_u: int, delta_v: int
-) -> bool:
-    """True when the edge from a layer node with shift delta_u to a
-    layer + 1 node with shift delta_v cannot lie on an optimal path.
+    inst: TripInstance, layer: int, delta_u: int, delta_v: np.ndarray
+) -> np.ndarray:
+    """Mask over delta_v: True where the edge from a layer node with shift
+    delta_u to a layer + 1 node with shift delta_v cannot lie on an optimal
+    path.
 
-    Compares the edge against rerouting through the zero step: if the cost
+    Compares each edge against rerouting through the zero step: if the cost
     surplus exceeds the largest possible saving alpha * |delta_v| on the
     following jump, the reroute is strictly better. Never true for
     delta_v = 0.
     """
     if not 1 <= layer <= inst.n - 1:
         raise ValueError(f"layer = {layer} out of range 1..{inst.n - 1}")
-    if delta_v == 0:
-        return False
+    dv = np.asarray(delta_v)
     base = int(inst.x[layer]) - int(inst.x[layer - 1]) - delta_u
-    lhs = (
-        inst.c[layer] * delta_v
-        + inst.alpha * abs(base + delta_v)
-        - inst.alpha * abs(base)
-    )
-    return bool(lhs > inst.alpha * abs(delta_v))
+    # alpha factored out of the two jump terms
+    lhs = inst.c[layer] * dv + inst.alpha * (np.abs(base + dv) - np.abs(base))
+    return (lhs > inst.alpha * np.abs(dv)) & (dv != 0)
 
 
 @dataclass
@@ -123,13 +118,9 @@ class SuccessorRows:
         a, b = self.lo[layer], self.hi[layer]
         heads = np.arange(a, b)
         if self.pruned and layer >= 1:
-            # edge_dominated for every head of the window at once, with alpha
-            # factored out of the two jump terms
             du = inst.xi[j] - inst.x[layer - 1]
             dv = inst.xi[a:b] - inst.x[layer]
-            base = int(inst.x[layer]) - int(inst.x[layer - 1]) - du
-            lhs = inst.c[layer] * dv + inst.alpha * (np.abs(base + dv) - np.abs(base))
-            heads = heads[~((lhs > inst.alpha * np.abs(dv)) & (dv != 0))]
+            heads = heads[~edge_dominated(inst, layer, du, dv)]
         row = sorted(
             zip(
                 self.cons[layer, heads].tolist(),
@@ -197,7 +188,7 @@ def solve_astar(
     lo, hi = reach_windows(inst)
     window_start = lo.tolist()  # heuristic table row of value index j: j - lo
     h_table: Optional[np.ndarray] = None
-    if n * int((hi - lo).max()) * width <= opts.heuristic_table_cap:
+    if n * int((hi - lo).max()) * width <= HEURISTIC_TABLE_CAP:
         h_table = heuristic_table(inst, tables)
     else:
         lam_arr = np.array([t.lam for t in tables.zeta])
@@ -210,13 +201,12 @@ def solve_astar(
     g_of: dict[int, float] = {src: 0.0}
     parent: dict[int, int] = {}
     closed: set[int] = set()
-    expanded_classes: dict[int, list[tuple[int, float]]] = {}
     heap: list[tuple[float, int, int, int, int, float]] = []
     h_src = max(t.source_cost - t.lam * inst.delta for t in tables.zeta)
     heapq.heappush(heap, (h_src, -inst.delta, 0, 0, src, 0.0))
     heappush, heappop = heapq.heappush, heapq.heappop
     listener = opts.expansion_listener
-    ub_pruning, dominance = opts.upper_bound_pruning, opts.node_dominance
+    ub_pruning = opts.upper_bound_pruning
     expanded = 0
     generated = 1
 
@@ -233,8 +223,6 @@ def solve_astar(
         if packed == snk:
             best_goal_g = g
             break
-        if dominance and 1 <= layer <= n:
-            expanded_classes.setdefault(layer * m + j, []).append((eta, g))
 
         if layer == n:
             if g < g_of.get(snk, inf):
@@ -265,12 +253,6 @@ def solve_astar(
                 f2 = g2 + (zcost[:, layer, j2] - lam_arr * eta2).max()
             if ub_pruning and f2 > bound:
                 continue
-            if dominance:
-                entries = expanded_classes.get(at_head + j2)
-                if entries is not None and any(
-                    e_eta >= eta2 and e_g <= g2 for e_eta, e_g in entries
-                ):
-                    continue
             g_of[p2] = g2
             parent[p2] = packed
             heappush(heap, (f2, -eta2, -head, j2, p2, g2))

@@ -27,6 +27,7 @@ from .instance import (
 from .oracle import gen_random, knapsack_reduce, solve_bruteforce
 from .slip import (
     SlipConfig,
+    hybrid_solver,
     initial_iterate_heat,
     make_heat_problem,
     make_signal_problem,
@@ -60,7 +61,6 @@ def cmd_solve(args: argparse.Namespace) -> int:
     options = AstarOptions(
         edge_pruning=not args.no_edge_pruning,
         upper_bound_pruning=not args.no_upper_bound_pruning,
-        node_dominance=args.node_dominance,
     )
     sol = _solve_with(args.solver, inst, args.epsilon, options)
     print(json.dumps(sol.to_dict()))
@@ -174,8 +174,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     hybrid_total = 0.0
     if args.delta_d is not None:
         for i, record in enumerate(records):
-            chosen = "topo" if record["delta"] < args.delta_d else "astar"
-            row = dict(rows[(i, chosen)])
+            row = dict(rows[(i, hybrid_solver(record["delta"], args.delta_d))])
             row["solver"] = "hybrid"
             hybrid_total += row["wall_seconds"]
             out_rows.append(row)
@@ -235,7 +234,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="preprocessing tolerance for astar")
     p.add_argument("--no-edge-pruning", action="store_true")
     p.add_argument("--no-upper-bound-pruning", action="store_true")
-    p.add_argument("--node-dominance", action="store_true")
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("slip", help="run the trust-region loop, write a trace")

@@ -35,14 +35,6 @@ class NodeRef:
     capacity: int
 
 
-@dataclass(frozen=True)
-class QNodeRef:
-    """A node of the budget-free quotient graph: a (layer, value index) class."""
-
-    layer: int
-    value_index: int
-
-
 def source_node(inst: TripInstance) -> NodeRef:
     return NodeRef(0, 0, inst.delta)
 
@@ -140,26 +132,6 @@ def successors(
         yield NodeRef(head, j, left), w, used
 
 
-def q_successors(
-    inst: TripInstance, qnode: QNodeRef
-) -> Iterator[tuple[QNodeRef, float, int]]:
-    """Out-edges in the quotient graph: every shift is allowed, the budget
-    appears as an edge consumption instead of a node constraint."""
-    if qnode.layer > inst.n:
-        return
-    if qnode.layer == inst.n:
-        yield QNodeRef(inst.n + 1, 0), 0.0, 0
-        return
-    head = qnode.layer + 1
-    delta_u = 0 if qnode.layer == 0 else int(
-        inst.xi[qnode.value_index] - inst.x[qnode.layer - 1]
-    )
-    shifts = inst.shifts(head)
-    for j, delta_v in enumerate(shifts):
-        w = edge_weight(inst, qnode.layer, delta_u, int(delta_v))
-        yield QNodeRef(head, j), w, int(inst.gamma[head - 1] * abs(int(delta_v)))
-
-
 @dataclass
 class ExplicitGraph:
     """Materialized reachable subgraph: node list plus adjacency lists of
@@ -181,16 +153,6 @@ class ExplicitGraph:
         for u, out in enumerate(self.adjacency):
             for v, w, r in out:
                 yield u, v, w, r
-
-    def to_edge_list(self) -> str:
-        """Debug dump: one "u v weight consumption" line per edge, preceded by
-        a commented node table."""
-        lines = [
-            f"# {i} layer={v.layer} value_index={v.value_index} capacity={v.capacity}"
-            for i, v in enumerate(self.nodes)
-        ]
-        lines += [f"{u} {v} {w!r} {r}" for u, v, w, r in self.edges()]
-        return "\n".join(lines) + "\n"
 
 
 def build_explicit(inst: TripInstance, cap: int = 2_000_000) -> ExplicitGraph:

@@ -55,10 +55,6 @@ class TripInstance:
     def m(self) -> int:
         return len(self.xi)
 
-    def value_index(self, i: int) -> int:
-        """Index into xi of the current control on interval i (1-based)."""
-        return int(np.searchsorted(self.xi, self.x[i - 1]))
-
     def shifts(self, i: int) -> np.ndarray:
         """Admissible step values xi - x_i on interval i (1-based)."""
         return self.xi - self.x[i - 1]

@@ -36,7 +36,6 @@ of them enter the result.
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass, field
 from typing import Optional
@@ -111,14 +110,6 @@ class LagrangeTables:
         return max(
             t.source_cost - t.lam * self.inst.delta for t in self.zeta
         )
-
-    def debug_csv(self) -> str:
-        """One "lambda,dual_value,path_resource" line per evaluation."""
-        out = io.StringIO()
-        out.write("lambda,dual_value,path_resource\n")
-        for lam, dual, res in self.log:
-            out.write(f"{lam!r},{dual!r},{res}\n")
-        return out.getvalue()
 
 
 def layer_weights(inst: TripInstance) -> tuple[list[np.ndarray], np.ndarray]:

@@ -106,14 +106,19 @@ class SlipTrace:
     wall_seconds: float = 0.0
 
 
+def hybrid_solver(delta: int, delta_d: int) -> str:
+    """The solver the hybrid runs at radius delta: topo below the switchover
+    radius delta_d, astar from it on."""
+    return "topo" if delta < delta_d else "astar"
+
+
 def _solve_subproblem(
     inst: TripInstance, config: SlipConfig, cache: RadiusCache
 ) -> Solution:
-    if config.solver == "topo":
-        return solve_topo(inst, cache=cache)
-    if config.solver == "astar":
-        return solve_astar(inst, config.epsilon, cache=cache)
-    if inst.delta < config.delta_d:  # hybrid
+    solver = config.solver
+    if solver == "hybrid":
+        solver = hybrid_solver(inst.delta, config.delta_d)
+    if solver == "topo":
         return solve_topo(inst, cache=cache)
     return solve_astar(inst, config.epsilon, cache=cache)
 

@@ -17,6 +17,7 @@ from typing import Optional
 
 import numpy as np
 
+from tripsolve import astar
 from tripsolve.astar import PRUNE_TOL, AstarOptions
 from tripsolve.graph import NodeRef
 from tripsolve.instance import (
@@ -85,7 +86,7 @@ def solve_astar_reference(
     lam_arr = np.array([t.lam for t in tables.zeta])
     zcost = np.stack([t.cost for t in tables.zeta])  # (L, n, m)
     h_dense: Optional[np.ndarray] = None
-    if n * m * width <= opts.heuristic_table_cap:
+    if n * m * width <= astar.HEURISTIC_TABLE_CAP:
         h_dense = dense_heuristic_table(inst, tables)
 
     def h_row(head: int, etas: np.ndarray, cols: np.ndarray) -> np.ndarray:
@@ -102,7 +103,6 @@ def solve_astar_reference(
     g_of: dict[int, float] = {src: 0.0}
     parent: dict[int, int] = {}
     closed: set[int] = set()
-    expanded_classes: dict[int, list[tuple[int, float]]] = {}
     heap: list[tuple[float, int, int, int, int, float]] = []
     h_src = max(t.source_cost - t.lam * inst.delta for t in tables.zeta)
     heapq.heappush(heap, (h_src, -inst.delta, 0, 0, src, 0.0))
@@ -122,8 +122,6 @@ def solve_astar_reference(
         if packed == snk:
             best_goal_g = g
             break
-        if opts.node_dominance and 1 <= layer <= n:
-            expanded_classes.setdefault(layer * m + j, []).append((eta, g))
 
         if layer == n:
             if g < g_of.get(snk, np.inf):
@@ -157,12 +155,6 @@ def solve_astar_reference(
                 and g2 + h_vals[k] > upper + PRUNE_TOL
             ):
                 continue
-            if opts.node_dominance:
-                entries = expanded_classes.get(head * m + j2)
-                if entries is not None and any(
-                    e_eta >= eta2 and e_g <= g2 for e_eta, e_g in entries
-                ):
-                    continue
             g_of[p2] = g2
             parent[p2] = packed
             heapq.heappush(

@@ -27,9 +27,7 @@ from tripsolve.oracle import (
 from tripsolve.slip import SlipConfig, make_heat_problem, make_signal_problem, run_slip
 from tripsolve.topo import solve_topo
 
-ALL_PRUNING = AstarOptions(
-    edge_pruning=True, upper_bound_pruning=True, node_dominance=True
-)
+ALL_PRUNING = AstarOptions(edge_pruning=True, upper_bound_pruning=True)
 
 
 def random_corpus(count, seed0, max_n=8, max_m=4, max_delta=6, min_n=1,

@@ -1,3 +1,4 @@
+import contextlib
 import dataclasses
 import functools
 from collections import Counter
@@ -5,26 +6,38 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from astar_reference import solve_astar_reference
+from astar_reference import dominated_masks, solve_astar_reference
 from conftest import (
     assert_cached_radii_match,
     halving,
     radius_corpus,
     solution_fields,
 )
+from tripsolve import astar
 from tripsolve.astar import AstarOptions, edge_dominated, solve_astar
 from tripsolve.instance import RadiusCache, clamp_delta, validate
 from tripsolve.oracle import gen_random, knapsack_reduce
 from tripsolve.topo import solve_topo
 
+# AstarOptions fields, and "table_cap" for astar.HEURISTIC_TABLE_CAP
 OPTION_VARIANTS = [
     {},
     {"edge_pruning": False},
     {"upper_bound_pruning": False},
     {"edge_pruning": False, "upper_bound_pruning": False},
-    {"node_dominance": True},
-    {"heuristic_table_cap": 0},  # the on-the-fly heuristic
+    {"table_cap": 0},  # the on-the-fly heuristic
 ]
+
+
+@contextlib.contextmanager
+def variant_options(variant, listener=None):
+    """The AstarOptions of an OPTION_VARIANTS entry, with its table cap in
+    force inside the block."""
+    fields = dict(variant)
+    with pytest.MonkeyPatch.context() as mp:
+        if "table_cap" in fields:
+            mp.setattr(astar, "HEURISTIC_TABLE_CAP", fields.pop("table_cap"))
+        yield AstarOptions(**fields, expansion_listener=listener)
 
 
 def test_derived_instance(derived3):
@@ -75,14 +88,6 @@ def test_matches_topo_on_corpus(corpus200):
         assert a.stats.nodes_expanded <= t.stats.nodes_expanded
 
 
-def test_matches_topo_with_node_dominance(corpus200):
-    opts = AstarOptions(node_dominance=True)
-    for inst in corpus200[:80]:
-        a = solve_astar(inst, options=opts)
-        t = solve_topo(inst)
-        assert abs(a.objective - t.objective) <= 1e-9
-
-
 def test_no_node_expanded_twice(corpus200):
     for inst in corpus200[:40]:
         seen = Counter()
@@ -119,20 +124,24 @@ def test_edge_dominated_layer_range(derived3):
         edge_dominated(derived3, derived3.n, 0, 1)
 
 
-@pytest.mark.parametrize(
-    "options",
-    [
-        AstarOptions(edge_pruning=False),
-        AstarOptions(upper_bound_pruning=False),
-        AstarOptions(edge_pruning=False, upper_bound_pruning=False),
-        AstarOptions(node_dominance=True),
-        AstarOptions(heuristic_table_cap=0),  # force the on-the-fly heuristic
-    ],
-)
+def test_edge_dominated_matches_reference_masks():
+    # one head array per call, as SuccessorRows.build makes it, and one head
+    # per call must both give the reference masks bit for bit
+    for inst in [*radius_corpus(), *_knapsack_instances()]:
+        for i, mask in enumerate(dominated_masks(inst), start=1):
+            heads = inst.shifts(i + 1)
+            for j, du in enumerate(inst.shifts(i)):
+                assert np.array_equal(edge_dominated(inst, i, du, heads), mask[j])
+                scalar = [bool(edge_dominated(inst, i, int(du), int(dv))) for dv in heads]
+                assert scalar == mask[j].tolist()
+
+
+@pytest.mark.parametrize("options", OPTION_VARIANTS[1:])
 def test_pruning_toggles_preserve_objective(options, corpus200):
     for inst in corpus200[:60]:
         base = solve_astar(inst)
-        toggled = solve_astar(inst, options=options)
+        with variant_options(options) as opts:
+            toggled = solve_astar(inst, options=opts)
         assert abs(base.objective - toggled.objective) <= 1e-9
 
 
@@ -229,26 +238,16 @@ def _assert_search_matches_reference(inst, variant, cache):
     for delta in halving(inst.delta):
         at = dataclasses.replace(inst, delta=delta)
         seen, expected = [], []
-        sol = solve_astar(
-            at,
-            options=AstarOptions(
-                **variant, expansion_listener=lambda node, f: seen.append((node, f))
-            ),
-            cache=cache,
-        )
-        ref = solve_astar_reference(
-            at,
-            options=AstarOptions(
-                **variant, expansion_listener=lambda node, f: expected.append((node, f))
-            ),
-            cache=cache,
-        )
+        with variant_options(variant, lambda node, f: seen.append((node, f))) as opts:
+            sol = solve_astar(at, options=opts, cache=cache)
+        with variant_options(variant, lambda node, f: expected.append((node, f))) as opts:
+            ref = solve_astar_reference(at, options=opts, cache=cache)
         assert seen == expected
         assert solution_fields(sol) == solution_fields(ref)
 
 
 def test_search_matches_reference_loop_on_corpus():
-    # each instance runs under one variant, every variant on 1/6 of the corpus
+    # each instance runs under one variant, every variant on 1/5 of the corpus
     for k, inst in enumerate(radius_corpus()):
         variant = OPTION_VARIANTS[k % len(OPTION_VARIANTS)]
         _assert_search_matches_reference(inst, variant, RadiusCache())

@@ -210,6 +210,14 @@ def test_bench_hybrid_edges(tmp_path, trace_file, capsys):
     topo = {r["instance"]: r for r in rows if r["solver"] == "topo"}
     assert all(hybrid[k]["wall_seconds"] == topo[k]["wall_seconds"] for k in hybrid)
 
+    rows = hybrid_rows(2)  # astar from delta_d on, topo below it
+    by_solver = {(r["instance"], r["solver"]): r for r in rows}
+    hybrid = [r for r in rows if r["solver"] == "hybrid"]
+    assert {int(r["delta"]) for r in hybrid} >= {1, 2}
+    for r in hybrid:
+        chosen = "astar" if int(r["delta"]) >= 2 else "topo"
+        assert r == {**by_solver[(r["instance"], chosen)], "solver": "hybrid"}
+
 
 def test_bench_mismatch_gate(tmp_path, trace_file, capsys, monkeypatch):
     import tripsolve.cli as cli_mod

@@ -3,12 +3,10 @@ import pytest
 
 from tripsolve.graph import (
     NodeRef,
-    QNodeRef,
     build_explicit,
     edge_weight,
     path_to_step,
     path_weight,
-    q_successors,
     reach_windows,
     sink_node,
     source_node,
@@ -105,33 +103,6 @@ def test_zero_capacity_only_zero_shift(two_interval):
 def test_last_layer_single_sink_edge(two_interval):
     out = list(successors(two_interval, NodeRef(2, 0, 1)))
     assert out == [(sink_node(two_interval), 0.0, 0)]
-
-
-def test_q_successors_full_connection(two_interval):
-    out = list(q_successors(two_interval, QNodeRef(1, 0)))
-    assert {(v.layer, v.value_index) for v, _, _ in out} == {(2, 0), (2, 1)}
-    assert [r for _, _, r in out] == [0, 1]  # |shift| * gamma
-
-
-def test_q_successors_last_layer(two_interval):
-    out = list(q_successors(two_interval, QNodeRef(2, 1)))
-    assert out == [(QNodeRef(3, 0), 0.0, 0)]
-
-
-def test_q_successors_consumptions():
-    inst = validate(
-        {
-            "n": 2,
-            "alpha": 0.0,
-            "delta": 5,
-            "xi": [0, 1],
-            "x": [0, 0],
-            "gamma": [1, 3],
-            "c": [0.0, 0.0],
-        }
-    )
-    out = list(q_successors(inst, QNodeRef(1, 1)))
-    assert sorted(r for _, _, r in out) == [0, 3]
 
 
 def test_build_explicit_two_interval_bound(two_interval):
@@ -242,16 +213,6 @@ def test_path_to_step_rejects_broken_paths(two_interval):
         path_to_step(two_interval, bad)
     with pytest.raises(ValueError, match="nodes"):
         path_to_step(two_interval, good[:-1])
-
-
-def test_edge_list_export(two_interval):
-    g = build_explicit(two_interval)
-    text = g.to_edge_list()
-    lines = [l for l in text.splitlines() if not l.startswith("#")]
-    assert len(lines) == g.n_edges
-    u, v, w, r = lines[0].split()
-    assert int(u) == 0 and float(w) == 0.0 and int(r) >= 0
-    assert text.count("# ") == g.n_nodes
 
 
 def random_feasible_step(inst, rng):

@@ -354,13 +354,6 @@ def test_early_exit_matches_topo(corpus200):
     assert exits > 0  # the corpus must exercise the exit path
 
 
-def test_debug_csv_has_one_line_per_evaluation(derived3):
-    tables = binary_search(derived3, epsilon=1e-6)
-    lines = tables.debug_csv().strip().splitlines()
-    assert lines[0] == "lambda,dual_value,path_resource"
-    assert len(lines) - 1 == len(tables.lambdas)
-
-
 def test_epsilon_must_be_positive(derived3):
     with pytest.raises(ValueError):
         binary_search(derived3, epsilon=0.0)
