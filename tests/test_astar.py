@@ -25,6 +25,7 @@ OPTION_VARIANTS = [
     {"edge_pruning": False},
     {"upper_bound_pruning": False},
     {"edge_pruning": False, "upper_bound_pruning": False},
+    {"edge_pruning": False, "upper_bound_pruning": False, "table_cap": 0},
     {"table_cap": 0},  # the on-the-fly heuristic
 ]
 
@@ -247,7 +248,7 @@ def _assert_search_matches_reference(inst, variant, cache):
 
 
 def test_search_matches_reference_loop_on_corpus():
-    # each instance runs under one variant, every variant on 1/5 of the corpus
+    # each instance runs under one variant, every variant on 1/6 of the corpus
     for k, inst in enumerate(radius_corpus()):
         variant = OPTION_VARIANTS[k % len(OPTION_VARIANTS)]
         _assert_search_matches_reference(inst, variant, RadiusCache())
