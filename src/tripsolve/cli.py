@@ -10,14 +10,12 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .astar import AstarOptions, solve_astar
 from .instance import (
-    InstanceError,
     Solution,
     SolverError,
     TripInstance,
@@ -37,7 +35,7 @@ from .slip import (
 )
 from .topo import solve_topo
 
-WORKERS_ENV = "TRIPSOLVE_WORKERS"
+SOLVERS = ("topo", "astar", "oracle")
 
 
 def _solve_with(
@@ -96,36 +94,8 @@ def cmd_slip(args: argparse.Namespace) -> int:
     return 0
 
 
-def _bench_one(task: tuple[int, dict, str, Optional[float]]) -> tuple[int, dict]:
-    index, record, solver, epsilon = task
-    from .instance import validate
-
-    inst = validate(record["instance"])
-    t0 = time.perf_counter()
-    sol = _solve_with(solver, inst, epsilon)
-    wall = time.perf_counter() - t0
-    return index, {
-        "instance": record["id"],
-        "n": inst.n,
-        "delta": inst.delta,
-        "alpha": inst.alpha,
-        "solver": solver,
-        "wall_seconds": wall,
-        "nodes_expanded": sol.stats.nodes_expanded,
-        "objective": sol.objective,
-    }
-
-
-_CSV_FIELDS = (
-    "instance",
-    "n",
-    "delta",
-    "alpha",
-    "solver",
-    "wall_seconds",
-    "nodes_expanded",
-    "objective",
-)
+_CSV_FIELDS = ("instance", "n", "delta", "alpha", "solver", "wall_seconds",
+               "nodes_expanded", "objective")
 
 
 def _objectives_agree(a: float, b: float, rel: float = 1e-6) -> bool:
@@ -134,50 +104,47 @@ def _objectives_agree(a: float, b: float, rel: float = 1e-6) -> bool:
 
 def cmd_bench(args: argparse.Namespace) -> int:
     solvers = [s.strip() for s in args.solvers.split(",") if s.strip()]
+    if not solvers or not set(solvers) <= set(SOLVERS):
+        raise ValueError(
+            f"--solvers {args.solvers!r} must name one or more of {', '.join(SOLVERS)}"
+        )
     if args.delta_d is not None and not {"topo", "astar"} <= set(solvers):
         raise ValueError("hybrid reporting needs both topo and astar runs")
-    records: list[dict] = []
+
+    # one pass, record-major and solver-minor, over the validated instances
+    out_rows: list[dict] = []
     for path in args.traces:
         stem = os.path.splitext(os.path.basename(path))[0]
-        for k, (record, _inst) in enumerate(read_trace_instances(path)):
-            record["id"] = f"{stem}:{k:05d}"
-            records.append(record)
-
-    tasks = [
-        (i, record, solver, args.epsilon)
-        for i, record in enumerate(records)
-        for solver in solvers
-    ]
-    workers = int(os.environ.get(WORKERS_ENV, "1"))
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_bench_one, tasks, chunksize=4))
-    else:
-        results = [_bench_one(task) for task in tasks]
-
-    rows: dict[tuple[int, str], dict] = {}
-    for index, row in results:
-        rows[(index, row["solver"])] = row
-
-    for i, record in enumerate(records):
-        values = [rows[(i, s)]["objective"] for s in solvers]
-        for solver, value in zip(solvers[1:], values[1:]):
-            if not _objectives_agree(values[0], value):
-                print(
-                    f"objective mismatch on {record['id']}: "
-                    f"{solvers[0]}={values[0]!r}, {solver}={value!r}",
-                    file=sys.stderr,
-                )
-                return 3
-
-    out_rows = [rows[(i, s)] for i in range(len(records)) for s in solvers]
-    hybrid_total = 0.0
-    if args.delta_d is not None:
-        for i, record in enumerate(records):
-            row = dict(rows[(i, hybrid_solver(record["delta"], args.delta_d))])
-            row["solver"] = "hybrid"
-            hybrid_total += row["wall_seconds"]
-            out_rows.append(row)
+        for k, (_record, inst) in enumerate(read_trace_instances(path)):
+            name = f"{stem}:{k:05d}"
+            rows: dict[str, dict] = {}
+            for solver in solvers:
+                t0 = time.perf_counter()
+                sol = _solve_with(solver, inst, args.epsilon)
+                rows[solver] = {
+                    "instance": name,
+                    "n": inst.n,
+                    "delta": inst.delta,
+                    "alpha": inst.alpha,
+                    "solver": solver,
+                    "wall_seconds": time.perf_counter() - t0,
+                    "nodes_expanded": sol.stats.nodes_expanded,
+                    "objective": sol.objective,
+                }
+                out_rows.append(rows[solver])
+            first = rows[solvers[0]]["objective"]
+            for solver in solvers[1:]:
+                value = rows[solver]["objective"]
+                if not _objectives_agree(first, value):
+                    print(
+                        f"objective mismatch on {name}: "
+                        f"{solvers[0]}={first!r}, {solver}={value!r}",
+                        file=sys.stderr,
+                    )
+                    return 3
+            if args.delta_d is not None:
+                chosen = rows[hybrid_solver(inst.delta, args.delta_d)]
+                out_rows.append({**chosen, "solver": "hybrid"})
 
     buffer = io.StringIO()
     writer = csv.DictWriter(buffer, fieldnames=_CSV_FIELDS)
@@ -191,8 +158,9 @@ def cmd_bench(args: argparse.Namespace) -> int:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
     if args.delta_d is not None:
+        total = sum(r["wall_seconds"] for r in out_rows if r["solver"] == "hybrid")
         print(
-            f"hybrid(delta_d={args.delta_d}) cumulative_seconds={hybrid_total!r}",
+            f"hybrid(delta_d={args.delta_d}) cumulative_seconds={total!r}",
             file=sys.stderr,
         )
     return 0
@@ -229,7 +197,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", help="solve one instance file, print the solution")
     p.add_argument("instance", help="path to an instance JSON file")
-    p.add_argument("--solver", choices=("topo", "astar", "oracle"), default="topo")
+    p.add_argument("--solver", choices=SOLVERS, default="topo")
     p.add_argument("--epsilon", type=float, default=None,
                    help="preprocessing tolerance for astar")
     p.add_argument("--no-edge-pruning", action="store_true")
@@ -288,13 +256,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (
-        InstanceError,
-        SolverError,
-        OSError,
-        ValueError,
-        json.JSONDecodeError,
-    ) as exc:
+    except (SolverError, OSError, ValueError) as exc:  # InstanceError, JSON errors too
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -8,7 +8,8 @@ the penalty alpha and objective values are floating point.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Mapping, Optional, TypeVar
 
 import numpy as np
@@ -150,28 +151,69 @@ class Solution:
 
 _FIELDS = ("n", "alpha", "delta", "xi", "x", "gamma", "c")
 
+# Largest table a solver allocates for one instance, in bytes. clamp_delta
+# lets delta, and the radius-wide tables with it, grow to n * range(xi) * max(gamma).
+TABLE_BYTES_CAP = 256_000_000
+
+
+def check_table_bytes(what: str, nbytes: int) -> None:
+    """Raise InstanceError, before the table is allocated, when it would take
+    more than TABLE_BYTES_CAP bytes."""
+    if nbytes > TABLE_BYTES_CAP:
+        raise InstanceError(
+            f"the {what} needs {nbytes} bytes, over the cap of "
+            f"{TABLE_BYTES_CAP}; lower delta"
+        )
+
+
+def _is_number(value: Any) -> bool:
+    if isinstance(value, (bool, np.bool_)):
+        return False
+    return isinstance(value, (int, float, np.integer, np.floating))
+
+
+def _real(value: Any) -> float:
+    """A scalar field as a float, nan when it is not a number."""
+    try:
+        return float(value) if _is_number(value) else math.nan
+    except OverflowError:  # an int beyond float
+        return math.nan
+
 
 def _integer(value: Any) -> Optional[int]:
     """Exact integer value of a scalar field, None when it has none;
     integral floats such as 3.0 count, other values are never truncated."""
-    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
-        return int(value)
-    if isinstance(value, (float, np.floating)) and float(value).is_integer():
-        return int(value)
-    return None
+    if isinstance(value, (float, np.floating)) and not value.is_integer():
+        return None
+    return int(value) if _is_number(value) else None
 
 
-def _integers(value: Any, name: str, problems: list[str]) -> np.ndarray:
-    """int64 vector of an integer-valued field. Non-integral entries are
-    reported in problems and read truncated, non-finite ones as 0."""
-    raw = np.asarray(value)
-    if raw.dtype.kind in "iu":
-        return raw.astype(np.int64, copy=False)
-    as_float = raw.astype(np.float64)
-    finite = np.isfinite(as_float)
-    if not np.all(finite & (as_float == np.trunc(as_float))):
+def _vector(
+    value: Any, name: str, problems: list[str], integer: bool
+) -> Optional[np.ndarray]:
+    """A vector field as int64 (integer) or float64, None after reporting in
+    problems why it is not one. Integer fields take integral floats such as
+    3.0; non-integral or out-of-range entries are reported, never truncated
+    or wrapped."""
+    try:
+        arr = np.asarray(value)
+        if arr.dtype.kind == "O" and all(_is_number(v) for v in arr.flat):
+            arr = arr.astype(np.float64)  # ints beyond 64 bits
+    except (ValueError, OverflowError):  # ragged nesting, ints beyond float
+        arr = None
+    if arr is None or arr.ndim != 1 or arr.dtype.kind not in "iuf":
+        problems.append(f"{name} must be a vector of numbers")
+        return None
+    if not integer:
+        return arr.astype(np.float64, copy=False)
+    if arr.dtype.kind == "f" and not np.all(np.isfinite(arr) & (arr == np.trunc(arr))):
         problems.append(f"{name} entries must be integers")
-    return np.where(finite, np.trunc(as_float), 0.0).astype(np.int64)
+        return None
+    # a signed-int array always fits, a uint64 or float one may not
+    if arr.dtype.kind != "i" and np.any(np.abs(arr) >= 2.0**63):
+        problems.append(f"{name} entries are out of the int64 range")
+        return None
+    return arr.astype(np.int64, copy=False)
 
 
 def validate(raw: Mapping[str, Any]) -> TripInstance:
@@ -180,6 +222,8 @@ def validate(raw: Mapping[str, Any]) -> TripInstance:
     Collects every violated invariant into a single error message instead of
     stopping at the first one.
     """
+    if not isinstance(raw, Mapping):
+        raise InstanceError("an instance must be a mapping of its fields")
     missing = [name for name in _FIELDS if name not in raw]
     if missing:
         raise InstanceError(
@@ -191,32 +235,33 @@ def validate(raw: Mapping[str, Any]) -> TripInstance:
     if n is None or n < 1:
         raise InstanceError(f"n = {raw['n']!r} must be a positive integer")
 
-    xi = _integers(raw["xi"], "xi", problems)
-    x = _integers(raw["x"], "x", problems)
-    gamma = _integers(raw["gamma"], "gamma", problems)
-    c = np.asarray(raw["c"], dtype=np.float64)
-    alpha = float(raw["alpha"])
+    xi = _vector(raw["xi"], "xi", problems, integer=True)
+    x = _vector(raw["x"], "x", problems, integer=True)
+    gamma = _vector(raw["gamma"], "gamma", problems, integer=True)
+    c = _vector(raw["c"], "c", problems, integer=False)
+    alpha = _real(raw["alpha"])
     delta = _integer(raw["delta"])
 
-    if xi.ndim != 1 or len(xi) < 1:
-        problems.append("xi must be a nonempty vector")
-    elif np.any(np.diff(xi) <= 0):
-        problems.append("xi not strictly ascending")
     for name, arr in (("x", x), ("gamma", gamma), ("c", c)):
-        if arr.ndim != 1 or len(arr) != n:
+        if arr is not None and len(arr) != n:
             problems.append(f"{name} has length {len(arr)}, expected n = {n}")
-    if len(x) == n and len(xi) >= 1:
-        members = np.isin(x, xi)
-        for i in np.flatnonzero(~members):
+    if xi is not None and len(xi) < 1:
+        problems.append("xi must be a nonempty vector")
+    elif xi is not None and np.any(np.diff(xi) <= 0):
+        problems.append("xi not strictly ascending")
+    elif xi is not None and x is not None and len(x) == n:
+        # xi ascends, so xi[at] is its smallest value >= x_i, if it has one
+        at = np.minimum(np.searchsorted(xi, x), len(xi) - 1)
+        for i in np.flatnonzero(xi[at] != x):
             problems.append(f"x_{i + 1} = {x[i]} not in xi")
-    if len(gamma) == n:
+    if gamma is not None and len(gamma) == n:
         for i in np.flatnonzero(gamma < 1):
             problems.append(f"gamma_{i + 1} = {gamma[i]} must be >= 1")
-    if c.ndim == 1:
+    if c is not None:
         for i in np.flatnonzero(~np.isfinite(c)):
             problems.append(f"c_{i + 1} = {c[i]} must be finite")
     if not np.isfinite(alpha):
-        problems.append(f"alpha = {alpha} must be finite")
+        problems.append(f"alpha = {raw['alpha']!r} must be a finite number")
     elif alpha < 0:
         problems.append(f"alpha = {alpha} must be nonnegative")
     if delta is None or delta < 0:
@@ -236,15 +281,7 @@ def clamp_delta(inst: TripInstance) -> TripInstance:
     cap = int(inst.xi[-1] - inst.xi[0]) * int(inst.gamma.max()) * inst.n
     if inst.delta <= cap:
         return inst
-    return TripInstance(
-        n=inst.n,
-        c=inst.c,
-        alpha=inst.alpha,
-        delta=cap,
-        xi=inst.xi,
-        x=inst.x,
-        gamma=inst.gamma,
-    )
+    return replace(inst, delta=cap)
 
 
 def objective(inst: TripInstance, d: np.ndarray) -> float:

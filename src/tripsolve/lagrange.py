@@ -50,6 +50,7 @@ from .instance import (
     SolverError,
     SolverStats,
     TripInstance,
+    check_table_bytes,
     objective,
     resource_use,
 )
@@ -131,6 +132,7 @@ def layer_weights(inst: TripInstance) -> tuple[list[np.ndarray], np.ndarray]:
     # tie keys are budget * m + column in int64, budgets at most this cap
     if int(inst.xi[-1] - inst.xi[0]) * int(inst.gamma.max()) * inst.n * m >= 2**62:
         raise InstanceError("budget use too large for the int64 tie keys")
+    check_table_bytes("edge weights", (1 + (inst.n - 1) * m) * m * 8)
     cons, linear, jump = edge_terms(inst)
     weights = [linear[:1]] + [linear[i] + jump for i in range(1, inst.n)]
     return weights, cons

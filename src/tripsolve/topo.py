@@ -36,20 +36,16 @@ import numpy as np
 
 from .graph import edge_terms, reach_windows
 from .instance import (
-    InstanceError,
     RadiusCache,
     Solution,
     SolverStats,
     TripInstance,
+    check_table_bytes,
     clamp_delta,
     objective,
 )
 
 _INF = np.inf
-# Largest predecessor table TopoTables.build allocates, in bytes. clamp_delta
-# alone lets delta grow to n * range(xi) * max(gamma), and the table grows
-# with it; the largest shipped use (a 48-item knapsack reduction) needs 1.9 MB.
-PRED_TABLE_CAP = 256_000_000
 
 
 @dataclass(frozen=True)
@@ -63,7 +59,8 @@ class TopoTables:
     states with capacity eta; succ[i - 1, t] counts the value indices of
     layer i + 1 whose edges consume at most t, i = 1..n-1. The counts are at
     most m and share pred's dtype. build raises InstanceError, before it
-    allocates anything, when pred would take more than PRED_TABLE_CAP bytes.
+    allocates anything, when pred or the largest float table of the sweep
+    would take more than instance.TABLE_BYTES_CAP bytes.
     """
 
     delta: int
@@ -76,12 +73,14 @@ class TopoTables:
     def build(cls, inst: TripInstance) -> "TopoTables":
         n, m, width = inst.n, inst.m, inst.delta + 1
         pred_dtype = np.int8 if m <= np.iinfo(np.int8).max else np.int16
-        pred_bytes = n * m * width * np.dtype(pred_dtype).itemsize
-        if pred_bytes > PRED_TABLE_CAP:
-            raise InstanceError(
-                f"the predecessor table needs {pred_bytes} bytes, over the "
-                f"cap of {PRED_TABLE_CAP}; lower delta"
-            )
+        check_table_bytes(
+            "predecessor table", n * m * width * np.dtype(pred_dtype).itemsize
+        )
+        lo, hi = (w.tolist() for w in reach_windows(inst))
+        sizes = [b - a for a, b in zip(lo, hi)]
+        # the last layer's costs, or one layer's (w_i, w_{i-1}, width) sums
+        rows = max([m] + [u * v for u, v in zip(sizes, sizes[1:])])
+        check_table_bytes("layer cost table", rows * width * 8)
         pred = np.full((n, m, width), -1, dtype=pred_dtype)
         finite = np.zeros((n, width), dtype=pred_dtype)
         cons, linear, jump = edge_terms(inst)
@@ -90,7 +89,6 @@ class TopoTables:
         tally = np.bincount(bins.ravel(), minlength=(n - 1) * (width + 1))
         succ = tally.reshape(n - 1, width + 1)[:, :width].cumsum(axis=1)
 
-        lo, hi = (w.tolist() for w in reach_windows(inst))
         used_by = cons.tolist()
 
         # cost[j - lo_i, eta]: cost of the layer-i state (j, eta), j in the window

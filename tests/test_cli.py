@@ -77,6 +77,17 @@ def test_solve_non_finite_input_exits_2(tmp_path, capsys, alpha, c):
         assert "finite" in err
 
 
+@pytest.mark.parametrize("field, value", [("x", 0), ("alpha", None)])
+def test_solve_malformed_field_exits_2(tmp_path, capsys, field, value):
+    raw = {"n": 2, "alpha": 1.0, "delta": 2, "xi": [0, 1], "x": [0, 0],
+           "gamma": [1, 1], "c": [0.0, 0.0], field: value}
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(raw))
+    code, out, err = run_cli(capsys, "solve", str(bad))
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {field}") and err.count("\n") == 1
+
+
 def _exhaust_search(monkeypatch):
     # a heuristic of +inf makes upper-bound pruning drop every label
     table = tripsolve.astar.heuristic_table
@@ -244,24 +255,6 @@ def test_bench_hybrid_needs_both_solvers(trace_file, capsys):
     assert code != 0 and "hybrid" in err
 
 
-def test_bench_worker_pool(tmp_path, trace_file, capsys, monkeypatch):
-    single = tmp_path / "single.csv"
-    pooled = tmp_path / "pooled.csv"
-    run_cli(capsys, "bench", str(trace_file), "--solvers", "topo", "--out", str(single))
-    monkeypatch.setenv("TRIPSOLVE_WORKERS", "2")
-    code, _, _ = run_cli(capsys, "bench", str(trace_file), "--solvers", "topo",
-                         "--out", str(pooled))
-    assert code == 0
-
-    def strip_timing(path):
-        return [
-            {k: v for k, v in row.items() if k != "wall_seconds"}
-            for row in csv.DictReader(path.read_text().splitlines())
-        ]
-
-    assert strip_timing(single) == strip_timing(pooled)
-
-
 def test_bench_deterministic_apart_from_timing(tmp_path, trace_file, capsys):
     outs = []
     for name in ("one.csv", "two.csv"):
@@ -273,3 +266,42 @@ def test_bench_deterministic_apart_from_timing(tmp_path, trace_file, capsys):
         ]
         outs.append(rows)
     assert outs[0] == outs[1]
+
+
+def test_bench_hybrid_on_instance_only_records(tmp_path, trace_file, capsys):
+    # the form perfbench writes: no "delta" next to the instance
+    bare = tmp_path / "bare.jsonl"
+    with open(bare, "w", encoding="utf-8") as fh:
+        for line in trace_file.read_text().splitlines():
+            record = json.loads(line)
+            if record["kind"] == "step":
+                fh.write(json.dumps({"kind": "step", "instance": record["instance"]}))
+                fh.write("\n")
+    out = tmp_path / "bare.csv"
+    code, _, err = run_cli(capsys, "bench", str(bare), "--solvers", "topo,astar",
+                           "--delta-d", "2", "--out", str(out))
+    assert code == 0, err
+    rows = list(csv.DictReader(out.read_text().splitlines()))
+    by_solver = {(r["instance"], r["solver"]): r for r in rows}
+    hybrid = [r for r in rows if r["solver"] == "hybrid"]
+    assert hybrid and len(rows) == 3 * len(hybrid)
+    for r in hybrid:
+        chosen = "astar" if int(r["delta"]) >= 2 else "topo"
+        assert r == {**by_solver[(r["instance"], chosen)], "solver": "hybrid"}
+
+
+@pytest.mark.parametrize("solvers", [",", "topo,simplex"])
+def test_bench_rejects_solver_list_before_solving(
+    tmp_path, trace_file, capsys, monkeypatch, solvers
+):
+    import tripsolve.cli as cli_mod
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved before the solver list was checked")
+
+    monkeypatch.setattr(cli_mod, "_solve_with", no_solve)
+    out = tmp_path / "x.csv"
+    code, _, err = run_cli(capsys, "bench", str(trace_file), "--solvers", solvers,
+                           "--out", str(out))
+    assert code == 2 and err.startswith("error: ") and err.count("\n") == 1
+    assert not out.exists()

@@ -38,6 +38,14 @@ def test_validate_rejects_x_not_member():
         validate(base_raw(x=[0, 2]))
 
 
+def test_validate_membership_below_between_and_above_xi():
+    raw = base_raw(n=3, xi=[-2, 0, 5], gamma=[1] * 3, c=[0.0] * 3)
+    validate({**raw, "x": [-2, 5, 0]})
+    with pytest.raises(InstanceError) as err:
+        validate({**raw, "x": [-3, 1, 6]})
+    assert all(f"x_{i}" in str(err.value) for i in (1, 2, 3))
+
+
 def test_validate_rejects_unordered_xi():
     with pytest.raises(InstanceError, match="not strictly ascending"):
         validate(base_raw(xi=[1, 0], x=[0, 0]))
@@ -98,6 +106,32 @@ def test_validate_rejects_non_integral_values(overrides, field):
         validate(base_raw(**overrides))
 
 
+@pytest.mark.parametrize(
+    "overrides, message",
+    [
+        ({"x": 0}, "x must be a vector"),
+        ({"gamma": 1}, "gamma must be a vector"),
+        ({"c": 0.0}, "c must be a vector"),
+        ({"xi": 1}, "xi must be a vector"),
+        ({"c": None}, "c must be a vector"),
+        ({"alpha": None}, "alpha = None"),
+        ({"alpha": [1]}, "alpha = \\[1\\]"),
+        ({"alpha": "abc"}, "alpha = 'abc'"),
+        ({"xi": ["a", "b"]}, "xi must be a vector"),
+        ({"c": ["a", 0.0]}, "c must be a vector"),
+        ({"x": [[0], [0, 1]]}, "x must be a vector"),
+        ({"gamma": [1e20, 1]}, "gamma entries are out of the int64 range"),
+        ({"gamma": [10**20, 1]}, "gamma entries are out of the int64 range"),
+    ],
+)
+def test_validate_rejects_malformed_fields(overrides, message):
+    # each of these raised TypeError or a bare ValueError before, and
+    # gamma_1 = 1e20 wrapped to -2**63 and was reported as "must be >= 1"
+    with pytest.raises(InstanceError, match=message) as err:
+        validate(base_raw(**overrides))
+    assert ">= 1" not in str(err.value)
+
+
 def test_validate_accepts_integral_floats():
     inst = validate(base_raw(n=2.0, delta=2.0, x=[0.0, 1.0], xi=[0.0, 1.0]))
     assert inst.n == 2 and inst.delta == 2
@@ -112,7 +146,11 @@ def test_instance_arrays_immutable():
 
 def test_clamp_delta_small():
     inst = validate(base_raw(delta=100))
-    assert clamp_delta(inst).delta == 2  # (1 - 0) * 1 * 2
+    clamped = clamp_delta(inst)
+    assert clamped.delta == 2  # (1 - 0) * 1 * 2
+    # the same arrays, so a RadiusCache sees the same instance
+    for name in ("c", "xi", "x", "gamma"):
+        assert getattr(clamped, name) is getattr(inst, name)
 
 
 def test_clamp_delta_unchanged():

@@ -1,10 +1,12 @@
 import dataclasses
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import tripsolve.instance
 from tripsolve.graph import (
     NodeRef,
     build_explicit,
@@ -13,7 +15,7 @@ from tripsolve.graph import (
     sink_node,
 )
 from conftest import halving, radius_corpus
-from tripsolve.instance import RadiusCache, objective, validate
+from tripsolve.instance import InstanceError, RadiusCache, objective, validate
 from tripsolve.lagrange import (
     COST_TIE_TOL,
     LagrangeTables,
@@ -543,3 +545,20 @@ def test_layer_weights_match_edge_weight():
                         inst, i, int(delta_u), int(delta_v)
                     )
                     assert cons[i, j2] == inst.gamma[i] * abs(int(delta_v))
+
+
+def test_oversized_weights_rejected_before_allocation(monkeypatch):
+    # 40 layers of 60 x 60 float64 weights: 1.1 MB
+    monkeypatch.setattr(tripsolve.instance, "TABLE_BYTES_CAP", 1_000_000)
+    inst = validate(
+        {"n": 40, "alpha": 0.5, "delta": 10, "xi": list(range(60)),
+         "x": [0] * 40, "gamma": [1] * 40, "c": [-1.0] * 40}
+    )
+    tracemalloc.start()
+    try:
+        with pytest.raises(InstanceError, match="edge weights"):
+            binary_search(inst, 1e-6)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000

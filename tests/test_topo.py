@@ -11,8 +11,10 @@ from conftest import (
     radius_corpus,
     solution_fields,
 )
+import tripsolve.instance
 from tripsolve.graph import build_explicit
 from tripsolve.instance import (
+    TABLE_BYTES_CAP,
     InstanceError,
     RadiusCache,
     TripInstance,
@@ -20,7 +22,7 @@ from tripsolve.instance import (
     validate,
 )
 from tripsolve.oracle import gen_random, knapsack_reduce, solve_bruteforce
-from tripsolve.topo import PRED_TABLE_CAP, TopoTables, solve_topo
+from tripsolve.topo import TopoTables, solve_topo
 
 
 def test_derived_optimum(derived3):
@@ -313,10 +315,35 @@ def test_oversized_tables_rejected_before_allocation():
         }
     )
     assert clamp_delta(inst).delta == inst.delta
-    assert inst.n * inst.m * (inst.delta + 1) > PRED_TABLE_CAP
+    assert inst.n * inst.m * (inst.delta + 1) > TABLE_BYTES_CAP
     tracemalloc.start()
     try:
         with pytest.raises(InstanceError, match="predecessor table"):
+            solve_topo(inst)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+
+
+@pytest.mark.parametrize(
+    "n, xi, delta",
+    [
+        (2, list(range(60)), 59),  # a 60 x 60 x 60 sum in the layer sweep
+        (1, [0, 10**5], 10**5),  # the (m, delta + 1) last-layer costs
+    ],
+)
+def test_float_tables_rejected_before_allocation(monkeypatch, n, xi, delta):
+    # predecessor tables of 7.2 kB and 200 kB, float tables of 1.7 and 1.6 MB
+    monkeypatch.setattr(tripsolve.instance, "TABLE_BYTES_CAP", 1_000_000)
+    inst = validate(
+        {"n": n, "alpha": 0.5, "delta": delta, "xi": xi, "x": [0] * n,
+         "gamma": [1] * n, "c": [-1.0] * n}
+    )
+    assert clamp_delta(inst).delta == inst.delta
+    tracemalloc.start()
+    try:
+        with pytest.raises(InstanceError, match="layer cost table"):
             solve_topo(inst)
         _, peak = tracemalloc.get_traced_memory()
     finally:
