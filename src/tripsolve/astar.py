@@ -44,6 +44,7 @@ import numpy as np
 
 from .graph import NodeRef, reach_windows
 from .instance import (
+    TABLE_BYTES_CAP,
     RadiusCache,
     Solution,
     SolverError,
@@ -56,9 +57,9 @@ from .instance import (
 from .lagrange import binary_search, default_epsilon, heuristic_table
 
 PRUNE_TOL = 1e-9
-# largest heuristic table, in entries, built before the search; above it the
-# heuristic is evaluated per push from the multiplier cost tables
-HEURISTIC_TABLE_CAP = 40_000_000
+# largest heuristic table, in float64 entries, built before the search; above
+# it the heuristic is evaluated per push from the multiplier cost tables
+HEURISTIC_TABLE_CAP = TABLE_BYTES_CAP // 8
 
 
 @dataclass
@@ -202,8 +203,7 @@ def solve_astar(
     parent: dict[int, int] = {}
     closed: set[int] = set()
     heap: list[tuple[float, int, int, int, int, float]] = []
-    h_src = max(t.source_cost - t.lam * inst.delta for t in tables.zeta)
-    heapq.heappush(heap, (h_src, -inst.delta, 0, 0, src, 0.0))
+    heapq.heappush(heap, (tables.dual_bound(), -inst.delta, 0, 0, src, 0.0))
     heappush, heappop = heapq.heappush, heapq.heappop
     listener = opts.expansion_listener
     ub_pruning = opts.upper_bound_pruning

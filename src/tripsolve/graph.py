@@ -19,7 +19,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .instance import TripInstance
+from .instance import TripInstance, check_table_bytes
 
 
 @dataclass(frozen=True)
@@ -74,7 +74,9 @@ def edge_terms(inst: TripInstance) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     layer i + 1 weighs linear[i, j'] + jump[j, j'] from value index j of
     layer i >= 1, and linear[0, j'] from the source, as edge_weight: the
     integers |x_{i+1} - x_i + shift_j' - shift_j| are |xi_j' - xi_j|.
+    Raises InstanceError first when a table would exceed TABLE_BYTES_CAP.
     """
+    check_table_bytes("edge term tables", max(inst.n, inst.m) * inst.m * 8)
     shifts = inst.xi[None, :] - inst.x[:, None]
     cons = inst.gamma[:, None] * np.abs(shifts)
     linear = inst.c[:, None] * shifts

@@ -3,6 +3,11 @@
 All combinatorial data (delta, gamma, xi, x, d) is kept in exact integers so
 that budget arithmetic never suffers from rounding; only the cost vector c,
 the penalty alpha and objective values are floating point.
+
+This module is the one home of the instance contract. validate's range rule,
+B * m < 2**62 and max|xi| + B < 2**63 for B = budget_cap, keeps every shift,
+consumption, path budget, window end x_i +- delta and tie key budget * m +
+column in int64; check_table_bytes caps every solver table before allocation.
 """
 
 from __future__ import annotations
@@ -247,7 +252,7 @@ def validate(raw: Mapping[str, Any]) -> TripInstance:
             problems.append(f"{name} has length {len(arr)}, expected n = {n}")
     if xi is not None and len(xi) < 1:
         problems.append("xi must be a nonempty vector")
-    elif xi is not None and np.any(np.diff(xi) <= 0):
+    elif xi is not None and np.any(xi[1:] <= xi[:-1]):  # np.diff can wrap
         problems.append("xi not strictly ascending")
     elif xi is not None and x is not None and len(x) == n:
         # xi ascends, so xi[at] is its smallest value >= x_i, if it has one
@@ -269,16 +274,24 @@ def validate(raw: Mapping[str, Any]) -> TripInstance:
 
     if problems:
         raise InstanceError("; ".join(problems))
+    cap, top = budget_cap(n, xi, gamma), max(abs(int(xi[0])), abs(int(xi[-1])))
+    if cap * len(xi) >= 2**62 or top + cap >= 2**63:
+        raise InstanceError(
+            f"budget cap n * range(xi) * max(gamma) = {cap}, m = {len(xi)} and "
+            f"max|xi| = {top} break cap * m < 2**62 or max|xi| + cap < 2**63"
+        )
     return TripInstance(n=n, c=c, alpha=alpha, delta=delta, xi=xi, x=x, gamma=gamma)
 
 
-def clamp_delta(inst: TripInstance) -> TripInstance:
-    """Cap the budget at the level where the budget constraint turns inactive.
+def budget_cap(n: int, xi: np.ndarray, gamma: np.ndarray) -> int:
+    """n * range(xi) * max(gamma) of an ascending xi: no step uses more budget."""
+    return n * (int(xi[-1]) - int(xi[0])) * int(gamma.max())
 
-    Beyond (max xi - min xi) * max_i gamma_i * n no step vector can consume
-    more budget, so larger deltas are equivalent.
-    """
-    cap = int(inst.xi[-1] - inst.xi[0]) * int(inst.gamma.max()) * inst.n
+
+def clamp_delta(inst: TripInstance) -> TripInstance:
+    """Cap the budget at budget_cap, the level where the budget constraint
+    turns inactive: larger deltas are equivalent."""
+    cap = budget_cap(inst.n, inst.xi, inst.gamma)
     if inst.delta <= cap:
         return inst
     return replace(inst, delta=cap)

@@ -44,7 +44,6 @@ import numpy as np
 
 from .graph import NodeRef, edge_terms, reach_windows
 from .instance import (
-    InstanceError,
     RadiusCache,
     Solution,
     SolverError,
@@ -94,7 +93,6 @@ class LagrangeTables:
     path met the budget exactly, the proven optimum."""
 
     inst: TripInstance
-    lambdas: list[float] = field(default_factory=list)
     zeta: list[ZetaTable] = field(default_factory=list)
     upper_bound: float = math.inf
     incumbent: Optional[Solution] = None
@@ -105,6 +103,11 @@ class LagrangeTables:
     # multiplier-free edge weights and consumptions, see layer_weights
     weights: Optional[list[np.ndarray]] = None
     cons: Optional[np.ndarray] = None
+
+    @property
+    def lambdas(self) -> list[float]:
+        """The evaluated multipliers, in the order of zeta."""
+        return [t.lam for t in self.zeta]
 
     def dual_bound(self) -> float:
         """Best lower bound on the constrained optimum over all multipliers."""
@@ -129,9 +132,6 @@ def layer_weights(inst: TripInstance) -> tuple[list[np.ndarray], np.ndarray]:
     replay that alternates topo and A* by 7%, against 1-2% this way.
     """
     m = inst.m
-    # tie keys are budget * m + column in int64, budgets at most this cap
-    if int(inst.xi[-1] - inst.xi[0]) * int(inst.gamma.max()) * inst.n * m >= 2**62:
-        raise InstanceError("budget use too large for the int64 tie keys")
     check_table_bytes("edge weights", (1 + (inst.n - 1) * m) * m * 8)
     cons, linear, jump = edge_terms(inst)
     weights = [linear[:1]] + [linear[i] + jump for i in range(1, inst.n)]
@@ -316,7 +316,6 @@ def binary_search(
 
     def evaluate(lam: float) -> tuple[ZetaTable, np.ndarray, int]:
         table = sweeps.swept[lam]
-        tables.lambdas.append(table.lam)
         tables.zeta.append(table)
         d = sweeps.step(inst, lam)
         tables.log.append(
@@ -336,9 +335,7 @@ def binary_search(
             tables.early_exit = _solution_from_step(
                 inst, optimal, tables.iterations
             )
-        order = np.argsort(tables.lambdas)
-        tables.lambdas = [tables.lambdas[k] for k in order]
-        tables.zeta = [tables.zeta[k] for k in order]
+        tables.zeta.sort(key=lambda t: t.lam)
         return tables
 
     sweeps.sweep(inst, [0.0, upper0])

@@ -84,10 +84,12 @@ class TopoTables:
         pred = np.full((n, m, width), -1, dtype=pred_dtype)
         finite = np.zeros((n, width), dtype=pred_dtype)
         cons, linear, jump = edge_terms(inst)
-        # succ[i - 1, t] counts the consumptions of layer i + 1 up to t
-        bins = np.arange(n - 1)[:, None] * (width + 1) + np.minimum(cons[1:], width)
-        tally = np.bincount(bins.ravel(), minlength=(n - 1) * (width + 1))
-        succ = tally.reshape(n - 1, width + 1)[:, :width].cumsum(axis=1)
+        # succ[i-1, t] counts layer i+1's consumptions <= t: k from the k-th smallest
+        ends = np.full((n - 1, m + 2), width)
+        ends[:, 0] = 0
+        np.minimum(np.sort(cons[1:], axis=1), width, out=ends[:, 1:-1])
+        counts = np.arange(m + 1, dtype=pred_dtype)[None, :].repeat(n - 1, axis=0)
+        succ = counts.repeat((ends[:, 1:] - ends[:, :-1]).ravel()).reshape(n - 1, width)
 
         used_by = cons.tolist()
 
@@ -120,7 +122,7 @@ class TopoTables:
             pred=pred,
             last_cost=last_cost,
             finite=finite,
-            succ=succ.astype(pred_dtype),
+            succ=succ,
         )
 
     def solution(self, inst: TripInstance) -> Solution:
@@ -146,12 +148,13 @@ class TopoTables:
             eta += int(inst.gamma[i - 1]) * abs(shift)  # capacity one layer back
             j = j_prev
 
-        finite = self.finite[:, s:].astype(np.int64)
+        finite = self.finite[:, s:]  # sums of small ints accumulate in int64
+        succ = self.succ[:, : width - s]
         nodes = int(finite.sum()) + 2  # plus source and sink
         # source out-edges, edges between layers, sink edges
         edges = int(
             finite[0].sum()
-            + (finite[:-1] * self.succ[:, : width - s]).sum()
+            + np.einsum("ij,ij->", finite[:-1], succ, dtype=np.int64)
             + finite[-1].sum()
         )
         return Solution(

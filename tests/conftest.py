@@ -41,6 +41,30 @@ def two_interval() -> TripInstance:
     )
 
 
+def _breaker(**fields) -> dict:
+    raw = {"n": 2, "alpha": 1.0, "delta": 10, "x": [0, 0]}
+    raw.update(fields)
+    return raw
+
+
+# Records whose budget arithmetic overflows int64, each rejected by validate's
+# range rule. Before the rule, topo answered d = [-5] with objective 5.0 on
+# the first (A* found 0.0: x + delta wrapped in the reach windows), failed in
+# numpy's bincount on the second, answered [0, 0] on the third where A*
+# refused it, counted 8 edges on the fourth where 6 are affordable (a
+# consumption of 2**64 wrapped to 0), and np.diff reported the fifth's xi as
+# not strictly ascending.
+RANGE_RULE_BREAKERS = [
+    _breaker(n=1, delta=5, xi=[2**63 - 10, 2**63 - 5], x=[2**63 - 5],
+             gamma=[1], c=[-1.0]),
+    _breaker(xi=[0, 3], gamma=[1, 2**62], c=[1.0, -1.0]),
+    _breaker(xi=[0, 4], gamma=[2**62, 1], c=[1.0, -1.0]),
+    _breaker(xi=[0, 4], gamma=[1, 2**62], c=[1.0, 1.0]),
+    _breaker(n=1, xi=[-(2**62 + 2**61), 2**62 + 2**61], x=[2**62 + 2**61],
+             gamma=[1], c=[1.0]),
+]
+
+
 def small_corpus(count: int, start_seed: int = 0) -> list[TripInstance]:
     """Reproducible mix of small instances for cross-validation."""
     out = []

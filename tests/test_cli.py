@@ -5,7 +5,9 @@ import json
 import numpy as np
 import pytest
 
+from conftest import RANGE_RULE_BREAKERS
 import tripsolve.astar
+import tripsolve.instance
 import tripsolve.lagrange
 from tripsolve.cli import main
 from tripsolve.instance import read_instance
@@ -86,6 +88,29 @@ def test_solve_malformed_field_exits_2(tmp_path, capsys, field, value):
     code, out, err = run_cli(capsys, "solve", str(bad))
     assert code == 2 and out == ""
     assert err.startswith(f"error: {field}") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("raw", RANGE_RULE_BREAKERS)
+def test_solve_range_rule_exits_2(tmp_path, capsys, raw):
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(raw))
+    for solver in ("topo", "astar"):
+        code, out, err = run_cli(capsys, "solve", str(path), "--solver", solver)
+        assert code == 2 and out == ""
+        assert err.startswith("error: budget cap") and err.count("\n") == 1
+
+
+def test_solve_oversized_edge_terms_exits_2(tmp_path, capsys, monkeypatch):
+    # a (400, 400) jump table of 1.28 MB, over the lowered cap
+    monkeypatch.setattr(tripsolve.instance, "TABLE_BYTES_CAP", 1_000_000)
+    path = tmp_path / "inst.json"
+    raw = {"n": 1, "alpha": 1.0, "delta": 0, "xi": list(range(400)), "x": [0],
+           "gamma": [1], "c": [1.0]}
+    path.write_text(json.dumps(raw))
+    for solver in ("topo", "astar"):
+        code, out, err = run_cli(capsys, "solve", str(path), "--solver", solver)
+        assert code == 2 and out == ""
+        assert err.startswith("error: the edge term tables") and err.count("\n") == 1
 
 
 def _exhaust_search(monkeypatch):

@@ -1,9 +1,14 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+import tripsolve.instance
+from tripsolve.astar import solve_astar
 from tripsolve.graph import (
     NodeRef,
     build_explicit,
+    edge_terms,
     edge_weight,
     path_to_step,
     path_weight,
@@ -13,8 +18,9 @@ from tripsolve.graph import (
     step_to_path,
     successors,
 )
-from tripsolve.instance import objective, validate
+from tripsolve.instance import InstanceError, objective, validate
 from tripsolve.oracle import gen_random
+from tripsolve.topo import solve_topo
 
 
 def feasible_prefixes(inst):
@@ -248,3 +254,30 @@ def test_reach_windows_hold_exactly_the_affordable_values(corpus200):
         for i in range(1, inst.n + 1):
             affordable = inst.gamma[i - 1] * np.abs(inst.shifts(i)) <= inst.delta
             assert np.flatnonzero(affordable).tolist() == list(range(lo[i - 1], hi[i - 1]))
+
+
+@pytest.mark.parametrize(
+    "n, m, solvers",
+    [
+        (1, 400, (edge_terms, solve_topo, solve_astar)),  # (m, m) jump: 1.28 MB
+        (20000, 7, (edge_terms, solve_topo)),  # (n, m) tables: 1.12 MB each
+    ],
+)
+def test_edge_terms_checked_before_allocation(monkeypatch, n, m, solvers):
+    # the tables a solver checks before calling edge_terms stay below the
+    # lowered cap: topo's predecessor table and layer costs, and for m = 400
+    # A*'s edge weights (at n = 20000 these are rejected first)
+    monkeypatch.setattr(tripsolve.instance, "TABLE_BYTES_CAP", 1_000_000)
+    inst = validate(
+        {"n": n, "alpha": 1.0, "delta": 0, "xi": list(range(m)), "x": [0] * n,
+         "gamma": [1] * n, "c": [1.0] * n}
+    )
+    for solve in solvers:
+        tracemalloc.start()
+        try:
+            with pytest.raises(InstanceError, match="edge term tables"):
+                solve(inst)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from conftest import RANGE_RULE_BREAKERS
 from tripsolve.instance import (
     InstanceError,
     clamp_delta,
@@ -130,6 +131,36 @@ def test_validate_rejects_malformed_fields(overrides, message):
     with pytest.raises(InstanceError, match=message) as err:
         validate(base_raw(**overrides))
     assert ">= 1" not in str(err.value)
+
+
+@pytest.mark.parametrize("raw", RANGE_RULE_BREAKERS)
+def test_validate_applies_the_range_rule(raw):
+    with pytest.raises(InstanceError, match="budget cap") as err:
+        validate(raw)
+    assert "ascending" not in str(err.value)
+
+
+@pytest.mark.parametrize(
+    "xi, gamma, inside",
+    [
+        ([0, 1], 2**61 - 1, True),  # budget cap * m = 2**62 - 2
+        ([0, 1], 2**61, False),  # budget cap * m = 2**62
+        ([2**63 - 3, 2**63 - 2], 1, True),  # max|xi| + cap = 2**63 - 1
+        ([2**63 - 2, 2**63 - 1], 1, False),
+        ([-(2**63) + 2, -(2**63) + 3], 1, True),
+        ([-(2**63) + 1, -(2**63) + 2], 1, False),
+        ([-(2**63), -(2**63) + 1], 1, False),
+    ],
+)
+def test_range_rule_bounds(xi, gamma, inside):
+    raw = {"n": 1, "alpha": 1.0, "delta": 3, "xi": xi, "x": [xi[0]],
+           "gamma": [gamma], "c": [-1.0]}
+    if inside:
+        inst = validate(raw)
+        assert clamp_delta(inst).delta == min(3, gamma * (xi[1] - xi[0]))
+    else:
+        with pytest.raises(InstanceError, match="budget cap"):
+            validate(raw)
 
 
 def test_validate_accepts_integral_floats():

@@ -349,3 +349,32 @@ def test_float_tables_rejected_before_allocation(monkeypatch, n, xi, delta):
     finally:
         tracemalloc.stop()
     assert peak < 1_000_000
+
+
+def test_counts_take_no_int64_temporaries():
+    # binary controls: pred takes 2 bytes per (layer, capacity), an int64
+    # temporary per (layer, capacity) takes 8; the build used to peak at
+    # 20.3 MB and the counter sums of solution at 16.1 MB
+    n = 1000
+    inst = validate(
+        {"n": n, "alpha": 1.0, "delta": n, "xi": [0, 1], "x": [0] * n,
+         "gamma": [1] * n, "c": [-1.0] * n}
+    )
+    tracemalloc.start()
+    try:
+        tables = TopoTables.build(inst)
+        _, build_peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        sol = tables.solution(inst)
+        _, solution_peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    kept = sum(
+        a.nbytes for a in (tables.pred, tables.last_cost, tables.finite, tables.succ)
+    )
+    assert kept < 4_100_000
+    assert build_peak < kept + 1_000_000
+    assert solution_peak - kept < 1_000_000
+    # 2i states in layer i, with both out-edges affordable below layer n
+    assert sol.stats.nodes_expanded == n * (n + 1) + 2
+    assert sol.stats.nodes_generated == 2 + 2 * n * (n - 1) + 2 * n
