@@ -42,7 +42,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .graph import NodeRef, reach_windows
+from .graph import NodeRef, edge_terms, reach_windows
 from .instance import (
     TABLE_BYTES_CAP,
     RadiusCache,
@@ -98,20 +98,23 @@ class SuccessorRows:
     rows[layer * m + j] lists (consumption, value index, weight) of the
     edges from value index j of layer 0..n-1 into the reach window of layer
     + 1 at the radius of inst, sorted by (consumption, value index), less
-    the dominated edges when pruned is set. weights and cons are those of
-    lagrange.layer_weights.
+    the dominated edges when pruned is set. Weights and consumptions come
+    from graph.edge_terms: linear[layer, j'] + jump[j, j'], and linear[0, j']
+    from the source.
     """
 
     inst: TripInstance
-    weights: list[np.ndarray]
-    cons: np.ndarray
     pruned: bool
     rows: dict[int, list[tuple[int, int, float]]] = field(default_factory=dict)
     lo: list[int] = field(init=False)
     hi: list[int] = field(init=False)
+    cons: np.ndarray = field(init=False)
+    linear: np.ndarray = field(init=False)
+    jump: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
         self.lo, self.hi = (w.tolist() for w in reach_windows(self.inst))
+        self.cons, self.linear, self.jump = edge_terms(self.inst)
 
     def build(self, layer: int, j: int) -> list[tuple[int, int, float]]:
         """Build, keep and return the row of value index j in layer."""
@@ -122,12 +125,11 @@ class SuccessorRows:
             du = inst.xi[j] - inst.x[layer - 1]
             dv = inst.xi[a:b] - inst.x[layer]
             heads = heads[~edge_dominated(inst, layer, du, dv)]
+        weights = self.linear[layer, heads]
+        if layer >= 1:
+            weights = weights + self.jump[j, heads]
         row = sorted(
-            zip(
-                self.cons[layer, heads].tolist(),
-                heads.tolist(),
-                self.weights[layer][j, heads].tolist(),
-            )
+            zip(self.cons[layer, heads].tolist(), heads.tolist(), weights.tolist())
         )
         self.rows[layer * inst.m + j] = row
         return row
@@ -177,7 +179,7 @@ def solve_astar(
     bound = upper + PRUNE_TOL
 
     def successor_rows() -> SuccessorRows:
-        return SuccessorRows(inst, tables.weights, tables.cons, opts.edge_pruning)
+        return SuccessorRows(inst, opts.edge_pruning)
 
     if cache is None:
         succ = successor_rows()

@@ -80,7 +80,12 @@ def edge_terms(inst: TripInstance) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     shifts = inst.xi[None, :] - inst.x[:, None]
     cons = inst.gamma[:, None] * np.abs(shifts)
     linear = inst.c[:, None] * shifts
-    jump = inst.alpha * np.abs(inst.xi[None, :] - inst.xi[:, None])
+    # the exact int64 differences are cast into one (m, m) float buffer as
+    # they are computed, so the table takes no (m, m) temporary
+    jump = np.empty((inst.m, inst.m))
+    np.subtract(inst.xi[None, :], inst.xi[:, None], out=jump)
+    np.abs(jump, out=jump)
+    jump *= inst.alpha
     return cons, linear, jump
 
 

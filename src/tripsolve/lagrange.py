@@ -14,24 +14,24 @@ its own optimality, ending the search outright.
 Each relaxed graph is evaluated by a backward sweep over the layers, and a
 sweep costs about the same for one multiplier as for a few: per layer it is
 a handful of numpy operations on (m, m) arrays, so interpreter overhead
-dominates. The multiplier-free edge weights are therefore built once per
-instance (`layer_weights`), and `relaxed_sweep` evaluates several
-multipliers in one pass. The bisection speculates on that: with the bracket
-(lo, hi) known, the midpoints of the next SPECULATION_DEPTH bisection steps
-can only be 0.5 * (lo + hi) and the midpoints of its two halves, so one
-sweep evaluates all of them, and the bisection then walks its usual path
-through those results. It evaluates exactly the multipliers a one-at-a-time
-bisection would, in the same float arithmetic, and keeps only the tables on
-its path, so its output does not depend on the speculation.
+dominates. `relaxed_sweep` therefore evaluates several multipliers in one
+pass, forming the edge weights from the terms of graph.edge_terms. The
+bisection speculates on that: with the bracket (lo, hi) known, the
+midpoints of the next SPECULATION_DEPTH bisection steps can only be
+0.5 * (lo + hi) and the midpoints of its two halves, so one sweep evaluates
+all of them, and the bisection then walks its usual path through those
+results. It evaluates exactly the multipliers a one-at-a-time bisection
+would, in the same float arithmetic, and keeps only the tables on its path,
+so its output does not depend on the speculation.
 
-Neither the weights nor a relaxed sweep read the radius delta: it enters
-only when the bisection compares a path's budget use with it. The bisections
-of one instance at several radii start from the same bracket and evaluate
-many of the same multipliers, so a RadiusCache keeps the weights and every
-swept table with its relaxed path's step (the Sweeps record), and a sweep
-evaluates only multipliers not swept before. The tables read from the cache
-are the floats a new sweep would compute, and the path still decides which
-of them enter the result.
+A relaxed sweep does not read the radius delta: it enters only when the
+bisection compares a path's budget use with it. The bisections of one
+instance at several radii start from the same bracket and evaluate many of
+the same multipliers, so a RadiusCache keeps every swept table with its
+relaxed path's step (the Sweeps record), and a sweep evaluates only
+multipliers not swept before. The tables read from the cache are the floats
+a new sweep would compute, and the path still decides which of them enter
+the result.
 """
 
 from __future__ import annotations
@@ -100,9 +100,6 @@ class LagrangeTables:
     lambda_star: float = 0.0
     iterations: int = 0  # bisection steps, endpoint evaluations excluded
     log: list[tuple[float, float, int]] = field(default_factory=list)
-    # multiplier-free edge weights and consumptions, see layer_weights
-    weights: Optional[list[np.ndarray]] = None
-    cons: Optional[np.ndarray] = None
 
     @property
     def lambdas(self) -> list[float]:
@@ -116,50 +113,20 @@ class LagrangeTables:
         )
 
 
-def layer_weights(inst: TripInstance) -> tuple[list[np.ndarray], np.ndarray]:
-    """Multiplier-free edge weights and budget consumptions of the quotient
-    graph, indexed by the tail layer i = 0..n-1 (0 is the source).
-
-    weights[i][j, j'] is the weight of the edge from value index j in layer
-    i to value index j' in layer i + 1, linear[i, j'] + jump[j, j'] in the
-    terms of graph.edge_terms. weights[0] has the single row of the source,
-    whose edges carry no jump term. cons[i, j'] = gamma_{i+1} * |shift_j'|
-    is the consumption of the same edges, shape (n, m).
-
-    The weights are one (m, m) array per layer, not one (n, m, m) block:
-    a block of several MB, freed after each solve, kept the allocator's heap
-    from shrinking between solves and raised the peak RSS of a knapsack
-    replay that alternates topo and A* by 7%, against 1-2% this way.
-    """
-    m = inst.m
-    check_table_bytes("edge weights", (1 + (inst.n - 1) * m) * m * 8)
-    cons, linear, jump = edge_terms(inst)
-    weights = [linear[:1]] + [linear[i] + jump for i in range(1, inst.n)]
-    return weights, cons
-
-
 @dataclass
 class Sweeps:
-    """The radius-free work of the bisections of one instance: the weights
-    and consumptions of layer_weights, every relaxed table swept so far, by
-    its exact multiplier, and the relaxed path's step of each table read."""
+    """The radius-free work of the bisections of one instance: every relaxed
+    table swept so far, by its exact multiplier, and the relaxed path's step
+    of each table read."""
 
-    weights: list[np.ndarray]
-    cons: np.ndarray
     swept: dict[float, ZetaTable] = field(default_factory=dict)
     steps: dict[float, np.ndarray] = field(default_factory=dict)
-
-    @classmethod
-    def build(cls, inst: TripInstance) -> "Sweeps":
-        return cls(*layer_weights(inst))
 
     def sweep(self, inst: TripInstance, lams: list[float]) -> None:
         """Sweep every multiplier of lams not swept yet."""
         new = [lam for lam in lams if lam not in self.swept]
         if new:
-            self.swept.update(
-                zip(new, relaxed_sweep(inst, new, self.weights, self.cons))
-            )
+            self.swept.update(zip(new, relaxed_sweep(inst, new)))
 
     def step(self, inst: TripInstance, lam: float) -> np.ndarray:
         """The relaxed path's step of the table swept at lam."""
@@ -187,24 +154,23 @@ def _lex_min(
     return total.reshape(-1)[offsets + col], best // m, col
 
 
-def relaxed_sweep(
-    inst: TripInstance,
-    lams,
-    weights: Optional[list[np.ndarray]] = None,
-    cons: Optional[np.ndarray] = None,
-) -> list[ZetaTable]:
+def relaxed_sweep(inst: TripInstance, lams) -> list[ZetaTable]:
     """Backward sweeps over the quotient graph with weights increased by
     lam times the edge consumption, for every lam in lams at once.
 
-    weights and cons come from layer_weights and are built when omitted.
     Table k is bitwise the table of a sweep for lams[k] alone: each entry is
-    computed as (weight + lam * consumption) + cost-to-sink, in that order.
+    computed as ((linear + jump) + lam * consumption) + cost-to-sink, in that
+    order, with the terms of graph.edge_terms. Raises InstanceError first
+    when the (n, K, m) tables or a layer's (K, m, m) totals would exceed
+    TABLE_BYTES_CAP: the former before edge_terms allocates its (n, m)
+    terms, the latter once edge_terms has checked its (m, m) jump table.
     """
-    if weights is None or cons is None:
-        weights, cons = layer_weights(inst)
     n, m = inst.n, inst.m
     lam = np.asarray(lams, dtype=np.float64)
     k = lam.size
+    check_table_bytes("relaxed sweep tables", n * k * m * 8)
+    cons, linear, jump = edge_terms(inst)
+    check_table_bytes("relaxed sweep tables", k * m * m * 8)
     lam_cons = lam[None, :, None] * cons[:, None, :]  # (n, K, m)
     key_cons = cons * m + np.arange(m)  # (budget * m + column) per edge
     cost = np.zeros((n, k, m))
@@ -213,12 +179,12 @@ def relaxed_sweep(
     offsets = np.arange(0, k * m * m, m).reshape(k, m)
     # last layer: only the zero-weight, zero-consumption sink edge
     for i in range(n - 1, 0, -1):
-        total = weights[i] + lam_cons[i][:, None, :]
+        total = (linear[i] + jump) + lam_cons[i][:, None, :]
         total += cost[i][:, None, :]
         cost[i - 1], res[i - 1], choice[i - 1] = _lex_min(
             total, key_cons[i] + res[i] * m, offsets
         )
-    total = weights[0] + lam_cons[0][:, None, :]
+    total = linear[:1] + lam_cons[0][:, None, :]
     total += cost[0][:, None, :]
     cost_s, res_s, choice_s = _lex_min(
         total, key_cons[0] + res[0] * m, np.arange(0, k * m, m)[:, None]
@@ -302,16 +268,16 @@ def binary_search(
 
     Both endpoints share one batched sweep, and each later sweep evaluates
     every midpoint of the next SPECULATION_DEPTH steps; only the tables on
-    the path taken enter the result. With a cache, the weights and the
-    swept tables are kept there, and multipliers swept by an earlier
-    bisection of the same instance are not swept again.
+    the path taken enter the result. With a cache, the swept tables are
+    kept there, and multipliers swept by an earlier bisection of the same
+    instance are not swept again.
     """
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
     if cache is None:
         cache = RadiusCache()
-    sweeps = cache.entry("sweeps", inst, lambda: Sweeps.build(inst))
-    tables = LagrangeTables(inst=inst, weights=sweeps.weights, cons=sweeps.cons)
+    sweeps = cache.entry("sweeps", inst, Sweeps)
+    tables = LagrangeTables(inst=inst)
     upper0 = float(np.max(np.abs(inst.c))) + 2.0 * inst.alpha
 
     def evaluate(lam: float) -> tuple[ZetaTable, np.ndarray, int]:

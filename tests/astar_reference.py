@@ -19,7 +19,7 @@ import numpy as np
 
 from tripsolve import astar
 from tripsolve.astar import PRUNE_TOL, AstarOptions
-from tripsolve.graph import NodeRef
+from tripsolve.graph import NodeRef, edge_terms
 from tripsolve.instance import (
     RadiusCache,
     Solution,
@@ -80,7 +80,8 @@ def solve_astar_reference(
     zero = np.zeros(n, dtype=np.int64)
     upper = min(tables.upper_bound, objective(inst, zero))
 
-    weights_all, cons_all = tables.weights, tables.cons
+    cons_all, linear, jump = edge_terms(inst)
+    weights_all = [linear[:1]] + [linear[i] + jump for i in range(1, n)]
     dom = dominated_masks(inst) if opts.edge_pruning else None
 
     lam_arr = np.array([t.lam for t in tables.zeta])

@@ -97,6 +97,23 @@ def radius_corpus(count: int = 320) -> list[TripInstance]:
     return out
 
 
+def equivalence_instances(count: int = 320, seed: int = 1200) -> list[TripInstance]:
+    """Random small instances (n 1..12, m 1..5), including n = 1 and m = 1,
+    for checks against reference sweeps and the scalar edge weights."""
+    rng = np.random.default_rng(seed)
+    out = [
+        gen_random(1, 3, 2, 0.5, seed=seed),  # n = 1: no inner layer
+        gen_random(5, 1, 2, 0.5, seed=seed),  # m = 1: only the zero step
+    ]
+    for k in range(count - len(out)):
+        n = int(rng.integers(1, 13))
+        m = int(rng.integers(1, 6))
+        delta = int(rng.integers(0, 3 * n + 1))
+        alpha = float(rng.choice([0.0, 0.1, 1.0, 3.0]))
+        out.append(gen_random(n, m, delta, alpha, seed=seed + 1 + k))
+    return out
+
+
 def halving(delta0: int) -> list[int]:
     """The radii d0, d0 // 2, ..., 1, 0 of a trust-region iteration that
     rejects every step."""

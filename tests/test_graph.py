@@ -18,6 +18,7 @@ from tripsolve.graph import (
     step_to_path,
     successors,
 )
+from conftest import equivalence_instances
 from tripsolve.instance import InstanceError, objective, validate
 from tripsolve.oracle import gen_random
 from tripsolve.topo import solve_topo
@@ -266,7 +267,8 @@ def test_reach_windows_hold_exactly_the_affordable_values(corpus200):
 def test_edge_terms_checked_before_allocation(monkeypatch, n, m, solvers):
     # the tables a solver checks before calling edge_terms stay below the
     # lowered cap: topo's predecessor table and layer costs, and for m = 400
-    # A*'s edge weights (at n = 20000 these are rejected first)
+    # A*'s (n, K, m) relaxed sweep tables (at n = 20000 these are rejected
+    # first, see test_relaxed_sweep_tables_checked_before_allocation)
     monkeypatch.setattr(tripsolve.instance, "TABLE_BYTES_CAP", 1_000_000)
     inst = validate(
         {"n": n, "alpha": 1.0, "delta": 0, "xi": list(range(m)), "x": [0] * n,
@@ -281,3 +283,17 @@ def test_edge_terms_checked_before_allocation(monkeypatch, n, m, solvers):
         finally:
             tracemalloc.stop()
         assert peak < 1_000_000
+
+
+def test_edge_terms_match_edge_weight():
+    for inst in equivalence_instances(40, seed=1400):
+        cons, linear, jump = edge_terms(inst)
+        assert cons.shape == linear.shape == (inst.n, inst.m)
+        assert jump.shape == (inst.m, inst.m)
+        for i in range(inst.n):
+            tail = inst.shifts(i) if i else np.zeros(1, dtype=np.int64)
+            for j, delta_u in enumerate(tail):
+                for j2, delta_v in enumerate(inst.shifts(i + 1)):
+                    weight = linear[i, j2] + jump[j, j2] if i else linear[0, j2]
+                    assert weight == edge_weight(inst, i, int(delta_u), int(delta_v))
+                    assert cons[i, j2] == inst.gamma[i] * abs(int(delta_v))

@@ -7,14 +7,14 @@ import numpy as np
 import pytest
 
 import tripsolve.instance
+from tripsolve.astar import solve_astar
 from tripsolve.graph import (
     NodeRef,
     build_explicit,
-    edge_weight,
     reach_windows,
     sink_node,
 )
-from conftest import halving, radius_corpus
+from conftest import equivalence_instances, halving, radius_corpus
 from tripsolve.instance import InstanceError, RadiusCache, objective, validate
 from tripsolve.lagrange import (
     COST_TIE_TOL,
@@ -23,7 +23,6 @@ from tripsolve.lagrange import (
     extract_path_step,
     heuristic_h,
     heuristic_table,
-    layer_weights,
     relaxed_costs_to_sink,
     relaxed_objective,
     relaxed_sweep,
@@ -459,21 +458,6 @@ def assert_tables_equal(a, b):
     )
 
 
-def equivalence_instances(count=320, seed=1200):
-    rng = np.random.default_rng(seed)
-    out = [
-        gen_random(1, 3, 2, 0.5, seed=seed),  # n = 1: no inner layer
-        gen_random(5, 1, 2, 0.5, seed=seed),  # m = 1: only the zero step
-    ]
-    for k in range(count - len(out)):
-        n = int(rng.integers(1, 13))
-        m = int(rng.integers(1, 6))
-        delta = int(rng.integers(0, 3 * n + 1))
-        alpha = float(rng.choice([0.0, 0.1, 1.0, 3.0]))
-        out.append(gen_random(n, m, delta, alpha, seed=seed + 1 + k))
-    return out
-
-
 def assert_matches_sequential(inst, eps, tables) -> bool:
     """binary_search's result tables equal sequential_bisection's; True
     when the search exited with a proven optimum."""
@@ -531,33 +515,26 @@ def test_relaxed_sweep_matches_reference_sweep():
             assert (single.source_cost, single.source_res, single.source_choice) == source
 
 
-def test_layer_weights_match_edge_weight():
-    for inst in equivalence_instances(40, seed=1400):
-        weights, cons = layer_weights(inst)
-        assert len(weights) == inst.n and cons.shape == (inst.n, inst.m)
-        for i in range(inst.n):
-            tail = inst.shifts(i) if i else np.zeros(1, dtype=np.int64)
-            head = inst.shifts(i + 1)
-            assert weights[i].shape == (len(tail), inst.m)
-            for j, delta_u in enumerate(tail):
-                for j2, delta_v in enumerate(head):
-                    assert weights[i][j, j2] == edge_weight(
-                        inst, i, int(delta_u), int(delta_v)
-                    )
-                    assert cons[i, j2] == inst.gamma[i] * abs(int(delta_v))
-
-
-def test_oversized_weights_rejected_before_allocation(monkeypatch):
-    # 40 layers of 60 x 60 float64 weights: 1.1 MB
+@pytest.mark.parametrize(
+    "n, xi",
+    [
+        (2, list(range(300))),  # a layer's (2, 300, 300) totals: 1.44 MB
+        (100000, [0]),  # (100000, 2, 1) tables: 1.6 MB each
+        (20000, list(range(7))),  # (20000, 2, 7) tables: 2.24 MB each
+    ],
+)
+def test_relaxed_sweep_tables_checked_before_allocation(monkeypatch, n, xi):
+    # the (n, K, m) tables are checked before edge_terms allocates its
+    # (n, m) terms, the (K, m, m) totals right after its (m, m) jump table
     monkeypatch.setattr(tripsolve.instance, "TABLE_BYTES_CAP", 1_000_000)
     inst = validate(
-        {"n": 40, "alpha": 0.5, "delta": 10, "xi": list(range(60)),
-         "x": [0] * 40, "gamma": [1] * 40, "c": [-1.0] * 40}
+        {"n": n, "alpha": 1.0, "delta": 10, "xi": xi, "x": [0] * n,
+         "gamma": [1] * n, "c": [-1.0] * n}
     )
     tracemalloc.start()
     try:
-        with pytest.raises(InstanceError, match="edge weights"):
-            binary_search(inst, 1e-6)
+        with pytest.raises(InstanceError, match="relaxed sweep tables"):
+            solve_astar(inst)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
