@@ -48,11 +48,10 @@ from .instance import (
     RadiusCache,
     Solution,
     SolverError,
-    SolverStats,
     TripInstance,
+    check_table_bytes,
     clamp_delta,
     objective,
-    resource_use,
 )
 from .lagrange import binary_search, default_epsilon, heuristic_table
 
@@ -164,13 +163,9 @@ def solve_astar(
     if epsilon is None:
         epsilon = default_epsilon(inst)
     tables = binary_search(inst, epsilon, cache)
-    prep = tables.iterations
     if tables.early_exit is not None:
         sol = tables.early_exit
-        sol.stats = SolverStats(
-            preprocessing_iterations=prep,
-            wall_seconds=time.perf_counter() - t0,
-        )
+        sol.stats.wall_seconds = time.perf_counter() - t0
         return sol
 
     n, m, width = inst.n, inst.m, inst.delta + 1
@@ -194,6 +189,7 @@ def solve_astar(
     if n * int((hi - lo).max()) * width <= HEURISTIC_TABLE_CAP:
         h_table = heuristic_table(inst, tables)
     else:
+        check_table_bytes("per-label heuristic tables", len(tables.zeta) * n * m * 8)
         lam_arr = np.array([t.lam for t in tables.zeta])
         zcost = np.stack([t.cost for t in tables.zeta])  # (L, n, m)
 
@@ -271,14 +267,11 @@ def solve_astar(
         d[layer - 1] = int(inst.xi[j] - inst.x[layer - 1])
         at = parent[at]
 
-    return Solution(
-        d=d,
-        objective=objective(inst, d),
-        resource=resource_use(inst, d),
-        stats=SolverStats(
-            nodes_expanded=expanded,
-            nodes_generated=generated,
-            preprocessing_iterations=prep,
-            wall_seconds=time.perf_counter() - t0,
-        ),
+    return Solution.of(
+        inst,
+        d,
+        nodes_expanded=expanded,
+        nodes_generated=generated,
+        preprocessing_iterations=tables.iterations,
+        wall_seconds=time.perf_counter() - t0,
     )

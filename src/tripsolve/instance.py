@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import Any, Callable, Mapping, Optional, TypeVar
 
 import numpy as np
@@ -29,6 +29,10 @@ class InstanceError(ValueError):
 class SolverError(RuntimeError):
     """Raised when a solver finds one of its own invariants broken on a
     valid instance: a defect of the solver, not of the input."""
+
+
+# the fields of an instance record, in the order it is written
+_FIELDS = ("n", "alpha", "delta", "xi", "x", "gamma", "c")
 
 
 @dataclass(frozen=True)
@@ -66,15 +70,9 @@ class TripInstance:
         return self.xi - self.x[i - 1]
 
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "n": self.n,
-            "alpha": self.alpha,
-            "delta": self.delta,
-            "xi": self.xi.tolist(),
-            "x": self.x.tolist(),
-            "gamma": self.gamma.tolist(),
-            "c": self.c.tolist(),
-        }
+        """The instance record, its fields in _FIELDS order."""
+        fields = ((name, getattr(self, name)) for name in _FIELDS)
+        return {k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in fields}
 
 
 def _same(a: np.ndarray, b: np.ndarray) -> bool:
@@ -122,18 +120,20 @@ class RadiusCache:
 
 @dataclass
 class SolverStats:
+    """How a solver found its answer. A field whose name ends in _seconds is
+    a timing; every other field is a deterministic counter."""
+
     nodes_expanded: int = 0
     nodes_generated: int = 0
     preprocessing_iterations: int = 0
     wall_seconds: float = 0.0
 
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "nodes_expanded": self.nodes_expanded,
-            "nodes_generated": self.nodes_generated,
-            "preprocessing_iterations": self.preprocessing_iterations,
-            "wall_seconds": self.wall_seconds,
-        }
+        return asdict(self)
+
+    def counters(self) -> dict[str, Any]:
+        """The deterministic fields, which traces carry: all but the timings."""
+        return {k: v for k, v in asdict(self).items() if not k.endswith("_seconds")}
 
 
 @dataclass
@@ -145,6 +145,12 @@ class Solution:
     resource: int
     stats: SolverStats = field(default_factory=SolverStats)
 
+    @classmethod
+    def of(cls, inst: TripInstance, d: np.ndarray, **stats: Any) -> "Solution":
+        """The answer d to inst, with its objective, its budget use and the
+        SolverStats fields given: the one way a solver builds its answer."""
+        return cls(d, objective(inst, d), resource_use(inst, d), SolverStats(**stats))
+
     def to_dict(self) -> dict[str, Any]:
         return {
             "d": self.d.tolist(),
@@ -153,8 +159,6 @@ class Solution:
             "stats": self.stats.to_dict(),
         }
 
-
-_FIELDS = ("n", "alpha", "delta", "xi", "x", "gamma", "c")
 
 # Largest table a solver allocates for one instance, in bytes. clamp_delta
 # lets delta, and the radius-wide tables with it, grow to n * range(xi) * max(gamma).

@@ -47,11 +47,9 @@ from .instance import (
     RadiusCache,
     Solution,
     SolverError,
-    SolverStats,
     TripInstance,
     check_table_bytes,
     objective,
-    resource_use,
 )
 
 # Cost comparisons treat differences below this as ties so that the
@@ -228,17 +226,6 @@ def relaxed_objective(inst: TripInstance, d: np.ndarray, lam: float) -> float:
     return objective(inst, d) + lam * overshoot
 
 
-def _solution_from_step(
-    inst: TripInstance, d: np.ndarray, iterations: int
-) -> Solution:
-    return Solution(
-        d=d.copy(),  # d is kept in the Sweeps record
-        objective=objective(inst, d),
-        resource=resource_use(inst, d),
-        stats=SolverStats(preprocessing_iterations=iterations),
-    )
-
-
 def _midpoints(lo: float, hi: float, epsilon: float, depth: int) -> list[float]:
     """Every multiplier the bisection can evaluate within its next `depth`
     steps from the bracket (lo, hi), computed as the bisection computes it."""
@@ -293,13 +280,16 @@ def binary_search(
         value = objective(inst, d)
         if value < tables.upper_bound:
             tables.upper_bound = value
-            tables.incumbent = _solution_from_step(inst, d, tables.iterations)
+            # a copy: the step stays in the Sweeps record
+            tables.incumbent = Solution.of(
+                inst, d.copy(), preprocessing_iterations=tables.iterations
+            )
 
     def finish(lam_star: float, optimal: Optional[np.ndarray]) -> LagrangeTables:
         tables.lambda_star = lam_star
         if optimal is not None:
-            tables.early_exit = _solution_from_step(
-                inst, optimal, tables.iterations
+            tables.early_exit = Solution.of(
+                inst, optimal.copy(), preprocessing_iterations=tables.iterations
             )
         tables.zeta.sort(key=lambda t: t.lam)
         return tables

@@ -8,7 +8,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .instance import Solution, SolverStats, TripInstance, objective, validate
+from .instance import Solution, TripInstance, validate
 
 
 def enumerate_steps(inst: TripInstance) -> np.ndarray:
@@ -45,7 +45,6 @@ def solve_bruteforce(
         raise ValueError(f"enumeration size {count} exceeds cap {cap}")
     best_value = np.inf
     best_d: np.ndarray | None = None
-    best_resource = 0
     for start in range(0, count, block):
         codes = np.arange(start, min(start + block, count))
         steps = _decode_block(inst, codes)
@@ -58,14 +57,8 @@ def solve_bruteforce(
         if values[at] < best_value:
             best_value = float(values[at])
             best_d = steps[at]
-            best_resource = int(resource[at])
     assert best_d is not None  # the zero step is always feasible
-    return Solution(
-        d=best_d,
-        objective=objective(inst, best_d),
-        resource=best_resource,
-        stats=SolverStats(wall_seconds=time.perf_counter() - t0),
-    )
+    return Solution.of(inst, best_d, wall_seconds=time.perf_counter() - t0)
 
 
 @dataclass(frozen=True)

@@ -37,7 +37,7 @@ from scipy.signal import fftconvolve
 from scipy.special import erf
 
 from .astar import solve_astar
-from .instance import RadiusCache, Solution, TripInstance, validate
+from .instance import InstanceError, RadiusCache, Solution, TripInstance, validate
 from .topo import solve_topo
 
 
@@ -431,13 +431,7 @@ def write_trace(trace: SlipTrace, path: str) -> None:
                 "predicted": step.predicted,
                 "actual": step.actual,
                 "accepted": step.accepted,
-                "stats": {
-                    "nodes_expanded": step.solution.stats.nodes_expanded,
-                    "nodes_generated": step.solution.stats.nodes_generated,
-                    "preprocessing_iterations": (
-                        step.solution.stats.preprocessing_iterations
-                    ),
-                },
+                "stats": step.solution.stats.counters(),
             }
             fh.write(json.dumps(record) + "\n")
         fh.write(
@@ -455,14 +449,25 @@ def write_trace(trace: SlipTrace, path: str) -> None:
 
 
 def read_trace_instances(path: str) -> list[tuple[dict, TripInstance]]:
-    """The (record, instance) pairs of every subproblem stored in a trace."""
+    """The (record, instance) pairs of every subproblem stored in a trace.
+
+    Raises InstanceError, naming the path and line, for a line that is not a
+    JSON object, a step record without an instance and an invalid instance.
+    """
     out: list[tuple[dict, TripInstance]] = []
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
+        for number, line in enumerate(fh, 1):
             line = line.strip()
             if not line:
                 continue
-            record = json.loads(line)
-            if record.get("kind") == "step":
-                out.append((record, validate(record["instance"])))
+            try:
+                record = json.loads(line)
+                if not isinstance(record, dict):
+                    raise InstanceError("a record must be a JSON object")
+                if record.get("kind") == "step":
+                    if "instance" not in record:
+                        raise InstanceError("step record has no instance")
+                    out.append((record, validate(record["instance"])))
+            except ValueError as exc:  # InstanceError, JSON errors too
+                raise InstanceError(f"{path}:{number}: {exc}") from exc
     return out

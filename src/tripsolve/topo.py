@@ -38,11 +38,9 @@ from .graph import edge_terms, reach_windows
 from .instance import (
     RadiusCache,
     Solution,
-    SolverStats,
     TripInstance,
     check_table_bytes,
     clamp_delta,
-    objective,
 )
 
 _INF = np.inf
@@ -157,12 +155,7 @@ class TopoTables:
             + np.einsum("ij,ij->", finite[:-1], succ, dtype=np.int64)
             + finite[-1].sum()
         )
-        return Solution(
-            d=d,
-            objective=objective(inst, d),
-            resource=self.delta - eta_best,
-            stats=SolverStats(nodes_expanded=nodes, nodes_generated=edges),
-        )
+        return Solution.of(inst, d, nodes_expanded=nodes, nodes_generated=edges)
 
 
 def solve_topo(inst: TripInstance, cache: Optional[RadiusCache] = None) -> Solution:

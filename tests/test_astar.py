@@ -13,9 +13,10 @@ from conftest import (
     radius_corpus,
     solution_fields,
 )
+import tripsolve.instance
 from tripsolve import astar
 from tripsolve.astar import AstarOptions, edge_dominated, solve_astar
-from tripsolve.instance import RadiusCache, clamp_delta, validate
+from tripsolve.instance import InstanceError, RadiusCache, clamp_delta, validate
 from tripsolve.oracle import gen_random, knapsack_reduce
 from tripsolve.topo import solve_topo
 
@@ -187,6 +188,17 @@ def test_preprocessing_counter_reported():
     assert abs(sol.objective - topo.objective) <= 1e-9
     if sol.stats.nodes_expanded > 0:
         assert sol.stats.preprocessing_iterations > 0
+
+
+def test_per_label_heuristic_tables_checked_before_allocation(monkeypatch):
+    # with no heuristic table the search stacks the bisection's (n, m) cost
+    # tables; here 22 of them, 704 kB, while every earlier table fits the cap
+    monkeypatch.setattr(tripsolve.instance, "TABLE_BYTES_CAP", 100_000)
+    monkeypatch.setattr(astar, "HEURISTIC_TABLE_CAP", 0)
+    monkeypatch.setattr(np, "stack", lambda *a, **k: pytest.fail("stack allocated"))
+    inst = gen_random(400, 10, 6, 0.3, seed=0)
+    with pytest.raises(InstanceError, match="per-label heuristic tables"):
+        solve_astar(inst)
 
 
 def test_cached_radii_match_fresh_solves():

@@ -11,6 +11,7 @@ import tripsolve.instance
 import tripsolve.lagrange
 from tripsolve.cli import main
 from tripsolve.instance import read_instance
+from tripsolve.slip import initial_iterate_heat, make_heat_problem
 
 
 def run_cli(capsys, *argv):
@@ -47,6 +48,21 @@ def test_solve_oracle(instance_file, capsys):
     code, out, _ = run_cli(capsys, "solve", str(instance_file), "--solver", "oracle")
     assert code == 0
     assert np.isfinite(json.loads(out)["objective"])
+
+
+@pytest.mark.parametrize(
+    "flags", [["--no-edge-pruning"], ["--no-upper-bound-pruning"], ["--epsilon", "0.3"]]
+)
+def test_solve_astar_flags_keep_the_objective(instance_file, capsys, flags):
+    _, out, _ = run_cli(capsys, "solve", str(instance_file), "--solver", "astar")
+    default = json.loads(out)
+    assert default["stats"]["nodes_expanded"] > 0  # the search runs
+    code, out, _ = run_cli(
+        capsys, "solve", str(instance_file), "--solver", "astar", *flags
+    )
+    assert code == 0
+    objective = json.loads(out)["objective"]
+    assert objective == pytest.approx(default["objective"], abs=1e-12)
 
 
 def test_solve_malformed_file(tmp_path, capsys):
@@ -208,6 +224,20 @@ def test_slip_alpha_zero_accepted(tmp_path, capsys):
     assert first["instance"]["alpha"] == 0.0
 
 
+@pytest.mark.parametrize("x0", ["relax_round", "mean_round"])
+def test_slip_heat_start_strategies(tmp_path, capsys, x0):
+    out = tmp_path / "heat.jsonl"
+    code, _, _ = run_cli(
+        capsys, "slip", "heat", "--n", "16", "--alpha", "1e-4", "--x0", x0,
+        "--delta0", "4", "--rho", "0.2", "--out", str(out),
+    )
+    assert code == 0
+    first = json.loads(out.read_text().splitlines()[0])
+    assert first["delta"] == 4
+    start = initial_iterate_heat(make_heat_problem(16), x0)
+    assert first["instance"]["x"] == start.tolist()
+
+
 def test_bench_csv(tmp_path, trace_file, capsys):
     out = tmp_path / "bench.csv"
     code, _, _ = run_cli(capsys, "bench", str(trace_file),
@@ -313,6 +343,20 @@ def test_bench_hybrid_on_instance_only_records(tmp_path, trace_file, capsys):
     for r in hybrid:
         chosen = "astar" if int(r["delta"]) >= 2 else "topo"
         assert r == {**by_solver[(r["instance"], chosen)], "solver": "hybrid"}
+
+
+@pytest.mark.parametrize(
+    "record",
+    ['{"kind": "step"}', "[1, 2]", "{broken", '{"kind": "step", "instance": {"n": 0}}'],
+)
+def test_bench_malformed_trace_record_exits_2(tmp_path, trace_file, capsys, record):
+    bad = tmp_path / "bad.jsonl"
+    first = trace_file.read_text().splitlines()[0]
+    bad.write_text(first + "\n" + record + "\n")
+    code, out, err = run_cli(capsys, "bench", str(bad), "--solvers", "topo")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert f"{bad}:2:" in err
 
 
 @pytest.mark.parametrize("solvers", [",", "topo,simplex"])

@@ -5,11 +5,15 @@ import pytest
 
 from conftest import RANGE_RULE_BREAKERS
 from tripsolve.instance import (
+    _FIELDS,
     InstanceError,
+    Solution,
+    SolverStats,
     clamp_delta,
     is_feasible,
     objective,
     read_instance,
+    resource_use,
     validate,
     write_instance,
 )
@@ -294,3 +298,34 @@ def test_read_instance_malformed():
 
 def test_fig_style_instance_serializes_value_set(two_interval):
     assert json.loads(write_instance(two_interval))["xi"] == [0, 1]
+
+
+def test_to_dict_writes_the_fields_in_order(derived3):
+    record = derived3.to_dict()
+    assert tuple(record) == _FIELDS
+    for name in ("xi", "x", "gamma", "c"):
+        assert record[name] == getattr(derived3, name).tolist()
+    assert (record["n"], record["alpha"], record["delta"]) == (3, 0.5, 2)
+
+
+def test_solution_of_evaluates_the_step(corpus200):
+    rng = np.random.default_rng(5)
+    for inst in corpus200:
+        d = np.array([rng.choice(inst.shifts(i)) for i in range(1, inst.n + 1)])
+        sol = Solution.of(inst, d, nodes_expanded=3, wall_seconds=0.5)
+        assert sol.d is d
+        assert sol.objective == objective(inst, d)
+        assert sol.resource == resource_use(inst, d)
+        assert sol.stats == SolverStats(nodes_expanded=3, wall_seconds=0.5)
+
+
+def test_counters_drop_exactly_the_timing_fields():
+    counters = {
+        "nodes_expanded": 1,
+        "nodes_generated": 2,
+        "preprocessing_iterations": 3,
+    }
+    stats = SolverStats(**counters, wall_seconds=0.5)
+    assert stats.counters() == counters
+    assert list(stats.counters()) == list(counters)
+    assert list(stats.to_dict().items()) == [*counters.items(), ("wall_seconds", 0.5)]
