@@ -142,17 +142,24 @@ def solve_astar(
 ) -> Solution:
     """Globally optimal step vector by preprocessed A* search.
 
-    The multiplier bisection runs first; when it proves an optimum on its
-    own (budget met exactly, or the unconstrained optimum already feasible)
-    no search happens at all. Otherwise A* runs from source to sink with
-    f = path cost + heuristic; ties prefer larger remaining capacity, then
-    the deeper layer, then the smaller value index.
+    The multiplier search runs first: lagrange.binary_search, a safeguarded
+    cutting-plane method on the Lagrangian dual (Kelley 1960; Handler &
+    Zang 1980) that sweeps three multipliers per round and stops when a
+    bracket end or the cut reaches the model value of the dual within
+    epsilon. When it proves an optimum on its own (budget met exactly, or
+    the unconstrained optimum already feasible) no search happens at all.
+    Otherwise A* runs from source to sink with f = path cost + heuristic;
+    ties prefer larger remaining capacity, then the deeper layer, then the
+    smaller value index. preprocessing_iterations counts the rounds of the
+    multiplier search.
 
-    With a cache, the bisection's sweeps and the successor rows, which do
-    not depend on the radius, are kept there for later calls on the same
-    instance; rows built with and without edge pruning are separate
-    entries. Without one, the bisection's tables off its path are freed
-    before the search.
+    With a cache, the multiplier search's sweeps and the successor rows,
+    which do not depend on the radius, are kept there for later calls on the
+    same instance; rows built with and without edge pruning are separate
+    entries. The cache only spares sweeps: the heuristic takes the tables of
+    the multipliers the search evaluated, those of a solve without the
+    cache. Without one, the tables swept but not evaluated are freed before
+    the search.
 
     Raises SolverError when the search exhausts without reaching the sink,
     which a consistent heuristic and a feasible zero step rule out.

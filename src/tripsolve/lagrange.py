@@ -6,32 +6,36 @@ weights increased by lam times the edge consumption. The relaxed optimum
 lower-bounds the constrained one for every lam >= 0, and the cost-to-sink
 tables of the relaxed graphs combine into a consistent A* heuristic.
 
-A bisection over lam locates a near-optimal multiplier: relaxed paths that
-overuse the budget push the bracket up, paths within budget push it down and
-double as feasible incumbents, and a path hitting the budget exactly proves
-its own optimality, ending the search outright.
+The Lagrangian dual L(lam), the relaxed optimum less lam * delta, is
+concave and piecewise linear: the relaxed path of a multiplier, with cost c
+and budget use r, gives the supporting line c + lam * (r - delta). A
+safeguarded cutting-plane search (Kelley, J. SIAM 1960; for this dual,
+Handler & Zang, Networks 1980) locates a near-optimal multiplier: paths
+that overuse the budget raise the lower end of a bracket, paths within
+budget lower its upper end and double as feasible incumbents, and a path
+hitting the budget exactly proves its own optimality, ending the search
+outright. Each round intersects the lines of the two ends at a cut, whose
+model value bounds the dual from above. The search stops when an end or
+the cut reaches that bound, and every round also evaluates the midpoint of
+the bracket left, so the bracket halves at least as fast as in a bisection.
 
 Each relaxed graph is evaluated by a backward sweep over the layers, and a
 sweep costs about the same for one multiplier as for a few: per layer it is
 a handful of numpy operations on (m, m) arrays, so interpreter overhead
 dominates. `relaxed_sweep` therefore evaluates several multipliers in one
-pass, forming the edge weights from the terms of graph.edge_terms. The
-bisection speculates on that: with the bracket (lo, hi) known, the
-midpoints of the next SPECULATION_DEPTH bisection steps can only be
-0.5 * (lo + hi) and the midpoints of its two halves, so one sweep evaluates
-all of them, and the bisection then walks its usual path through those
-results. It evaluates exactly the multipliers a one-at-a-time bisection
-would, in the same float arithmetic, and keeps only the tables on its path,
-so its output does not depend on the speculation.
+pass, forming the edge weights from the terms of graph.edge_terms, and a
+round sweeps its cut together with the midpoints on either side of it, one
+of which is the midpoint it evaluates next. On the 24 seed-0 knapsack
+reductions of the benchmark this takes 102 sweeps, where a bisection down
+to epsilon took 288.
 
 A relaxed sweep does not read the radius delta: it enters only when the
-bisection compares a path's budget use with it. The bisections of one
-instance at several radii start from the same bracket and evaluate many of
-the same multipliers, so a RadiusCache keeps every swept table with its
-relaxed path's step (the Sweeps record), and a sweep evaluates only
-multipliers not swept before. The tables read from the cache are the floats
-a new sweep would compute, and the path still decides which of them enter
-the result.
+search compares a path's budget use with it. A RadiusCache therefore keeps
+every swept table of an instance with its relaxed path's step (the Sweeps
+record), and a sweep evaluates only multipliers not swept before. The cache
+spares sweeps and nothing else: the tables read from it are the floats a
+new sweep would compute, the search evaluates the multipliers a search
+without the cache evaluates, and only those tables enter the result.
 """
 
 from __future__ import annotations
@@ -58,12 +62,6 @@ COST_TIE_TOL = 1e-12
 # tie key of an entry outside the cost ties, above every real key
 _NO_KEY = np.iinfo(np.int64).max
 
-# Bisection steps covered by one batched sweep. At depth 2 a sweep carries
-# three multipliers. On the 100 subproblems of a heat run (n = 256, m = 26)
-# the bisection took 0.58x, 0.46x and 0.49x of the one-at-a-time time at
-# depth 1, 2 and 3: deeper sweeps waste more of their multipliers.
-SPECULATION_DEPTH = 2
-
 
 @dataclass(frozen=True)
 class ZetaTable:
@@ -86,9 +84,9 @@ class ZetaTable:
 
 @dataclass
 class LagrangeTables:
-    """Everything the bisection produced: evaluated multipliers with their
-    cost-to-sink tables, the best feasible incumbent, and, when a relaxed
-    path met the budget exactly, the proven optimum."""
+    """Everything the multiplier search produced: evaluated multipliers with
+    their cost-to-sink tables, the best feasible incumbent, and, when a
+    relaxed path met the budget exactly, the proven optimum."""
 
     inst: TripInstance
     zeta: list[ZetaTable] = field(default_factory=list)
@@ -96,7 +94,7 @@ class LagrangeTables:
     incumbent: Optional[Solution] = None
     early_exit: Optional[Solution] = None
     lambda_star: float = 0.0
-    iterations: int = 0  # bisection steps, endpoint evaluations excluded
+    iterations: int = 0  # rounds, endpoint evaluations excluded
     log: list[tuple[float, float, int]] = field(default_factory=list)
 
     @property
@@ -113,9 +111,9 @@ class LagrangeTables:
 
 @dataclass
 class Sweeps:
-    """The radius-free work of the bisections of one instance: every relaxed
-    table swept so far, by its exact multiplier, and the relaxed path's step
-    of each table read."""
+    """The radius-free work of the multiplier searches of one instance:
+    every relaxed table swept so far, by its exact multiplier, and the
+    relaxed path's step of each table read."""
 
     swept: dict[float, ZetaTable] = field(default_factory=dict)
     steps: dict[float, np.ndarray] = field(default_factory=dict)
@@ -226,38 +224,36 @@ def relaxed_objective(inst: TripInstance, d: np.ndarray, lam: float) -> float:
     return objective(inst, d) + lam * overshoot
 
 
-def _midpoints(lo: float, hi: float, epsilon: float, depth: int) -> list[float]:
-    """Every multiplier the bisection can evaluate within its next `depth`
-    steps from the bracket (lo, hi), computed as the bisection computes it."""
-    if depth == 0 or hi - lo < epsilon:
-        return []
-    mid = 0.5 * (lo + hi)
-    return (
-        [mid]
-        + _midpoints(lo, mid, epsilon, depth - 1)
-        + _midpoints(mid, hi, epsilon, depth - 1)
-    )
-
-
 def binary_search(
     inst: TripInstance, epsilon: float, cache: Optional[RadiusCache] = None
 ) -> LagrangeTables:
-    """Bisection for a multiplier within epsilon of an optimal one.
+    """Safeguarded cutting-plane search for a multiplier within epsilon of
+    an optimal one.
 
     The multiplier 0 is evaluated first: if its cheapest path (smallest
     budget use among cost ties) already fits the budget it is optimal and
     the search exits. The initial upper endpoint max|c| + 2*alpha is
     evaluated next; there the zero step is relaxed-optimal, which seeds the
-    feasible incumbent. Each bisection step then keeps every optimal
-    multiplier bracketed: budget overshoot raises the lower end, slack
-    lowers the upper end and updates the incumbent, an exact budget hit is
-    returned as the proven optimum.
+    feasible incumbent. Every later evaluation keeps the dual maximisers
+    bracketed: budget overshoot raises the lower end, slack lowers the
+    upper end and updates the incumbent, an exact budget hit is returned as
+    the proven optimum.
 
-    Both endpoints share one batched sweep, and each later sweep evaluates
-    every midpoint of the next SPECULATION_DEPTH steps; only the tables on
-    the path taken enter the result. With a cache, the swept tables are
-    kept there, and multipliers swept by an earlier bisection of the same
-    instance are not swept again.
+    Each round cuts the two ends' path lines c + lam * (r - delta) at their
+    intersection `cut`, whose model value bounds the dual from above. If
+    the better end's dual value is within epsilon of the model value, that
+    end is returned without a sweep. Otherwise one sweep evaluates cut (the
+    bracket's midpoint if cut is not strictly inside it) and the midpoints
+    on either side of it. The round evaluates cut, moves an end to it,
+    evaluates the midpoint of the bracket left and moves an end again, so
+    it at least halves the bracket; an evaluation whose dual value is
+    within epsilon of the model value ends the search at its multiplier.
+    Path slopes r - delta are integers, so a multiplier within epsilon of
+    the dual optimum in value is within epsilon of a maximiser.
+
+    With a cache, the swept tables are kept there, and multipliers swept by
+    an earlier search of the same instance are not swept again; the result
+    is the one a search without the cache returns.
     """
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
@@ -267,14 +263,20 @@ def binary_search(
     tables = LagrangeTables(inst=inst)
     upper0 = float(np.max(np.abs(inst.c))) + 2.0 * inst.alpha
 
-    def evaluate(lam: float) -> tuple[ZetaTable, np.ndarray, int]:
+    def evaluate(lam: float) -> tuple[ZetaTable, np.ndarray]:
         table = sweeps.swept[lam]
         tables.zeta.append(table)
-        d = sweeps.step(inst, lam)
-        tables.log.append(
-            (table.lam, table.source_cost - lam * inst.delta, table.source_res)
-        )
-        return table, d, table.source_res
+        tables.log.append((table.lam, dual(table), table.source_res))
+        return table, sweeps.step(inst, lam)
+
+    def dual(table: ZetaTable) -> float:
+        return table.source_cost - table.lam * inst.delta
+
+    def path_cost(table: ZetaTable) -> float:
+        return table.source_cost - table.lam * table.source_res
+
+    def best_end() -> ZetaTable:
+        return hi if dual(hi) > dual(lo) else lo
 
     def note_feasible(d: np.ndarray) -> None:
         value = objective(inst, d)
@@ -295,34 +297,45 @@ def binary_search(
         return tables
 
     sweeps.sweep(inst, [0.0, upper0])
-    _, d0, res0 = evaluate(0.0)
-    if res0 <= inst.delta:
+    lo, d0 = evaluate(0.0)
+    if lo.source_res <= inst.delta:
         # the unconstrained optimum fits the budget: done
         return finish(0.0, d0)
 
-    _, d_up, res_up = evaluate(upper0)
-    if res_up > inst.delta:  # cannot happen: the zero step is optimal here
+    hi, d_up = evaluate(upper0)
+    if hi.source_res > inst.delta:  # cannot happen: the zero step is optimal here
         raise SolverError("relaxed path at the upper endpoint overuses budget")
-    if res_up == inst.delta:
+    if hi.source_res == inst.delta:
         return finish(upper0, d_up)
     note_feasible(d_up)
 
-    lo, hi = 0.0, upper0
-    lam = hi
-    while hi - lo >= epsilon:
-        lam = 0.5 * (lo + hi)
-        if lam not in sweeps.swept:
-            sweeps.sweep(inst, _midpoints(lo, hi, epsilon, SPECULATION_DEPTH))
+    while hi.lam - lo.lam >= epsilon:
+        # the ends' path lines meet at cut, where they bound the dual
+        c_lo = path_cost(lo)
+        cut = (path_cost(hi) - c_lo) / (lo.source_res - hi.source_res)
+        model = c_lo + cut * (lo.source_res - inst.delta)
+        best = best_end()
+        if model - dual(best) <= epsilon:
+            return finish(best.lam, None)
+        if not lo.lam < cut < hi.lam:  # rounding: bisect instead
+            cut = 0.5 * (lo.lam + hi.lam)
+        sweeps.sweep(inst, [cut, 0.5 * (lo.lam + cut), 0.5 * (cut + hi.lam)])
         tables.iterations += 1
-        _, d, res = evaluate(lam)
-        if res > inst.delta:
-            lo = lam
-        elif res == inst.delta:
-            return finish(lam, d)
-        else:
-            hi = lam
-            note_feasible(d)
-    return finish(lam, None)
+        lam = cut
+        for _ in range(2):  # cut, then the midpoint of the bracket left
+            table, d = evaluate(lam)
+            if table.source_res == inst.delta:
+                return finish(lam, d)
+            if table.source_res < inst.delta:
+                note_feasible(d)
+            if model - dual(table) <= epsilon:
+                return finish(lam, None)
+            if table.source_res > inst.delta:
+                lo = table
+            else:
+                hi = table
+            lam = 0.5 * (lo.lam + hi.lam)
+    return finish(best_end().lam, None)
 
 
 def heuristic_h(inst: TripInstance, tables: LagrangeTables, node: NodeRef) -> float:

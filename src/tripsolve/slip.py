@@ -17,9 +17,9 @@ outer iteration therefore validates its instance once, derives every radius
 from it with dataclasses.replace, and hands the solvers one RadiusCache for
 the iteration. topo builds its dynamic program once, at the first radius,
 and reads every smaller radius from it (the states of radius delta - s are
-the states of radius delta with at least s capacity left); the A* bisection
-keeps its relaxed sweeps, which never read delta, and sweeps again only
-multipliers it has not evaluated yet. Every answer is the one a solver
+the states of radius delta with at least s capacity left); A*'s multiplier
+search keeps its relaxed sweeps, which never read delta, and sweeps again
+only multipliers it has not swept yet. Every answer is the one a solver
 without the cache returns.
 """
 

@@ -58,7 +58,8 @@ class TopoTables:
     layer i + 1 whose edges consume at most t, i = 1..n-1. The counts are at
     most m and share pred's dtype. build raises InstanceError, before it
     allocates anything, when pred or the largest float table of the sweep
-    would take more than instance.TABLE_BYTES_CAP bytes.
+    would take more than instance.TABLE_BYTES_CAP bytes, and before the
+    succ counts when their largest temporary would.
     """
 
     delta: int
@@ -82,7 +83,9 @@ class TopoTables:
         pred = np.full((n, m, width), -1, dtype=pred_dtype)
         finite = np.zeros((n, width), dtype=pred_dtype)
         cons, linear, jump = edge_terms(inst)
-        # succ[i-1, t] counts layer i+1's consumptions <= t: k from the k-th smallest
+        # succ[i-1, t] counts layer i+1's consumptions <= t: k from the k-th
+        # smallest; ends is the largest of the temporaries
+        check_table_bytes("successor count table", (n - 1) * (m + 2) * 8)
         ends = np.full((n - 1, m + 2), width)
         ends[:, 0] = 0
         np.minimum(np.sort(cons[1:], axis=1), width, out=ends[:, 1:-1])

@@ -399,11 +399,12 @@ def reference_sweep(inst, lam):
     return cost, res, choice, (float(cost_s[0]), int(res_s[0]), int(idx[0]))
 
 
-def sequential_bisection(inst, epsilon):
+def sequential_cutting_plane(inst, epsilon):
     """binary_search's contract, one relaxed_costs_to_sink call per
     evaluated multiplier: (lambdas in evaluation order, tables, log,
     iterations, lambda_star, incumbent step, early-exit step and the
-    iteration count each was found at)."""
+    iteration count each was found at, and whether a cut test stopped the
+    search)."""
     lambdas, zeta, log = [], [], []
     state = {"iterations": 0, "upper": math.inf, "incumbent": None}
 
@@ -411,41 +412,53 @@ def sequential_bisection(inst, epsilon):
         table = relaxed_costs_to_sink(inst, lam)
         lambdas.append(table.lam)
         zeta.append(table)
-        log.append((table.lam, table.source_cost - lam * inst.delta, table.source_res))
-        return extract_path_step(inst, table), table.source_res
+        value = table.source_cost - lam * inst.delta
+        log.append((table.lam, value, table.source_res))
+        path_cost = table.source_cost - lam * table.source_res
+        return extract_path_step(inst, table), (lam, path_cost, table.source_res, value)
 
     def note_feasible(d):
         if objective(inst, d) < state["upper"]:
             state["upper"] = objective(inst, d)
             state["incumbent"] = (d, state["iterations"])
 
-    def finish(lam_star, optimal):
+    def finish(lam_star, optimal, on_cut=False):
         exit_ = None if optimal is None else (optimal, state["iterations"])
         return (lambdas, zeta, log, state["iterations"], lam_star,
-                state["incumbent"], exit_)
+                state["incumbent"], exit_, on_cut)
 
-    d0, res0 = evaluate(0.0)
-    if res0 <= inst.delta:
+    d0, lo = evaluate(0.0)
+    if lo[2] <= inst.delta:
         return finish(0.0, d0)
     upper0 = float(np.max(np.abs(inst.c))) + 2.0 * inst.alpha
-    d_up, res_up = evaluate(upper0)
-    if res_up == inst.delta:
+    d_up, hi = evaluate(upper0)
+    if hi[2] == inst.delta:
         return finish(upper0, d_up)
     note_feasible(d_up)
-    lo, hi = 0.0, upper0
-    lam = hi
-    while hi - lo >= epsilon:
-        lam = 0.5 * (lo + hi)
+    while hi[0] - lo[0] >= epsilon:
+        best = hi if hi[3] > lo[3] else lo
+        cut = (hi[1] - lo[1]) / (lo[2] - hi[2])
+        model = lo[1] + cut * (lo[2] - inst.delta)
+        if model - best[3] <= epsilon:
+            return finish(best[0], None, on_cut=True)
+        if not lo[0] < cut < hi[0]:
+            cut = 0.5 * (lo[0] + hi[0])
         state["iterations"] += 1
-        d, res = evaluate(lam)
-        if res > inst.delta:
-            lo = lam
-        elif res == inst.delta:
-            return finish(lam, d)
-        else:
-            hi = lam
-            note_feasible(d)
-    return finish(lam, None)
+        for second in (False, True):
+            lam = 0.5 * (lo[0] + hi[0]) if second else cut
+            d, end = evaluate(lam)
+            if end[2] == inst.delta:
+                return finish(lam, d)
+            if end[2] < inst.delta:
+                note_feasible(d)
+            if model - end[3] <= epsilon:
+                return finish(lam, None, on_cut=True)
+            if end[2] > inst.delta:
+                lo = end
+            else:
+                hi = end
+    best = hi if hi[3] > lo[3] else lo
+    return finish(best[0], None)
 
 
 def assert_tables_equal(a, b):
@@ -459,10 +472,10 @@ def assert_tables_equal(a, b):
 
 
 def assert_matches_sequential(inst, eps, tables) -> bool:
-    """binary_search's result tables equal sequential_bisection's; True
-    when the search exited with a proven optimum."""
-    lambdas, zeta, log, iterations, lam_star, incumbent, exit_ = (
-        sequential_bisection(inst, eps)
+    """binary_search's result tables equal sequential_cutting_plane's;
+    True when the search exited with a proven optimum."""
+    lambdas, zeta, log, iterations, lam_star, incumbent, exit_, _ = (
+        sequential_cutting_plane(inst, eps)
     )
     order = np.argsort(lambdas)
     assert tables.lambdas == [lambdas[k] for k in order]
@@ -479,7 +492,7 @@ def assert_matches_sequential(inst, eps, tables) -> bool:
     return exit_ is not None
 
 
-def test_binary_search_matches_sequential_bisection():
+def test_binary_search_matches_sequential_cutting_plane():
     exits = searched = 0
     for inst in equivalence_instances():
         for eps in (1e-6, 1e-3, 0.3):
@@ -489,7 +502,7 @@ def test_binary_search_matches_sequential_bisection():
     assert exits > 0 and searched > 0  # both ends of the search are covered
 
 
-def test_cached_bisections_match_sequential_bisection():
+def test_cached_searches_match_sequential_cutting_plane():
     for inst in equivalence_instances(80, seed=1500):
         cache = RadiusCache()
         for delta in halving(inst.delta):
@@ -499,6 +512,72 @@ def test_cached_bisections_match_sequential_bisection():
             for sol in (tables.incumbent, tables.early_exit):
                 if sol is not None:
                     sol.d += 1  # the cache keeps its own copy of every step
+
+
+def exact_dual_optimum(inst, upper0):
+    """The largest value on [0, upper0] of the lower envelope of the path
+    lines c_P + lam * (r_P - delta), from enumeration: the envelope is
+    evaluated at 0, upper0 and every pairwise intersection of the lines."""
+    steps = enumerate_steps(inst)
+    cost = steps @ inst.c + inst.alpha * np.abs(
+        np.diff(inst.x[None, :] + steps, axis=1)
+    ).sum(axis=1)
+    slope = np.abs(steps) @ inst.gamma - inst.delta
+    cheapest = {}  # only the cheapest line of each slope can be on the envelope
+    for a, b in zip(cost.tolist(), slope.tolist()):
+        cheapest[b] = min(cheapest.get(b, math.inf), a)
+    b = np.array(list(cheapest), dtype=np.float64)
+    a = np.array(list(cheapest.values()))
+    points = [0.0, upper0]
+    for i, j in itertools.combinations(range(len(a)), 2):
+        lam = (a[j] - a[i]) / (b[i] - b[j])
+        if 0.0 <= lam <= upper0:
+            points.append(lam)
+    return max(float(np.min(a + lam * b)) for lam in points)
+
+
+def replayed_widths(inst, tables):
+    """Bracket widths before and after each round, replayed from the log,
+    with the number of evaluations that moved an end. A round that stops
+    the search before both of its evaluations move an end is the last."""
+    lo, hi = 0.0, tables.log[1][0]
+    rounds = [tables.log[k:k + 2] for k in range(2, len(tables.log), 2)]
+    widths = []
+    for k, entries in enumerate(rounds):
+        before, moved = hi - lo, 0
+        for lam, _, res in entries:
+            assert lo < lam < hi
+            if res > inst.delta:
+                lo, moved = lam, moved + 1
+            elif res < inst.delta:
+                hi, moved = lam, moved + 1
+        assert moved == 2 or k == len(rounds) - 1
+        widths.append((before, hi - lo, moved))
+    return widths
+
+
+def test_search_reaches_the_exact_dual_optimum():
+    on_cut = halvings = 0
+    for inst in small_instances(120, seed=1600):
+        upper0 = float(np.max(np.abs(inst.c))) + 2.0 * inst.alpha
+        optimum = exact_dual_optimum(inst, upper0)
+        for eps in (1e-10, 1e-3):
+            tables = binary_search(inst, eps)
+            *_, lam_star, _, _, stopped_on_cut = sequential_cutting_plane(inst, eps)
+            assert tables.lambda_star == lam_star
+            assert tables.dual_bound() <= optimum + 1e-9
+            if stopped_on_cut:  # the optimum within 1e-9, or within a coarse eps
+                assert tables.dual_bound() >= optimum - max(eps, 1e-9)
+                on_cut += 1
+            if tables.early_exit is not None and len(tables.log) == 1:
+                continue  # exit at multiplier 0: no bracket
+            widths = replayed_widths(inst, tables)
+            assert len(widths) == tables.iterations
+            for before, after, moved in widths:
+                if moved == 2:
+                    assert after <= 0.5 * before + 1e-12 * upper0
+                    halvings += 1
+    assert on_cut > 0 and halvings > 0
 
 
 def test_relaxed_sweep_matches_reference_sweep():

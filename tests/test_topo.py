@@ -378,3 +378,24 @@ def test_counts_take_no_int64_temporaries():
     # 2i states in layer i, with both out-edges affordable below layer n
     assert sol.stats.nodes_expanded == n * (n + 1) + 2
     assert sol.stats.nodes_generated == 2 + 2 * n * (n - 1) + 2 * n
+
+
+def test_successor_counts_rejected_before_allocation(monkeypatch):
+    # xi = [0] clamps the radius to 0: a 100 kB predecessor table and
+    # 0.8 MB edge-term tables, but the (n - 1, m + 2) int64 ends of the succ
+    # counts take 2.4 MB; the build used to go on to a 14.1 MB peak, and
+    # now stops with the edge terms and reach windows allocated
+    monkeypatch.setattr(tripsolve.instance, "TABLE_BYTES_CAP", 1_000_000)
+    n = 100000
+    inst = validate(
+        {"n": n, "alpha": 1.0, "delta": 10, "xi": [0], "x": [0] * n,
+         "gamma": [1] * n, "c": [-1.0] * n}
+    )
+    tracemalloc.start()
+    try:
+        with pytest.raises(InstanceError, match="successor count table"):
+            solve_topo(inst)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 6_000_000
