@@ -19,15 +19,23 @@ model value bounds the dual from above. The search stops when an end or
 the cut reaches that bound, and every round also evaluates the midpoint of
 the bracket left, so the bracket halves at least as fast as in a bisection.
 
-Each relaxed graph is evaluated by a backward sweep over the layers, and a
-sweep costs about the same for one multiplier as for a few: per layer it is
-a handful of numpy operations on (m, m) arrays, so interpreter overhead
-dominates. `relaxed_sweep` therefore evaluates several multipliers in one
-pass, forming the edge weights from the terms of graph.edge_terms, and a
-round sweeps its cut together with the midpoints on either side of it, one
-of which is the midpoint it evaluates next. On the 24 seed-0 knapsack
-reductions of the benchmark this takes 102 sweeps, where a bisection down
-to epsilon took 288.
+Each relaxed graph is evaluated by a backward sweep over the layers.
+`relaxed_sweep` evaluates several multipliers in one pass, forming the edge
+weights from the terms of graph.edge_terms, and a round sweeps its cut
+together with the midpoints on either side of it, one of which is the
+midpoint it evaluates next. On the 24 seed-0 knapsack reductions of the
+benchmark this takes 102 sweeps, where a bisection down to epsilon took 288.
+A layer's rows minimise over the same column costs plus an L1 jump, so a
+column that wins by more than its jump to every other column wins every row
+(the triangle inequality, as in the L1 distance transform of Felzenszwalb &
+Huttenlocher, Theory of Computing 2012). A sweep tests this on each layer
+with a handful of numpy operations on (K, m) arrays and, when it holds for
+every multiplier, fills the layer from that column; only the other layers
+build the (K, m, m) totals and take the lexicographic minimum of each row.
+At the multipliers the benchmark's searches evaluate, 94% of the layers of
+its heat sweeps pass, and 61% of its knapsack ones. Each numpy operation is
+small at these m, so per layer the sweep is bound by interpreter overhead,
+not arithmetic.
 
 A relaxed sweep does not read the radius delta: it enters only when the
 search compares a path's budget use with it. A RadiusCache therefore keeps
@@ -160,6 +168,36 @@ def relaxed_sweep(inst: TripInstance, lams) -> list[ZetaTable]:
     when the (n, K, m) tables or a layer's (K, m, m) totals would exceed
     TABLE_BYTES_CAP: the former before edge_terms allocates its (n, m)
     terms, the latter once edge_terms has checked its (m, m) jump table.
+
+    Dominated layers. Row j of layer i minimises, over the columns j',
+    total[j, j'] = g[j'] + jump[j, j'], where g = (linear + lam * cons) +
+    cost-to-sink is the same for every row. Let s be the column of the
+    smallest g. If every other column j' has g[j'] > g[s] + jump[s, j'] +
+    margin, the triangle inequality jump[j, j'] >= jump[j, s] - jump[s, j']
+    gives total[j, j'] > total[j, s] + margin in every row j: s is the only
+    entry within COST_TIE_TOL of the row minimum, and the (cost, budget,
+    column) rule picks it. Such a layer is filled from column s directly,
+    each entry the float expression above, and skips the (K, m, m) totals
+    and _lex_min. The test is one decision per layer: column s passes its
+    own comparison, so K passing entries mean that no other column passes
+    for any multiplier; otherwise the layer runs _lex_min for all of them.
+    jump[s] is read as a row, which equals the column jump[:, s] bit for
+    bit since |fl(a - b)| = |fl(b - a)|.
+
+    The margin is COST_TIE_TOL + 16 * eps * n * E, where E = max|linear| +
+    max jump + max|lam * cons| bounds the terms of one edge, so that a
+    cost-to-sink entry is at most (n - 1) * E in size and each sum above at
+    most B = n * E, up to factors 1 + O(n * eps). With u = eps / 2, the unit
+    roundoff: a total is within 3uB of its exact sum and g within 2uB; the
+    jump table is alpha * |X_j' - X_j|, X the floats of xi, to a relative
+    2u, and the triangle inequality holds exactly for those X; the test's
+    two additions err by at most 2u(B + margin), and the tie test's
+    row minimum plus COST_TIE_TOL by u(B + COST_TIE_TOL). The test can only
+    pass when the g spread, at most 2B, exceeds COST_TIE_TOL, and then these
+    errors stay below 32uB = 16 * eps * n * E: the computed totals of every
+    row differ from the one at s by more than COST_TIE_TOL, so the tables
+    are bitwise those of _lex_min. When 2 * n * E is not finite (overflowing
+    inputs), a g could be too, and every layer takes _lex_min.
     """
     n, m = inst.n, inst.m
     lam = np.asarray(lams, dtype=np.float64)
@@ -173,8 +211,33 @@ def relaxed_sweep(inst: TripInstance, lams) -> list[ZetaTable]:
     res = np.zeros((n, k, m), dtype=np.int64)
     choice = np.full((n, k, m), -1, dtype=np.int64)
     offsets = np.arange(0, k * m * m, m).reshape(k, m)
+    scale = n * (
+        float(np.abs(linear).max())
+        + float(jump.max())
+        + float(np.abs(lam_cons).max(initial=0.0))
+    )
+    dominance = math.isfinite(2.0 * scale)
+    margin = COST_TIE_TOL + 16.0 * np.finfo(np.float64).eps * scale
+    lin_lam = linear[:, None, :] + lam_cons  # (n, K, m): g before its cost-to-sink
+    first = np.arange(0, k * m, m)  # flat index of each multiplier's row
     # last layer: only the zero-weight, zero-consumption sink edge
     for i in range(n - 1, 0, -1):
+        if dominance:
+            g = lin_lam[i] + cost[i]
+            s = g.argmin(axis=1)
+            at = first + s
+            jump_s = jump.take(s, axis=0)  # (K, m): jump[s_q, j] in row j
+            bound = jump_s + g.take(at)[:, None]
+            bound += margin
+            if np.count_nonzero(g <= bound) == k:
+                # fill the rows from column s, as total[:, :, s]
+                row = cost[i - 1]
+                np.add(linear[i].take(s)[:, None], jump_s, out=row)
+                row += lam_cons[i].take(at)[:, None]
+                row += cost[i].take(at)[:, None]
+                res[i - 1] = (cons[i].take(s) + res[i].take(at))[:, None]
+                choice[i - 1] = s[:, None]
+                continue
         total = (linear[i] + jump) + lam_cons[i][:, None, :]
         total += cost[i][:, None, :]
         cost[i - 1], res[i - 1], choice[i - 1] = _lex_min(
@@ -183,7 +246,7 @@ def relaxed_sweep(inst: TripInstance, lams) -> list[ZetaTable]:
     total = linear[:1] + lam_cons[0][:, None, :]
     total += cost[0][:, None, :]
     cost_s, res_s, choice_s = _lex_min(
-        total, key_cons[0] + res[0] * m, np.arange(0, k * m, m)[:, None]
+        total, key_cons[0] + res[0] * m, first[:, None]
     )
     return [
         ZetaTable(
@@ -208,13 +271,11 @@ def relaxed_costs_to_sink(inst: TripInstance, lam: float) -> ZetaTable:
 def extract_path_step(inst: TripInstance, table: ZetaTable) -> np.ndarray:
     """Step vector of the relaxed shortest path encoded in a table's
     successor choices."""
-    d = np.zeros(inst.n, dtype=np.int64)
-    j = table.source_choice
-    for i in range(1, inst.n + 1):
-        d[i - 1] = int(inst.xi[j] - inst.x[i - 1])
-        if i < inst.n:
-            j = int(table.choice[i - 1, j])
-    return d
+    item, m = table.choice.item, inst.m
+    js = [table.source_choice]
+    for first in range(0, (inst.n - 1) * m, m):  # flat index of a row's start
+        js.append(item(first + js[-1]))
+    return inst.xi[js] - inst.x
 
 
 def relaxed_objective(inst: TripInstance, d: np.ndarray, lam: float) -> float:
@@ -222,6 +283,13 @@ def relaxed_objective(inst: TripInstance, d: np.ndarray, lam: float) -> float:
     d = np.asarray(d, dtype=np.int64)
     overshoot = int(np.dot(inst.gamma, np.abs(d))) - inst.delta
     return objective(inst, d) + lam * overshoot
+
+
+def check_epsilon(epsilon: float) -> None:
+    """Raise ValueError unless epsilon is a finite positive tolerance: a NaN
+    would stop the search before its first round."""
+    if not (math.isfinite(epsilon) and epsilon > 0):
+        raise ValueError(f"epsilon must be finite and positive, got {epsilon}")
 
 
 def binary_search(
@@ -255,8 +323,7 @@ def binary_search(
     an earlier search of the same instance are not swept again; the result
     is the one a search without the cache returns.
     """
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
+    check_epsilon(epsilon)
     if cache is None:
         cache = RadiusCache()
     sweeps = cache.entry("sweeps", inst, Sweeps)

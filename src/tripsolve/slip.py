@@ -38,6 +38,7 @@ from scipy.special import erf
 
 from .astar import solve_astar
 from .instance import InstanceError, RadiusCache, Solution, TripInstance, validate
+from .lagrange import check_epsilon
 from .topo import solve_topo
 
 
@@ -80,6 +81,8 @@ class SlipConfig:
             raise ValueError("delta0 must be a positive integer")
         if not 0.0 < self.rho < 1.0:
             raise ValueError("rho must lie strictly between 0 and 1")
+        if self.epsilon is not None:
+            check_epsilon(self.epsilon)
         if self.solver not in ("topo", "astar", "hybrid"):
             raise ValueError(f"unknown solver {self.solver!r}")
         if self.solver == "hybrid" and self.delta_d is None:

@@ -1,5 +1,7 @@
-"""Reference A* search for the tests: the search loop solve_astar ran before
-its successor rows and windowed heuristic table.
+"""Reference solvers for the tests: the A* search loop solve_astar ran
+before its successor rows and windowed heuristic table, and a relaxed sweep
+with the tie rule spelled out, which relaxed_sweep must reproduce bit for
+bit.
 
 Each expansion finds its successors with numpy calls over all m value
 indices of the head layer (consumption within the capacity, dominated edges
@@ -29,7 +31,13 @@ from tripsolve.instance import (
     objective,
     resource_use,
 )
-from tripsolve.lagrange import LagrangeTables, binary_search, default_epsilon
+from tripsolve.lagrange import (
+    COST_TIE_TOL,
+    LagrangeTables,
+    binary_search,
+    default_epsilon,
+    relaxed_sweep,
+)
 
 
 def dominated_masks(inst: TripInstance) -> list[np.ndarray]:
@@ -185,3 +193,53 @@ def solve_astar_reference(
             wall_seconds=time.perf_counter() - t0,
         ),
     )
+
+
+def reference_sweep(inst, lam):
+    """One relaxed backward sweep, layer by layer, with the tie rule spelled
+    out: cheapest cost within COST_TIE_TOL, then smallest budget, then
+    smallest index. Returns (cost, res, choice, source triple)."""
+    n, m = inst.n, inst.m
+    cost = np.zeros((n, m))
+    res = np.zeros((n, m), dtype=np.int64)
+    choice = np.full((n, m), -1, dtype=np.int64)
+
+    def lex_min_rows(total, res_row):
+        cmin = total.min(axis=1, keepdims=True)
+        tied = total <= cmin + COST_TIE_TOL
+        res_masked = np.where(tied, res_row[None, :], np.iinfo(np.int64).max)
+        rmin = res_masked.min(axis=1)
+        idx = (tied & (res_masked == rmin[:, None])).argmax(axis=1)
+        return idx, total[np.arange(total.shape[0]), idx], rmin
+
+    shifts_head = inst.shifts(n)
+    for i in range(n - 1, 0, -1):
+        shifts_tail = inst.shifts(i)
+        cons_head = inst.gamma[i] * np.abs(shifts_head)
+        jump = np.abs(
+            int(inst.x[i]) - int(inst.x[i - 1])
+            + shifts_head[None, :]
+            - shifts_tail[:, None]
+        )
+        weight = inst.c[i] * shifts_head[None, :] + inst.alpha * jump
+        total = weight + lam * cons_head[None, :] + cost[i][None, :]
+        choice[i - 1], cost[i - 1], res[i - 1] = lex_min_rows(
+            total, cons_head + res[i]
+        )
+        shifts_head = shifts_tail
+    shifts1 = inst.shifts(1)
+    cons1 = inst.gamma[0] * np.abs(shifts1)
+    total_s = (inst.c[0] * shifts1 + lam * cons1 + cost[0])[None, :]
+    idx, cost_s, res_s = lex_min_rows(total_s, cons1 + res[0])
+    return cost, res, choice, (float(cost_s[0]), int(res_s[0]), int(idx[0]))
+
+
+def assert_matches_reference_sweep(inst, lams) -> None:
+    """relaxed_sweep(inst, lams) equals reference_sweep of every multiplier
+    bit for bit."""
+    for lam, got in zip(lams, relaxed_sweep(inst, lams)):
+        cost, res, choice, source = reference_sweep(inst, lam)
+        assert got.cost.tobytes() == cost.tobytes()
+        assert np.array_equal(got.res, res)
+        assert np.array_equal(got.choice, choice)
+        assert (got.source_cost, got.source_res, got.source_choice) == source

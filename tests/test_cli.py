@@ -95,6 +95,27 @@ def test_solve_non_finite_input_exits_2(tmp_path, capsys, alpha, c):
         assert "finite" in err
 
 
+@pytest.mark.parametrize("epsilon", ["nan", "inf", "0", "-1"])
+def test_solve_astar_bad_epsilon_exits_2(instance_file, capsys, epsilon):
+    code, out, err = run_cli(
+        capsys, "solve", str(instance_file), "--solver", "astar", "--epsilon", epsilon
+    )
+    assert code == 2 and out == ""
+    assert err.startswith("error: epsilon must be finite and positive")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("epsilon", ["nan", "inf"])
+def test_slip_bad_epsilon_exits_2(tmp_path, capsys, epsilon):
+    out = tmp_path / "heat.jsonl"
+    code, stdout, err = run_cli(
+        capsys, "slip", "heat", "--n", "8", "--alpha", "1e-4", "--solver", "astar",
+        "--epsilon", epsilon, "--out", str(out),
+    )
+    assert code == 2 and stdout == "" and not out.exists()
+    assert err.startswith("error: epsilon must be finite and positive")
+
+
 @pytest.mark.parametrize("field, value", [("x", 0), ("alpha", None)])
 def test_solve_malformed_field_exits_2(tmp_path, capsys, field, value):
     raw = {"n": 2, "alpha": 1.0, "delta": 2, "xi": [0, 1], "x": [0, 0],

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import tripsolve.instance
+import tripsolve.lagrange
 from tripsolve.astar import solve_astar
 from tripsolve.graph import (
     NodeRef,
@@ -14,6 +15,7 @@ from tripsolve.graph import (
     reach_windows,
     sink_node,
 )
+from astar_reference import assert_matches_reference_sweep, reference_sweep
 from conftest import equivalence_instances, halving, radius_corpus
 from tripsolve.instance import InstanceError, RadiusCache, objective, validate
 from tripsolve.lagrange import (
@@ -28,6 +30,7 @@ from tripsolve.lagrange import (
     relaxed_sweep,
 )
 from tripsolve.oracle import enumerate_steps, gen_random
+from tripsolve.slip import make_heat_problem
 from tripsolve.topo import solve_topo
 
 
@@ -355,48 +358,10 @@ def test_early_exit_matches_topo(corpus200):
     assert exits > 0  # the corpus must exercise the exit path
 
 
-def test_epsilon_must_be_positive(derived3):
-    with pytest.raises(ValueError):
-        binary_search(derived3, epsilon=0.0)
-
-
-def reference_sweep(inst, lam):
-    """One relaxed backward sweep, layer by layer, with the tie rule spelled
-    out: cheapest cost within COST_TIE_TOL, then smallest budget, then
-    smallest index. Returns (cost, res, choice, source triple)."""
-    n, m = inst.n, inst.m
-    cost = np.zeros((n, m))
-    res = np.zeros((n, m), dtype=np.int64)
-    choice = np.full((n, m), -1, dtype=np.int64)
-
-    def lex_min_rows(total, res_row):
-        cmin = total.min(axis=1, keepdims=True)
-        tied = total <= cmin + COST_TIE_TOL
-        res_masked = np.where(tied, res_row[None, :], np.iinfo(np.int64).max)
-        rmin = res_masked.min(axis=1)
-        idx = (tied & (res_masked == rmin[:, None])).argmax(axis=1)
-        return idx, total[np.arange(total.shape[0]), idx], rmin
-
-    shifts_head = inst.shifts(n)
-    for i in range(n - 1, 0, -1):
-        shifts_tail = inst.shifts(i)
-        cons_head = inst.gamma[i] * np.abs(shifts_head)
-        jump = np.abs(
-            int(inst.x[i]) - int(inst.x[i - 1])
-            + shifts_head[None, :]
-            - shifts_tail[:, None]
-        )
-        weight = inst.c[i] * shifts_head[None, :] + inst.alpha * jump
-        total = weight + lam * cons_head[None, :] + cost[i][None, :]
-        choice[i - 1], cost[i - 1], res[i - 1] = lex_min_rows(
-            total, cons_head + res[i]
-        )
-        shifts_head = shifts_tail
-    shifts1 = inst.shifts(1)
-    cons1 = inst.gamma[0] * np.abs(shifts1)
-    total_s = (inst.c[0] * shifts1 + lam * cons1 + cost[0])[None, :]
-    idx, cost_s, res_s = lex_min_rows(total_s, cons1 + res[0])
-    return cost, res, choice, (float(cost_s[0]), int(res_s[0]), int(idx[0]))
+@pytest.mark.parametrize("epsilon", [0.0, -1.0, math.nan, math.inf])
+def test_epsilon_must_be_positive(derived3, epsilon):
+    with pytest.raises(ValueError, match="finite and positive"):
+        binary_search(derived3, epsilon=epsilon)
 
 
 def sequential_cutting_plane(inst, epsilon):
@@ -592,6 +557,67 @@ def test_relaxed_sweep_matches_reference_sweep():
             assert np.array_equal(single.res, res)
             assert np.array_equal(single.choice, choice)
             assert (single.source_cost, single.source_res, single.source_choice) == source
+
+
+def counting_lex_min(monkeypatch) -> list[int]:
+    """Count the calls of lagrange._lex_min: one per layer that falls back
+    from the dominance test, plus one for the source."""
+    calls = [0]
+    lex_min = tripsolve.lagrange._lex_min
+
+    def counted(*args):
+        calls[0] += 1
+        return lex_min(*args)
+
+    monkeypatch.setattr(tripsolve.lagrange, "_lex_min", counted)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "gap, dominated",
+    [
+        (0.0, False),
+        (0.5 * COST_TIE_TOL, False),
+        (COST_TIE_TOL, False),
+        (2.0 * COST_TIE_TOL, True),
+        (1.0, True),
+    ],
+)
+def test_dominance_margin_boundary(monkeypatch, gap, dominated):
+    # At lam = 0 the last inner layer has g = c_2 * (xi - x_2) = [-c_2, 0]
+    # and column 0 beats column 1 by g[1] - g[0] - jump[0, 1] = c_2 - alpha
+    # = gap. Up to COST_TIE_TOL the two tie in row 1, whose budget rule
+    # then picks column 1, so the layer must fall back to _lex_min there.
+    alpha = 0.5
+    inst = validate(
+        {"n": 2, "alpha": alpha, "delta": 2, "xi": [0, 1], "x": [1, 1],
+         "gamma": [1, 1], "c": [0.25, alpha + gap]}
+    )
+    calls = counting_lex_min(monkeypatch)
+    assert_matches_reference_sweep(inst, [0.0])
+    assert calls[0] == (1 if dominated else 2)  # the source always calls it
+    # lam = 3 makes column 1 dominant; the layer is one decision for both
+    calls[0] = 0
+    assert_matches_reference_sweep(inst, [3.0])
+    assert calls[0] == 1
+    calls[0] = 0
+    assert_matches_reference_sweep(inst, [0.0, 3.0])
+    assert calls[0] == (1 if dominated else 2)
+
+
+def test_dominance_test_passes_on_heat_layers(monkeypatch):
+    problem = make_heat_problem(64)
+    x = np.zeros(problem.n, dtype=np.int64)
+    inst = validate(
+        {"n": problem.n, "alpha": 1e-4, "delta": 8, "xi": problem.xi.tolist(),
+         "x": x.tolist(), "gamma": problem.gamma.tolist(),
+         "c": problem.gradient_coeffs(x).tolist()}
+    )
+    upper0 = float(np.max(np.abs(inst.c))) + 2.0 * inst.alpha
+    lams = [0.0, 0.01 * upper0, 0.5 * upper0, upper0]
+    calls = counting_lex_min(monkeypatch)
+    assert_matches_reference_sweep(inst, lams)
+    assert calls[0] < inst.n  # without the test: n - 1 layers and the source
 
 
 @pytest.mark.parametrize(

@@ -1,9 +1,12 @@
 """Property tests over random instance records.
 
 Derandomized, so every run draws the same examples: valid small instances
-agree across topo, A* and brute force; a record with one field broken is
-rejected with InstanceError and nothing else; records just inside validate's
-int64 range rule are solved, and records just past it are rejected.
+agree across topo, A* and brute force; a batched relaxed sweep equals the
+reference sweep of each multiplier bit for bit on dyadic data, where cost
+ties, exact or within the tie tolerance, are common; a record with one field
+broken is rejected with InstanceError and nothing else; records just inside
+validate's int64 range rule are solved, and records just past it are
+rejected.
 """
 
 import math
@@ -13,8 +16,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from astar_reference import assert_matches_reference_sweep
 from tripsolve.astar import solve_astar
 from tripsolve.instance import InstanceError, budget_cap, is_feasible, validate
+from tripsolve.lagrange import COST_TIE_TOL
 from tripsolve.oracle import solve_bruteforce
 from tripsolve.topo import solve_topo
 
@@ -53,6 +58,27 @@ def assert_solvers_agree(inst) -> None:
 @given(records())
 def test_topo_astar_and_bruteforce_agree(raw):
     assert_solvers_agree(validate(raw))
+
+
+DYADIC = st.integers(-16, 16).map(lambda v: v / 8)
+
+
+@settings(PROPERTY, max_examples=300)
+@given(
+    raw=records(max_n=7, max_m=5),
+    alpha=st.one_of(DYADIC.map(abs), st.integers(0, 6)),
+    lams=st.lists(DYADIC.map(abs), min_size=1, max_size=4),
+    nudges=st.lists(st.sampled_from([0, 0, 0, -2, -1, 1, 2]), min_size=7, max_size=7),
+)
+def test_relaxed_sweep_matches_reference_sweep_on_ties(raw, alpha, lams, nudges):
+    # c on a quarter grid and alpha dyadic or some |c_i| (an integer alpha
+    # picks one), so that a column's gain in c_i matches its jump exactly;
+    # then some c_i move by multiples of COST_TIE_TOL / 2, so that costs tie
+    # exactly or nearly, within the tie tolerance or just past it
+    if isinstance(alpha, int):
+        alpha = abs(raw["c"][alpha % raw["n"]])
+    c = [v + k * 0.5 * COST_TIE_TOL for v, k in zip(raw["c"], nudges)]
+    assert_matches_reference_sweep(validate({**raw, "alpha": alpha, "c": c}), lams)
 
 
 def _two_values(raw: dict) -> dict:
