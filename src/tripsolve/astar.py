@@ -29,7 +29,10 @@ is that of a search over all m value indices:
 * windowed heuristic table: lagrange.heuristic_table fills the heuristic
   over the reach windows only, (n, widest window, delta + 1), with the
   floats of the dense table; a label's head always lies in its layer's
-  window, since its edge consumed at most the radius.
+  window, since its edge consumed at most the radius. Above
+  HEURISTIC_TABLE_CAP entries no table is built, and each push takes the
+  maximum of heuristic_h from the multipliers' (n, m) cost tables in
+  place; max is exact, so the floats are those the table would hold.
 """
 
 from __future__ import annotations
@@ -49,7 +52,6 @@ from .instance import (
     Solution,
     SolverError,
     TripInstance,
-    check_table_bytes,
     clamp_delta,
     objective,
 )
@@ -180,14 +182,12 @@ def solve_astar(
     upper = min(tables.upper_bound, objective(inst, zero))
     bound = upper + PRUNE_TOL
 
-    def successor_rows() -> SuccessorRows:
-        return SuccessorRows(inst, opts.edge_pruning)
-
-    if cache is None:
-        succ = successor_rows()
-    else:
-        name = f"successor rows, edge pruning {opts.edge_pruning}"
-        succ = cache.entry(name, inst, successor_rows)
+    # a throwaway cache made only now, once binary_search's own has freed
+    # the tables swept but not evaluated
+    name = f"successor rows, edge pruning {opts.edge_pruning}"
+    succ = (cache or RadiusCache()).entry(
+        name, inst, lambda: SuccessorRows(inst, opts.edge_pruning)
+    )
     rows = succ.rows
 
     lo, hi = reach_windows(inst)
@@ -195,10 +195,8 @@ def solve_astar(
     h_table: Optional[np.ndarray] = None
     if n * int((hi - lo).max()) * width <= HEURISTIC_TABLE_CAP:
         h_table = heuristic_table(inst, tables)
-    else:
-        check_table_bytes("per-label heuristic tables", len(tables.zeta) * n * m * 8)
-        lam_arr = np.array([t.lam for t in tables.zeta])
-        zcost = np.stack([t.cost for t in tables.zeta])  # (L, n, m)
+    else:  # heuristic_h per label
+        zeta = [(t.cost.item, t.lam) for t in tables.zeta]
 
     # packed state: (layer * m + value_index) * width + capacity
     src = inst.delta
@@ -255,7 +253,7 @@ def solve_astar(
             if h_table is not None:
                 f2 = g2 + h_head.item(j2 - first, eta2)
             else:
-                f2 = g2 + (zcost[:, layer, j2] - lam_arr * eta2).max()
+                f2 = g2 + max(cost(layer, j2) - lam * eta2 for cost, lam in zeta)
             if ub_pruning and f2 > bound:
                 continue
             g_of[p2] = g2
@@ -266,13 +264,12 @@ def solve_astar(
     if best_goal_g == inf:
         raise SolverError("search exhausted without reaching the sink")
 
-    d = np.zeros(n, dtype=np.int64)
+    js = []  # value indices of layers n..1
     at = parent[snk]
     while at != src:
-        layer = at // (m * width)
-        j = at // width % m
-        d[layer - 1] = int(inst.xi[j] - inst.x[layer - 1])
+        js.append(at // width % m)
         at = parent[at]
+    d = inst.xi[js[::-1]] - inst.x
 
     return Solution.of(
         inst,

@@ -22,6 +22,7 @@ from .instance import (
     read_instance,
     write_instance,
 )
+from .lagrange import check_epsilon
 from .oracle import gen_random, knapsack_reduce, solve_bruteforce
 from .slip import (
     SlipConfig,
@@ -54,6 +55,8 @@ def _solve_with(
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
+    if args.epsilon is not None:  # whichever the solver, as slip does
+        check_epsilon(args.epsilon)
     with open(args.instance, encoding="utf-8") as fh:
         inst = read_instance(fh.read())
     options = AstarOptions(
@@ -110,6 +113,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
         )
     if args.delta_d is not None and not {"topo", "astar"} <= set(solvers):
         raise ValueError("hybrid reporting needs both topo and astar runs")
+    if args.epsilon is not None:
+        check_epsilon(args.epsilon)
 
     # one pass, record-major and solver-minor, over the validated instances
     out_rows: list[dict] = []

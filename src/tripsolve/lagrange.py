@@ -20,9 +20,9 @@ the cut reaches that bound, and every round also evaluates the midpoint of
 the bracket left, so the bracket halves at least as fast as in a bisection.
 
 Each relaxed graph is evaluated by a backward sweep over the layers.
-`relaxed_sweep` evaluates several multipliers in one pass, forming the edge
-weights from the terms of graph.edge_terms, and a round sweeps its cut
-together with the midpoints on either side of it, one of which is the
+`relaxed_costs_to_sink` evaluates several multipliers in one pass, forming
+the edge weights from the terms of graph.edge_terms, and a round sweeps its
+cut together with the midpoints on either side of it, one of which is the
 midpoint it evaluates next. On the 24 seed-0 knapsack reductions of the
 benchmark this takes 102 sweeps, where a bisection down to epsilon took 288.
 A layer's rows minimise over the same column costs plus an L1 jump, so a
@@ -39,11 +39,12 @@ not arithmetic.
 
 A relaxed sweep does not read the radius delta: it enters only when the
 search compares a path's budget use with it. A RadiusCache therefore keeps
-every swept table of an instance with its relaxed path's step (the Sweeps
-record), and a sweep evaluates only multipliers not swept before. The cache
-spares sweeps and nothing else: the tables read from it are the floats a
-new sweep would compute, the search evaluates the multipliers a search
-without the cache evaluates, and only those tables enter the result.
+every swept table of an instance with its relaxed path's step once read
+(the Sweeps record), and a sweep evaluates only multipliers not swept
+before. The cache spares sweeps and nothing else: the tables read from it
+are the floats a new sweep would compute, the search evaluates the
+multipliers a search without the cache evaluates, and only those tables
+enter the result.
 """
 
 from __future__ import annotations
@@ -121,7 +122,7 @@ class LagrangeTables:
 class Sweeps:
     """The radius-free work of the multiplier searches of one instance:
     every relaxed table swept so far, by its exact multiplier, and the
-    relaxed path's step of each table read."""
+    relaxed path's step of each table whose path a search used."""
 
     swept: dict[float, ZetaTable] = field(default_factory=dict)
     steps: dict[float, np.ndarray] = field(default_factory=dict)
@@ -130,7 +131,7 @@ class Sweeps:
         """Sweep every multiplier of lams not swept yet."""
         new = [lam for lam in lams if lam not in self.swept]
         if new:
-            self.swept.update(zip(new, relaxed_sweep(inst, new)))
+            self.swept.update(zip(new, relaxed_costs_to_sink(inst, new)))
 
     def step(self, inst: TripInstance, lam: float) -> np.ndarray:
         """The relaxed path's step of the table swept at lam."""
@@ -158,9 +159,12 @@ def _lex_min(
     return total.reshape(-1)[offsets + col], best // m, col
 
 
-def relaxed_sweep(inst: TripInstance, lams) -> list[ZetaTable]:
+def relaxed_costs_to_sink(inst: TripInstance, lams) -> list[ZetaTable]:
     """Backward sweeps over the quotient graph with weights increased by
     lam times the edge consumption, for every lam in lams at once.
+
+    The one sweep function. Keep its name: perfbench's tracer counts the
+    sweeps by patching lagrange.relaxed_costs_to_sink, which Sweeps calls.
 
     Table k is bitwise the table of a sweep for lams[k] alone: each entry is
     computed as ((linear + jump) + lam * consumption) + cost-to-sink, in that
@@ -262,12 +266,6 @@ def relaxed_sweep(inst: TripInstance, lams) -> list[ZetaTable]:
     ]
 
 
-def relaxed_costs_to_sink(inst: TripInstance, lam: float) -> ZetaTable:
-    """Backward sweep over the quotient graph with weights increased by
-    lam times the edge consumption."""
-    return relaxed_sweep(inst, [lam])[0]
-
-
 def extract_path_step(inst: TripInstance, table: ZetaTable) -> np.ndarray:
     """Step vector of the relaxed shortest path encoded in a table's
     successor choices."""
@@ -324,17 +322,15 @@ def binary_search(
     is the one a search without the cache returns.
     """
     check_epsilon(epsilon)
-    if cache is None:
-        cache = RadiusCache()
-    sweeps = cache.entry("sweeps", inst, Sweeps)
+    sweeps = (cache or RadiusCache()).entry("sweeps", inst, Sweeps)
     tables = LagrangeTables(inst=inst)
     upper0 = float(np.max(np.abs(inst.c))) + 2.0 * inst.alpha
 
-    def evaluate(lam: float) -> tuple[ZetaTable, np.ndarray]:
+    def evaluate(lam: float) -> ZetaTable:
         table = sweeps.swept[lam]
         tables.zeta.append(table)
         tables.log.append((table.lam, dual(table), table.source_res))
-        return table, sweeps.step(inst, lam)
+        return table
 
     def dual(table: ZetaTable) -> float:
         return table.source_cost - table.lam * inst.delta
@@ -345,36 +341,35 @@ def binary_search(
     def best_end() -> ZetaTable:
         return hi if dual(hi) > dual(lo) else lo
 
-    def note_feasible(d: np.ndarray) -> None:
-        value = objective(inst, d)
+    def path_solution(table: ZetaTable) -> Solution:
+        d = sweeps.step(inst, table.lam).copy()  # the record keeps its own
+        return Solution.of(inst, d, preprocessing_iterations=tables.iterations)
+
+    def note_feasible(table: ZetaTable) -> None:
+        value = objective(inst, sweeps.step(inst, table.lam))
         if value < tables.upper_bound:
             tables.upper_bound = value
-            # a copy: the step stays in the Sweeps record
-            tables.incumbent = Solution.of(
-                inst, d.copy(), preprocessing_iterations=tables.iterations
-            )
+            tables.incumbent = path_solution(table)
 
-    def finish(lam_star: float, optimal: Optional[np.ndarray]) -> LagrangeTables:
-        tables.lambda_star = lam_star
-        if optimal is not None:
-            tables.early_exit = Solution.of(
-                inst, optimal.copy(), preprocessing_iterations=tables.iterations
-            )
+    def finish(table: ZetaTable, proven: bool = False) -> LagrangeTables:
+        tables.lambda_star = table.lam
+        if proven:  # the relaxed path is optimal
+            tables.early_exit = path_solution(table)
         tables.zeta.sort(key=lambda t: t.lam)
         return tables
 
     sweeps.sweep(inst, [0.0, upper0])
-    lo, d0 = evaluate(0.0)
+    lo = evaluate(0.0)
     if lo.source_res <= inst.delta:
         # the unconstrained optimum fits the budget: done
-        return finish(0.0, d0)
+        return finish(lo, proven=True)
 
-    hi, d_up = evaluate(upper0)
+    hi = evaluate(upper0)
     if hi.source_res > inst.delta:  # cannot happen: the zero step is optimal here
         raise SolverError("relaxed path at the upper endpoint overuses budget")
     if hi.source_res == inst.delta:
-        return finish(upper0, d_up)
-    note_feasible(d_up)
+        return finish(hi, proven=True)
+    note_feasible(hi)
 
     while hi.lam - lo.lam >= epsilon:
         # the ends' path lines meet at cut, where they bound the dual
@@ -383,26 +378,26 @@ def binary_search(
         model = c_lo + cut * (lo.source_res - inst.delta)
         best = best_end()
         if model - dual(best) <= epsilon:
-            return finish(best.lam, None)
+            return finish(best)
         if not lo.lam < cut < hi.lam:  # rounding: bisect instead
             cut = 0.5 * (lo.lam + hi.lam)
         sweeps.sweep(inst, [cut, 0.5 * (lo.lam + cut), 0.5 * (cut + hi.lam)])
         tables.iterations += 1
         lam = cut
         for _ in range(2):  # cut, then the midpoint of the bracket left
-            table, d = evaluate(lam)
+            table = evaluate(lam)
             if table.source_res == inst.delta:
-                return finish(lam, d)
+                return finish(table, proven=True)
             if table.source_res < inst.delta:
-                note_feasible(d)
+                note_feasible(table)
             if model - dual(table) <= epsilon:
-                return finish(lam, None)
+                return finish(table)
             if table.source_res > inst.delta:
                 lo = table
             else:
                 hi = table
             lam = 0.5 * (lo.lam + hi.lam)
-    return finish(best_end().lam, None)
+    return finish(best_end())
 
 
 def heuristic_h(inst: TripInstance, tables: LagrangeTables, node: NodeRef) -> float:

@@ -302,6 +302,8 @@ def make_signal_problem(
     gradient applies the adjoint of the same discrete convolution to the
     residual and accumulates per control interval.
     """
+    if n < 1:
+        raise ValueError("n must be a positive integer")
     if fine_cells % n != 0:
         raise ValueError("n must divide the fine-grid size")
     m_fine = fine_cells

@@ -1,7 +1,7 @@
 """Reference solvers for the tests: the A* search loop solve_astar ran
 before its successor rows and windowed heuristic table, and a relaxed sweep
-with the tie rule spelled out, which relaxed_sweep must reproduce bit for
-bit.
+with the tie rule spelled out, which relaxed_costs_to_sink must reproduce
+bit for bit.
 
 Each expansion finds its successors with numpy calls over all m value
 indices of the head layer (consumption within the capacity, dominated edges
@@ -36,7 +36,7 @@ from tripsolve.lagrange import (
     LagrangeTables,
     binary_search,
     default_epsilon,
-    relaxed_sweep,
+    relaxed_costs_to_sink,
 )
 
 
@@ -235,9 +235,9 @@ def reference_sweep(inst, lam):
 
 
 def assert_matches_reference_sweep(inst, lams) -> None:
-    """relaxed_sweep(inst, lams) equals reference_sweep of every multiplier
-    bit for bit."""
-    for lam, got in zip(lams, relaxed_sweep(inst, lams)):
+    """relaxed_costs_to_sink(inst, lams) equals reference_sweep of every
+    multiplier bit for bit."""
+    for lam, got in zip(lams, relaxed_costs_to_sink(inst, lams)):
         cost, res, choice, source = reference_sweep(inst, lam)
         assert got.cost.tobytes() == cost.tobytes()
         assert np.array_equal(got.res, res)

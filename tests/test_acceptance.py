@@ -164,7 +164,7 @@ def test_criterion_4_zero_step_at_large_multiplier():
         lam = float(np.max(np.abs(inst.c))) + 2.0 * inst.alpha
         from tripsolve.lagrange import relaxed_costs_to_sink
 
-        table = relaxed_costs_to_sink(inst, lam)
+        table = relaxed_costs_to_sink(inst, [lam])[0]
         relaxed_opt = table.source_cost - lam * inst.delta
         want = relaxed_objective(inst, np.zeros(inst.n, dtype=np.int64), lam)
         worst = max(worst, abs(relaxed_opt - want))

@@ -16,7 +16,7 @@ from conftest import (
 import tripsolve.instance
 from tripsolve import astar
 from tripsolve.astar import AstarOptions, edge_dominated, solve_astar
-from tripsolve.instance import InstanceError, RadiusCache, clamp_delta, validate
+from tripsolve.instance import RadiusCache, clamp_delta, validate
 from tripsolve.oracle import gen_random, knapsack_reduce
 from tripsolve.topo import solve_topo
 
@@ -190,15 +190,17 @@ def test_preprocessing_counter_reported():
         assert sol.stats.preprocessing_iterations > 0
 
 
-def test_per_label_heuristic_tables_checked_before_allocation(monkeypatch):
-    # with no heuristic table the search stacks the bisection's (n, m) cost
-    # tables; here 22 of them, 704 kB, while every earlier table fits the cap
+def test_per_label_heuristic_reads_the_cost_tables_in_place(monkeypatch):
+    # with no heuristic table the search reads the multiplier search's
+    # (n, m) cost tables themselves, here 7 of 32 kB each, 224 kB in all:
+    # no copy of them is made, so a cap that each one fits is enough
     monkeypatch.setattr(tripsolve.instance, "TABLE_BYTES_CAP", 100_000)
     monkeypatch.setattr(astar, "HEURISTIC_TABLE_CAP", 0)
     monkeypatch.setattr(np, "stack", lambda *a, **k: pytest.fail("stack allocated"))
     inst = gen_random(400, 10, 6, 0.3, seed=0)
-    with pytest.raises(InstanceError, match="per-label heuristic tables"):
-        solve_astar(inst)
+    sol = solve_astar(inst)
+    assert sol.stats.nodes_expanded > 0
+    assert abs(sol.objective - solve_topo(inst).objective) <= 1e-9
 
 
 def test_cached_radii_match_fresh_solves():

@@ -116,6 +116,29 @@ def test_slip_bad_epsilon_exits_2(tmp_path, capsys, epsilon):
     assert err.startswith("error: epsilon must be finite and positive")
 
 
+@pytest.mark.parametrize("epsilon", ["nan", "inf", "0", "-1"])
+@pytest.mark.parametrize("solver", ["topo", "oracle"])
+def test_solve_bad_epsilon_exits_2_for_every_solver(
+    instance_file, capsys, solver, epsilon
+):
+    code, out, err = run_cli(
+        capsys, "solve", str(instance_file), "--solver", solver, "--epsilon", epsilon
+    )
+    assert code == 2 and out == ""
+    assert err.startswith("error: epsilon must be finite and positive")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("n", ["0", "-4"])
+def test_slip_signal_bad_n_exits_2(tmp_path, capsys, n):
+    out = tmp_path / "signal.jsonl"
+    code, stdout, err = run_cli(
+        capsys, "slip", "signal", "--n", n, "--alpha", "1e-2", "--out", str(out)
+    )
+    assert code == 2 and stdout == "" and not out.exists()
+    assert err == "error: n must be a positive integer\n"
+
+
 @pytest.mark.parametrize("field, value", [("x", 0), ("alpha", None)])
 def test_solve_malformed_field_exits_2(tmp_path, capsys, field, value):
     raw = {"n": 2, "alpha": 1.0, "delta": 2, "xi": [0, 1], "x": [0, 0],
@@ -162,10 +185,10 @@ def _exhaust_search(monkeypatch):
 
 def _overuse_at_upper_endpoint(monkeypatch):
     # every relaxed path, the zero step at the upper endpoint too, overspends
-    sweep = tripsolve.lagrange.relaxed_sweep
+    sweep = tripsolve.lagrange.relaxed_costs_to_sink
     monkeypatch.setattr(
         tripsolve.lagrange,
-        "relaxed_sweep",
+        "relaxed_costs_to_sink",
         lambda inst, lams, *rest: [
             dataclasses.replace(t, source_res=inst.delta + 1)
             for t in sweep(inst, lams, *rest)
@@ -395,3 +418,13 @@ def test_bench_rejects_solver_list_before_solving(
                            "--out", str(out))
     assert code == 2 and err.startswith("error: ") and err.count("\n") == 1
     assert not out.exists()
+
+
+@pytest.mark.parametrize("epsilon", ["nan", "inf", "0", "-1"])
+def test_bench_bad_epsilon_exits_2_for_every_solver(tmp_path, trace_file, capsys, epsilon):
+    out = tmp_path / "x.csv"
+    code, _, err = run_cli(capsys, "bench", str(trace_file), "--solvers", "topo",
+                           "--epsilon", epsilon, "--out", str(out))
+    assert code == 2 and not out.exists()
+    assert err.startswith("error: epsilon must be finite and positive")
+    assert err.count("\n") == 1

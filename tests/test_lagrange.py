@@ -27,7 +27,6 @@ from tripsolve.lagrange import (
     heuristic_table,
     relaxed_costs_to_sink,
     relaxed_objective,
-    relaxed_sweep,
 )
 from tripsolve.oracle import enumerate_steps, gen_random
 from tripsolve.slip import make_heat_problem
@@ -85,7 +84,7 @@ def small_instances(count, seed=100, max_n=6):
 
 
 def test_zeta_last_layer_zero(derived3):
-    table = relaxed_costs_to_sink(derived3, 0.7)
+    table = relaxed_costs_to_sink(derived3, [0.7])[0]
     assert np.all(table.cost[-1] == 0.0)
     assert np.all(table.res[-1] == 0)
 
@@ -102,14 +101,14 @@ def test_zeta_zero_costs_zero_penalty():
             "c": [0.0] * 4,
         }
     )
-    table = relaxed_costs_to_sink(inst, 0.9)
+    table = relaxed_costs_to_sink(inst, [0.9])[0]
     assert np.all(table.cost == 0.0)
     assert np.all(table.res == 0)  # the zero continuation wins the tie
 
 
 def test_zeta_matches_suffix_enumeration(derived3):
     for lam in (0.0, 0.3, 1.0, 4.0):
-        table = relaxed_costs_to_sink(derived3, lam)
+        table = relaxed_costs_to_sink(derived3, [lam])[0]
         for layer in range(1, derived3.n + 1):
             for j in range(derived3.m):
                 cost, res = suffix_oracle(derived3, lam, layer, j)
@@ -132,7 +131,7 @@ def test_zeta_derived_value_at_zero():
         }
     )
     assert suffix_oracle(inst, 0.0, 1, 1) == (0.0, 1)
-    table = relaxed_costs_to_sink(inst, 0.0)
+    table = relaxed_costs_to_sink(inst, [0.0])[0]
     assert table.cost[0, 1] == pytest.approx(0.0, abs=1e-12)
     assert table.res[0, 1] == 1
 
@@ -140,7 +139,7 @@ def test_zeta_derived_value_at_zero():
 def test_zeta_random_instances():
     for inst in small_instances(25, seed=300):
         for lam in (0.0, 0.5, 2.0):
-            table = relaxed_costs_to_sink(inst, lam)
+            table = relaxed_costs_to_sink(inst, [lam])[0]
             for j in range(inst.m):
                 cost, res = suffix_oracle(inst, lam, 1, j)
                 assert table.cost[0, j] == pytest.approx(cost, abs=1e-9)
@@ -150,7 +149,7 @@ def test_zeta_random_instances():
 def test_extracted_path_minimizes_resource_among_ties():
     for inst in small_instances(40, seed=400):
         for lam in (0.0, 0.25, 1.5):
-            table = relaxed_costs_to_sink(inst, lam)
+            table = relaxed_costs_to_sink(inst, [lam])[0]
             steps = enumerate_steps(inst)
             cost = steps @ inst.c + inst.alpha * np.abs(
                 np.diff(inst.x[None, :] + steps, axis=1)
@@ -297,7 +296,7 @@ def test_dual_lower_bound(corpus200):
 def test_lemma_large_multiplier_matches_zero_step():
     for inst in small_instances(40, seed=800):
         lam = float(np.max(np.abs(inst.c))) + 2.0 * inst.alpha
-        table = relaxed_costs_to_sink(inst, lam)
+        table = relaxed_costs_to_sink(inst, [lam])[0]
         want = relaxed_objective(inst, np.zeros(inst.n, dtype=int), lam)
         got = table.source_cost - lam * inst.delta
         assert got == pytest.approx(want, abs=1e-9)
@@ -374,7 +373,7 @@ def sequential_cutting_plane(inst, epsilon):
     state = {"iterations": 0, "upper": math.inf, "incumbent": None}
 
     def evaluate(lam):
-        table = relaxed_costs_to_sink(inst, lam)
+        table = relaxed_costs_to_sink(inst, [lam])[0]
         lambdas.append(table.lam)
         zeta.append(table)
         value = table.source_cost - lam * inst.delta
@@ -548,9 +547,9 @@ def test_search_reaches_the_exact_dual_optimum():
 def test_relaxed_sweep_matches_reference_sweep():
     for inst in equivalence_instances(60, seed=1300):
         lams = [0.0, 0.37, 1.0, 2.5]
-        batch = relaxed_sweep(inst, lams)
+        batch = relaxed_costs_to_sink(inst, lams)
         for lam, got in zip(lams, batch):
-            single = relaxed_costs_to_sink(inst, lam)
+            single = relaxed_costs_to_sink(inst, [lam])[0]
             assert_tables_equal(got, single)
             cost, res, choice, source = reference_sweep(inst, lam)
             assert np.array_equal(single.cost, cost)

@@ -168,6 +168,12 @@ def test_signal_requires_divisor():
         make_signal_problem(100, seed=0)
 
 
+@pytest.mark.parametrize("n", [0, -4])
+def test_signal_requires_positive_n(n):
+    with pytest.raises(ValueError, match="n must be a positive integer"):
+        make_signal_problem(n, seed=0)
+
+
 def test_signal_slip_run_monotone():
     problem = make_signal_problem(64, seed=3)
     trace = run_slip(
