@@ -31,8 +31,9 @@ is that of a search over all m value indices:
   floats of the dense table; a label's head always lies in its layer's
   window, since its edge consumed at most the radius. Above
   HEURISTIC_TABLE_CAP entries no table is built, and each push takes the
-  maximum of heuristic_h from the multipliers' (n, m) cost tables in
-  place; max is exact, so the floats are those the table would hold.
+  maximum of cost - lam * capacity from the multipliers' (n, m) cost
+  tables in place; max is exact, so the floats are those the table would
+  hold.
 """
 
 from __future__ import annotations
@@ -195,7 +196,7 @@ def solve_astar(
     h_table: Optional[np.ndarray] = None
     if n * int((hi - lo).max()) * width <= HEURISTIC_TABLE_CAP:
         h_table = heuristic_table(inst, tables)
-    else:  # heuristic_h per label
+    else:  # the heuristic per label
         zeta = [(t.cost.item, t.lam) for t in tables.zeta]
 
     # packed state: (layer * m + value_index) * width + capacity

@@ -69,14 +69,6 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
 
 def cmd_slip(args: argparse.Namespace) -> int:
-    if args.problem == "heat":
-        problem = make_heat_problem(args.n)
-        x0 = initial_iterate_heat(problem, args.x0)
-    else:
-        problem = make_signal_problem(args.n, args.seed)
-        if args.x0 != "zero":
-            raise ValueError("the signal problem only supports the zero start")
-        x0 = np.zeros(args.n, dtype=np.int64)
     config = SlipConfig(
         alpha=args.alpha,
         delta0=args.delta0 if args.delta0 is not None else max(1, args.n // 8),
@@ -86,6 +78,14 @@ def cmd_slip(args: argparse.Namespace) -> int:
         delta_d=args.delta_d,
         max_outer=args.max_outer,
     )
+    if args.problem == "heat":
+        problem = make_heat_problem(args.n)
+        x0 = initial_iterate_heat(problem, args.x0)
+    else:
+        problem = make_signal_problem(args.n, args.seed)
+        if args.x0 != "zero":
+            raise ValueError("the signal problem only supports the zero start")
+        x0 = np.zeros(args.n, dtype=np.int64)
     trace = run_slip(problem, x0, config)
     write_trace(trace, args.out)
     print(
@@ -113,6 +113,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
         )
     if args.delta_d is not None and not {"topo", "astar"} <= set(solvers):
         raise ValueError("hybrid reporting needs both topo and astar runs")
+    if args.delta_d is not None and args.delta_d < 0:
+        raise ValueError("--delta-d must be a non-negative integer")
     if args.epsilon is not None:
         check_epsilon(args.epsilon)
 

@@ -24,7 +24,7 @@ Each relaxed graph is evaluated by a backward sweep over the layers.
 the edge weights from the terms of graph.edge_terms, and a round sweeps its
 cut together with the midpoints on either side of it, one of which is the
 midpoint it evaluates next. On the 24 seed-0 knapsack reductions of the
-benchmark this takes 102 sweeps, where a bisection down to epsilon took 288.
+benchmark this takes 102 sweeps.
 A layer's rows minimise over the same column costs plus an L1 jump, so a
 column that wins by more than its jump to every other column wins every row
 (the triangle inequality, as in the L1 distance transform of Felzenszwalb &
@@ -55,7 +55,7 @@ from typing import Optional
 
 import numpy as np
 
-from .graph import NodeRef, edge_terms, reach_windows
+from .graph import edge_terms, reach_windows
 from .instance import (
     RadiusCache,
     Solution,
@@ -400,34 +400,21 @@ def binary_search(
     return finish(best_end())
 
 
-def heuristic_h(inst: TripInstance, tables: LagrangeTables, node: NodeRef) -> float:
-    """Consistent cost-to-go estimate: the best lower bound over all
-    evaluated multipliers, -lam * capacity + cost-to-sink."""
-    if node.layer == inst.n + 1:
-        return 0.0
-    if node.layer == 0:
-        return max(
-            t.source_cost - t.lam * node.capacity for t in tables.zeta
-        )
-    return max(
-        t.cost[node.layer - 1, node.value_index] - t.lam * node.capacity
-        for t in tables.zeta
-    )
-
-
 def heuristic_table(
     inst: TripInstance, tables: LagrangeTables
 ) -> np.ndarray:
     """Heuristic lookup over the reach windows of the inner layers 1..n:
-    H[layer - 1, j - lo[layer - 1], capacity] = heuristic_h of the node
-    (layer, j, capacity) for every j in the layer's window lo..hi - 1, with
+    H[layer - 1, j - lo[layer - 1], capacity] is the consistent cost-to-go
+    estimate of the node (layer, j, capacity), the best lower bound
+    cost[layer - 1, j] - lam * capacity over the evaluated multipliers, for
+    every j in the layer's window lo..hi - 1, with
     (lo, hi) = graph.reach_windows(inst).
 
     The table has shape (n, wmax, delta + 1), wmax the widest window; the
     slots past a narrower window are padding that belongs to no node. No
     node outside the windows is reachable, so a search never reads them.
     Each entry is cost - lam * capacity, maximised over the tables in the
-    order of tables.zeta, the floats heuristic_h computes.
+    order of tables.zeta.
     """
     lo, hi = reach_windows(inst)
     width = inst.delta + 1

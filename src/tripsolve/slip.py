@@ -87,6 +87,10 @@ class SlipConfig:
             raise ValueError(f"unknown solver {self.solver!r}")
         if self.solver == "hybrid" and self.delta_d is None:
             raise ValueError("hybrid solver needs delta_d")
+        if self.delta_d is not None and self.delta_d < 0:
+            raise ValueError("delta_d must be a non-negative integer")
+        if self.max_outer < 0:
+            raise ValueError("max_outer must be a non-negative integer")
 
 
 @dataclass
@@ -198,16 +202,6 @@ _HEAT_EPS_LO = 0.1
 _HEAT_EPS_HI = 10.0
 
 
-def _heat_pieces(lo: float, hi: float) -> list[tuple[float, float]]:
-    if lo < _HEAT_JUMP < hi:
-        return [(lo, _HEAT_JUMP), (_HEAT_JUMP, hi)]
-    return [(lo, hi)]
-
-
-def _heat_eps(t: float) -> float:
-    return _HEAT_EPS_LO if t < _HEAT_JUMP else _HEAT_EPS_HI
-
-
 def make_heat_problem(n: int, fine_factor: int = 4) -> ControlProblem:
     """Integer control of -eps(t) u'' = f(t) + x(t) on (-1, 1), u(+-1) = 0,
     minimizing half the squared distance of u from the constant target 1.
@@ -232,27 +226,34 @@ def make_heat_problem(n: int, fine_factor: int = 4) -> ControlProblem:
     band[0, 1:] = -1.0 / h**2
     band[1, :] = 2.0 / h**2
 
+    # the pieces (lo, hi) of the fine cells: every cell, cut short at the
+    # diffusivity jump, then the far side of the cell the jump cuts
+    cut = np.flatnonzero((cell_left < _HEAT_JUMP) & (_HEAT_JUMP < cell_left + h))
+    cell = np.concatenate([np.arange(m_fine), cut])
+    a = cell_left[cell]
+    b = a + h
+    lo = np.concatenate([cell_left, np.full(len(cut), _HEAT_JUMP)])
+    hi = b.copy()
+    hi[cut] = _HEAT_JUMP
+    mid = 0.5 * (lo + hi)
+    eps = np.where(mid < _HEAT_JUMP, _HEAT_EPS_LO, _HEAT_EPS_HI)
+    width = hi - lo
+
+    def per_cell(piece_terms: np.ndarray) -> np.ndarray:
+        # adds a cell's pieces in array order, near side first, from 0.0
+        return np.bincount(cell, piece_terms, m_fine)
+
     # per-fine-cell hat weights (1/eps folded in): lw -> left node, rw -> right
-    lw = np.zeros(m_fine)
-    rw = np.zeros(m_fine)
-    # load from the fixed source f(t) = exp(-(t + 0.4)^2)
-    fl = np.zeros(m_fine)
-    fr = np.zeros(m_fine)
+    lw = per_cell(((b - lo) + (b - hi)) * 0.5 * width / h / eps)
+    rw = per_cell(((lo - a) + (hi - a)) * 0.5 * width / h / eps)
+    # load from the fixed source f(t) = exp(-(t + 0.4)^2), 8 Gauss-Legendre
+    # nodes per piece
     glx, glw = leggauss(8)
-    for k in range(m_fine):
-        a, b = cell_left[k], cell_left[k] + h
-        for lo, hi in _heat_pieces(a, b):
-            if hi <= lo:
-                continue
-            eps = _heat_eps(0.5 * (lo + hi))
-            width = hi - lo
-            lw[k] += ((b - lo) + (b - hi)) * 0.5 * width / h / eps
-            rw[k] += ((lo - a) + (hi - a)) * 0.5 * width / h / eps
-            s = 0.5 * width * glx + 0.5 * (lo + hi)
-            w = 0.5 * width * glw
-            fv = np.exp(-((s + 0.4) ** 2)) / eps
-            fl[k] += np.sum(w * fv * (b - s) / h)
-            fr[k] += np.sum(w * fv * (s - a) / h)
+    s = (0.5 * width)[:, None] * glx + mid[:, None]
+    w = (0.5 * width)[:, None] * glw
+    fv = np.exp(-((s + 0.4) ** 2)) / eps[:, None]
+    fl = per_cell(np.sum(w * fv * (b[:, None] - s) / h, axis=1))
+    fr = per_cell(np.sum(w * fv * (s - a[:, None]) / h, axis=1))
     rhs_f = (fl[1:] + fr[:-1]) / h
 
     rep = m_fine // n
@@ -328,18 +329,14 @@ def make_signal_problem(
         return ((phi - phi0) * amp).sum(axis=-1)
 
     lags = np.arange(m_fine, dtype=np.float64)
-    hi = lags[None, :] * h + offs[:, None]
-    lo = np.maximum(0.0, (lags[None, :] - 1.0) * h + offs[:, None])
-    lag_kernel = kernel_mass(hi) - kernel_mass(lo)  # (5, m_fine)
-
     t_nodes = lags[None, :] * h + offs[:, None]
     target = 5.0 * np.sin(4.0 * np.pi * t_nodes) + 10.0
+    # the kernel over (t_nodes[q, k - 1], t_nodes[q, k]], over (0, t] at lag 0
+    lag_kernel = np.diff(kernel_mass(t_nodes), axis=1, prepend=0.0)  # (5, m_fine)
 
     def forward(xv: np.ndarray) -> np.ndarray:
         xf = np.repeat(np.asarray(xv, dtype=np.float64), rep)
-        return np.stack(
-            [fftconvolve(xf, lag_kernel[q])[:m_fine] for q in range(5)]
-        )
+        return fftconvolve(xf[None, :], lag_kernel, axes=1)[:, :m_fine]
 
     def smooth_value(xv: np.ndarray) -> float:
         residual = forward(xv) - target
@@ -347,11 +344,9 @@ def make_signal_problem(
 
     def gradient_coeffs(xv: np.ndarray) -> np.ndarray:
         residual = forward(xv) - target
-        g_fine = np.zeros(m_fine)
-        for q in range(5):
-            z = wq[q] * residual[q]
-            g_fine += fftconvolve(z[::-1], lag_kernel[q])[:m_fine][::-1]
-        return g_fine.reshape(n, rep).sum(axis=1)
+        z = wq[:, None] * residual
+        g_rows = fftconvolve(z[:, ::-1], lag_kernel, axes=1)[:, :m_fine][:, ::-1]
+        return g_rows.sum(axis=0).reshape(n, rep).sum(axis=1)
 
     return ControlProblem(
         name="signal",

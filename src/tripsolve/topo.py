@@ -140,14 +140,15 @@ class TopoTables:
         j_best, eta_best = (int(v) for v in ties[order[0]])
         eta_best += s  # capacity in the tables' coordinates
 
-        d = np.zeros(n, dtype=np.int64)
-        j, eta = j_best, eta_best
-        for i in range(n, 0, -1):
-            shift = int(inst.xi[j] - inst.x[i - 1])
-            d[i - 1] = shift
-            j_prev = int(self.pred[i - 1, j, eta]) if i > 1 else -1
-            eta += int(inst.gamma[i - 1]) * abs(shift)  # capacity one layer back
-            j = j_prev
+        pred = self.pred.item
+        xi, x, gamma = inst.xi.tolist(), inst.x.tolist(), inst.gamma.tolist()
+        js = [j_best]  # value indices of layers n..1
+        eta = eta_best
+        for i in range(n - 1, 0, -1):  # from layer i + 1 back to layer i
+            j = js[-1]
+            js.append(pred(i, j, eta))
+            eta += gamma[i] * abs(xi[j] - x[i])  # capacity one layer back
+        d = inst.xi[js[::-1]] - inst.x
 
         finite = self.finite[:, s:]  # sums of small ints accumulate in int64
         succ = self.succ[:, : width - s]

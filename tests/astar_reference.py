@@ -1,7 +1,7 @@
 """Reference solvers for the tests: the A* search loop solve_astar ran
-before its successor rows and windowed heuristic table, and a relaxed sweep
-with the tie rule spelled out, which relaxed_costs_to_sink must reproduce
-bit for bit.
+before its successor rows and windowed heuristic table, the heuristic of one
+node, and a relaxed sweep with the tie rule spelled out, which
+relaxed_costs_to_sink must reproduce bit for bit.
 
 Each expansion finds its successors with numpy calls over all m value
 indices of the head layer (consumption within the capacity, dominated edges
@@ -51,6 +51,21 @@ def dominated_masks(inst: TripInstance) -> list[np.ndarray]:
         lhs = inst.c[i] * dv + inst.alpha * (np.abs(base + dv) - np.abs(base))
         masks.append((lhs > inst.alpha * np.abs(dv)) & (dv != 0))
     return masks
+
+
+def heuristic_h(inst: TripInstance, tables: LagrangeTables, node: NodeRef) -> float:
+    """Consistent cost-to-go estimate: the best lower bound over all
+    evaluated multipliers, -lam * capacity + cost-to-sink."""
+    if node.layer == inst.n + 1:
+        return 0.0
+    if node.layer == 0:
+        return max(
+            t.source_cost - t.lam * node.capacity for t in tables.zeta
+        )
+    return max(
+        t.cost[node.layer - 1, node.value_index] - t.lam * node.capacity
+        for t in tables.zeta
+    )
 
 
 def dense_heuristic_table(inst: TripInstance, tables: LagrangeTables) -> np.ndarray:

@@ -7,6 +7,7 @@ import time
 import numpy as np
 import pytest
 
+from astar_reference import heuristic_h
 from tripsolve.astar import AstarOptions, solve_astar
 from tripsolve.graph import (
     build_explicit,
@@ -16,7 +17,7 @@ from tripsolve.graph import (
     step_to_path,
 )
 from tripsolve.instance import objective
-from tripsolve.lagrange import binary_search, heuristic_h, relaxed_objective
+from tripsolve.lagrange import binary_search, relaxed_objective
 from tripsolve.oracle import (
     extract_knapsack,
     gen_random,

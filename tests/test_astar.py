@@ -150,8 +150,9 @@ def test_pruning_toggles_preserve_objective(options, corpus200):
 def test_equal_f_prefers_larger_capacity():
     # both first-layer labels enter the queue with f = -1 when the source
     # expands; the capacity-1 label must pop first
+    from astar_reference import heuristic_h
     from tripsolve.graph import NodeRef
-    from tripsolve.lagrange import binary_search, heuristic_h
+    from tripsolve.lagrange import binary_search
 
     inst = validate(
         {

@@ -139,6 +139,22 @@ def test_slip_signal_bad_n_exits_2(tmp_path, capsys, n):
     assert err == "error: n must be a positive integer\n"
 
 
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--max-outer", "-3"], "max_outer must be a non-negative integer"),
+        (["--solver", "hybrid", "--delta-d", "-4"], "delta_d must be a non-negative integer"),
+    ],
+)
+def test_slip_negative_loop_settings_exit_2(tmp_path, capsys, flags, message):
+    out = tmp_path / "heat.jsonl"
+    code, stdout, err = run_cli(
+        capsys, "slip", "heat", "--n", "8", "--alpha", "1e-4", *flags, "--out", str(out)
+    )
+    assert code == 2 and stdout == "" and not out.exists()
+    assert err == f"error: {message}\n"
+
+
 @pytest.mark.parametrize("field, value", [("x", 0), ("alpha", None)])
 def test_solve_malformed_field_exits_2(tmp_path, capsys, field, value):
     raw = {"n": 2, "alpha": 1.0, "delta": 2, "xi": [0, 1], "x": [0, 0],
@@ -418,6 +434,20 @@ def test_bench_rejects_solver_list_before_solving(
                            "--out", str(out))
     assert code == 2 and err.startswith("error: ") and err.count("\n") == 1
     assert not out.exists()
+
+
+def test_bench_negative_delta_d_exits_2(tmp_path, trace_file, capsys, monkeypatch):
+    import tripsolve.cli as cli_mod
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved before --delta-d was checked")
+
+    monkeypatch.setattr(cli_mod, "_solve_with", no_solve)
+    out = tmp_path / "x.csv"
+    code, stdout, err = run_cli(capsys, "bench", str(trace_file), "--solvers",
+                                "topo,astar", "--delta-d", "-4", "--out", str(out))
+    assert code == 2 and stdout == "" and not out.exists()
+    assert err == "error: --delta-d must be a non-negative integer\n"
 
 
 @pytest.mark.parametrize("epsilon", ["nan", "inf", "0", "-1"])

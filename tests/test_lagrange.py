@@ -15,7 +15,11 @@ from tripsolve.graph import (
     reach_windows,
     sink_node,
 )
-from astar_reference import assert_matches_reference_sweep, reference_sweep
+from astar_reference import (
+    assert_matches_reference_sweep,
+    heuristic_h,
+    reference_sweep,
+)
 from conftest import equivalence_instances, halving, radius_corpus
 from tripsolve.instance import InstanceError, RadiusCache, objective, validate
 from tripsolve.lagrange import (
@@ -23,7 +27,6 @@ from tripsolve.lagrange import (
     LagrangeTables,
     binary_search,
     extract_path_step,
-    heuristic_h,
     heuristic_table,
     relaxed_costs_to_sink,
     relaxed_objective,

@@ -3,6 +3,7 @@ import pytest
 
 import tripsolve.slip
 from conftest import solution_fields
+from slip_reference import make_heat_problem_reference, make_signal_problem_reference
 from tripsolve.astar import solve_astar
 from tripsolve.slip import (
     ControlProblem,
@@ -98,6 +99,12 @@ def test_config_validation():
         SlipConfig(alpha=0.1, delta0=2, solver="bogus")
     with pytest.raises(ValueError):
         SlipConfig(alpha=0.1, delta0=2, solver="hybrid")
+    with pytest.raises(ValueError, match="delta_d"):
+        SlipConfig(alpha=0.1, delta0=2, solver="hybrid", delta_d=-1)
+    with pytest.raises(ValueError, match="max_outer"):
+        SlipConfig(alpha=0.1, delta0=2, max_outer=-1)
+    assert SlipConfig(alpha=0.1, delta0=2, solver="hybrid", delta_d=0).delta_d == 0
+    assert SlipConfig(alpha=0.1, delta0=2, max_outer=0).max_outer == 0
 
 
 def test_emitted_radii_follow_halving():
@@ -161,6 +168,43 @@ def test_signal_gradient_fidelity():
     x = np.zeros(32)
     x[4:9] = -3
     gradient_check(problem, x)
+
+
+def controls(problem, seed):
+    """The zero start, an integer control in xi and a float control inside
+    the box hull of xi."""
+    rng = np.random.default_rng(seed)
+    lo, hi = int(problem.xi[0]), int(problem.xi[-1])
+    return [
+        np.zeros(problem.n, dtype=np.int64),
+        rng.integers(lo, hi + 1, problem.n),
+        rng.uniform(lo, hi, problem.n),
+    ]
+
+
+def assert_bitwise_equal(problem, reference, seed):
+    for x in controls(problem, seed):
+        assert np.float64(problem.smooth_value(x)).tobytes() == np.float64(
+            reference.smooth_value(x)
+        ).tobytes()
+        assert problem.gradient_coeffs(x).tobytes() == reference.gradient_coeffs(x).tobytes()
+
+
+@pytest.mark.parametrize("fine_factor", [4, 32])
+@pytest.mark.parametrize("n", [2, 3, 10, 256])
+def test_heat_problem_matches_reference_bitwise(n, fine_factor):
+    # n = 10 puts the diffusivity jump on no cell's interior, the others cut one
+    assert_bitwise_equal(
+        make_heat_problem(n, fine_factor), make_heat_problem_reference(n, fine_factor), n
+    )
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("n", [1, 8, 128, 256])
+def test_signal_problem_matches_reference_bitwise(n, seed):
+    assert_bitwise_equal(
+        make_signal_problem(n, seed), make_signal_problem_reference(n, seed), n + seed
+    )
 
 
 def test_signal_requires_divisor():
