@@ -32,8 +32,8 @@ from typing import Callable, Optional
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
+from scipy.fft import irfftn, next_fast_len, rfftn
 from scipy.linalg import solveh_banded
-from scipy.signal import fftconvolve
 from scipy.special import erf
 
 from .astar import solve_astar
@@ -289,6 +289,12 @@ def make_heat_problem(n: int, fine_factor: int = 4) -> ControlProblem:
 # ---------------------------------------------------------------------------
 # built-in problem: signal reconstruction through a causal kernel
 
+# lags per kernel_mass evaluation: its (5, 32, 200) temporaries take 256 kB
+# each, which the allocator reuses; blocks of 256 lags or the whole grid
+# (33 MB each) built the problem more slowly, their pages faulted in afresh
+_KERNEL_BLOCK = 32
+
+
 def make_signal_problem(
     n: int, seed: int, fine_cells: int = 4096
 ) -> ControlProblem:
@@ -302,9 +308,16 @@ def make_signal_problem(
     integrated exactly over cells via the Gaussian antiderivative. The
     gradient applies the adjoint of the same discrete convolution to the
     residual and accumulates per control interval.
+
+    The kernel's spectrum is computed once, here. Each convolution then
+    transforms its own operand, multiplies by the stored spectrum and
+    transforms back, the steps scipy.signal.fftconvolve takes in the same
+    order and at the same length, so every float equals its result.
     """
     if n < 1:
         raise ValueError("n must be a positive integer")
+    if fine_cells < 1:
+        raise ValueError("fine_cells must be a positive integer")
     if fine_cells % n != 0:
         raise ValueError("n must divide the fine-grid size")
     m_fine = fine_cells
@@ -331,12 +344,27 @@ def make_signal_problem(
     lags = np.arange(m_fine, dtype=np.float64)
     t_nodes = lags[None, :] * h + offs[:, None]
     target = 5.0 * np.sin(4.0 * np.pi * t_nodes) + 10.0
+    # each lag sums its 200 bumps in the same order whatever the block
+    mass = np.concatenate(
+        [
+            kernel_mass(t_nodes[:, k : k + _KERNEL_BLOCK])
+            for k in range(0, m_fine, _KERNEL_BLOCK)
+        ],
+        axis=1,
+    )
     # the kernel over (t_nodes[q, k - 1], t_nodes[q, k]], over (0, t] at lag 0
-    lag_kernel = np.diff(kernel_mass(t_nodes), axis=1, prepend=0.0)  # (5, m_fine)
+    lag_kernel = np.diff(mass, axis=1, prepend=0.0)  # (5, m_fine)
+    fshape = [next_fast_len(2 * m_fine - 1, True)]
+    kernel_spectrum = rfftn(lag_kernel, fshape, axes=[1])
+
+    def convolve(rows: np.ndarray) -> np.ndarray:
+        """The first m_fine lags of each row convolved with its kernel row."""
+        operand_spectrum = rfftn(rows, fshape, axes=[1])
+        return irfftn(operand_spectrum * kernel_spectrum, fshape, axes=[1])[:, :m_fine]
 
     def forward(xv: np.ndarray) -> np.ndarray:
         xf = np.repeat(np.asarray(xv, dtype=np.float64), rep)
-        return fftconvolve(xf[None, :], lag_kernel, axes=1)[:, :m_fine]
+        return convolve(xf[None, :])
 
     def smooth_value(xv: np.ndarray) -> float:
         residual = forward(xv) - target
@@ -345,7 +373,7 @@ def make_signal_problem(
     def gradient_coeffs(xv: np.ndarray) -> np.ndarray:
         residual = forward(xv) - target
         z = wq[:, None] * residual
-        g_rows = fftconvolve(z[:, ::-1], lag_kernel, axes=1)[:, :m_fine][:, ::-1]
+        g_rows = convolve(z[:, ::-1])[:, ::-1]
         return g_rows.sum(axis=0).reshape(n, rep).sum(axis=1)
 
     return ControlProblem(

@@ -12,7 +12,12 @@ of w_i and w_{i-1} value indices, so the running time is proportional to
 delta * sum_i w_i * w_{i-1}, at most n * delta * |xi|^2 when every window
 is full. The cost tables roll layer by layer; only the predecessor choices,
 the last layer's costs and two per-layer counts are kept, in a TopoTables
-record, so the optimal step can be reconstructed.
+record, so the optimal step can be reconstructed. A layer's arrival costs
+and predecessor choices move to the capacities they leave with one gather
+each, not one copy per value: the rolling cost table carries a pad column of
+inf (predecessor -1), and each state whose consumption would take it past
+delta reads that column. The gathered indices are rows of one strided view
+of a small fixed array, so no index table of a layer's size is built.
 
 One set of tables answers every radius up to the one it was built at. The
 states of radius delta - s are exactly the states of radius delta whose
@@ -33,6 +38,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .graph import edge_terms, reach_windows
 from .instance import (
@@ -77,9 +83,10 @@ class TopoTables:
         )
         lo, hi = (w.tolist() for w in reach_windows(inst))
         sizes = [b - a for a, b in zip(lo, hi)]
-        # the last layer's costs, or one layer's (w_i, w_{i-1}, width) sums
-        rows = max([m] + [u * v for u, v in zip(sizes, sizes[1:])])
-        check_table_bytes("layer cost table", rows * width * 8)
+        # the last layer's costs, the index rows below or one layer's
+        # (w_i, w_{i-1}) sums, each width + 1 wide with its pad column
+        rows = max([m, 2 * max(sizes)] + [u * v for u, v in zip(sizes, sizes[1:])])
+        check_table_bytes("layer cost table", rows * (width + 1) * 8)
         pred = np.full((n, m, width), -1, dtype=pred_dtype)
         finite = np.zeros((n, width), dtype=pred_dtype)
         cons, linear, jump = edge_terms(inst)
@@ -92,32 +99,48 @@ class TopoTables:
         counts = np.arange(m + 1, dtype=pred_dtype)[None, :].repeat(n - 1, axis=0)
         succ = counts.repeat((ends[:, 1:] - ends[:, :-1]).ravel()).reshape(n - 1, width)
 
-        used_by = cons.tolist()
+        # A layer-i state (j, eta) is reached at capacity eta + cons[i, j] of
+        # its arrival table, or from the inf pad column width when that
+        # exceeds delta. The flat positions of window row r are therefore
+        # min(cons[i, j] + eta, width) + r * (width + 1), eta = 0..width:
+        # the window of the row-r copy of min(arange(span), width) that
+        # starts at cons[i, j], shifted[start[i, j]].
+        span = 2 * (width + 1)
+        window_row = np.arange(max(sizes))[:, None]
+        shifted = sliding_window_view(
+            (np.minimum(np.arange(span), width) + (width + 1) * window_row).ravel(),
+            width + 1,
+        )
+        start = np.arange(m) - np.array(lo)[:, None]
+        start *= span
+        start += cons
 
-        # cost[j - lo_i, eta]: cost of the layer-i state (j, eta), j in the window
+        # cost[j - lo_i, eta]: cost of the layer-i state (j, eta), j in the
+        # window, and an inf pad column at eta = width
         a, b = lo[0], hi[0]
-        cost = np.full((b - a, width), _INF)
+        cost = np.full((b - a, width + 1), _INF)
         cost[np.arange(b - a), inst.delta - cons[0, a:b]] = linear[0, a:b]
-        finite[0] = np.isfinite(cost).sum(axis=0)
+        finite[0] = np.add.reduce(np.isfinite(cost), axis=0)[:width]
 
+        # ufunc reductions rather than the .min and .sum methods, whose
+        # Python wrappers cost a measurable share of a small layer
         for i in range(1, n):  # head layer i + 1, tail window a..b-1
             pa, pb, a, b = a, b, lo[i], hi[i]
             weight = linear[i, a:b] + jump[pa:pb, a:b]
             # stacked[j', j, eta] = cost of reaching (i, pa + j, eta) + edge to a + j'
             stacked = cost[None, :, :] + weight.T[:, :, None]
-            arrived = stacked.min(axis=1)
-            best_prev = stacked.argmin(axis=1) + pa  # smallest value index on ties
-            best_prev[arrived == _INF] = -1
+            arrived = np.minimum.reduce(stacked, axis=1)
+            best_prev = stacked.argmin(axis=1)  # smallest value index on ties
+            best_prev += pa
+            best_prev[arrived == _INF] = -1  # the pad column too
 
-            cost = np.full((b - a, width), _INF)
-            for j, used in enumerate(used_by[i][a:b]):
-                span = width - used
-                cost[j, :span] = arrived[j, used:]
-                pred[i, a + j, :span] = best_prev[j, used:]
-            finite[i] = np.isfinite(cost).sum(axis=0)
+            index = shifted[start[i, a:b]]
+            cost = arrived.take(index)
+            pred[i, a:b] = best_prev.take(index)[:, :width]
+            finite[i] = np.add.reduce(np.isfinite(cost), axis=0)[:width]
 
         last_cost = np.full((m, width), _INF)
-        last_cost[a:b] = cost
+        last_cost[a:b] = cost[:, :width]
         return cls(
             delta=inst.delta,
             pred=pred,

@@ -1,5 +1,8 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from scipy.fft import next_fast_len
 
 import tripsolve.slip
 from conftest import solution_fields
@@ -205,6 +208,38 @@ def test_signal_problem_matches_reference_bitwise(n, seed):
     assert_bitwise_equal(
         make_signal_problem(n, seed), make_signal_problem_reference(n, seed), n + seed
     )
+
+
+@pytest.mark.parametrize(
+    "n, fine_cells, fft_length", [(8, 1000, 2000), (5, 1215, 2430), (3, 729, 1458)]
+)
+def test_signal_problem_matches_reference_at_other_fft_lengths(n, fine_cells, fft_length):
+    # the stored kernel spectrum must be taken at fftconvolve's own length,
+    # which is no power of two on these grids
+    assert next_fast_len(2 * fine_cells - 1, True) == fft_length
+    assert_bitwise_equal(
+        make_signal_problem(n, 1, fine_cells),
+        make_signal_problem_reference(n, 1, fine_cells),
+        n,
+    )
+
+
+def test_signal_problem_build_stays_small():
+    # the kernel used to be integrated in (5, 4096, 200) temporaries, a
+    # 131 MB peak; integrated in blocks of lags, the build peaks near 2 MB
+    tracemalloc.start()
+    try:
+        make_signal_problem(256, 0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8_000_000
+
+
+@pytest.mark.parametrize("fine_cells", [0, -8])
+def test_signal_requires_positive_fine_cells(fine_cells):
+    with pytest.raises(ValueError, match="fine_cells must be a positive integer"):
+        make_signal_problem(1, seed=0, fine_cells=fine_cells)
 
 
 def test_signal_requires_divisor():

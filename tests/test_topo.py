@@ -22,6 +22,7 @@ from tripsolve.instance import (
     validate,
 )
 from tripsolve.oracle import gen_random, knapsack_reduce, solve_bruteforce
+from tripsolve.slip import make_signal_problem
 from tripsolve.topo import TopoTables, solve_topo
 
 
@@ -268,6 +269,20 @@ def test_windowed_tables_with_free_and_costly_layers():
         costly = inst.gamma * 50  # window of the one value x_i
         for gamma in (free, costly, np.where(free > 0, costly, 0)):
             assert_matches_dense(dataclasses.replace(inst, gamma=gamma))
+
+
+def test_windowed_tables_on_signal_subproblems():
+    # the default path: m = 11 values, radii up to 32, from the zero start
+    # and from a control with jumps, so windows are clipped on both sides
+    problem = make_signal_problem(64, seed=0)
+    rng = np.random.default_rng(0)
+    for x in (np.zeros(64, dtype=np.int64), rng.integers(-5, 6, 64)):
+        record = {
+            "n": 64, "alpha": 1e-3, "xi": problem.xi.tolist(), "x": x.tolist(),
+            "gamma": problem.gamma.tolist(), "c": problem.gradient_coeffs(x).tolist(),
+        }
+        for delta in range(1, 33):
+            assert_matches_dense(validate({**record, "delta": delta}))
 
 
 def _knapsacks(items: int, draws: int, seed: int):
