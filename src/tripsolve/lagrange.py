@@ -6,6 +6,18 @@ weights increased by lam times the edge consumption. The relaxed optimum
 lower-bounds the constrained one for every lam >= 0, and the cost-to-sink
 tables of the relaxed graphs combine into a consistent A* heuristic.
 
+The relaxation covers only the reach windows (graph.reach_windows), the
+nodes that solve_topo and the search visit too. A value index outside its
+layer's window overspends the budget on its own, so every feasible path
+avoids it: the relaxation is the Lagrangian dual of the equivalent program
+that keeps the per-interval constraints gamma_i * |d_i| <= delta and prices
+only their sum. Its optimum still bounds the constrained one from below,
+and at every multiplier it is at least the optimum relaxed over all nodes.
+Knapsack reductions show the difference: their windows hold 1-2 of
+2 * items + 1 values, and on the 24 seed-0 knapsacks of the benchmark the
+median gap between the optimum and the dual bound is 2.1 instead of
+455 over all nodes.
+
 The Lagrangian dual L(lam), the relaxed optimum less lam * delta, is
 concave and piecewise linear: the relaxed path of a multiplier, with cost c
 and budget use r, gives the supporting line c + lam * (r - delta). A
@@ -24,27 +36,30 @@ Each relaxed graph is evaluated by a backward sweep over the layers.
 the edge weights from the terms of graph.edge_terms, and a round sweeps its
 cut together with the midpoints on either side of it, one of which is the
 midpoint it evaluates next. On the 24 seed-0 knapsack reductions of the
-benchmark this takes 102 sweeps.
+benchmark this takes 144 sweeps.
 A layer's rows minimise over the same column costs plus an L1 jump, so a
 column that wins by more than its jump to every other column wins every row
 (the triangle inequality, as in the L1 distance transform of Felzenszwalb &
 Huttenlocher, Theory of Computing 2012). A sweep tests this on each layer
 with a handful of numpy operations on (K, m) arrays and, when it holds for
-every multiplier, fills the layer from that column; only the other layers
-build the (K, m, m) totals and take the lexicographic minimum of each row.
-At the multipliers the benchmark's searches evaluate, 94% of the layers of
-its heat sweeps pass, and 61% of its knapsack ones. Each numpy operation is
-small at these m, so per layer the sweep is bound by interpreter overhead,
-not arithmetic.
+every multiplier, fills the layer's window from that column; only the other
+layers build the totals of their two windows and take the lexicographic
+minimum of each row. At the multipliers the benchmark's searches evaluate,
+94% of the layers of its heat sweeps pass, and 80% of its
+knapsack ones. Each numpy operation is small at these m, so per layer the
+sweep is bound by interpreter overhead, not arithmetic.
 
-A relaxed sweep does not read the radius delta: it enters only when the
-search compares a path's budget use with it. A RadiusCache therefore keeps
-every swept table of an instance with its relaxed path's step once read
-(the Sweeps record), and a sweep evaluates only multipliers not swept
-before. The cache spares sweeps and nothing else: the tables read from it
-are the floats a new sweep would compute, the search evaluates the
-multipliers a search without the cache evaluates, and only those tables
-enter the result.
+A relaxed sweep reads the radius delta only through the windows; delta
+enters otherwise only when the search compares a path's budget use with
+it. A RadiusCache therefore keeps every swept table of an instance with its
+relaxed path's step once read (the Sweeps record), swept over the windows
+of the radius the record was built at, and a sweep evaluates only
+multipliers not swept before. The windows at a smaller radius lie inside
+those, so the tables still bound the optimum there and the heuristic stays
+consistent on every edge the search generates. Where the windows are
+narrower than at the record's radius, the multipliers the search evaluates,
+the heuristic and the search counters may differ from those of a solve
+without the cache; the answer is an optimum all the same.
 """
 
 from __future__ import annotations
@@ -77,15 +92,17 @@ class ZetaTable:
     """Cost-to-sink data of one relaxed quotient graph.
 
     cost[i - 1, j] is the cheapest relaxed cost from the layer-i node with
-    value index j to the sink; res holds the smallest budget use among those
-    cheapest paths and choice the successor index realizing the pair.
-    source_* carry the same data for the source node.
+    value index j to the sink through the reach windows; res holds the
+    smallest budget use among those cheapest paths and choice the successor
+    index realizing the pair. A node outside its layer's window has no path:
+    cost +inf and choice -1. source_* carry the same data for the source
+    node.
     """
 
     lam: float
     cost: np.ndarray  # (n, m) float
     res: np.ndarray  # (n, m) int
-    choice: np.ndarray  # (n, m) int, -1 in the last layer
+    choice: np.ndarray  # (n, m) int, -1 in the last layer and outside windows
     source_cost: float
     source_res: int
     source_choice: int
@@ -120,51 +137,67 @@ class LagrangeTables:
 
 @dataclass
 class Sweeps:
-    """The radius-free work of the multiplier searches of one instance:
-    every relaxed table swept so far, by its exact multiplier, and the
-    relaxed path's step of each table whose path a search used."""
+    """The multiplier searches' work on one instance at every radius up to
+    that of inst, the instance it was built for: every relaxed table swept
+    so far over the reach windows of inst, by its exact multiplier, and the
+    relaxed path's step of each table whose path a search used.
 
+    The windows at a smaller radius lie inside those of inst, so a table
+    swept over the windows of inst bounds the optimum at that radius too,
+    and its heuristic stays consistent on every edge a search there
+    generates."""
+
+    inst: TripInstance
     swept: dict[float, ZetaTable] = field(default_factory=dict)
     steps: dict[float, np.ndarray] = field(default_factory=dict)
 
-    def sweep(self, inst: TripInstance, lams: list[float]) -> None:
+    def sweep(self, lams: list[float]) -> None:
         """Sweep every multiplier of lams not swept yet."""
         new = [lam for lam in lams if lam not in self.swept]
         if new:
-            self.swept.update(zip(new, relaxed_costs_to_sink(inst, new)))
+            self.swept.update(zip(new, relaxed_costs_to_sink(self.inst, new)))
 
-    def step(self, inst: TripInstance, lam: float) -> np.ndarray:
+    def step(self, lam: float) -> np.ndarray:
         """The relaxed path's step of the table swept at lam."""
         d = self.steps.get(lam)
         if d is None:
-            d = self.steps[lam] = extract_path_step(inst, self.swept[lam])
+            d = self.steps[lam] = extract_path_step(self.inst, self.swept[lam])
         return d
 
 
 def _lex_min(
-    total: np.ndarray, key: np.ndarray, offsets: np.ndarray
+    total: np.ndarray, key: np.ndarray, m: int, start: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-row minimum over the last axis of total (K, rows, m) in the order
-    (cost, budget, column): costs within COST_TIE_TOL of the row minimum tie,
-    and among them the smallest key = budget * m + column wins.
+    """Per-row minimum over the last axis of total (K, rows, w), the value
+    indices start..start + w - 1, in the order (cost, budget, column): costs
+    within COST_TIE_TOL of the row minimum tie, and among them the smallest
+    key = budget * m + column wins.
 
-    key: (K, m), shared by all rows of one multiplier; offsets: (K, rows),
-    the flat index of each row's first entry.
+    key: (K, w), shared by all rows of one multiplier.
     Returns (cost, budget, column), each (K, rows).
     """
-    m = total.shape[-1]
+    k, rows, w = total.shape
     tied = total <= np.minimum.reduce(total, axis=-1)[..., None] + COST_TIE_TOL
     best = np.minimum.reduce(np.where(tied, key[:, None, :], _NO_KEY), axis=-1)
     col = best % m
-    return total.reshape(-1)[offsets + col], best // m, col
+    offsets = np.arange(0, k * rows * w, w).reshape(k, rows)  # each row's start
+    return total.reshape(-1)[offsets + (col - start)], best // m, col
 
 
 def relaxed_costs_to_sink(inst: TripInstance, lams) -> list[ZetaTable]:
-    """Backward sweeps over the quotient graph with weights increased by
-    lam times the edge consumption, for every lam in lams at once.
+    """Backward sweeps over the reach windows of the quotient graph, with
+    weights increased by lam times the edge consumption, for every lam in
+    lams at once.
 
     The one sweep function. Keep its name: perfbench's tracer counts the
     sweeps by patching lagrange.relaxed_costs_to_sink, which Sweeps calls.
+
+    Only the nodes in the reach windows at inst.delta (graph.reach_windows)
+    are swept. Any other node overspends the budget on its own, and its
+    entries mean "no path": cost +inf and choice -1, which no sweep reads
+    but as +inf. Every feasible path stays inside the windows, so the
+    relaxed optimum still bounds the constrained one from below, and it is
+    at least the relaxed optimum over all nodes.
 
     Table k is bitwise the table of a sweep for lams[k] alone: each entry is
     computed as ((linear + jump) + lam * consumption) + cost-to-sink, in that
@@ -175,33 +208,36 @@ def relaxed_costs_to_sink(inst: TripInstance, lams) -> list[ZetaTable]:
 
     Dominated layers. Row j of layer i minimises, over the columns j',
     total[j, j'] = g[j'] + jump[j, j'], where g = (linear + lam * cons) +
-    cost-to-sink is the same for every row. Let s be the column of the
-    smallest g. If every other column j' has g[j'] > g[s] + jump[s, j'] +
-    margin, the triangle inequality jump[j, j'] >= jump[j, s] - jump[s, j']
-    gives total[j, j'] > total[j, s] + margin in every row j: s is the only
-    entry within COST_TIE_TOL of the row minimum, and the (cost, budget,
-    column) rule picks it. Such a layer is filled from column s directly,
-    each entry the float expression above, and skips the (K, m, m) totals
-    and _lex_min. The test is one decision per layer: column s passes its
-    own comparison, so K passing entries mean that no other column passes
-    for any multiplier; otherwise the layer runs _lex_min for all of them.
+    cost-to-sink is the same for every row, and +inf outside the window.
+    Let s be the column of the smallest g. If every other column j' has
+    g[j'] > g[s] + jump[s, j'] + margin, the triangle inequality
+    jump[j, j'] >= jump[j, s] - jump[s, j'] gives total[j, j'] > total[j, s]
+    + margin in every row j: s is the only entry within COST_TIE_TOL of the
+    row minimum, and the (cost, budget, column) rule picks it. Such a layer
+    fills the rows of its window from column s directly, each entry the
+    float expression above, and skips the totals and _lex_min. The test is
+    one decision per layer: column s passes its own comparison and a column
+    outside the window never does, so K passing entries mean that no other
+    column passes for any multiplier; otherwise the layer runs _lex_min for
+    all of them, over the (K, w_i, w_{i+1}) totals of the two windows.
     jump[s] is read as a row, which equals the column jump[:, s] bit for
     bit since |fl(a - b)| = |fl(b - a)|.
 
     The margin is COST_TIE_TOL + 16 * eps * n * E, where E = max|linear| +
     max jump + max|lam * cons| bounds the terms of one edge, so that a
-    cost-to-sink entry is at most (n - 1) * E in size and each sum above at
-    most B = n * E, up to factors 1 + O(n * eps). With u = eps / 2, the unit
-    roundoff: a total is within 3uB of its exact sum and g within 2uB; the
-    jump table is alpha * |X_j' - X_j|, X the floats of xi, to a relative
-    2u, and the triangle inequality holds exactly for those X; the test's
-    two additions err by at most 2u(B + margin), and the tie test's
-    row minimum plus COST_TIE_TOL by u(B + COST_TIE_TOL). The test can only
-    pass when the g spread, at most 2B, exceeds COST_TIE_TOL, and then these
-    errors stay below 32uB = 16 * eps * n * E: the computed totals of every
-    row differ from the one at s by more than COST_TIE_TOL, so the tables
-    are bitwise those of _lex_min. When 2 * n * E is not finite (overflowing
-    inputs), a g could be too, and every layer takes _lex_min.
+    finite cost-to-sink entry is at most (n - 1) * E in size and each
+    finite sum above at most B = n * E, up to factors 1 + O(n * eps). With
+    u = eps / 2, the unit roundoff: a total is within 3uB of its exact sum
+    and g within 2uB; the jump table is alpha * |X_j' - X_j|, X the floats
+    of xi, to a relative 2u, and the triangle inequality holds exactly for
+    those X; the test's two additions err by at most 2u(B + margin), and
+    the tie test's row minimum plus COST_TIE_TOL by u(B + COST_TIE_TOL). The
+    test can only pass when the spread of the finite g, at most 2B, exceeds
+    COST_TIE_TOL, and then these errors stay below 32uB = 16 * eps * n * E:
+    the computed totals of every row differ from the one at s by more than
+    COST_TIE_TOL, so the tables are bitwise those of _lex_min. When
+    2 * n * E is not finite (overflowing inputs), a g could be too, and
+    every layer takes _lex_min.
     """
     n, m = inst.n, inst.m
     lam = np.asarray(lams, dtype=np.float64)
@@ -209,12 +245,14 @@ def relaxed_costs_to_sink(inst: TripInstance, lams) -> list[ZetaTable]:
     check_table_bytes("relaxed sweep tables", n * k * m * 8)
     cons, linear, jump = edge_terms(inst)
     check_table_bytes("relaxed sweep tables", k * m * m * 8)
+    # the window of layer i + 1 is lo[i]..hi[i] - 1
+    lo, hi = (w.tolist() for w in reach_windows(inst))
     lam_cons = lam[None, :, None] * cons[:, None, :]  # (n, K, m)
     key_cons = cons * m + np.arange(m)  # (budget * m + column) per edge
-    cost = np.zeros((n, k, m))
+    cost = np.full((n, k, m), np.inf)
+    cost[n - 1, :, lo[n - 1]:hi[n - 1]] = 0.0  # the zero-weight sink edge
     res = np.zeros((n, k, m), dtype=np.int64)
     choice = np.full((n, k, m), -1, dtype=np.int64)
-    offsets = np.arange(0, k * m * m, m).reshape(k, m)
     scale = n * (
         float(np.abs(linear).max())
         + float(jump.max())
@@ -224,8 +262,15 @@ def relaxed_costs_to_sink(inst: TripInstance, lams) -> list[ZetaTable]:
     margin = COST_TIE_TOL + 16.0 * np.finfo(np.float64).eps * scale
     lin_lam = linear[:, None, :] + lam_cons  # (n, K, m): g before its cost-to-sink
     first = np.arange(0, k * m, m)  # flat index of each multiplier's row
-    # last layer: only the zero-weight, zero-consumption sink edge
+    # every window full: the whole graph, swept in whole rows, since slicing
+    # them costs the heat sweeps about 5%
+    whole = lo == [0] * n and hi == [m] * n
     for i in range(n - 1, 0, -1):
+        if whole:
+            rows = i - 1
+        else:
+            tail = slice(lo[i - 1], hi[i - 1])  # the tails' window
+            rows = (i - 1, slice(None), tail)
         if dominance:
             g = lin_lam[i] + cost[i]
             s = g.argmin(axis=1)
@@ -234,23 +279,33 @@ def relaxed_costs_to_sink(inst: TripInstance, lams) -> list[ZetaTable]:
             bound = jump_s + g.take(at)[:, None]
             bound += margin
             if np.count_nonzero(g <= bound) == k:
-                # fill the rows from column s, as total[:, :, s]
-                row = cost[i - 1]
-                np.add(linear[i].take(s)[:, None], jump_s, out=row)
+                # fill the rows of the window from column s, as total[:, :, s]
+                row = cost[rows]
+                np.add(
+                    linear[i].take(s)[:, None],
+                    jump_s if whole else jump_s[:, tail],
+                    out=row,
+                )
                 row += lam_cons[i].take(at)[:, None]
                 row += cost[i].take(at)[:, None]
-                res[i - 1] = (cons[i].take(s) + res[i].take(at))[:, None]
-                choice[i - 1] = s[:, None]
+                res[rows] = (cons[i].take(s) + res[i].take(at))[:, None]
+                choice[rows] = s[:, None]
                 continue
-        total = (linear[i] + jump) + lam_cons[i][:, None, :]
-        total += cost[i][:, None, :]
-        cost[i - 1], res[i - 1], choice[i - 1] = _lex_min(
-            total, key_cons[i] + res[i] * m, offsets
-        )
-    total = linear[:1] + lam_cons[0][:, None, :]
-    total += cost[0][:, None, :]
+        if whole:
+            total = (linear[i] + jump) + lam_cons[i][:, None, :]
+            total += cost[i][:, None, :]
+            key, a = key_cons[i] + res[i] * m, 0
+        else:
+            a, b = lo[i], hi[i]  # the heads' window
+            total = (linear[i, a:b] + jump[tail, a:b]) + lam_cons[i][:, None, a:b]
+            total += cost[i][:, None, a:b]
+            key = key_cons[i, a:b] + res[i][:, a:b] * m
+        cost[rows], res[rows], choice[rows] = _lex_min(total, key, m, a)
+    a, b = lo[0], hi[0]
+    total = linear[:1, a:b] + lam_cons[0][:, None, a:b]
+    total += cost[0][:, None, a:b]
     cost_s, res_s, choice_s = _lex_min(
-        total, key_cons[0] + res[0] * m, first[:, None]
+        total, key_cons[0, a:b] + res[0][:, a:b] * m, m, a
     )
     return [
         ZetaTable(
@@ -274,13 +329,6 @@ def extract_path_step(inst: TripInstance, table: ZetaTable) -> np.ndarray:
     for first in range(0, (inst.n - 1) * m, m):  # flat index of a row's start
         js.append(item(first + js[-1]))
     return inst.xi[js] - inst.x
-
-
-def relaxed_objective(inst: TripInstance, d: np.ndarray, lam: float) -> float:
-    """Step cost plus lam times the budget overshoot (negative when under)."""
-    d = np.asarray(d, dtype=np.int64)
-    overshoot = int(np.dot(inst.gamma, np.abs(d))) - inst.delta
-    return objective(inst, d) + lam * overshoot
 
 
 def check_epsilon(epsilon: float) -> None:
@@ -317,12 +365,15 @@ def binary_search(
     Path slopes r - delta are integers, so a multiplier within epsilon of
     the dual optimum in value is within epsilon of a maximiser.
 
-    With a cache, the swept tables are kept there, and multipliers swept by
-    an earlier search of the same instance are not swept again; the result
-    is the one a search without the cache returns.
+    With a cache, the swept tables are kept there, swept over the reach
+    windows of the radius the cache entry was built at, and multipliers
+    swept by an earlier search of the same instance are not swept again.
+    At that radius the result is the one a search without the cache
+    returns; at a smaller one whose windows are narrower it may evaluate
+    other multipliers, whose tables bound the optimum all the same.
     """
     check_epsilon(epsilon)
-    sweeps = (cache or RadiusCache()).entry("sweeps", inst, Sweeps)
+    sweeps = (cache or RadiusCache()).entry("sweeps", inst, lambda: Sweeps(inst))
     tables = LagrangeTables(inst=inst)
     upper0 = float(np.max(np.abs(inst.c))) + 2.0 * inst.alpha
 
@@ -342,11 +393,11 @@ def binary_search(
         return hi if dual(hi) > dual(lo) else lo
 
     def path_solution(table: ZetaTable) -> Solution:
-        d = sweeps.step(inst, table.lam).copy()  # the record keeps its own
+        d = sweeps.step(table.lam).copy()  # the record keeps its own
         return Solution.of(inst, d, preprocessing_iterations=tables.iterations)
 
     def note_feasible(table: ZetaTable) -> None:
-        value = objective(inst, sweeps.step(inst, table.lam))
+        value = objective(inst, sweeps.step(table.lam))
         if value < tables.upper_bound:
             tables.upper_bound = value
             tables.incumbent = path_solution(table)
@@ -358,7 +409,7 @@ def binary_search(
         tables.zeta.sort(key=lambda t: t.lam)
         return tables
 
-    sweeps.sweep(inst, [0.0, upper0])
+    sweeps.sweep([0.0, upper0])
     lo = evaluate(0.0)
     if lo.source_res <= inst.delta:
         # the unconstrained optimum fits the budget: done
@@ -381,7 +432,7 @@ def binary_search(
             return finish(best)
         if not lo.lam < cut < hi.lam:  # rounding: bisect instead
             cut = 0.5 * (lo.lam + hi.lam)
-        sweeps.sweep(inst, [cut, 0.5 * (lo.lam + cut), 0.5 * (cut + hi.lam)])
+        sweeps.sweep([cut, 0.5 * (lo.lam + cut), 0.5 * (cut + hi.lam)])
         tables.iterations += 1
         lam = cut
         for _ in range(2):  # cut, then the midpoint of the bracket left
@@ -411,10 +462,12 @@ def heuristic_table(
     (lo, hi) = graph.reach_windows(inst).
 
     The table has shape (n, wmax, delta + 1), wmax the widest window; the
-    slots past a narrower window are padding that belongs to no node. No
-    node outside the windows is reachable, so a search never reads them.
-    Each entry is cost - lam * capacity, maximised over the tables in the
-    order of tables.zeta.
+    slots past a narrower window are padding that belongs to no node, and
+    may read +inf where they gather a node outside the windows the tables
+    were swept over. No node outside the windows is reachable, so a search
+    never reads them. Each entry is cost - lam * capacity, maximised over
+    the tables in the order of tables.zeta; the tables may be swept over
+    the wider windows of a larger radius, and are finite over these.
     """
     lo, hi = reach_windows(inst)
     width = inst.delta + 1

@@ -1,7 +1,8 @@
 """Reference solvers for the tests: the A* search loop solve_astar ran
 before its successor rows and windowed heuristic table, the heuristic of one
-node, and a relaxed sweep with the tie rule spelled out, which
-relaxed_costs_to_sink must reproduce bit for bit.
+node, and a relaxed sweep over the reach windows with the tie rule spelled
+out, which relaxed_costs_to_sink must reproduce bit for bit; over full
+windows it is the sweep over the whole graph.
 
 Each expansion finds its successors with numpy calls over all m value
 indices of the head layer (consumption within the capacity, dominated edges
@@ -21,7 +22,7 @@ import numpy as np
 
 from tripsolve import astar
 from tripsolve.astar import PRUNE_TOL, AstarOptions
-from tripsolve.graph import NodeRef, edge_terms
+from tripsolve.graph import NodeRef, edge_terms, reach_windows
 from tripsolve.instance import (
     RadiusCache,
     Solution,
@@ -38,6 +39,7 @@ from tripsolve.lagrange import (
     default_epsilon,
     relaxed_costs_to_sink,
 )
+from tripsolve.oracle import enumerate_steps
 
 
 def dominated_masks(inst: TripInstance) -> list[np.ndarray]:
@@ -210,12 +212,38 @@ def solve_astar_reference(
     )
 
 
-def reference_sweep(inst, lam):
-    """One relaxed backward sweep, layer by layer, with the tie rule spelled
-    out: cheapest cost within COST_TIE_TOL, then smallest budget, then
-    smallest index. Returns (cost, res, choice, source triple)."""
+def relaxed_objective(inst: TripInstance, d: np.ndarray, lam: float) -> float:
+    """Step cost plus lam times the budget overshoot (negative when under)."""
+    d = np.asarray(d, dtype=np.int64)
+    overshoot = int(np.dot(inst.gamma, np.abs(d))) - inst.delta
+    return objective(inst, d) + lam * overshoot
+
+
+def window_steps(inst: TripInstance) -> np.ndarray:
+    """enumerate_steps(inst) less every step with an entry outside its reach
+    window, gamma_i * |d_i| > delta: the paths the windowed relaxation
+    prices."""
+    steps = enumerate_steps(inst)
+    return steps[(inst.gamma * np.abs(steps) <= inst.delta).all(axis=1)]
+
+
+def full_windows(inst):
+    """(lo, hi) windows that hold every value index of every layer: the
+    relaxation over the whole graph."""
+    return np.zeros(inst.n, dtype=np.int64), np.full(inst.n, inst.m, dtype=np.int64)
+
+
+def reference_sweep(inst, lam, windows=None):
+    """One relaxed backward sweep over the reach windows (lo, hi), those of
+    inst by default, layer by layer, with the tie rule spelled out: cheapest
+    cost within COST_TIE_TOL, then smallest budget, then smallest index. A
+    node outside its window gets cost +inf, budget 0 and choice -1; with
+    full_windows(inst) the sweep covers the whole graph. Returns (cost, res,
+    choice, source triple)."""
     n, m = inst.n, inst.m
-    cost = np.zeros((n, m))
+    lo, hi = reach_windows(inst) if windows is None else windows
+    outside = (np.arange(m)[None, :] < lo[:, None]) | (np.arange(m)[None, :] >= hi[:, None])
+    cost = np.where(outside, np.inf, 0.0)
     res = np.zeros((n, m), dtype=np.int64)
     choice = np.full((n, m), -1, dtype=np.int64)
 
@@ -241,6 +269,8 @@ def reference_sweep(inst, lam):
         choice[i - 1], cost[i - 1], res[i - 1] = lex_min_rows(
             total, cons_head + res[i]
         )
+        gone = outside[i - 1]  # no path from a node outside its window
+        cost[i - 1, gone], res[i - 1, gone], choice[i - 1, gone] = np.inf, 0, -1
         shifts_head = shifts_tail
     shifts1 = inst.shifts(1)
     cons1 = inst.gamma[0] * np.abs(shifts1)

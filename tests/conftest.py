@@ -3,7 +3,8 @@ import dataclasses
 import numpy as np
 import pytest
 
-from tripsolve.instance import RadiusCache, TripInstance, validate
+from tripsolve.graph import reach_windows
+from tripsolve.instance import RadiusCache, TripInstance, clamp_delta, validate
 from tripsolve.oracle import gen_random
 
 
@@ -143,3 +144,32 @@ def assert_cached_radii_match(solve, inst: TripInstance) -> None:
     for delta in halving(inst.delta):
         at = dataclasses.replace(inst, delta=delta)
         assert solution_fields(solve(at, cache=cache)) == solution_fields(solve(at))
+
+
+def assert_cached_astar_matches(cached, fresh, inst: TripInstance, radius: int) -> None:
+    """A* solution fields through a cache built at radius against a solve
+    without it: the same step, objective and budget use, and the same
+    search counters too where the reach windows, clamped as solve_astar
+    clamps, are those of radius. The cache sweeps over the windows of its
+    radius, which bound the optimum and keep the heuristic consistent at
+    every smaller one."""
+    assert cached[:3] == fresh[:3]
+    here = reach_windows(clamp_delta(inst))
+    there = reach_windows(clamp_delta(dataclasses.replace(inst, delta=radius)))
+    if all(np.array_equal(a, b) for a, b in zip(here, there)):
+        assert cached == fresh
+
+
+def assert_cached_astar_radii_match(solve, inst: TripInstance) -> None:
+    """Solve inst at halving radii through one RadiusCache with an A*
+    solve; each answer must match a solve without the cache as
+    assert_cached_astar_matches says."""
+    cache = RadiusCache()
+    for delta in halving(inst.delta):
+        at = dataclasses.replace(inst, delta=delta)
+        assert_cached_astar_matches(
+            solution_fields(solve(at, cache=cache)),
+            solution_fields(solve(at)),
+            at,
+            inst.delta,
+        )

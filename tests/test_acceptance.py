@@ -7,7 +7,7 @@ import time
 import numpy as np
 import pytest
 
-from astar_reference import heuristic_h
+from astar_reference import heuristic_h, relaxed_objective, window_steps
 from tripsolve.astar import AstarOptions, solve_astar
 from tripsolve.graph import (
     build_explicit,
@@ -17,7 +17,7 @@ from tripsolve.graph import (
     step_to_path,
 )
 from tripsolve.instance import objective
-from tripsolve.lagrange import binary_search, relaxed_objective
+from tripsolve.lagrange import binary_search
 from tripsolve.oracle import (
     extract_knapsack,
     gen_random,
@@ -119,9 +119,9 @@ def test_criterion_2_heuristic_consistency():
 
 
 def dual_on_grid(inst, grid):
-    from tripsolve.oracle import enumerate_steps
-
-    steps = enumerate_steps(inst)
+    """The Lagrangian dual over the paths through the reach windows, the
+    relaxation binary_search maximises, at every multiplier of grid."""
+    steps = window_steps(inst)
     cost = steps @ inst.c + inst.alpha * np.abs(
         np.diff(inst.x[None, :] + steps, axis=1)
     ).sum(axis=1)

@@ -8,7 +8,8 @@ import pytest
 
 from astar_reference import dominated_masks, solve_astar_reference
 from conftest import (
-    assert_cached_radii_match,
+    assert_cached_astar_matches,
+    assert_cached_astar_radii_match,
     halving,
     radius_corpus,
     solution_fields,
@@ -209,19 +210,19 @@ def test_cached_radii_match_fresh_solves():
     epsilons = (None, 1e-3, 0.3)
     for k, inst in enumerate(radius_corpus()):
         solve = functools.partial(solve_astar, epsilon=epsilons[k % 3])
-        assert_cached_radii_match(solve, inst)
+        assert_cached_astar_radii_match(solve, inst)
 
 
 def test_cached_radii_with_many_values():
     inst = gen_random(6, 130, 40, 0.3, seed=11)
     assert inst.gamma.max() > 1
-    assert_cached_radii_match(solve_astar, inst)
+    assert_cached_astar_radii_match(solve_astar, inst)
 
 
 def test_cached_radii_above_the_clamp_cap():
     inst = gen_random(5, 3, 10**6, 0.3, seed=12)
     assert clamp_delta(inst).delta < inst.delta // 2
-    assert_cached_radii_match(solve_astar, inst)
+    assert_cached_astar_radii_match(solve_astar, inst)
 
 
 def test_cache_rebuilds_for_changed_instances():
@@ -284,6 +285,7 @@ def test_cache_mixes_edge_pruning_off_and_on():
             at = dataclasses.replace(inst, delta=delta)
             fresh = [solution_fields(solve_astar(at, options=o)) for o in (off, on)]
             cached = [solution_fields(solve_astar(at, options=o, cache=cache)) for o in (off, on)]
-            assert cached == fresh
+            for got, want in zip(cached, fresh):
+                assert_cached_astar_matches(got, want, at, inst.delta)
             differ += fresh[0][4] != fresh[1][4]  # generated counts
     assert differ > 0  # pruning changes the search somewhere in the corpus

@@ -18,10 +18,13 @@ from tripsolve.graph import (
 from astar_reference import (
     assert_matches_reference_sweep,
     heuristic_h,
+    full_windows,
     reference_sweep,
+    relaxed_objective,
+    window_steps,
 )
 from conftest import equivalence_instances, halving, radius_corpus
-from tripsolve.instance import InstanceError, RadiusCache, objective, validate
+from tripsolve.instance import InstanceError, RadiusCache, budget_cap, objective, validate
 from tripsolve.lagrange import (
     COST_TIE_TOL,
     LagrangeTables,
@@ -29,17 +32,23 @@ from tripsolve.lagrange import (
     extract_path_step,
     heuristic_table,
     relaxed_costs_to_sink,
-    relaxed_objective,
 )
-from tripsolve.oracle import enumerate_steps, gen_random
+from tripsolve.oracle import enumerate_steps, gen_random, knapsack_reduce
 from tripsolve.slip import make_heat_problem
 from tripsolve.topo import solve_topo
 
 
+def window_shifts(inst, i):
+    """The shifts of layer i within its reach window: gamma_i |d| <= delta."""
+    shifts = inst.shifts(i)
+    return shifts[inst.gamma[i - 1] * np.abs(shifts) <= inst.delta]
+
+
 def suffix_oracle(inst, lam, layer, value_index):
     """Exhaustive (cost, min budget among tied costs) over all continuations
-    from a given (layer, value) class to the sink."""
-    shifts = [inst.shifts(i) for i in range(layer + 1, inst.n + 1)]
+    from a given (layer, value) class to the sink through the reach
+    windows."""
+    shifts = [window_shifts(inst, i) for i in range(layer + 1, inst.n + 1)]
     best = (math.inf, math.inf)
     prev_value = int(inst.xi[value_index])
     for tail in itertools.product(*shifts) if shifts else [()]:
@@ -62,9 +71,10 @@ def suffix_oracle(inst, lam, layer, value_index):
 
 
 def dual_grid(inst, lambdas):
-    """Relaxed optimum -lam*delta + min over paths of (cost + lam*budget),
-    evaluated for a whole grid of multipliers at once by enumeration."""
-    steps = enumerate_steps(inst)
+    """Relaxed optimum -lam*delta + min over the paths through the reach
+    windows of (cost + lam*budget), evaluated for a whole grid of
+    multipliers at once by enumeration."""
+    steps = window_steps(inst)
     cost = steps @ inst.c + inst.alpha * np.abs(
         np.diff(inst.x[None, :] + steps, axis=1)
     ).sum(axis=1)
@@ -141,9 +151,10 @@ def test_zeta_derived_value_at_zero():
 
 def test_zeta_random_instances():
     for inst in small_instances(25, seed=300):
+        lo, hi = reach_windows(inst)
         for lam in (0.0, 0.5, 2.0):
             table = relaxed_costs_to_sink(inst, [lam])[0]
-            for j in range(inst.m):
+            for j in range(lo[0], hi[0]):
                 cost, res = suffix_oracle(inst, lam, 1, j)
                 assert table.cost[0, j] == pytest.approx(cost, abs=1e-9)
                 assert table.res[0, j] == res
@@ -153,7 +164,7 @@ def test_extracted_path_minimizes_resource_among_ties():
     for inst in small_instances(40, seed=400):
         for lam in (0.0, 0.25, 1.5):
             table = relaxed_costs_to_sink(inst, [lam])[0]
-            steps = enumerate_steps(inst)
+            steps = window_steps(inst)
             cost = steps @ inst.c + inst.alpha * np.abs(
                 np.diff(inst.x[None, :] + steps, axis=1)
             ).sum(axis=1)
@@ -366,17 +377,18 @@ def test_epsilon_must_be_positive(derived3, epsilon):
         binary_search(derived3, epsilon=epsilon)
 
 
-def sequential_cutting_plane(inst, epsilon):
+def sequential_cutting_plane(inst, epsilon, built=None):
     """binary_search's contract, one relaxed_costs_to_sink call per
-    evaluated multiplier: (lambdas in evaluation order, tables, log,
-    iterations, lambda_star, incumbent step, early-exit step and the
-    iteration count each was found at, and whether a cut test stopped the
-    search)."""
+    evaluated multiplier, over the reach windows of built, the instance a
+    cache entry was built for (inst itself without a cache): (lambdas in
+    evaluation order, tables, log, iterations, lambda_star, incumbent step,
+    early-exit step and the iteration count each was found at, and whether
+    a cut test stopped the search)."""
     lambdas, zeta, log = [], [], []
     state = {"iterations": 0, "upper": math.inf, "incumbent": None}
 
     def evaluate(lam):
-        table = relaxed_costs_to_sink(inst, [lam])[0]
+        table = relaxed_costs_to_sink(built or inst, [lam])[0]
         lambdas.append(table.lam)
         zeta.append(table)
         value = table.source_cost - lam * inst.delta
@@ -438,11 +450,11 @@ def assert_tables_equal(a, b):
     )
 
 
-def assert_matches_sequential(inst, eps, tables) -> bool:
+def assert_matches_sequential(inst, eps, tables, built=None) -> bool:
     """binary_search's result tables equal sequential_cutting_plane's;
     True when the search exited with a proven optimum."""
     lambdas, zeta, log, iterations, lam_star, incumbent, exit_, _ = (
-        sequential_cutting_plane(inst, eps)
+        sequential_cutting_plane(inst, eps, built)
     )
     order = np.argsort(lambdas)
     assert tables.lambdas == [lambdas[k] for k in order]
@@ -475,17 +487,19 @@ def test_cached_searches_match_sequential_cutting_plane():
         for delta in halving(inst.delta):
             at = dataclasses.replace(inst, delta=delta)
             tables = binary_search(at, 1e-3, cache=cache)
-            assert_matches_sequential(at, 1e-3, tables)
+            # the cache sweeps over the windows of the first, largest radius
+            assert_matches_sequential(at, 1e-3, tables, built=inst)
             for sol in (tables.incumbent, tables.early_exit):
                 if sol is not None:
                     sol.d += 1  # the cache keeps its own copy of every step
 
 
 def exact_dual_optimum(inst, upper0):
-    """The largest value on [0, upper0] of the lower envelope of the path
-    lines c_P + lam * (r_P - delta), from enumeration: the envelope is
-    evaluated at 0, upper0 and every pairwise intersection of the lines."""
-    steps = enumerate_steps(inst)
+    """The largest value on [0, upper0] of the lower envelope of the lines
+    c_P + lam * (r_P - delta) of the paths P through the reach windows, from
+    enumeration: the envelope is evaluated at 0, upper0 and every pairwise
+    intersection of the lines."""
+    steps = window_steps(inst)
     cost = steps @ inst.c + inst.alpha * np.abs(
         np.diff(inst.x[None, :] + steps, axis=1)
     ).sum(axis=1)
@@ -559,6 +573,78 @@ def test_relaxed_sweep_matches_reference_sweep():
             assert np.array_equal(single.res, res)
             assert np.array_equal(single.choice, choice)
             assert (single.source_cost, single.source_res, single.source_choice) == source
+
+
+def knapsack_instances(count=8, seed=1700):
+    """Strongly correlated knapsack reductions, 3-10 items: the windows
+    hold 1-2 of their 2 * items + 1 values."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(count):
+        weights = rng.integers(1, 20, size=int(rng.integers(3, 11)))
+        values = weights + 5.0 + rng.uniform(0.0, 0.01, size=weights.size)
+        capacity = int(weights.sum()) // 3
+        out.append(
+            knapsack_reduce(values.tolist(), weights.tolist(), capacity, 1.0).instance
+        )
+    return out
+
+
+def test_windowed_dual_lies_between_full_dual_and_optimum():
+    knapsacks = knapsack_instances()
+    for k, inst in enumerate(equivalence_instances(120, seed=1800) + knapsacks):
+        tables = binary_search(inst, 1e-6)
+        full = max(
+            reference_sweep(inst, t.lam, full_windows(inst))[3][0] - t.lam * inst.delta
+            for t in tables.zeta
+        )
+        bound = tables.dual_bound()
+        assert bound >= full - 1e-9
+        assert bound <= solve_topo(inst).objective + 1e-9
+        if k >= 120:  # a knapsack: the windows make the bound far tighter
+            assert bound > full + 1.0
+
+
+def test_full_windows_sweep_the_whole_graph():
+    # at budget_cap every window holds every value: the tables are bitwise
+    # those of the sweep over the whole graph
+    heat = make_heat_problem(64)
+    x = np.zeros(heat.n, dtype=np.int64)
+    at_cap = [
+        validate(
+            {"n": heat.n, "alpha": 1e-4, "delta": budget_cap(heat.n, heat.xi, heat.gamma),
+             "xi": heat.xi.tolist(), "x": x.tolist(), "gamma": heat.gamma.tolist(),
+             "c": heat.gradient_coeffs(x).tolist()}
+        )
+    ]
+    for inst in equivalence_instances(60, seed=1900):
+        at_cap.append(
+            dataclasses.replace(inst, delta=budget_cap(inst.n, inst.xi, inst.gamma))
+        )
+    for inst in at_cap:
+        lo, hi = reach_windows(inst)
+        assert (lo == 0).all() and (hi == inst.m).all()
+        lams = [0.0, 0.37, 1.0, 2.5]
+        for lam, got in zip(lams, relaxed_costs_to_sink(inst, lams)):
+            cost, res, choice, source = reference_sweep(inst, lam, full_windows(inst))
+            assert got.cost.tobytes() == cost.tobytes()
+            assert np.array_equal(got.res, res)
+            assert np.array_equal(got.choice, choice)
+            assert (got.source_cost, got.source_res, got.source_choice) == source
+
+
+def test_entries_outside_the_windows_have_no_path():
+    outside_seen = 0
+    for inst in equivalence_instances(80, seed=2000) + knapsack_instances():
+        lo, hi = reach_windows(inst)
+        cols = np.arange(inst.m)[None, :]
+        outside = (cols < lo[:, None]) | (cols >= hi[:, None])
+        outside_seen += int(outside.sum())
+        for table in binary_search(inst, 1e-6).zeta:
+            assert np.all(table.cost[outside] == np.inf)
+            assert np.all(table.choice[outside] == -1)
+            assert np.all(np.isfinite(table.cost[~outside]))
+    assert outside_seen > 0
 
 
 def counting_lex_min(monkeypatch) -> list[int]:

@@ -1,3 +1,4 @@
+import json
 import tracemalloc
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 from scipy.fft import next_fast_len
 
 import tripsolve.slip
-from conftest import solution_fields
+from conftest import assert_cached_astar_matches, solution_fields
 from slip_reference import make_heat_problem_reference, make_signal_problem_reference
 from tripsolve.astar import solve_astar
 from tripsolve.slip import (
@@ -338,19 +339,46 @@ def test_radius_cache_leaves_every_step_unchanged(problem, config, tmp_path, mon
     x0 = np.zeros(problem.n, dtype=int)
     trace = run_slip(problem, x0, config)
     assert any(step.inner > 0 for step in trace.steps)  # radii were reused
+    # A* sweeps over the reach windows of its iteration's first radius
+    first = {step.outer: step.instance.delta for step in trace.steps if step.inner == 0}
     for step in trace.steps:
         use_topo = config.solver == "topo" or (
             config.solver == "hybrid" and step.instance.delta < config.delta_d
         )
-        fresh = solve_topo(step.instance) if use_topo else solve_astar(step.instance)
-        assert solution_fields(step.solution) == solution_fields(fresh)
+        if use_topo:
+            fresh = solve_topo(step.instance)
+            assert solution_fields(step.solution) == solution_fields(fresh)
+        else:
+            assert_cached_astar_matches(
+                solution_fields(step.solution),
+                solution_fields(solve_astar(step.instance)),
+                step.instance,
+                first[step.outer],
+            )
 
-    # the same run with solvers that drop the cache writes the same trace
+    # the same run with solvers that drop the cache writes the same trace,
+    # less A*'s search counters
     monkeypatch.setattr(tripsolve.slip, "solve_topo", _without_cache(solve_topo))
     monkeypatch.setattr(tripsolve.slip, "solve_astar", _without_cache(solve_astar))
     uncached = run_slip(problem, x0, config)
     write_trace(trace, str(tmp_path / "cached.jsonl"))
     write_trace(uncached, str(tmp_path / "uncached.jsonl"))
-    assert (tmp_path / "cached.jsonl").read_bytes() == (
-        tmp_path / "uncached.jsonl"
-    ).read_bytes()
+    if config.solver == "topo":
+        assert (tmp_path / "cached.jsonl").read_bytes() == (
+            tmp_path / "uncached.jsonl"
+        ).read_bytes()
+    else:
+        assert _without_search_counters(tmp_path / "cached.jsonl") == (
+            _without_search_counters(tmp_path / "uncached.jsonl")
+        )
+
+
+def _without_search_counters(path):
+    """A trace's records without A*'s search counters."""
+    records = []
+    for line in path.read_text(encoding="utf-8").splitlines():
+        record = json.loads(line)
+        for key in ("nodes_expanded", "nodes_generated", "preprocessing_iterations"):
+            record.get("stats", {}).pop(key, None)
+        records.append(record)
+    return records
