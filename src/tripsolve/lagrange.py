@@ -145,17 +145,22 @@ class Sweeps:
     The windows at a smaller radius lie inside those of inst, so a table
     swept over the windows of inst bounds the optimum at that radius too,
     and its heuristic stays consistent on every edge a search there
-    generates."""
+    generates. The record also keeps the inputs of relaxed_costs_to_sink
+    that depend on inst alone, which its first sweep computes."""
 
     inst: TripInstance
     swept: dict[float, ZetaTable] = field(default_factory=dict)
     steps: dict[float, np.ndarray] = field(default_factory=dict)
+    # graph.edge_terms and the reach windows as lists, set by the first
+    # sweep once its table checks pass
+    terms: Optional[tuple[np.ndarray, np.ndarray, np.ndarray]] = None
+    windows: Optional[tuple[list[int], list[int]]] = None
 
     def sweep(self, lams: list[float]) -> None:
         """Sweep every multiplier of lams not swept yet."""
         new = [lam for lam in lams if lam not in self.swept]
         if new:
-            self.swept.update(zip(new, relaxed_costs_to_sink(self.inst, new)))
+            self.swept.update(zip(new, relaxed_costs_to_sink(self.inst, new, self)))
 
     def step(self, lam: float) -> np.ndarray:
         """The relaxed path's step of the table swept at lam."""
@@ -184,7 +189,9 @@ def _lex_min(
     return total.reshape(-1)[offsets + (col - start)], best // m, col
 
 
-def relaxed_costs_to_sink(inst: TripInstance, lams) -> list[ZetaTable]:
+def relaxed_costs_to_sink(
+    inst: TripInstance, lams, entry: Optional[Sweeps] = None
+) -> list[ZetaTable]:
     """Backward sweeps over the reach windows of the quotient graph, with
     weights increased by lam times the edge consumption, for every lam in
     lams at once.
@@ -205,6 +212,9 @@ def relaxed_costs_to_sink(inst: TripInstance, lams) -> list[ZetaTable]:
     when the (n, K, m) tables or a layer's (K, m, m) totals would exceed
     TABLE_BYTES_CAP: the former before edge_terms allocates its (n, m)
     terms, the latter once edge_terms has checked its (m, m) jump table.
+    entry, the Sweeps record that calls the sweep, keeps those terms and
+    the windows from its first sweep for the later ones; without it they
+    are computed afresh.
 
     Dominated layers. Row j of layer i minimises, over the columns j',
     total[j, j'] = g[j'] + jump[j, j'], where g = (linear + lam * cons) +
@@ -219,7 +229,8 @@ def relaxed_costs_to_sink(inst: TripInstance, lams) -> list[ZetaTable]:
     one decision per layer: column s passes its own comparison and a column
     outside the window never does, so K passing entries mean that no other
     column passes for any multiplier; otherwise the layer runs _lex_min for
-    all of them, over the (K, w_i, w_{i+1}) totals of the two windows.
+    all of them, over the (K, w_i, w_{i+1}) totals of the two windows, w_i
+    the number of values in the window of layer i.
     jump[s] is read as a row, which equals the column jump[:, s] bit for
     bit since |fl(a - b)| = |fl(b - a)|.
 
@@ -242,11 +253,16 @@ def relaxed_costs_to_sink(inst: TripInstance, lams) -> list[ZetaTable]:
     n, m = inst.n, inst.m
     lam = np.asarray(lams, dtype=np.float64)
     k = lam.size
+    if entry is None:
+        entry = Sweeps(inst)
     check_table_bytes("relaxed sweep tables", n * k * m * 8)
-    cons, linear, jump = edge_terms(inst)
+    if entry.terms is None:
+        entry.terms = edge_terms(inst)
+    cons, linear, jump = entry.terms
     check_table_bytes("relaxed sweep tables", k * m * m * 8)
-    # the window of layer i + 1 is lo[i]..hi[i] - 1
-    lo, hi = (w.tolist() for w in reach_windows(inst))
+    if entry.windows is None:
+        entry.windows = tuple(w.tolist() for w in reach_windows(inst))
+    lo, hi = entry.windows  # the window of layer i + 1 is lo[i]..hi[i] - 1
     lam_cons = lam[None, :, None] * cons[:, None, :]  # (n, K, m)
     key_cons = cons * m + np.arange(m)  # (budget * m + column) per edge
     cost = np.full((n, k, m), np.inf)
@@ -262,15 +278,9 @@ def relaxed_costs_to_sink(inst: TripInstance, lams) -> list[ZetaTable]:
     margin = COST_TIE_TOL + 16.0 * np.finfo(np.float64).eps * scale
     lin_lam = linear[:, None, :] + lam_cons  # (n, K, m): g before its cost-to-sink
     first = np.arange(0, k * m, m)  # flat index of each multiplier's row
-    # every window full: the whole graph, swept in whole rows, since slicing
-    # them costs the heat sweeps about 5%
-    whole = lo == [0] * n and hi == [m] * n
     for i in range(n - 1, 0, -1):
-        if whole:
-            rows = i - 1
-        else:
-            tail = slice(lo[i - 1], hi[i - 1])  # the tails' window
-            rows = (i - 1, slice(None), tail)
+        tail = slice(lo[i - 1], hi[i - 1])  # the tails' window
+        rows = (i - 1, slice(None), tail)
         if dominance:
             g = lin_lam[i] + cost[i]
             s = g.argmin(axis=1)
@@ -281,25 +291,16 @@ def relaxed_costs_to_sink(inst: TripInstance, lams) -> list[ZetaTable]:
             if np.count_nonzero(g <= bound) == k:
                 # fill the rows of the window from column s, as total[:, :, s]
                 row = cost[rows]
-                np.add(
-                    linear[i].take(s)[:, None],
-                    jump_s if whole else jump_s[:, tail],
-                    out=row,
-                )
+                np.add(linear[i].take(s)[:, None], jump_s[:, tail], out=row)
                 row += lam_cons[i].take(at)[:, None]
                 row += cost[i].take(at)[:, None]
                 res[rows] = (cons[i].take(s) + res[i].take(at))[:, None]
                 choice[rows] = s[:, None]
                 continue
-        if whole:
-            total = (linear[i] + jump) + lam_cons[i][:, None, :]
-            total += cost[i][:, None, :]
-            key, a = key_cons[i] + res[i] * m, 0
-        else:
-            a, b = lo[i], hi[i]  # the heads' window
-            total = (linear[i, a:b] + jump[tail, a:b]) + lam_cons[i][:, None, a:b]
-            total += cost[i][:, None, a:b]
-            key = key_cons[i, a:b] + res[i][:, a:b] * m
+        a, b = lo[i], hi[i]  # the heads' window
+        total = (linear[i, a:b] + jump[tail, a:b]) + lam_cons[i][:, None, a:b]
+        total += cost[i][:, None, a:b]
+        key = key_cons[i, a:b] + res[i][:, a:b] * m
         cost[rows], res[rows], choice[rows] = _lex_min(total, key, m, a)
     a, b = lo[0], hi[0]
     total = linear[:1, a:b] + lam_cons[0][:, None, a:b]

@@ -647,6 +647,31 @@ def test_entries_outside_the_windows_have_no_path():
     assert outside_seen > 0
 
 
+def test_sweeps_record_computes_its_terms_once(monkeypatch):
+    # the edge terms and the windows depend on the instance alone: a Sweeps
+    # record's first sweep computes them and its later sweeps reuse them
+    calls = {"edge_terms": 0, "reach_windows": 0, "relaxed_costs_to_sink": 0}
+    for name in calls:
+        fn = getattr(tripsolve.lagrange, name)
+
+        def counted(*args, fn=fn, name=name):
+            calls[name] += 1
+            return fn(*args)
+
+        monkeypatch.setattr(tripsolve.lagrange, name, counted)
+    knapsacks = knapsack_instances()
+    searched = [binary_search(inst, 1e-6) for inst in knapsacks]
+    assert calls["edge_terms"] == calls["reach_windows"] == len(knapsacks)
+    assert calls["relaxed_costs_to_sink"] > 2 * len(knapsacks)
+    monkeypatch.undo()
+    for inst, tables in zip(knapsacks, searched):
+        for table in tables.zeta:
+            fresh = relaxed_costs_to_sink(inst, [table.lam])[0]
+            assert table.cost.tobytes() == fresh.cost.tobytes()
+            assert np.array_equal(table.res, fresh.res)
+            assert np.array_equal(table.choice, fresh.choice)
+
+
 def counting_lex_min(monkeypatch) -> list[int]:
     """Count the calls of lagrange._lex_min: one per layer that falls back
     from the dominance test, plus one for the source."""
