@@ -167,8 +167,10 @@ def solve_astar(
     the answer optimal. Where the windows at the radius of a call are
     narrower, its multiplier search may evaluate other multipliers than a
     solve without the cache, and nodes_expanded, nodes_generated and
-    preprocessing_iterations may differ. Without a cache, the tables swept
-    but not evaluated are freed before the search.
+    preprocessing_iterations may differ. Without a cache, the search keeps
+    only the evaluated tables; the K tables of one sweep are views of one
+    block of arrays, so a table swept but not evaluated is freed before the
+    search only when no table of its sweep was evaluated.
 
     Raises SolverError when the search exhausts without reaching the sink,
     which a consistent heuristic and a feasible zero step rule out.
@@ -189,8 +191,7 @@ def solve_astar(
     upper = min(tables.upper_bound, objective(inst, zero))
     bound = upper + PRUNE_TOL
 
-    # a throwaway cache made only now, once binary_search's own has freed
-    # the tables swept but not evaluated
+    # a throwaway cache made only now, once binary_search's own is gone
     name = f"successor rows, edge pruning {opts.edge_pruning}"
     succ = (cache or RadiusCache()).entry(
         name, inst, lambda: SuccessorRows(inst, opts.edge_pruning)

@@ -37,12 +37,17 @@ the edge weights from the terms of graph.edge_terms, and a round sweeps its
 cut together with the midpoints on either side of it, one of which is the
 midpoint it evaluates next. On the 24 seed-0 knapsack reductions of the
 benchmark this takes 144 sweeps.
-A layer's rows minimise over the same column costs plus an L1 jump, so a
-column that wins by more than its jump to every other column wins every row
-(the triangle inequality, as in the L1 distance transform of Felzenszwalb &
+A layer prices its heads once, g = (linear + lam * consumption) +
+cost-to-sink, and every total of the layer is g[j'] + jump[j, j']. Its rows
+thus minimise over the same priced columns plus an L1 jump, so a column
+that wins by more than its jump to every other column wins every row (the
+triangle inequality, as in the L1 distance transform of Felzenszwalb &
 Huttenlocher, Theory of Computing 2012). A sweep tests this on each layer
-with a handful of numpy operations on (K, m) arrays and, when it holds for
-every multiplier, fills the layer's window from that column; only the other
+with a handful of numpy operations on (K, m) arrays. The test computes the
+winning column's cone jump[s] + g[s], which is that column's totals bit
+for bit, so the test and the fill read the same floats and the rounding
+margin covers only the additions after g. When the test holds for every
+multiplier, the layer's window is filled from the cone; only the other
 layers build the totals of their two windows and take the lexicographic
 minimum of each row. At the multipliers the benchmark's searches evaluate,
 94% of the layers of its heat sweeps pass, and 80% of its
@@ -206,10 +211,13 @@ def relaxed_costs_to_sink(
     relaxed optimum still bounds the constrained one from below, and it is
     at least the relaxed optimum over all nodes.
 
-    Table k is bitwise the table of a sweep for lams[k] alone: each entry is
-    computed as ((linear + jump) + lam * consumption) + cost-to-sink, in that
-    order, with the terms of graph.edge_terms. Raises InstanceError first
-    when the (n, K, m) tables or a layer's (K, m, m) totals would exceed
+    Every entry is computed as g[j'] + jump[j, j'], where g = (linear +
+    lam * consumption) + cost-to-sink, in that order, with the terms of
+    graph.edge_terms; table k is bitwise the table of a sweep for lams[k]
+    alone. The sweep fills (K, n, m) arrays, and each table's cost, res and
+    choice are C-contiguous views of its multiplier's block: the K tables of
+    one sweep share those three arrays. Raises InstanceError first when the
+    (K, n, m) tables or a layer's (K, m, m) totals would exceed
     TABLE_BYTES_CAP: the former before edge_terms allocates its (n, m)
     terms, the latter once edge_terms has checked its (m, m) jump table.
     entry, the Sweeps record that calls the sweep, keeps those terms and
@@ -217,38 +225,41 @@ def relaxed_costs_to_sink(
     are computed afresh.
 
     Dominated layers. Row j of layer i minimises, over the columns j',
-    total[j, j'] = g[j'] + jump[j, j'], where g = (linear + lam * cons) +
-    cost-to-sink is the same for every row, and +inf outside the window.
-    Let s be the column of the smallest g. If every other column j' has
-    g[j'] > g[s] + jump[s, j'] + margin, the triangle inequality
-    jump[j, j'] >= jump[j, s] - jump[s, j'] gives total[j, j'] > total[j, s]
-    + margin in every row j: s is the only entry within COST_TIE_TOL of the
-    row minimum, and the (cost, budget, column) rule picks it. Such a layer
-    fills the rows of its window from column s directly, each entry the
-    float expression above, and skips the totals and _lex_min. The test is
-    one decision per layer: column s passes its own comparison and a column
-    outside the window never does, so K passing entries mean that no other
-    column passes for any multiplier; otherwise the layer runs _lex_min for
-    all of them, over the (K, w_i, w_{i+1}) totals of the two windows, w_i
-    the number of values in the window of layer i.
-    jump[s] is read as a row, which equals the column jump[:, s] bit for
-    bit since |fl(a - b)| = |fl(b - a)|.
+    total[j, j'] = g[j'] + jump[j, j'], where g is the same for every row,
+    and +inf outside the window. Let s be the column of the smallest g. If
+    every other column j' has g[j'] > g[s] + jump[s, j'] + margin, the
+    triangle inequality jump[j, j'] >= jump[j, s] - jump[s, j'] gives
+    total[j, j'] > total[j, s] + margin in every row j: s is the only entry
+    within COST_TIE_TOL of the row minimum, and the (cost, budget, column)
+    rule picks it. The test computes the cone jump[s] + g[s], which is
+    total[:, s] bit for bit: jump[s] is read as a row, which equals the
+    column jump[:, s] since |fl(a - b)| = |fl(b - a)|, and float addition
+    commutes. Such a layer fills the rows of its window from the cone and
+    skips the totals and _lex_min. Its rows share one budget, cons[i, s]
+    plus the budget at s, which the next layer reads as it is instead of
+    from res, and one choice, s; those rows of res and choice are written
+    after the last layer. The test is one decision per layer: column s
+    passes its own comparison and a column outside the window never does,
+    so K passing entries mean that no other column passes for any
+    multiplier; otherwise the layer runs _lex_min for all of them, over the
+    (K, w_i, w_{i+1}) totals of the two windows, built with one broadcast
+    addition, w_i the number of values in the window of layer i.
 
     The margin is COST_TIE_TOL + 16 * eps * n * E, where E = max|linear| +
-    max jump + max|lam * cons| bounds the terms of one edge, so that a
-    finite cost-to-sink entry is at most (n - 1) * E in size and each
-    finite sum above at most B = n * E, up to factors 1 + O(n * eps). With
-    u = eps / 2, the unit roundoff: a total is within 3uB of its exact sum
-    and g within 2uB; the jump table is alpha * |X_j' - X_j|, X the floats
-    of xi, to a relative 2u, and the triangle inequality holds exactly for
-    those X; the test's two additions err by at most 2u(B + margin), and
-    the tie test's row minimum plus COST_TIE_TOL by u(B + COST_TIE_TOL). The
-    test can only pass when the spread of the finite g, at most 2B, exceeds
-    COST_TIE_TOL, and then these errors stay below 32uB = 16 * eps * n * E:
-    the computed totals of every row differ from the one at s by more than
-    COST_TIE_TOL, so the tables are bitwise those of _lex_min. When
-    2 * n * E is not finite (overflowing inputs), a g could be too, and
-    every layer takes _lex_min.
+    max jump + max|lam * cons| bounds the terms of one edge, so that each
+    finite g or total is at most B = n * E in size, up to factors
+    1 + O(n * eps). The test and the totals read the same g, so only the
+    additions after it err. With u = eps / 2, the unit roundoff: a total
+    errs by at most uB; the jump table is alpha * |X_j' - X_j|, X the
+    floats of xi, to a relative 2u, and the triangle inequality holds
+    exactly for those X; the test's two additions err by at most
+    2u(B + margin), and the tie test's row minimum plus COST_TIE_TOL by
+    u(B + COST_TIE_TOL). The test can only pass when the spread of the
+    finite g, at most 2B, exceeds COST_TIE_TOL, and then these errors stay
+    below 32uB = 16 * eps * n * E, so the computed totals of every row
+    differ from the one at s by more than COST_TIE_TOL and the tables are
+    bitwise those of _lex_min. When 2 * n * E is not finite (overflowing
+    inputs), a g could be too, and every layer takes _lex_min.
     """
     n, m = inst.n, inst.m
     lam = np.asarray(lams, dtype=np.float64)
@@ -265,10 +276,10 @@ def relaxed_costs_to_sink(
     lo, hi = entry.windows  # the window of layer i + 1 is lo[i]..hi[i] - 1
     lam_cons = lam[None, :, None] * cons[:, None, :]  # (n, K, m)
     key_cons = cons * m + np.arange(m)  # (budget * m + column) per edge
-    cost = np.full((n, k, m), np.inf)
-    cost[n - 1, :, lo[n - 1]:hi[n - 1]] = 0.0  # the zero-weight sink edge
-    res = np.zeros((n, k, m), dtype=np.int64)
-    choice = np.full((n, k, m), -1, dtype=np.int64)
+    cost = np.full((k, n, m), np.inf)
+    cost[:, n - 1, lo[n - 1]:hi[n - 1]] = 0.0  # the zero-weight sink edge
+    res = np.zeros((k, n, m), dtype=np.int64)
+    choice = np.full((k, n, m), -1, dtype=np.int64)
     scale = n * (
         float(np.abs(linear).max())
         + float(jump.max())
@@ -278,42 +289,50 @@ def relaxed_costs_to_sink(
     margin = COST_TIE_TOL + 16.0 * np.finfo(np.float64).eps * scale
     lin_lam = linear[:, None, :] + lam_cons  # (n, K, m): g before its cost-to-sink
     first = np.arange(0, k * m, m)  # flat index of each multiplier's row
+    filled = []  # (row, s, budget) of every dominated layer, written last
+    # the one budget of every window entry of the heads' layer, per
+    # multiplier: 0 for the sink's layer, r after a dominated layer; None
+    # after a layer that took _lex_min, whose budgets are in res
+    budget = np.zeros(k, dtype=np.int64)
     for i in range(n - 1, 0, -1):
         tail = slice(lo[i - 1], hi[i - 1])  # the tails' window
-        rows = (i - 1, slice(None), tail)
+        rows = (slice(None), i - 1, tail)
+        g = lin_lam[i] + cost[:, i]
         if dominance:
-            g = lin_lam[i] + cost[i]
             s = g.argmin(axis=1)
             at = first + s
-            jump_s = jump.take(s, axis=0)  # (K, m): jump[s_q, j] in row j
-            bound = jump_s + g.take(at)[:, None]
-            bound += margin
-            if np.count_nonzero(g <= bound) == k:
-                # fill the rows of the window from column s, as total[:, :, s]
-                row = cost[rows]
-                np.add(linear[i].take(s)[:, None], jump_s[:, tail], out=row)
-                row += lam_cons[i].take(at)[:, None]
-                row += cost[i].take(at)[:, None]
-                res[rows] = (cons[i].take(s) + res[i].take(at))[:, None]
-                choice[rows] = s[:, None]
+            cone = jump.take(s, axis=0)  # (K, m): jump[s_q, j] in row j
+            cone += g.take(at)[:, None]  # total[:, j, s] in row j
+            if np.count_nonzero(g <= cone + margin) == k:
+                cost[rows] = cone[:, tail]
+                head = res[:, i].take(at) if budget is None else budget
+                budget = cons[i].take(s) + head
+                filled.append((i - 1, s, budget))
                 continue
         a, b = lo[i], hi[i]  # the heads' window
-        total = (linear[i, a:b] + jump[tail, a:b]) + lam_cons[i][:, None, a:b]
-        total += cost[i][:, None, a:b]
-        key = key_cons[i, a:b] + res[i][:, a:b] * m
-        cost[rows], res[rows], choice[rows] = _lex_min(total, key, m, a)
+        heads = res[:, i, a:b] if budget is None else budget[:, None]
+        cost[rows], res[rows], choice[rows] = _lex_min(
+            g[:, None, a:b] + jump[tail, a:b], key_cons[i, a:b] + heads * m, m, a
+        )
+        budget = None
     a, b = lo[0], hi[0]
-    total = linear[:1, a:b] + lam_cons[0][:, None, a:b]
-    total += cost[0][:, None, a:b]
+    heads = res[:, 0, a:b] if budget is None else budget[:, None]
     cost_s, res_s, choice_s = _lex_min(
-        total, key_cons[0, a:b] + res[0][:, a:b] * m, m, a
+        (lin_lam[0, :, a:b] + cost[:, 0, a:b])[:, None],
+        key_cons[0, a:b] + heads * m,
+        m,
+        a,
     )
+    for row, s, r in filled:
+        tail = slice(lo[row], hi[row])
+        res[:, row, tail] = r[:, None]
+        choice[:, row, tail] = s[:, None]
     return [
         ZetaTable(
             lam=float(lam[q]),
-            cost=np.ascontiguousarray(cost[:, q]),
-            res=np.ascontiguousarray(res[:, q]),
-            choice=np.ascontiguousarray(choice[:, q]),
+            cost=cost[q],
+            res=res[q],
+            choice=choice[q],
             source_cost=float(cost_s[q, 0]),
             source_res=int(res_s[q, 0]),
             source_choice=int(choice_s[q, 0]),

@@ -264,8 +264,8 @@ def reference_sweep(inst, lam, windows=None):
             + shifts_head[None, :]
             - shifts_tail[:, None]
         )
-        weight = inst.c[i] * shifts_head[None, :] + inst.alpha * jump
-        total = weight + lam * cons_head[None, :] + cost[i][None, :]
+        g = inst.c[i] * shifts_head + lam * cons_head + cost[i]
+        total = g[None, :] + inst.alpha * jump
         choice[i - 1], cost[i - 1], res[i - 1] = lex_min_rows(
             total, cons_head + res[i]
         )

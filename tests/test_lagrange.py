@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import tripsolve.astar
 import tripsolve.instance
 import tripsolve.lagrange
 from tripsolve.astar import solve_astar
@@ -731,6 +732,48 @@ def test_dominance_test_passes_on_heat_layers(monkeypatch):
     calls = counting_lex_min(monkeypatch)
     assert_matches_reference_sweep(inst, lams)
     assert calls[0] < inst.n  # without the test: n - 1 layers and the source
+
+
+def test_dominated_and_lex_min_layers_alternate_on_narrow_windows(monkeypatch):
+    # knapsack windows hold 1 or 2 values, so a sweep mixes dominated layers,
+    # whose one budget per multiplier passes to the next layer and whose
+    # budgets and choices are written after the loop, with layers that take
+    # _lex_min; at the multipliers the searches evaluate, in one batch and
+    # one by one
+    searched = [(inst, binary_search(inst, 1e-6).lambdas) for inst in knapsack_instances()]
+    calls = counting_lex_min(monkeypatch)
+    fell = mixed = 0
+    for inst, lams in searched:
+        for batch in [lams] + [[lam] for lam in lams]:
+            calls[0] = 0
+            assert_matches_reference_sweep(inst, batch)
+            layers_fell = calls[0] - 1  # the source calls it too
+            fell += layers_fell
+            mixed += 0 < layers_fell < inst.n - 1
+    assert fell > 0 and mixed > 0  # both paths, inside one sweep
+
+
+def test_batch_tables_are_contiguous_and_give_the_same_steps(monkeypatch):
+    expanded = 0
+    for inst in knapsack_instances() + equivalence_instances(40, seed=2100):
+        for table in relaxed_costs_to_sink(inst, [0.0, 0.37, 1.0, 2.5]):
+            for a in (table.cost, table.res, table.choice):
+                assert a.shape == (inst.n, inst.m) and a.flags.c_contiguous
+            copied = dataclasses.replace(
+                table, cost=table.cost.copy(), res=table.res.copy(),
+                choice=table.choice.copy(),
+            )
+            assert np.array_equal(
+                extract_path_step(inst, table), extract_path_step(inst, copied)
+            )
+        with_table = solve_astar(inst)
+        with monkeypatch.context() as mp:  # the heuristic per push
+            mp.setattr(tripsolve.astar, "HEURISTIC_TABLE_CAP", 0)
+            per_push = solve_astar(inst)
+        assert np.array_equal(per_push.d, with_table.d)
+        assert per_push.stats.nodes_expanded == with_table.stats.nodes_expanded
+        expanded += per_push.stats.nodes_expanded
+    assert expanded > 0
 
 
 @pytest.mark.parametrize(
