@@ -42,17 +42,24 @@ cost-to-sink, and every total of the layer is g[j'] + jump[j, j']. Its rows
 thus minimise over the same priced columns plus an L1 jump, so a column
 that wins by more than its jump to every other column wins every row (the
 triangle inequality, as in the L1 distance transform of Felzenszwalb &
-Huttenlocher, Theory of Computing 2012). A sweep tests this on each layer
-with a handful of numpy operations on (K, m) arrays. The test computes the
-winning column's cone jump[s] + g[s], which is that column's totals bit
-for bit, so the test and the fill read the same floats and the rounding
-margin covers only the additions after g. When the test holds for every
-multiplier, the layer's window is filled from the cone; only the other
-layers build the totals of their two windows and take the lexicographic
-minimum of each row. At the multipliers the benchmark's searches evaluate,
-94% of the layers of its heat sweeps pass, and 80% of its
-knapsack ones. Each numpy operation is small at these m, so per layer the
-sweep is bound by interpreter overhead, not arithmetic.
+Huttenlocher, Theory of Computing 2012), and the layer's rows are the cone
+jump[s] + g[s] of that column s. A cost-to-sink row is a minimum of such
+cones, so it changes by at most jump[j, j'] between j and j': it is
+alpha-Lipschitz in xi. A column whose own price linear + lam * consumption
+beats every other by more than twice its jump therefore wins whatever row
+arrives from the sink side. Before visiting the layers, a sweep applies
+that test to all of them in one whole-array pass, and retries the others
+against the cone of the next layer's cheapest columns. The layers it
+decides, and every layer whose tails' window holds one value (whose one
+row is a cone too), carry each multiplier's cone (winner, g at it, budget)
+as Python scalars, with the additions of a per-layer sweep in their order,
+and their rows are written after the last layer. Only the other layers run
+a per-layer test of a handful of numpy operations on (K, m) arrays and,
+where it fails, the lexicographic minimum of each row. At the multipliers
+the benchmark's seed-0 searches evaluate, the pass decides 93% of the heat
+layer steps and 80% of the knapsack ones; the other knapsack steps are
+single rows, so no knapsack layer runs numpy on its own. Every table is
+bitwise the one the per-layer sweep gives.
 
 A relaxed sweep reads the radius delta only through the windows; delta
 enters otherwise only when the search compares a path's budget use with
@@ -90,6 +97,10 @@ from .instance import (
 COST_TIE_TOL = 1e-12
 # tie key of an entry outside the cost ties, above every real key
 _NO_KEY = np.iinfo(np.int64).max
+# a step whose tails' window holds one value takes Python scalars when its
+# heads' window holds at most this many values; numpy's per-step path is
+# faster on wider ones (break-even at about 10 values for 3 multipliers)
+_ROW_HEADS = 8
 
 
 @dataclass(frozen=True)
@@ -156,10 +167,13 @@ class Sweeps:
     inst: TripInstance
     swept: dict[float, ZetaTable] = field(default_factory=dict)
     steps: dict[float, np.ndarray] = field(default_factory=dict)
-    # graph.edge_terms and the reach windows as lists, set by the first
-    # sweep once its table checks pass
+    # graph.edge_terms, and the reach windows as lists with their index
+    # tables (relaxed_costs_to_sink), set by the first sweep once its table
+    # checks pass
     terms: Optional[tuple[np.ndarray, np.ndarray, np.ndarray]] = None
-    windows: Optional[tuple[list[int], list[int]]] = None
+    windows: Optional[
+        tuple[list[int], list[int], Optional[np.ndarray], Optional[np.ndarray]]
+    ] = None
 
     def sweep(self, lams: list[float]) -> None:
         """Sweep every multiplier of lams not swept yet."""
@@ -194,6 +208,128 @@ def _lex_min(
     return total.reshape(-1)[offsets + (col - start)], best // m, col
 
 
+def _pick(a: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """a[l, ..., idx[l, ..., w]] along the last axis of a C-contiguous a, in
+    one flat take: idx has the leading axes of a, then its own."""
+    start = np.arange(0, a.size, a.shape[-1]).reshape(a.shape[:-1])
+    start = start.reshape(start.shape + (1,) * (idx.ndim - start.ndim))
+    return a.reshape(-1).take(start + idx)
+
+
+def _jump_rows(jump: np.ndarray, s: np.ndarray, cols: Optional[np.ndarray]) -> np.ndarray:
+    """jump[s[l, q], cols[l, w]], shape (L, K, W); the rows jump[s[l, q]],
+    (L, K, m), when cols is None (full windows)."""
+    if cols is None:
+        return jump.take(s, axis=0)
+    return jump[s[:, :, None], cols[:, None, :]]
+
+
+def _winners(
+    h: np.ndarray, jump: np.ndarray, cols: Optional[np.ndarray], slack: float, margin: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """For prices h (L, K, W) over the windows cols, +inf in their padding,
+    the column s of the smallest price of every step and multiplier, and
+    whether, for every multiplier of a step, each other column j' has
+    h[j'] > h[s] + slack * jump[s, j'] + 2 * margin."""
+    slot = h.argmin(axis=2)
+    s = slot if cols is None else _pick(cols, slot)
+    bound = _jump_rows(jump, s, cols)
+    bound *= slack
+    bound += (_pick(h, slot) + 2.0 * margin)[:, :, None]
+    # column s itself is one entry at or below the bound per multiplier
+    return s, np.count_nonzero((h <= bound).reshape(len(h), -1), axis=1) == h.shape[1]
+
+
+def _bulk_pass(lin_lam, cons, jump, cols, pad, margin):
+    """The predecessor-free and chain tests of relaxed_costs_to_sink on the
+    steps into layers 1..n - 1 at once. Returns lists over l = i - 1: whether
+    the step into layer i is decided, the winners at layer i + 1 its chain
+    test assumed (None when it passed without them), its winners, and
+    lin_lam and cons at them."""
+    heads = None if cols is None else cols[1:]
+    if heads is None:
+        h = lin_lam[1:]
+    else:
+        h = _pick(lin_lam[1:], heads[:, None, :])
+        np.copyto(h, np.inf, where=pad[1:, None, :])
+    s, decided = _winners(h, jump, heads, 2.0, margin)
+    guess = [None] * len(h)
+    retry = np.flatnonzero(~decided[:-1])  # no step lies beyond the last one
+    if retry.size:
+        t = s[retry + 1]
+        at = None if heads is None else heads[retry]
+        s[retry], decided[retry] = _winners(
+            h[retry] + _jump_rows(jump, t, at), jump, at, 1.0, margin
+        )
+        for l, winners in zip(retry.tolist(), t.tolist()):
+            guess[l] = winners
+    return (
+        decided.tolist(),
+        guess,
+        s.tolist(),
+        _pick(lin_lam[1:], s).tolist(),
+        _pick(cons[1:], s).tolist(),
+    )
+
+
+def _dominated(
+    g: np.ndarray, jump: np.ndarray, first: np.ndarray, margin: float
+) -> Optional[tuple[np.ndarray, np.ndarray]]:
+    """The per-layer test of relaxed_costs_to_sink on the priced heads g
+    (K, m) of one step: the column s of the smallest g and g at s when, for
+    every multiplier, every other column j' has g[j'] > g[s] + jump[s, j'] +
+    margin; else None. first: the flat index of each row of g."""
+    s = g.argmin(axis=1)
+    gs = g.take(first + s)
+    cone = jump.take(s, axis=0)  # (K, m): jump[s_q, j] in row j
+    cone += gs[:, None]  # total[:, j, s] in row j
+    # column s passes its own comparison, a column outside the window never
+    return (s, gs) if np.count_nonzero(g <= cone + margin) == len(g) else None
+
+
+def _row_cone(i, j0, a, b, cone, lin_lam, cost, res, cons, jump):
+    """The step into layer i of relaxed_costs_to_sink when its tails'
+    window is the one value j0: the (cost, budget, column) minimum of the
+    row over the heads a..b - 1, as _lex_min takes it, for every
+    multiplier. The heads' costs and budgets are those of cone, or of the
+    arrays when cone is None. Returns the step's cone: the winners, g at
+    them and the budgets, each a list over the multipliers."""
+    out = ([], [], [])
+    for q in range(lin_lam.shape[1]):
+        entries = []
+        for j in range(a, b):
+            if cone is None:
+                c, r = cost.item(q, i, j), res.item(q, i, j)
+            else:
+                c, r = jump.item(cone[0][q], j) + cone[1][q], cone[2][q]
+            g = lin_lam.item(i, q, j) + c
+            entries.append((g + jump.item(j0, j), cons.item(i, j) + r, j, g))
+        low = min(e[0] for e in entries) + COST_TIE_TOL
+        r, j, g = min(e[1:] for e in entries if e[0] <= low)
+        out[0].append(j)
+        out[1].append(g)
+        out[2].append(r)
+    return out
+
+
+def _window_tables(inst: TripInstance):
+    """The reach windows as lists lo and hi and, unless every window is
+    full, their index table cols (n, W), W the widest window, whose slot w
+    holds value index lo[i] + w clipped to m - 1, and pad (n, W), true in
+    the slots past the window. Raises InstanceError first when cols would
+    exceed TABLE_BYTES_CAP."""
+    lo, hi = reach_windows(inst)
+    if (lo == 0).all() and (hi == inst.m).all():
+        cols = pad = None
+    else:
+        width = int((hi - lo).max())
+        check_table_bytes("relaxed sweep window index tables", inst.n * width * 8)
+        slots = np.arange(width)
+        cols = np.minimum(lo[:, None] + slots, inst.m - 1)
+        pad = slots >= (hi - lo)[:, None]
+    return lo.tolist(), hi.tolist(), cols, pad
+
+
 def relaxed_costs_to_sink(
     inst: TripInstance, lams, entry: Optional[Sweeps] = None
 ) -> list[ZetaTable]:
@@ -220,46 +356,73 @@ def relaxed_costs_to_sink(
     (K, n, m) tables or a layer's (K, m, m) totals would exceed
     TABLE_BYTES_CAP: the former before edge_terms allocates its (n, m)
     terms, the latter once edge_terms has checked its (m, m) jump table.
-    entry, the Sweeps record that calls the sweep, keeps those terms and
-    the windows from its first sweep for the later ones; without it they
-    are computed afresh.
+    The windows' (n, W) index tables, W the widest window, and the bulk
+    pass's (n, K, W) arrays are checked before they are built too. entry,
+    the Sweeps record that calls the sweep, keeps those terms and the
+    windows with their index tables from its first sweep for the later
+    ones; without it they are computed afresh.
 
-    Dominated layers. Row j of layer i minimises, over the columns j',
-    total[j, j'] = g[j'] + jump[j, j'], where g is the same for every row,
-    and +inf outside the window. Let s be the column of the smallest g. If
-    every other column j' has g[j'] > g[s] + jump[s, j'] + margin, the
+    Cones. Row j of the step from layer i - 1 to layer i, the rows of the
+    arrays, minimises over the heads' columns j' total[j, j'] = g[j'] +
+    jump[j, j'], where g is the same for every row, and +inf outside the
+    window. If a column s has
+    g[j'] > g[s] + jump[s, j'] + margin for every other column j', the
     triangle inequality jump[j, j'] >= jump[j, s] - jump[s, j'] gives
     total[j, j'] > total[j, s] + margin in every row j: s is the only entry
     within COST_TIE_TOL of the row minimum, and the (cost, budget, column)
-    rule picks it. The test computes the cone jump[s] + g[s], which is
-    total[:, s] bit for bit: jump[s] is read as a row, which equals the
-    column jump[:, s] since |fl(a - b)| = |fl(b - a)|, and float addition
-    commutes. Such a layer fills the rows of its window from the cone and
-    skips the totals and _lex_min. Its rows share one budget, cons[i, s]
-    plus the budget at s, which the next layer reads as it is instead of
-    from res, and one choice, s; those rows of res and choice are written
-    after the last layer. The test is one decision per layer: column s
-    passes its own comparison and a column outside the window never does,
-    so K passing entries mean that no other column passes for any
-    multiplier; otherwise the layer runs _lex_min for all of them, over the
+    rule picks it. The rows are then the cone jump[s] + g[s], total[:, s]
+    bit for bit (jump[s] read as a row equals the column jump[:, s] since
+    |fl(a - b)| = |fl(b - a)|, and float addition commutes), with one
+    budget, cons[i, s] plus the budget at s, and one choice, s. A step
+    whose tails' window holds one value j0 is a cone too: its one row picks
+    some s by the rule, and its entry total[j0, s] is jump[s, j0] + g[s].
+
+    Three tests find the cone steps. Let h = linear + lam * consumption, so
+    g = h + c with c the cost-to-sink row of the heads. Every computed row
+    c is alpha-Lipschitz: |c[j] - c[j']| <= jump[j, j'] + COST_TIE_TOL, up
+    to rounding, since it is the sink's zeros or a row minimum, within
+    COST_TIE_TOL, over cones that each change by at most jump[j, j'].
+    - The predecessor-free test: s is the argmin of h over the heads'
+      window, and every other column has h[j'] > h[s] + 2 * jump[s, j'] +
+      2 * margin. Whatever row arrives, c takes back at most jump[s, j'] +
+      COST_TIE_TOL of that, so g[j'] > g[s] + jump[s, j'] + margin.
+    - The chain test: against the cone at t, the argmin of h of the step
+      into layer i + 1, f = h + jump[t] and every other column has
+      f[j'] > f[s] + jump[s, j'] + 2 * margin. If that step is a cone with
+      winners t, c is jump[t] plus a constant, and g = f plus that constant
+      up to rounding, so the condition above holds.
+    - The per-layer test: on g itself, with margin once.
+    One whole-array pass applies the first two to every step before the
+    loop, each for all K multipliers of a step at once; a chain-tested step
+    is taken in the loop only when the step into layer i + 1 turned out a
+    cone with winners t for every multiplier. Those steps, and each single-row step
+    whose heads' window holds at most _ROW_HEADS values, update each
+    multiplier's cone (s, g[s], budget) as Python floats and ints, with the
+    additions of the per-layer path in the same order; the rows of all cone
+    steps are written after the loop in a few whole-array writes. The
+    other steps run the per-layer test with a handful of numpy operations
+    on (K, m) arrays, and those that fail it take _lex_min over the
     (K, w_i, w_{i+1}) totals of the two windows, built with one broadcast
-    addition, w_i the number of values in the window of layer i.
+    addition, w_i the number of values in the window of layer i. The bulk
+    arrays are the (n, K, m) rows when every window is full, and are
+    restricted to the windows, (n, K, W), when one is not.
 
     The margin is COST_TIE_TOL + 16 * eps * n * E, where E = max|linear| +
     max jump + max|lam * cons| bounds the terms of one edge, so that each
     finite g or total is at most B = n * E in size, up to factors
-    1 + O(n * eps). The test and the totals read the same g, so only the
-    additions after it err. With u = eps / 2, the unit roundoff: a total
-    errs by at most uB; the jump table is alpha * |X_j' - X_j|, X the
-    floats of xi, to a relative 2u, and the triangle inequality holds
-    exactly for those X; the test's two additions err by at most
-    2u(B + margin), and the tie test's row minimum plus COST_TIE_TOL by
-    u(B + COST_TIE_TOL). The test can only pass when the spread of the
-    finite g, at most 2B, exceeds COST_TIE_TOL, and then these errors stay
-    below 32uB = 16 * eps * n * E, so the computed totals of every row
-    differ from the one at s by more than COST_TIE_TOL and the tables are
-    bitwise those of _lex_min. When 2 * n * E is not finite (overflowing
-    inputs), a g could be too, and every layer takes _lex_min.
+    1 + O(n * eps). With u = eps / 2, the unit roundoff: a total errs by at
+    most uB; the jump table is alpha * |X_j' - X_j|, X the floats of xi, to
+    a relative 2u, and the triangle inequality holds exactly for those X;
+    the per-layer test's two additions err by at most 2u(B + margin), and
+    the tie test's row minimum plus COST_TIE_TOL by u(B + COST_TIE_TOL). A
+    test can only pass when the spread of the finite g, at most 2B, exceeds
+    COST_TIE_TOL, and then these errors stay below 32uB = 16 * eps * n * E,
+    so the computed totals of every row differ from the one at s by more
+    than COST_TIE_TOL and the tables are bitwise those of _lex_min. The two
+    bulk tests add a second margin: the COST_TIE_TOL of the Lipschitz bound
+    and their own few roundings of size uB fit in it. When 2 * n * E is not
+    finite (overflowing inputs), a g could be too: no test runs, and every
+    step takes _lex_min.
     """
     n, m = inst.n, inst.m
     lam = np.asarray(lams, dtype=np.float64)
@@ -272,8 +435,8 @@ def relaxed_costs_to_sink(
     cons, linear, jump = entry.terms
     check_table_bytes("relaxed sweep tables", k * m * m * 8)
     if entry.windows is None:
-        entry.windows = tuple(w.tolist() for w in reach_windows(inst))
-    lo, hi = entry.windows  # the window of layer i + 1 is lo[i]..hi[i] - 1
+        entry.windows = _window_tables(inst)
+    lo, hi, cols, pad = entry.windows  # the window of layer i + 1 is lo[i]..hi[i] - 1
     lam_cons = lam[None, :, None] * cons[:, None, :]  # (n, K, m)
     key_cons = cons * m + np.arange(m)  # (budget * m + column) per edge
     cost = np.full((k, n, m), np.inf)
@@ -289,44 +452,81 @@ def relaxed_costs_to_sink(
     margin = COST_TIE_TOL + 16.0 * np.finfo(np.float64).eps * scale
     lin_lam = linear[:, None, :] + lam_cons  # (n, K, m): g before its cost-to-sink
     first = np.arange(0, k * m, m)  # flat index of each multiplier's row
-    filled = []  # (row, s, budget) of every dominated layer, written last
-    # the one budget of every window entry of the heads' layer, per
-    # multiplier: 0 for the sink's layer, r after a dominated layer; None
-    # after a layer that took _lex_min, whose budgets are in res
-    budget = np.zeros(k, dtype=np.int64)
-    for i in range(n - 1, 0, -1):
-        tail = slice(lo[i - 1], hi[i - 1])  # the tails' window
-        rows = (slice(None), i - 1, tail)
-        g = lin_lam[i] + cost[:, i]
-        if dominance:
-            s = g.argmin(axis=1)
-            at = first + s
-            cone = jump.take(s, axis=0)  # (K, m): jump[s_q, j] in row j
-            cone += g.take(at)[:, None]  # total[:, j, s] in row j
-            if np.count_nonzero(g <= cone + margin) == k:
-                cost[rows] = cone[:, tail]
-                head = res[:, i].take(at) if budget is None else budget
-                budget = cons[i].take(s) + head
-                filled.append((i - 1, s, budget))
-                continue
-        a, b = lo[i], hi[i]  # the heads' window
-        heads = res[:, i, a:b] if budget is None else budget[:, None]
-        cost[rows], res[rows], choice[rows] = _lex_min(
-            g[:, None, a:b] + jump[tail, a:b], key_cons[i, a:b] + heads * m, m, a
+    decided = [False] * (n - 1)
+    if dominance and n > 1:
+        width = m if cols is None else cols.shape[1]
+        check_table_bytes("relaxed sweep bulk arrays", n * k * width * 8)
+        decided, guess, win, lin_win, cons_win = _bulk_pass(
+            lin_lam, cons, jump, cols, pad, margin
         )
-        budget = None
+    # the cone steps, written after the loop: the tails' layer of each and,
+    # per multiplier, its winner, g at it and budget
+    rows, cone_s, cone_g, cone_b = [], [], [], []
+    # the step into layer i + 1 as a cone, (winners, g at them, budgets),
+    # each a list over the multipliers; None when its rows are in the arrays
+    cone = None
+    for i in range(n - 1, 0, -1):
+        l = i - 1  # the tails' layer
+        a, b = lo[i], hi[i]  # the heads' window
+        if decided[l] and (guess[l] is None or (cone is not None and cone[0] == guess[l])):
+            s = win[l]
+            if cone is None:
+                c = [cost.item(q, i, j) for q, j in enumerate(s)]
+                heads = [res.item(q, i, j) for q, j in enumerate(s)]
+            else:
+                c = [jump.item(x, y) + z for x, y, z in zip(cone[0], s, cone[1])]
+                heads = cone[2]
+            cone = (
+                s,
+                [x + y for x, y in zip(lin_win[l], c)],
+                [x + y for x, y in zip(cons_win[l], heads)],
+            )
+        elif dominance and hi[l] - lo[l] == 1 and b - a <= _ROW_HEADS:
+            cone = _row_cone(i, lo[l], a, b, cone, lin_lam, cost, res, cons, jump)
+        else:
+            if cone is not None:  # this step reads the heads' row as a whole
+                cost[:, i, a:b] = jump[cone[0], a:b] + np.array(cone[1])[:, None]
+                budgets = np.array(cone[2], dtype=np.int64)
+            g = lin_lam[i] + cost[:, i]
+            dom = _dominated(g, jump, first, margin) if dominance else None
+            if dom is None:
+                tail = slice(lo[l], hi[l])
+                heads = res[:, i, a:b] if cone is None else budgets[:, None]
+                cost[:, l, tail], res[:, l, tail], choice[:, l, tail] = _lex_min(
+                    g[:, None, a:b] + jump[tail, a:b], key_cons[i, a:b] + heads * m, m, a
+                )
+                cone = None
+                continue
+            s, gs = dom
+            heads = res[:, i].take(first + s) if cone is None else budgets
+            cone = (s.tolist(), gs.tolist(), (cons[i].take(s) + heads).tolist())
+        rows.append(l)
+        cone_s += cone[0]
+        cone_g += cone[1]
+        cone_b += cone[2]
+    if rows:
+        r = np.array(rows)
+        s = np.array(cone_s, dtype=np.int64).reshape(r.size, k).T  # (K, cone steps)
+        gs = np.array(cone_g, dtype=np.float64).reshape(r.size, k).T
+        budget = np.array(cone_b, dtype=np.int64).reshape(r.size, k).T
+        if cols is None:
+            cost[:, r] = jump.take(s, axis=0) + gs[:, :, None]
+            res[:, r] = budget[:, :, None]
+            choice[:, r] = s[:, :, None]
+        else:
+            step, slot = np.nonzero(~pad[r])  # every window entry of the rows
+            r, j = r[step], cols[r[step], slot]
+            s = s[:, step]
+            cost[:, r, j] = jump[s, j] + gs[:, step]
+            res[:, r, j] = budget[:, step]
+            choice[:, r, j] = s
     a, b = lo[0], hi[0]
-    heads = res[:, 0, a:b] if budget is None else budget[:, None]
     cost_s, res_s, choice_s = _lex_min(
         (lin_lam[0, :, a:b] + cost[:, 0, a:b])[:, None],
-        key_cons[0, a:b] + heads * m,
+        key_cons[0, a:b] + res[:, 0, a:b] * m,
         m,
         a,
     )
-    for row, s, r in filled:
-        tail = slice(lo[row], hi[row])
-        res[:, row, tail] = r[:, None]
-        choice[:, row, tail] = s[:, None]
     return [
         ZetaTable(
             lam=float(lam[q]),

@@ -13,6 +13,7 @@ from tripsolve.astar import solve_astar
 from tripsolve.graph import (
     NodeRef,
     build_explicit,
+    edge_terms,
     reach_windows,
     sink_node,
 )
@@ -673,18 +674,35 @@ def test_sweeps_record_computes_its_terms_once(monkeypatch):
             assert np.array_equal(table.choice, fresh.choice)
 
 
-def counting_lex_min(monkeypatch) -> list[int]:
-    """Count the calls of lagrange._lex_min: one per layer that falls back
-    from the dominance test, plus one for the source."""
-    calls = [0]
-    lex_min = tripsolve.lagrange._lex_min
+def swept_layer_kinds(inst, lams) -> dict[str, int]:
+    """Sweep lams on inst, check every table against reference_sweep bit for
+    bit, and count the sweep's layer steps by kind: decided in bulk (before
+    the loop), single-row (lagrange._row_cone), per-layer dominated
+    (lagrange._dominated passing) and _lex_min (its calls less the
+    source's)."""
+    calls = {"_row_cone": 0, "_dominated": 0, "_lex_min": 0}
+    with pytest.MonkeyPatch.context() as mp:
+        for name in calls:
+            fn = getattr(tripsolve.lagrange, name)
 
-    def counted(*args):
-        calls[0] += 1
-        return lex_min(*args)
+            def counted(*args, fn=fn, name=name):
+                out = fn(*args)
+                calls[name] += out is not None
+                return out
 
-    monkeypatch.setattr(tripsolve.lagrange, "_lex_min", counted)
-    return calls
+            mp.setattr(tripsolve.lagrange, name, counted)
+        assert_matches_reference_sweep(inst, lams)
+    kinds = {
+        "row": calls["_row_cone"],
+        "dominated": calls["_dominated"],
+        "lex_min": calls["_lex_min"] - 1,
+    }
+    return {"bulk": inst.n - 1 - sum(kinds.values()), **kinds}
+
+
+def one_kind(kind: str) -> dict[str, int]:
+    """The layer kinds of a sweep with one inner layer step, of this kind."""
+    return {name: int(name == kind) for name in ("bulk", "row", "dominated", "lex_min")}
 
 
 @pytest.mark.parametrize(
@@ -697,60 +715,175 @@ def counting_lex_min(monkeypatch) -> list[int]:
         (1.0, True),
     ],
 )
-def test_dominance_margin_boundary(monkeypatch, gap, dominated):
+def test_dominance_margin_boundary(gap, dominated):
     # At lam = 0 the last inner layer has g = c_2 * (xi - x_2) = [-c_2, 0]
     # and column 0 beats column 1 by g[1] - g[0] - jump[0, 1] = c_2 - alpha
     # = gap. Up to COST_TIE_TOL the two tie in row 1, whose budget rule
     # then picks column 1, so the layer must fall back to _lex_min there.
+    # A gap above jump[0, 1] = alpha lets the bulk pass decide the layer.
     alpha = 0.5
     inst = validate(
         {"n": 2, "alpha": alpha, "delta": 2, "xi": [0, 1], "x": [1, 1],
          "gamma": [1, 1], "c": [0.25, alpha + gap]}
     )
-    calls = counting_lex_min(monkeypatch)
-    assert_matches_reference_sweep(inst, [0.0])
-    assert calls[0] == (1 if dominated else 2)  # the source always calls it
-    # lam = 3 makes column 1 dominant; the layer is one decision for both
-    calls[0] = 0
-    assert_matches_reference_sweep(inst, [3.0])
-    assert calls[0] == 1
-    calls[0] = 0
-    assert_matches_reference_sweep(inst, [0.0, 3.0])
-    assert calls[0] == (1 if dominated else 2)
+    kind = one_kind(
+        "lex_min" if not dominated else "bulk" if gap > alpha else "dominated"
+    )
+    assert swept_layer_kinds(inst, [0.0]) == kind
+    # at lam = 3 column 1 beats column 0 by 3 - c_2 > 2 * jump: decided in
+    # bulk; batched with lam = 0 the layer is one decision for both
+    assert swept_layer_kinds(inst, [3.0]) == one_kind("bulk")
+    assert swept_layer_kinds(inst, [0.0, 3.0]) == kind
 
 
-def test_dominance_test_passes_on_heat_layers(monkeypatch):
+@pytest.mark.parametrize("gap, bulk", [(2.0 * COST_TIE_TOL, False), (3.0 * COST_TIE_TOL, True)])
+def test_predecessor_free_test_boundary(gap, bulk):
+    # At lam = 0 the layer's own prices are h = c_2 * (xi - x_2) = [-c_2, 0]
+    # and column 0 beats column 1 by c_2 = 2 * jump[0, 1] + gap. The bulk
+    # pass decides the layer only when gap exceeds 2 * margin, which is
+    # COST_TIE_TOL plus a rounding term of about 1e-14 here: 2 * COST_TIE_TOL
+    # is just under it and 3 * COST_TIE_TOL just over. Below it the
+    # per-layer test, with its margin once, still finds the layer dominated.
+    alpha = 0.5
+    inst = validate(
+        {"n": 2, "alpha": alpha, "delta": 2, "xi": [0, 1], "x": [1, 1],
+         "gamma": [1, 1], "c": [0.25, 2.0 * alpha + gap]}
+    )
+    kind = one_kind("bulk" if bulk else "dominated")
+    assert swept_layer_kinds(inst, [0.0]) == kind
+    assert swept_layer_kinds(inst, [3.0]) == one_kind("bulk")
+    assert swept_layer_kinds(inst, [0.0, 3.0]) == kind
+
+
+@pytest.mark.parametrize(
+    "c3, kinds",
+    [
+        (1.5, {"bulk": 1, "row": 0, "dominated": 1, "lex_min": 0}),
+        (0.05, {"bulk": 0, "row": 0, "dominated": 0, "lex_min": 2}),
+    ],
+)
+def test_wrong_chain_guess_falls_back(monkeypatch, c3, kinds):
+    # xi = [0, 1, 2], x = 0, alpha = 1: at lam = 0 each step's prices are
+    # h = c * [0, 1, 2]. The step into layer 1 (h = 0.05 * [0, 1, 2]) fails
+    # the predecessor-free test and passes the chain test against the cone
+    # at column 0, the cheapest of the step into layer 2. With c_3 = 1.5
+    # that step is dominated by column 0, its rows are that cone, and the
+    # guess stands. With c_3 = 0.05 it takes _lex_min, each of its rows
+    # picking its own column: no cone, so the guess must fall back. A cone
+    # assumed there would give value 2 of layer 0 the cost 2 instead of 0.2.
+    # Layers are the rows of the tables, 0 to n - 1.
+    inst = validate(
+        {"n": 3, "alpha": 1.0, "delta": 6, "xi": [0, 1, 2], "x": [0, 0, 0],
+         "gamma": [1, 1, 1], "c": [0.05, 0.05, c3]}
+    )
+    decisions = []
+    bulk_pass = tripsolve.lagrange._bulk_pass
+
+    def recorded(*args):
+        out = bulk_pass(*args)
+        decisions.append(out[:2])
+        return out
+
+    monkeypatch.setattr(tripsolve.lagrange, "_bulk_pass", recorded)
+    for lams in ([0.0], [0.01], [0.0, 0.01]):
+        decisions.clear()
+        assert swept_layer_kinds(inst, lams) == kinds
+        # decided on the guess: column 0 at layer 2, for every multiplier
+        assert decisions == [([True, False], [[0] * len(lams), None])]
+
+
+@pytest.mark.parametrize(
+    "x, c, picked",
+    [
+        # heads (costs, budgets): column 0 (-COST_TIE_TOL / 2, 2), column 1
+        # (0, 0), column 2 (1, 2): the budget picks column 1
+        ([0, 0, 0], [0.25, 0.5 * COST_TIE_TOL, 0.5], 1),
+        # columns 1 and 2 cost 0.75 + COST_TIE_TOL / 2 and 0.75, both with
+        # budget 1, column 0 1.75: the index picks column 1
+        ([0, 1, 0], [0.25, -0.75 - 0.5 * COST_TIE_TOL, 0.25], 1),
+    ],
+)
+def test_single_row_ties_go_to_budget_then_index(x, c, picked):
+    # gamma_1 = 10 > delta leaves layer 0 (table row 0) the one value
+    # xi = 0 (index 1), so the step into layer 1 has one row; its heads tie
+    # within COST_TIE_TOL
+    inst = validate(
+        {"n": 3, "alpha": 0.5, "delta": 9, "xi": [-1, 0, 1], "x": x,
+         "gamma": [10, 1, 1], "c": c}
+    )
+    assert reach_windows(inst)[1][0] - reach_windows(inst)[0][0] == 1
+    assert swept_layer_kinds(inst, [0.0]) == {
+        "bulk": 0, "row": 1, "dominated": 0, "lex_min": 1}
+    assert relaxed_costs_to_sink(inst, [0.0])[0].choice[0, 1] == picked
+    for lams in ([1.0], [0.0, 1.0]):
+        swept_layer_kinds(inst, lams)
+
+
+def heat_instance():
+    """The heat problem at n = 64 linearised at zero, alpha 1e-4, delta 8:
+    its reach windows hold up to 11 of the m = 26 values."""
     problem = make_heat_problem(64)
     x = np.zeros(problem.n, dtype=np.int64)
-    inst = validate(
+    return validate(
         {"n": problem.n, "alpha": 1e-4, "delta": 8, "xi": problem.xi.tolist(),
          "x": x.tolist(), "gamma": problem.gamma.tolist(),
          "c": problem.gradient_coeffs(x).tolist()}
     )
+
+
+def test_dominance_test_passes_on_heat_layers():
+    inst = heat_instance()
     upper0 = float(np.max(np.abs(inst.c))) + 2.0 * inst.alpha
     lams = [0.0, 0.01 * upper0, 0.5 * upper0, upper0]
-    calls = counting_lex_min(monkeypatch)
-    assert_matches_reference_sweep(inst, lams)
-    assert calls[0] < inst.n  # without the test: n - 1 layers and the source
+    kinds = swept_layer_kinds(inst, lams)
+    # without the tests: n - 1 layer steps through _lex_min
+    assert kinds["lex_min"] < inst.n - 1
+    assert kinds["bulk"] > kinds["dominated"] + kinds["lex_min"]
 
 
-def test_dominated_and_lex_min_layers_alternate_on_narrow_windows(monkeypatch):
-    # knapsack windows hold 1 or 2 values, so a sweep mixes dominated layers,
-    # whose one budget per multiplier passes to the next layer and whose
-    # budgets and choices are written after the loop, with layers that take
-    # _lex_min; at the multipliers the searches evaluate, in one batch and
-    # one by one
+def test_dominated_and_lex_min_layers_alternate_on_narrow_windows():
+    # knapsack windows hold 1 or 2 values, so a sweep mixes steps decided in
+    # bulk, whose one budget per multiplier passes to the next step, with
+    # single-row steps; the cone steps' rows are written after the loop. At
+    # the multipliers the searches evaluate, in one batch and one by one
     searched = [(inst, binary_search(inst, 1e-6).lambdas) for inst in knapsack_instances()]
-    calls = counting_lex_min(monkeypatch)
-    fell = mixed = 0
+    rows = mixed = 0
     for inst, lams in searched:
         for batch in [lams] + [[lam] for lam in lams]:
-            calls[0] = 0
-            assert_matches_reference_sweep(inst, batch)
-            layers_fell = calls[0] - 1  # the source calls it too
-            fell += layers_fell
-            mixed += 0 < layers_fell < inst.n - 1
-    assert fell > 0 and mixed > 0  # both paths, inside one sweep
+            kinds = swept_layer_kinds(inst, batch)
+            rows += kinds["row"]
+            mixed += kinds["bulk"] > 0 and kinds["row"] > 0
+    assert rows > 0 and mixed > 0  # both kinds, inside one sweep
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_overflowing_costs_skip_the_bulk_pass(monkeypatch, seed):
+    # |c| of 1e300-1e306 makes 2 * n * E overflow: the sweep turns the
+    # dominance tests off, skips the bulk pass and the single rows, and
+    # every layer step takes _lex_min, which matches reference_sweep
+    rng = np.random.default_rng(seed)
+    n = 16
+    c = rng.choice([-1.0, 1.0], size=n) * 10.0 ** rng.uniform(300, 306, size=n)
+    c[0] = 1e306
+    x = rng.integers(-3, 4, size=n)
+    x[0] = -3
+    inst = validate(
+        {"n": n, "alpha": 1e300, "delta": 20, "xi": list(range(-5, 6)),
+         "x": x.tolist(), "gamma": [1] * n, "c": c.tolist()}
+    )
+    cons, linear, jump = edge_terms(inst)
+    assert not math.isfinite(2.0 * n * (float(np.abs(linear).max()) + float(jump.max())))
+    entered = {"_bulk_pass": 0, "_row_cone": 0}
+    for name in entered:
+        monkeypatch.setattr(
+            tripsolve.lagrange, name, lambda *args, name=name: entered.__setitem__(name, 1)
+        )
+    lams = [0.0, 1e300, 1e306]
+    assert swept_layer_kinds(inst, lams) == {
+        "bulk": 0, "row": 0, "dominated": 0, "lex_min": n - 1}
+    for lam in lams:
+        swept_layer_kinds(inst, [lam])
+    assert entered == {"_bulk_pass": 0, "_row_cone": 0}
 
 
 def test_batch_tables_are_contiguous_and_give_the_same_steps(monkeypatch):
@@ -800,3 +933,54 @@ def test_relaxed_sweep_tables_checked_before_allocation(monkeypatch, n, xi):
     finally:
         tracemalloc.stop()
     assert peak < 1_000_000
+
+
+@pytest.mark.parametrize(
+    "what, size",
+    [
+        ("relaxed sweep window index tables", lambda n, k, width: n * width * 8),
+        ("relaxed sweep bulk arrays", lambda n, k, width: n * k * width * 8),
+    ],
+)
+def test_relaxed_sweep_bulk_arrays_checked_before_allocation(monkeypatch, what, size):
+    # the window index tables of a Sweeps record and the bulk pass's
+    # (n, K, W) arrays are each checked at their own size, W the widest
+    # window: a failing check leaves a new record without windows and stops
+    # the sweep before its bulk pass. Full windows need no index tables, and
+    # their bulk arrays are (n, K, m)
+    check = tripsolve.lagrange.check_table_bytes
+    bulk_pass = tripsolve.lagrange._bulk_pass
+    checked, entered = [], []
+
+    def failing(name, nbytes):
+        check(name, nbytes)
+        if name == what:
+            checked.append(nbytes)
+            raise InstanceError(f"the {name} needs {nbytes} bytes")
+
+    def recorded(*args):
+        entered.append(1)
+        return bulk_pass(*args)
+
+    monkeypatch.setattr(tripsolve.lagrange, "check_table_bytes", failing)
+    monkeypatch.setattr(tripsolve.lagrange, "_bulk_pass", recorded)
+    heat = heat_instance()
+    at_cap = dataclasses.replace(heat, delta=budget_cap(heat.n, heat.xi, heat.gamma))
+    kinds = set()
+    for inst, k in [(inst, 3) for inst in knapsack_instances(count=2)] + [(heat, 2), (at_cap, 2)]:
+        lo, hi = reach_windows(inst)
+        full = bool((lo == 0).all() and (hi == inst.m).all())
+        kinds.add(full)
+        entry = tripsolve.lagrange.Sweeps(inst)
+        checked.clear()
+        entered.clear()
+        if full and what.endswith("index tables"):
+            relaxed_costs_to_sink(inst, [0.5] * k, entry)
+            assert checked == [] and entry.windows[2] is None and entered == [1]
+            continue
+        with pytest.raises(InstanceError, match=what):
+            relaxed_costs_to_sink(inst, [0.5] * k, entry)
+        assert checked == [size(inst.n, k, int((hi - lo).max()))]
+        assert entered == []
+        assert (entry.windows is None) == what.endswith("index tables")
+    assert kinds == {False, True}
