@@ -7,7 +7,9 @@ the penalty alpha and objective values are floating point.
 This module is the one home of the instance contract. validate's range rule,
 B * m < 2**62 and max|xi| + B < 2**63 for B = budget_cap, keeps every shift,
 consumption, path budget, window end x_i +- delta and tie key budget * m +
-column in int64; check_table_bytes caps every solver table before allocation.
+column in int64; its finiteness rule keeps every objective and relaxed path
+cost a finite float; check_table_bytes caps every solver table before
+allocation.
 """
 
 from __future__ import annotations
@@ -283,6 +285,17 @@ def validate(raw: Mapping[str, Any]) -> TripInstance:
         raise InstanceError(
             f"budget cap n * range(xi) * max(gamma) = {cap}, m = {len(xi)} and "
             f"max|xi| = {top} break cap * m < 2**62 or max|xi| + cap < 2**63"
+        )
+    # bounds |objective| of every step, and every relaxed path cost up to the
+    # multiplier search's first upper end max|c| + 2 * alpha
+    with np.errstate(over="ignore"):  # a sum past the float range is inf
+        abs_sum, abs_max = float(np.abs(c).sum()), float(np.abs(c).max())
+    span = int(xi[-1]) - int(xi[0])
+    bound = span * (abs_sum + alpha * (n - 1)) + (abs_max + 2 * alpha) * cap
+    if not math.isfinite(bound):
+        raise InstanceError(
+            "range(xi) * (sum|c| + alpha * (n - 1)) + (max|c| + 2 * alpha) * "
+            f"budget cap {cap} overflows float64"
         )
     return TripInstance(n=n, c=c, alpha=alpha, delta=delta, xi=xi, x=x, gamma=gamma)
 

@@ -8,15 +8,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .instance import Solution, TripInstance, validate
-
-
-def enumerate_steps(inst: TripInstance) -> np.ndarray:
-    """All step vectors with x + d in the admissible set, one per row, in
-    lexicographic order (feasibility w.r.t. the budget NOT filtered)."""
-    shifts = [inst.shifts(i) for i in range(1, inst.n + 1)]
-    grids = np.meshgrid(*shifts, indexing="ij")
-    return np.stack(grids, axis=-1).reshape(-1, inst.n)
+from .instance import Solution, SolverError, TripInstance, validate
 
 
 def _decode_block(inst: TripInstance, codes: np.ndarray) -> np.ndarray:
@@ -57,7 +49,8 @@ def solve_bruteforce(
         if values[at] < best_value:
             best_value = float(values[at])
             best_d = steps[at]
-    assert best_d is not None  # the zero step is always feasible
+    if best_d is None:  # the zero step is feasible: its objective overflowed
+        raise SolverError("no feasible step has an objective below +inf")
     return Solution.of(inst, best_d, wall_seconds=time.perf_counter() - t0)
 
 
@@ -174,24 +167,6 @@ def extract_knapsack(reduction: KnapsackReduction, d: np.ndarray) -> list[int]:
     if total_weight > reduction.budget:
         raise ValueError("extracted selection exceeds the budget")
     return selected
-
-
-def knapsack_bruteforce(
-    values: Sequence[float], weights: Sequence[int], budget: int
-) -> tuple[float, list[int]]:
-    """Subset-enumeration knapsack optimum: (best value, selected indices)."""
-    n = len(values)
-    best_value = 0.0
-    best_sel: list[int] = []
-    for mask in range(1 << n):
-        sel = [i for i in range(n) if mask >> i & 1]
-        if sum(weights[i] for i in sel) > budget:
-            continue
-        val = sum(values[i] for i in sel)
-        if val > best_value:
-            best_value = val
-            best_sel = sel
-    return best_value, best_sel
 
 
 def gen_random(

@@ -27,7 +27,7 @@ each of them carries the same cost and the same predecessor choice, the same
 floats compared in the same order. The answer at radius delta - s is
 therefore read from the capacity columns s.. of the tables, and its visit
 counters from the per-layer counts of finite states by capacity and of
-successors by consumption. A trust-region run that halves its radius after a
+out-edges by consumption. A trust-region run that halves its radius after a
 rejected step passes a RadiusCache and builds the tables once per instance.
 """
 

@@ -22,6 +22,7 @@ import numpy as np
 
 from tripsolve import astar
 from tripsolve.astar import PRUNE_TOL, AstarOptions
+from graph_reference import enumerate_steps
 from tripsolve.graph import NodeRef, edge_terms, reach_windows
 from tripsolve.instance import (
     RadiusCache,
@@ -39,7 +40,6 @@ from tripsolve.lagrange import (
     default_epsilon,
     relaxed_costs_to_sink,
 )
-from tripsolve.oracle import enumerate_steps
 
 
 def dominated_masks(inst: TripInstance) -> list[np.ndarray]:

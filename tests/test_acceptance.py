@@ -9,8 +9,9 @@ import pytest
 
 from astar_reference import heuristic_h, relaxed_objective, window_steps
 from tripsolve.astar import AstarOptions, solve_astar
-from tripsolve.graph import (
+from graph_reference import (
     build_explicit,
+    knapsack_bruteforce,
     path_to_step,
     path_weight,
     sink_node,
@@ -21,7 +22,6 @@ from tripsolve.lagrange import binary_search
 from tripsolve.oracle import (
     extract_knapsack,
     gen_random,
-    knapsack_bruteforce,
     knapsack_reduce,
     solve_bruteforce,
 )

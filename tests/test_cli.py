@@ -10,7 +10,7 @@ import tripsolve.astar
 import tripsolve.instance
 import tripsolve.lagrange
 from tripsolve.cli import main
-from tripsolve.instance import read_instance
+from tripsolve.instance import is_feasible, read_instance
 from tripsolve.slip import initial_iterate_heat, make_heat_problem
 
 
@@ -187,6 +187,50 @@ def test_solve_oversized_edge_terms_exits_2(tmp_path, capsys, monkeypatch):
         code, out, err = run_cli(capsys, "solve", str(path), "--solver", solver)
         assert code == 2 and out == ""
         assert err.startswith("error: the edge term tables") and err.count("\n") == 1
+
+
+# objectives past the float range: a jump of 10 at alpha 1e308, and a step
+# of 2 at c_i 1e308
+OVERFLOWING = [
+    {"n": 2, "alpha": 1e308, "delta": 0, "xi": [0, 10], "x": [0, 10],
+     "gamma": [1, 1], "c": [0, 0]},
+    {"n": 2, "alpha": 0, "delta": 4, "xi": [-2, -1, 0, 1, 2], "x": [0, 0],
+     "gamma": [1, 1], "c": [1e308, 1e308]},
+]
+
+
+@pytest.mark.parametrize("raw", OVERFLOWING)
+@pytest.mark.parametrize("solver", ["topo", "astar", "oracle"])
+def test_solve_overflowing_objective_exits_2(tmp_path, capsys, raw, solver):
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(raw))
+    code, out, err = run_cli(capsys, "solve", str(path), "--solver", solver)
+    assert code == 2 and out == ""
+    assert err.startswith("error: range(xi)") and err.count("\n") == 1
+    assert "overflows" in err
+
+
+@pytest.mark.parametrize(
+    "raw",
+    [
+        # the bounds 1.5e308 and 1.6e308, under the largest float 1.8e308
+        {**OVERFLOWING[0], "alpha": 3e306},
+        {**OVERFLOWING[1], "c": [1e307, 1e307]},
+    ],
+)
+def test_solve_just_inside_the_overflow_bound(tmp_path, capsys, raw):
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(raw))
+    inst = read_instance(path.read_text())
+    answers = []
+    for solver in ("topo", "astar", "oracle"):
+        code, out, _ = run_cli(capsys, "solve", str(path), "--solver", solver)
+        assert code == 0
+        answer = json.loads(out)
+        assert np.isfinite(answer["objective"])
+        assert is_feasible(inst, np.array(answer["d"]))
+        answers.append((answer["d"], answer["objective"], answer["resource"]))
+    assert answers[0] == answers[1] == answers[2]
 
 
 def _exhaust_search(monkeypatch):

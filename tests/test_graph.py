@@ -5,20 +5,18 @@ import pytest
 
 import tripsolve.instance
 from tripsolve.astar import solve_astar
-from tripsolve.graph import (
-    NodeRef,
+from tripsolve.graph import NodeRef, edge_terms, reach_windows
+from conftest import equivalence_instances
+from graph_reference import (
     build_explicit,
-    edge_terms,
     edge_weight,
     path_to_step,
     path_weight,
-    reach_windows,
     sink_node,
     source_node,
     step_to_path,
     successors,
 )
-from conftest import equivalence_instances
 from tripsolve.instance import InstanceError, objective, validate
 from tripsolve.oracle import gen_random
 from tripsolve.topo import solve_topo

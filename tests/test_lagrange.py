@@ -10,13 +10,8 @@ import tripsolve.astar
 import tripsolve.instance
 import tripsolve.lagrange
 from tripsolve.astar import solve_astar
-from tripsolve.graph import (
-    NodeRef,
-    build_explicit,
-    edge_terms,
-    reach_windows,
-    sink_node,
-)
+from tripsolve.graph import NodeRef, edge_terms, reach_windows
+from graph_reference import build_explicit, enumerate_steps, sink_node
 from astar_reference import (
     assert_matches_reference_sweep,
     heuristic_h,
@@ -26,7 +21,14 @@ from astar_reference import (
     window_steps,
 )
 from conftest import equivalence_instances, halving, radius_corpus
-from tripsolve.instance import InstanceError, RadiusCache, budget_cap, objective, validate
+from tripsolve.instance import (
+    InstanceError,
+    RadiusCache,
+    TripInstance,
+    budget_cap,
+    objective,
+    validate,
+)
 from tripsolve.lagrange import (
     COST_TIE_TOL,
     LagrangeTables,
@@ -35,7 +37,7 @@ from tripsolve.lagrange import (
     heuristic_table,
     relaxed_costs_to_sink,
 )
-from tripsolve.oracle import enumerate_steps, gen_random, knapsack_reduce
+from tripsolve.oracle import gen_random, knapsack_reduce
 from tripsolve.slip import make_heat_problem
 from tripsolve.topo import solve_topo
 
@@ -867,9 +869,11 @@ def test_overflowing_costs_skip_the_bulk_pass(monkeypatch, seed):
     c[0] = 1e306
     x = rng.integers(-3, 4, size=n)
     x[0] = -3
-    inst = validate(
-        {"n": n, "alpha": 1e300, "delta": 20, "xi": list(range(-5, 6)),
-         "x": x.tolist(), "gamma": [1] * n, "c": c.tolist()}
+    # built directly: validate rejects costs this large, whose objectives
+    # can overflow
+    inst = TripInstance(
+        n=n, c=c, alpha=1e300, delta=20, xi=np.arange(-5, 6), x=x,
+        gamma=np.ones(n, dtype=np.int64),
     )
     cons, linear, jump = edge_terms(inst)
     assert not math.isfinite(2.0 * n * (float(np.abs(linear).max()) + float(jump.max())))

@@ -3,11 +3,11 @@ import itertools
 import numpy as np
 import pytest
 
-from tripsolve.instance import is_feasible, objective, validate
+from graph_reference import knapsack_bruteforce
+from tripsolve.instance import SolverError, TripInstance, is_feasible, objective, validate
 from tripsolve.oracle import (
     extract_knapsack,
     gen_random,
-    knapsack_bruteforce,
     knapsack_reduce,
     solve_bruteforce,
 )
@@ -68,6 +68,17 @@ def test_cap_enforced():
     inst = gen_random(8, 4, 3, 0.1, seed=1)
     with pytest.raises(ValueError, match="cap"):
         solve_bruteforce(inst, cap=100)
+
+
+def test_no_finite_objective_raises_solver_error():
+    # every step jumps 10 at alpha 1e308: built directly, as validate
+    # rejects it
+    inst = TripInstance(
+        n=2, c=np.zeros(2), alpha=1e308, delta=0, xi=np.array([0, 10]),
+        x=np.array([0, 10]), gamma=np.ones(2, dtype=np.int64),
+    )
+    with pytest.raises(SolverError, match="below"), np.errstate(over="ignore"):
+        solve_bruteforce(inst)
 
 
 def test_knapsack_single_item():

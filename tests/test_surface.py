@@ -1,0 +1,45 @@
+"""The package keeps only code that runs: every module-level function and
+class of src/tripsolve is used in the package outside its own definition,
+used by perfbench, or exported in tripsolve.__all__. Oracles that only the
+tests need live in tests/ (graph_reference.py, astar_reference.py)."""
+
+import ast
+from pathlib import Path
+
+import tripsolve
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def used_names(node: ast.AST) -> set[str]:
+    """The names node reads: identifiers, attribute names, and whole string
+    constants, since perfbench's tracer patches module attributes by name."""
+    names = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            names.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            names.add(sub.attr)
+        elif isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+            names.add(sub.value)
+    return names
+
+
+def test_every_package_definition_has_a_caller():
+    statements = [
+        (path.name, node)
+        for path in sorted((ROOT / "src" / "tripsolve").glob("*.py"))
+        for node in ast.parse(path.read_text(encoding="utf-8")).body
+    ]
+    reads = [used_names(node) for _, node in statements]
+    outside = set(tripsolve.__all__)
+    for path in sorted((ROOT / "perfbench").glob("*.py")):
+        outside |= used_names(ast.parse(path.read_text(encoding="utf-8")))
+    unused = [
+        f"{module}: {node.name}"
+        for k, (module, node) in enumerate(statements)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and node.name not in outside
+        and not any(node.name in names for at, names in enumerate(reads) if at != k)
+    ]
+    assert unused == []

@@ -12,7 +12,7 @@ from conftest import (
     solution_fields,
 )
 import tripsolve.instance
-from tripsolve.graph import build_explicit
+from graph_reference import build_explicit
 from tripsolve.instance import (
     TABLE_BYTES_CAP,
     InstanceError,
