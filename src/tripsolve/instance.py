@@ -169,11 +169,14 @@ TABLE_BYTES_CAP = 256_000_000
 
 def check_table_bytes(what: str, nbytes: int) -> None:
     """Raise InstanceError, before the table is allocated, when it would take
-    more than TABLE_BYTES_CAP bytes."""
+    more than TABLE_BYTES_CAP bytes. Every table's size is a product of some
+    of n, the number of values in xi, delta + 1 and the reach windows'
+    widths, which grow with delta: the message names those three inputs."""
     if nbytes > TABLE_BYTES_CAP:
         raise InstanceError(
-            f"the {what} needs {nbytes} bytes, over the cap of "
-            f"{TABLE_BYTES_CAP}; lower delta"
+            f"the {what} would take {nbytes} bytes, over the cap of "
+            f"{TABLE_BYTES_CAP}; its size grows with some of n, the number "
+            "of values in xi and delta"
         )
 
 

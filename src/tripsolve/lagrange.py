@@ -53,12 +53,13 @@ against the cone of the next layer's cheapest columns. The layers it
 decides, and every layer whose tails' window holds one value (whose one
 row is a cone too), carry each multiplier's cone (winner, g at it, budget)
 as Python scalars, with the additions of a per-layer sweep in their order,
-and their rows are written after the last layer. Only the other layers run
-a per-layer test of a handful of numpy operations on (K, m) arrays and,
-where it fails, the lexicographic minimum of each row. At the multipliers
-the benchmark's seed-0 searches evaluate, the pass decides 93% of the heat
-layer steps and 80% of the knapsack ones; the other knapsack steps are
-single rows, so no knapsack layer runs numpy on its own. Every table is
+and their rows are written after the last layer. The other layers take the
+lexicographic minimum of each row; where every row of one picks the same
+column, its rows are that column's cone, which a retry can stand on. At
+the multipliers the benchmark's seed-0 searches evaluate, the pass decides
+35676 of the 38250 heat layer steps and the other 2574 take the minimum;
+it decides 8433 of the 10576 knapsack steps and the other 2143 are single
+rows, so no knapsack layer runs numpy on its own. Every table is
 bitwise the one the per-layer sweep gives.
 
 A relaxed sweep reads the radius delta only through the windows; delta
@@ -97,10 +98,6 @@ from .instance import (
 COST_TIE_TOL = 1e-12
 # tie key of an entry outside the cost ties, above every real key
 _NO_KEY = np.iinfo(np.int64).max
-# a step whose tails' window holds one value takes Python scalars when its
-# heads' window holds at most this many values; numpy's per-step path is
-# faster on wider ones (break-even at about 10 values for 3 multipliers)
-_ROW_HEADS = 8
 
 
 @dataclass(frozen=True)
@@ -272,21 +269,6 @@ def _bulk_pass(lin_lam, cons, jump, cols, pad, margin):
     )
 
 
-def _dominated(
-    g: np.ndarray, jump: np.ndarray, first: np.ndarray, margin: float
-) -> Optional[tuple[np.ndarray, np.ndarray]]:
-    """The per-layer test of relaxed_costs_to_sink on the priced heads g
-    (K, m) of one step: the column s of the smallest g and g at s when, for
-    every multiplier, every other column j' has g[j'] > g[s] + jump[s, j'] +
-    margin; else None. first: the flat index of each row of g."""
-    s = g.argmin(axis=1)
-    gs = g.take(first + s)
-    cone = jump.take(s, axis=0)  # (K, m): jump[s_q, j] in row j
-    cone += gs[:, None]  # total[:, j, s] in row j
-    # column s passes its own comparison, a column outside the window never
-    return (s, gs) if np.count_nonzero(g <= cone + margin) == len(g) else None
-
-
 def _row_cone(i, j0, a, b, cone, lin_lam, cost, res, cons, jump):
     """The step into layer i of relaxed_costs_to_sink when its tails'
     window is the one value j0: the (cost, budget, column) minimum of the
@@ -366,23 +348,23 @@ def relaxed_costs_to_sink(
     Cones. Row j of the step from layer i - 1 to layer i, the rows of the
     arrays, minimises over the heads' columns j' total[j, j'] = g[j'] +
     jump[j, j'], where g is the same for every row, and +inf outside the
-    window. If a column s has
-    g[j'] > g[s] + jump[s, j'] + margin for every other column j', the
-    triangle inequality jump[j, j'] >= jump[j, s] - jump[s, j'] gives
-    total[j, j'] > total[j, s] + margin in every row j: s is the only entry
-    within COST_TIE_TOL of the row minimum, and the (cost, budget, column)
-    rule picks it. The rows are then the cone jump[s] + g[s], total[:, s]
-    bit for bit (jump[s] read as a row equals the column jump[:, s] since
-    |fl(a - b)| = |fl(b - a)|, and float addition commutes), with one
-    budget, cons[i, s] plus the budget at s, and one choice, s. A step
-    whose tails' window holds one value j0 is a cone too: its one row picks
-    some s by the rule, and its entry total[j0, s] is jump[s, j0] + g[s].
+    window. A step whose rows all pick the same column s by the (cost,
+    budget, column) rule is the cone jump[s] + g[s] of s: its rows are
+    total[:, s] bit for bit (jump[s] read as a row equals the column
+    jump[:, s] since |fl(a - b)| = |fl(b - a)|, and float addition
+    commutes), with one budget, cons[i, s] plus the budget at s, and one
+    choice, s. A step whose tails' window holds one value is a cone.
 
-    Three tests find the cone steps. Let h = linear + lam * consumption, so
-    g = h + c with c the cost-to-sink row of the heads. Every computed row
-    c is alpha-Lipschitz: |c[j] - c[j']| <= jump[j, j'] + COST_TIE_TOL, up
-    to rounding, since it is the sink's zeros or a row minimum, within
-    COST_TIE_TOL, over cones that each change by at most jump[j, j'].
+    Two margin tests find cone steps before any row is computed. If a
+    column s has g[j'] > g[s] + jump[s, j'] + margin for every other column
+    j', the triangle inequality jump[j, j'] >= jump[j, s] - jump[s, j']
+    gives total[j, j'] > total[j, s] + margin in every row j: s is the only
+    entry within COST_TIE_TOL of the row minimum, and the rule picks it in
+    every row. Let h = linear + lam * consumption, so g = h + c with c the
+    cost-to-sink row of the heads. Every computed row c is alpha-Lipschitz:
+    |c[j] - c[j']| <= jump[j, j'] + COST_TIE_TOL, up to rounding, since it
+    is the sink's zeros or a row minimum, within COST_TIE_TOL, over cones
+    that each change by at most jump[j, j'].
     - The predecessor-free test: s is the argmin of h over the heads'
       window, and every other column has h[j'] > h[s] + 2 * jump[s, j'] +
       2 * margin. Whatever row arrives, c takes back at most jump[s, j'] +
@@ -392,21 +374,18 @@ def relaxed_costs_to_sink(
       f[j'] > f[s] + jump[s, j'] + 2 * margin. If that step is a cone with
       winners t, c is jump[t] plus a constant, and g = f plus that constant
       up to rounding, so the condition above holds.
-    - The per-layer test: on g itself, with margin once.
-    One whole-array pass applies the first two to every step before the
-    loop, each for all K multipliers of a step at once; a chain-tested step
-    is taken in the loop only when the step into layer i + 1 turned out a
-    cone with winners t for every multiplier. Those steps, and each single-row step
-    whose heads' window holds at most _ROW_HEADS values, update each
-    multiplier's cone (s, g[s], budget) as Python floats and ints, with the
-    additions of the per-layer path in the same order; the rows of all cone
-    steps are written after the loop in a few whole-array writes. The
-    other steps run the per-layer test with a handful of numpy operations
-    on (K, m) arrays, and those that fail it take _lex_min over the
-    (K, w_i, w_{i+1}) totals of the two windows, built with one broadcast
-    addition, w_i the number of values in the window of layer i. The bulk
-    arrays are the (n, K, m) rows when every window is full, and are
-    restricted to the windows, (n, K, W), when one is not.
+    One whole-array pass applies both to every step before the loop, each
+    for all K multipliers of a step at once; a chain-tested step is taken
+    in the loop only when the step into layer i + 1 turned out a cone with
+    winners t for every multiplier. Those steps, and every single-row step,
+    update each multiplier's cone (s, g[s], budget) as Python floats and
+    ints, with the additions of the per-layer path in the same order; their
+    rows are written after the loop in a few whole-array writes. Every
+    other step takes _lex_min over the (K, w_i, w_{i+1}) totals of the two
+    windows, built with one broadcast addition, w_i the number of values in
+    the window of layer i, and is a cone when its rows pick one column per
+    multiplier. The bulk arrays are the (n, K, m) rows when every window is
+    full, and are restricted to the windows, (n, K, W), when one is not.
 
     The margin is COST_TIE_TOL + 16 * eps * n * E, where E = max|linear| +
     max jump + max|lam * cons| bounds the terms of one edge, so that each
@@ -414,16 +393,15 @@ def relaxed_costs_to_sink(
     1 + O(n * eps). With u = eps / 2, the unit roundoff: a total errs by at
     most uB; the jump table is alpha * |X_j' - X_j|, X the floats of xi, to
     a relative 2u, and the triangle inequality holds exactly for those X;
-    the per-layer test's two additions err by at most 2u(B + margin), and
-    the tie test's row minimum plus COST_TIE_TOL by u(B + COST_TIE_TOL). A
-    test can only pass when the spread of the finite g, at most 2B, exceeds
-    COST_TIE_TOL, and then these errors stay below 32uB = 16 * eps * n * E,
-    so the computed totals of every row differ from the one at s by more
-    than COST_TIE_TOL and the tables are bitwise those of _lex_min. The two
-    bulk tests add a second margin: the COST_TIE_TOL of the Lipschitz bound
-    and their own few roundings of size uB fit in it. When 2 * n * E is not
-    finite (overflowing inputs), a g could be too: no test runs, and every
-    step takes _lex_min.
+    the tie test's row minimum plus COST_TIE_TOL errs by u(B +
+    COST_TIE_TOL). A test can only pass when the spread of the finite g, at
+    most 2B, exceeds COST_TIE_TOL, and then these errors stay below
+    32uB = 16 * eps * n * E, so the computed totals of every row differ
+    from the one at s by more than COST_TIE_TOL and the tables are bitwise
+    those of _lex_min. Each test's second margin holds the COST_TIE_TOL of
+    the Lipschitz bound and its own few roundings of size uB. When
+    2 * n * E is not finite (overflowing inputs), a g could be too: no test
+    runs, and every step takes _lex_min.
     """
     n, m = inst.n, inst.m
     lam = np.asarray(lams, dtype=np.float64)
@@ -464,7 +442,7 @@ def relaxed_costs_to_sink(
     # per multiplier, its winner, g at it and budget
     rows, cone_s, cone_g, cone_b = [], [], [], []
     # the step into layer i + 1 as a cone, (winners, g at them, budgets),
-    # each a list over the multipliers; None when its rows are in the arrays
+    # each a list over the multipliers; None when not known to be one
     cone = None
     for i in range(n - 1, 0, -1):
         l = i - 1  # the tails' layer
@@ -482,26 +460,23 @@ def relaxed_costs_to_sink(
                 [x + y for x, y in zip(lin_win[l], c)],
                 [x + y for x, y in zip(cons_win[l], heads)],
             )
-        elif dominance and hi[l] - lo[l] == 1 and b - a <= _ROW_HEADS:
+        elif dominance and hi[l] - lo[l] == 1:
             cone = _row_cone(i, lo[l], a, b, cone, lin_lam, cost, res, cons, jump)
         else:
             if cone is not None:  # this step reads the heads' row as a whole
                 cost[:, i, a:b] = jump[cone[0], a:b] + np.array(cone[1])[:, None]
-                budgets = np.array(cone[2], dtype=np.int64)
+                res[:, i, a:b] = np.array(cone[2])[:, None]
             g = lin_lam[i] + cost[:, i]
-            # without it heat sweeps take 1.4-1.7x as long: it confirms chain guesses
-            dom = _dominated(g, jump, first, margin) if dominance else None
-            if dom is None:
-                tail = slice(lo[l], hi[l])
-                heads = res[:, i, a:b] if cone is None else budgets[:, None]
-                cost[:, l, tail], res[:, l, tail], choice[:, l, tail] = _lex_min(
-                    g[:, None, a:b] + jump[tail, a:b], key_cons[i, a:b] + heads * m, m, a
-                )
-                cone = None
-                continue
-            s, gs = dom
-            heads = res[:, i].take(first + s) if cone is None else budgets
-            cone = (s.tolist(), gs.tolist(), (cons[i].take(s) + heads).tolist())
+            tail = slice(lo[l], hi[l])
+            cost[:, l, tail], res[:, l, tail], choice[:, l, tail] = _lex_min(
+                g[:, None, a:b] + jump[tail, a:b], key_cons[i, a:b] + res[:, i, a:b] * m, m, a
+            )
+            cone = None
+            s = choice[:, l, lo[l]]
+            # rows that all pick s are its cone: the next step's chain guess may stand
+            if dominance and (choice[:, l, tail] == s[:, None]).all():
+                cone = (s.tolist(), g.take(first + s).tolist(), res[:, l, lo[l]].tolist())
+            continue  # the rows are in the arrays
         rows.append(l)
         cone_s += cone[0]
         cone_g += cone[1]

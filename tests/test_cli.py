@@ -189,6 +189,23 @@ def test_solve_oversized_edge_terms_exits_2(tmp_path, capsys, monkeypatch):
         assert err.startswith("error: the edge term tables") and err.count("\n") == 1
 
 
+def test_oversized_edge_terms_message_names_what_they_grow_with(tmp_path, capsys):
+    # the (40000, 40000) jump table, 12.8 GB at the shipped cap: the edge
+    # terms grow with n and the number of values in xi, not with delta
+    path = tmp_path / "inst.json"
+    raw = {"n": 2, "alpha": 0, "delta": 2, "xi": list(range(40000)), "x": [39999, 39999],
+           "gamma": [1, 1], "c": [1, 1]}
+    path.write_text(json.dumps(raw))
+    for solver in ("topo", "astar"):
+        code, out, err = run_cli(capsys, "solve", str(path), "--solver", solver)
+        assert code == 2 and out == ""
+        assert err == (
+            "error: the edge term tables would take 12800000000 bytes, over the cap of "
+            f"{tripsolve.instance.TABLE_BYTES_CAP}; its size grows with some of n, "
+            "the number of values in xi and delta\n"
+        )
+
+
 # objectives past the float range: a jump of 10 at alpha 1e308, and a step
 # of 2 at c_i 1e308
 OVERFLOWING = [

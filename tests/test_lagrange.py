@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 import itertools
 import math
 import tracemalloc
@@ -676,35 +677,35 @@ def test_sweeps_record_computes_its_terms_once(monkeypatch):
             assert np.array_equal(table.choice, fresh.choice)
 
 
+# the private functions of lagrange a sweep may call outside the layer steps
+SWEEP_SETUP = {"_window_tables", "_bulk_pass", "_winners", "_pick", "_jump_rows"}
+
+
 def swept_layer_kinds(inst, lams) -> dict[str, int]:
     """Sweep lams on inst, check every table against reference_sweep bit for
     bit, and count the sweep's layer steps by kind: decided in bulk (before
-    the loop), single-row (lagrange._row_cone), per-layer dominated
-    (lagrange._dominated passing) and _lex_min (its calls less the
-    source's)."""
-    calls = {"_row_cone": 0, "_dominated": 0, "_lex_min": 0}
+    the loop), single-row (lagrange._row_cone) and _lex_min (its calls less
+    the source's). A layer step is one of these three: the sweep calls no
+    other private function of lagrange."""
+    calls = {}
     with pytest.MonkeyPatch.context() as mp:
-        for name in calls:
-            fn = getattr(tripsolve.lagrange, name)
+        for name, fn in vars(tripsolve.lagrange).copy().items():
+            if name.startswith("_") and inspect.isfunction(fn):
 
-            def counted(*args, fn=fn, name=name):
-                out = fn(*args)
-                calls[name] += out is not None
-                return out
+                def counted(*args, fn=fn, name=name):
+                    calls[name] = calls.get(name, 0) + 1
+                    return fn(*args)
 
-            mp.setattr(tripsolve.lagrange, name, counted)
+                mp.setattr(tripsolve.lagrange, name, counted)
         assert_matches_reference_sweep(inst, lams)
-    kinds = {
-        "row": calls["_row_cone"],
-        "dominated": calls["_dominated"],
-        "lex_min": calls["_lex_min"] - 1,
-    }
+    assert set(calls) <= SWEEP_SETUP | {"_row_cone", "_lex_min"}
+    kinds = {"row": calls.get("_row_cone", 0), "lex_min": calls["_lex_min"] - 1}
     return {"bulk": inst.n - 1 - sum(kinds.values()), **kinds}
 
 
 def one_kind(kind: str) -> dict[str, int]:
     """The layer kinds of a sweep with one inner layer step, of this kind."""
-    return {name: int(name == kind) for name in ("bulk", "row", "dominated", "lex_min")}
+    return {name: int(name == kind) for name in ("bulk", "row", "lex_min")}
 
 
 @pytest.mark.parametrize(
@@ -721,17 +722,17 @@ def test_dominance_margin_boundary(gap, dominated):
     # At lam = 0 the last inner layer has g = c_2 * (xi - x_2) = [-c_2, 0]
     # and column 0 beats column 1 by g[1] - g[0] - jump[0, 1] = c_2 - alpha
     # = gap. Up to COST_TIE_TOL the two tie in row 1, whose budget rule
-    # then picks column 1, so the layer must fall back to _lex_min there.
-    # A gap above jump[0, 1] = alpha lets the bulk pass decide the layer.
+    # then picks column 1; above it column 0 wins both rows. A gap above
+    # jump[0, 1] = alpha lets the bulk pass decide the layer, and every
+    # smaller one leaves it to _lex_min.
     alpha = 0.5
     inst = validate(
         {"n": 2, "alpha": alpha, "delta": 2, "xi": [0, 1], "x": [1, 1],
          "gamma": [1, 1], "c": [0.25, alpha + gap]}
     )
-    kind = one_kind(
-        "lex_min" if not dominated else "bulk" if gap > alpha else "dominated"
-    )
+    kind = one_kind("bulk" if gap > alpha else "lex_min")
     assert swept_layer_kinds(inst, [0.0]) == kind
+    assert relaxed_costs_to_sink(inst, [0.0])[0].choice[0].tolist() == [0, int(not dominated)]
     # at lam = 3 column 1 beats column 0 by 3 - c_2 > 2 * jump: decided in
     # bulk; batched with lam = 0 the layer is one decision for both
     assert swept_layer_kinds(inst, [3.0]) == one_kind("bulk")
@@ -744,15 +745,16 @@ def test_predecessor_free_test_boundary(gap, bulk):
     # and column 0 beats column 1 by c_2 = 2 * jump[0, 1] + gap. The bulk
     # pass decides the layer only when gap exceeds 2 * margin, which is
     # COST_TIE_TOL plus a rounding term of about 1e-14 here: 2 * COST_TIE_TOL
-    # is just under it and 3 * COST_TIE_TOL just over. Below it the
-    # per-layer test, with its margin once, still finds the layer dominated.
+    # is just under it and 3 * COST_TIE_TOL just over. Below it the layer
+    # takes _lex_min, whose rows both pick column 0.
     alpha = 0.5
     inst = validate(
         {"n": 2, "alpha": alpha, "delta": 2, "xi": [0, 1], "x": [1, 1],
          "gamma": [1, 1], "c": [0.25, 2.0 * alpha + gap]}
     )
-    kind = one_kind("bulk" if bulk else "dominated")
+    kind = one_kind("bulk" if bulk else "lex_min")
     assert swept_layer_kinds(inst, [0.0]) == kind
+    assert relaxed_costs_to_sink(inst, [0.0])[0].choice[0].tolist() == [0, 0]
     assert swept_layer_kinds(inst, [3.0]) == one_kind("bulk")
     assert swept_layer_kinds(inst, [0.0, 3.0]) == kind
 
@@ -760,20 +762,25 @@ def test_predecessor_free_test_boundary(gap, bulk):
 @pytest.mark.parametrize(
     "c3, kinds",
     [
-        (1.5, {"bulk": 1, "row": 0, "dominated": 1, "lex_min": 0}),
-        (0.05, {"bulk": 0, "row": 0, "dominated": 0, "lex_min": 2}),
+        (1.5, {"bulk": 1, "row": 0, "lex_min": 1}),
+        (0.05, {"bulk": 0, "row": 0, "lex_min": 2}),
+        (1.0, {"bulk": 1, "row": 0, "lex_min": 1}),
     ],
 )
 def test_wrong_chain_guess_falls_back(monkeypatch, c3, kinds):
     # xi = [0, 1, 2], x = 0, alpha = 1: at lam = 0 each step's prices are
     # h = c * [0, 1, 2]. The step into layer 1 (h = 0.05 * [0, 1, 2]) fails
     # the predecessor-free test and passes the chain test against the cone
-    # at column 0, the cheapest of the step into layer 2. With c_3 = 1.5
-    # that step is dominated by column 0, its rows are that cone, and the
-    # guess stands. With c_3 = 0.05 it takes _lex_min, each of its rows
-    # picking its own column: no cone, so the guess must fall back. A cone
+    # at column 0, the cheapest of the step into layer 2. That step takes
+    # _lex_min. With c_3 = 1.5 every one of its rows picks column 0, its
+    # rows are that cone, and the guess stands. With c_3 = 0.05 each of its
+    # rows picks its own column: no cone, so the guess must fall back. A cone
     # assumed there would give value 2 of layer 0 the cost 2 instead of 0.2.
-    # Layers are the rows of the tables, 0 to n - 1.
+    # With c_3 = alpha = 1 the rows at lam = 0 tie within COST_TIE_TOL, row 1
+    # between columns 0 and 1 and row 2 among all three, and only the
+    # budget rule picks column 0 in each: the step is still that column's
+    # cone, and the guess stands. Layers are the rows of the tables, 0 to
+    # n - 1.
     inst = validate(
         {"n": 3, "alpha": 1.0, "delta": 6, "xi": [0, 1, 2], "x": [0, 0, 0],
          "gamma": [1, 1, 1], "c": [0.05, 0.05, c3]}
@@ -815,10 +822,30 @@ def test_single_row_ties_go_to_budget_then_index(x, c, picked):
     )
     assert reach_windows(inst)[1][0] - reach_windows(inst)[0][0] == 1
     assert swept_layer_kinds(inst, [0.0]) == {
-        "bulk": 0, "row": 1, "dominated": 0, "lex_min": 1}
+        "bulk": 0, "row": 1, "lex_min": 1}
     assert relaxed_costs_to_sink(inst, [0.0])[0].choice[0, 1] == picked
     for lams in ([1.0], [0.0, 1.0]):
         swept_layer_kinds(inst, lams)
+
+
+def test_wide_single_rows_take_row_cone():
+    # gamma_1 = 10 > delta leaves layer 0 one value, and the step into
+    # layer 1 reads 19 heads from one row. With |c_2|, |c_3| and lam at most
+    # 0.02, far below alpha, no step passes a margin test and each row of
+    # the step into layer 2 keeps its own column, so that step is no cone:
+    # the single row takes _row_cone, however many heads it has
+    xi = list(range(-10, 11))
+    for seed in range(4):
+        rng = np.random.default_rng(seed)
+        c = [float(rng.uniform(-1.0, 1.0)), *rng.uniform(-0.02, 0.02, size=2).tolist()]
+        inst = validate(
+            {"n": 3, "alpha": 0.25, "delta": 9, "xi": xi, "x": [0, 0, 0],
+             "gamma": [10, 1, 1], "c": c}
+        )
+        lo, hi = reach_windows(inst)
+        assert hi[0] - lo[0] == 1 and hi[1] - lo[1] == 19
+        for lams in ([0.0], [0.0, 0.01, 0.02]):
+            assert swept_layer_kinds(inst, lams) == {"bulk": 0, "row": 1, "lex_min": 1}
 
 
 def heat_instance():
@@ -840,7 +867,7 @@ def test_dominance_test_passes_on_heat_layers():
     kinds = swept_layer_kinds(inst, lams)
     # without the tests: n - 1 layer steps through _lex_min
     assert kinds["lex_min"] < inst.n - 1
-    assert kinds["bulk"] > kinds["dominated"] + kinds["lex_min"]
+    assert kinds["bulk"] > kinds["lex_min"]
 
 
 def test_dominated_and_lex_min_layers_alternate_on_narrow_windows():
@@ -884,7 +911,7 @@ def test_overflowing_costs_skip_the_bulk_pass(monkeypatch, seed):
         )
     lams = [0.0, 1e300, 1e306]
     assert swept_layer_kinds(inst, lams) == {
-        "bulk": 0, "row": 0, "dominated": 0, "lex_min": n - 1}
+        "bulk": 0, "row": 0, "lex_min": n - 1}
     for lam in lams:
         swept_layer_kinds(inst, [lam])
     assert entered == {"_bulk_pass": 0, "_row_cone": 0}

@@ -11,6 +11,7 @@ from tripsolve.oracle import (
     knapsack_reduce,
     solve_bruteforce,
 )
+from tripsolve.astar import solve_astar
 from tripsolve.topo import solve_topo
 
 
@@ -62,6 +63,23 @@ def test_lexicographic_tie_break():
     )
     sol = solve_bruteforce(inst)  # all candidates cost 0
     assert np.array_equal(sol.d, [-1, -1])  # smallest in lexicographic order
+
+
+def test_large_objectives_tie_to_within_a_few_ulps():
+    # both steps cost exactly -4e306, but one ulp there exceeds the
+    # absolute COST_TIE_TOL: topo and astar pick [2, 0, 1] by their own
+    # float sums, the oracle [2, 0, 2] by its own. The answers may differ;
+    # each is feasible, and the objectives agree to float precision
+    inst = validate(
+        {"n": 3, "alpha": 1e306, "delta": 4, "xi": [-2, -1, 0, 1, 2],
+         "x": [0, 1, 0], "gamma": [1, 1, 1], "c": [-2e306, 1e306, -1e306]}
+    )
+    answers = [solve(inst) for solve in (solve_topo, solve_astar, solve_bruteforce)]
+    for sol in answers:
+        assert is_feasible(inst, sol.d)
+        assert sol.objective == objective(inst, sol.d)
+        assert sol.objective == pytest.approx(answers[2].objective, rel=1e-15, abs=0.0)
+    assert [sol.d.tolist() for sol in answers] == [[2, 0, 1], [2, 0, 1], [2, 0, 2]]
 
 
 def test_cap_enforced():
