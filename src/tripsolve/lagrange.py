@@ -49,18 +49,19 @@ alpha-Lipschitz in xi. A column whose own price linear + lam * consumption
 beats every other by more than twice its jump therefore wins whatever row
 arrives from the sink side. Before visiting the layers, a sweep applies
 that test to all of them in one whole-array pass, and retries the others
-against the cone of the next layer's cheapest columns. The layers it
-decides, and every layer whose tails' window holds one value (whose one
-row is a cone too), carry each multiplier's cone (winner, g at it, budget)
+against the cone of the next layer's cheapest columns; a layer whose
+tails' window holds one value has one row, and its retry compares that
+row's totals directly. A layer step is of one of two kinds. The layers
+the pass decides carry each multiplier's cone (winner, g at it, budget)
 as Python scalars, with the additions of a per-layer sweep in their order,
 and their rows are written after the last layer. The other layers take the
-lexicographic minimum of each row; where every row of one picks the same
-column, its rows are that column's cone, which a retry can stand on. At
-the multipliers the benchmark's seed-0 searches evaluate, the pass decides
-35676 of the 38250 heat layer steps and the other 2574 take the minimum;
-it decides 8433 of the 10576 knapsack steps and the other 2143 are single
-rows, so no knapsack layer runs numpy on its own. Every table is
-bitwise the one the per-layer sweep gives.
+lexicographic minimum of each row, the one place the tie rule is applied;
+where every row of one picks the same column, its rows are that column's
+cone, which a retry can stand on. At the multipliers the benchmark's
+seed-0 searches evaluate, the pass decides 35676 of the 38250 heat layer
+steps and the other 2574 take the minimum; it decides 10555 of the 10576
+knapsack steps and the other 21 take the minimum. Every table is bitwise
+the one the per-layer sweep gives.
 
 A relaxed sweep reads the radius delta only through the windows; delta
 enters otherwise only when the search compares a path's budget use with
@@ -222,12 +223,17 @@ def _jump_rows(jump: np.ndarray, s: np.ndarray, cols: Optional[np.ndarray]) -> n
 
 
 def _winners(
-    h: np.ndarray, jump: np.ndarray, cols: Optional[np.ndarray], slack: float, margin: float
+    h: np.ndarray,
+    jump: np.ndarray,
+    cols: Optional[np.ndarray],
+    slack: float | np.ndarray,
+    margin: float,
 ) -> tuple[np.ndarray, np.ndarray]:
     """For prices h (L, K, W) over the windows cols, +inf in their padding,
     the column s of the smallest price of every step and multiplier, and
     whether, for every multiplier of a step, each other column j' has
-    h[j'] > h[s] + slack * jump[s, j'] + 2 * margin."""
+    h[j'] > h[s] + slack * jump[s, j'] + 2 * margin. slack is a number or
+    an (L, 1, 1) array, one per step."""
     slot = h.argmin(axis=2)
     s = slot if cols is None else _pick(cols, slot)
     bound = _jump_rows(jump, s, cols)
@@ -237,12 +243,15 @@ def _winners(
     return s, np.count_nonzero((h <= bound).reshape(len(h), -1), axis=1) == h.shape[1]
 
 
-def _bulk_pass(lin_lam, cons, jump, cols, pad, margin):
+def _bulk_pass(lin_lam, cons, jump, windows, margin):
     """The predecessor-free and chain tests of relaxed_costs_to_sink on the
-    steps into layers 1..n - 1 at once. Returns lists over l = i - 1: whether
-    the step into layer i is decided, the winners at layer i + 1 its chain
-    test assumed (None when it passed without them), its winners, and
-    lin_lam and cons at them."""
+    steps into layers 1..n - 1 at once, over the windows (lo, hi, cols, pad)
+    of _window_tables. The chain test of a single-row step compares its one
+    row's totals (slack 0), that of any other step g with slack 1. Returns
+    lists over l = i - 1: whether the step into layer i is decided, the
+    winners at layer i + 1 its chain test assumed (None when it passed
+    without them), its winners, and lin_lam and cons at them."""
+    lo, hi, cols, pad = windows
     heads = None if cols is None else cols[1:]
     if heads is None:
         h = lin_lam[1:]
@@ -255,8 +264,13 @@ def _bulk_pass(lin_lam, cons, jump, cols, pad, margin):
     if retry.size:
         t = s[retry + 1]
         at = None if heads is None else heads[retry]
+        f = h[retry] + _jump_rows(jump, t, at)
+        # a single-row step's tails' window is the one value j0: f + jump[j0]
+        j0 = np.array(lo)[retry]
+        single = np.array(hi)[retry] - j0 == 1
+        f[single] += _jump_rows(jump, j0[single, None], None if at is None else at[single])
         s[retry], decided[retry] = _winners(
-            h[retry] + _jump_rows(jump, t, at), jump, at, 1.0, margin
+            f, jump, at, np.where(single, 0.0, 1.0)[:, None, None], margin
         )
         for l, winners in zip(retry.tolist(), t.tolist()):
             guess[l] = winners
@@ -269,37 +283,14 @@ def _bulk_pass(lin_lam, cons, jump, cols, pad, margin):
     )
 
 
-def _row_cone(i, j0, a, b, cone, lin_lam, cost, res, cons, jump):
-    """The step into layer i of relaxed_costs_to_sink when its tails'
-    window is the one value j0: the (cost, budget, column) minimum of the
-    row over the heads a..b - 1, as _lex_min takes it, for every
-    multiplier. The heads' costs and budgets are those of cone, or of the
-    arrays when cone is None. Returns the step's cone: the winners, g at
-    them and the budgets, each a list over the multipliers."""
-    out = ([], [], [])
-    for q in range(lin_lam.shape[1]):
-        entries = []
-        for j in range(a, b):
-            if cone is None:
-                c, r = cost.item(q, i, j), res.item(q, i, j)
-            else:
-                c, r = jump.item(cone[0][q], j) + cone[1][q], cone[2][q]
-            g = lin_lam.item(i, q, j) + c
-            entries.append((g + jump.item(j0, j), cons.item(i, j) + r, j, g))
-        low = min(e[0] for e in entries) + COST_TIE_TOL
-        r, j, g = min(e[1:] for e in entries if e[0] <= low)
-        out[0].append(j)
-        out[1].append(g)
-        out[2].append(r)
-    return out
-
-
 def _window_tables(inst: TripInstance):
     """The reach windows as lists lo and hi and, unless every window is
     full, their index table cols (n, W), W the widest window, whose slot w
     holds value index lo[i] + w clipped to m - 1, and pad (n, W), true in
-    the slots past the window. Raises InstanceError first when cols would
-    exceed TABLE_BYTES_CAP."""
+    the slots past the window: the padding repeats value index m - 1, so
+    every gather stays in range. The sweep and heuristic_table both read
+    this layout. Raises InstanceError first when cols would exceed
+    TABLE_BYTES_CAP."""
     lo, hi = reach_windows(inst)
     # full windows skip the gathers, which takes 10-36% off a heat sweep
     if (lo == 0).all() and (hi == inst.m).all():
@@ -353,7 +344,8 @@ def relaxed_costs_to_sink(
     total[:, s] bit for bit (jump[s] read as a row equals the column
     jump[:, s] since |fl(a - b)| = |fl(b - a)|, and float addition
     commutes), with one budget, cons[i, s] plus the budget at s, and one
-    choice, s. A step whose tails' window holds one value is a cone.
+    choice, s. A step whose tails' window holds one value j0 has one row,
+    and is a cone.
 
     Two margin tests find cone steps before any row is computed. If a
     column s has g[j'] > g[s] + jump[s, j'] + margin for every other column
@@ -373,19 +365,25 @@ def relaxed_costs_to_sink(
       into layer i + 1, f = h + jump[t] and every other column has
       f[j'] > f[s] + jump[s, j'] + 2 * margin. If that step is a cone with
       winners t, c is jump[t] plus a constant, and g = f plus that constant
-      up to rounding, so the condition above holds.
+      up to rounding, so the condition above holds. A single-row step
+      needs no triangle inequality: its one row's totals are g + jump[j0],
+      which is f + jump[j0] plus that constant up to rounding, so it takes
+      f = h + jump[t] + jump[j0] with slack 0, f[j'] > f[s] + 2 * margin,
+      and then total[j0, j'] > total[j0, s] + margin.
     One whole-array pass applies both to every step before the loop, each
     for all K multipliers of a step at once; a chain-tested step is taken
     in the loop only when the step into layer i + 1 turned out a cone with
-    winners t for every multiplier. Those steps, and every single-row step,
-    update each multiplier's cone (s, g[s], budget) as Python floats and
-    ints, with the additions of the per-layer path in the same order; their
-    rows are written after the loop in a few whole-array writes. Every
-    other step takes _lex_min over the (K, w_i, w_{i+1}) totals of the two
-    windows, built with one broadcast addition, w_i the number of values in
-    the window of layer i, and is a cone when its rows pick one column per
-    multiplier. The bulk arrays are the (n, K, m) rows when every window is
-    full, and are restricted to the windows, (n, K, W), when one is not.
+    winners t for every multiplier. A layer step is then of one of two
+    kinds. A step the pass decides updates each multiplier's cone (s, g[s],
+    budget) as Python floats and ints, with the additions of the per-layer
+    path in the same order; its rows are written after the loop in a few
+    whole-array writes. Every other step, an undecided one or one whose
+    chain guess failed, takes _lex_min over the (K, w_i, w_{i+1}) totals of
+    the two windows, built with one broadcast addition, w_i the number of
+    values in the window of layer i, and is a cone when its rows pick one
+    column per multiplier. _lex_min is the only code that resolves a tie.
+    The bulk arrays are the (n, K, m) rows when every window is full, and
+    are restricted to the windows, (n, K, W), when one is not.
 
     The margin is COST_TIE_TOL + 16 * eps * n * E, where E = max|linear| +
     max jump + max|lam * cons| bounds the terms of one edge, so that each
@@ -436,7 +434,7 @@ def relaxed_costs_to_sink(
         width = m if cols is None else cols.shape[1]
         check_table_bytes("relaxed sweep bulk arrays", n * k * width * 8)
         decided, guess, win, lin_win, cons_win = _bulk_pass(
-            lin_lam, cons, jump, cols, pad, margin
+            lin_lam, cons, jump, entry.windows, margin
         )
     # the cone steps, written after the loop: the tails' layer of each and,
     # per multiplier, its winner, g at it and budget
@@ -460,10 +458,12 @@ def relaxed_costs_to_sink(
                 [x + y for x, y in zip(lin_win[l], c)],
                 [x + y for x, y in zip(cons_win[l], heads)],
             )
-        elif dominance and hi[l] - lo[l] == 1:
-            cone = _row_cone(i, lo[l], a, b, cone, lin_lam, cost, res, cons, jump)
+            rows.append(l)
+            cone_s += cone[0]
+            cone_g += cone[1]
+            cone_b += cone[2]
         else:
-            if cone is not None:  # this step reads the heads' row as a whole
+            if rows and rows[-1] == i:  # the heads' row is a cone not yet written
                 cost[:, i, a:b] = jump[cone[0], a:b] + np.array(cone[1])[:, None]
                 res[:, i, a:b] = np.array(cone[2])[:, None]
             g = lin_lam[i] + cost[:, i]
@@ -476,11 +476,6 @@ def relaxed_costs_to_sink(
             # rows that all pick s are its cone: the next step's chain guess may stand
             if dominance and (choice[:, l, tail] == s[:, None]).all():
                 cone = (s.tolist(), g.take(first + s).tolist(), res[:, l, lo[l]].tolist())
-            continue  # the rows are in the arrays
-        rows.append(l)
-        cone_s += cone[0]
-        cone_g += cone[1]
-        cone_b += cone[2]
     if rows:
         r = np.array(rows)
         s = np.array(cone_s, dtype=np.int64).reshape(r.size, k).T  # (K, cone steps)
@@ -658,26 +653,24 @@ def heuristic_table(
     every j in the layer's window lo..hi - 1, with
     (lo, hi) = graph.reach_windows(inst).
 
-    The table has shape (n, wmax, delta + 1), wmax the widest window; the
-    slots past a narrower window are padding that belongs to no node, and
-    may read +inf where they gather a node outside the windows the tables
-    were swept over. No node outside the windows is reachable, so a search
-    never reads them. Each entry is cost - lam * capacity, maximised over
-    the tables in the order of tables.zeta; the tables may be swept over
-    the wider windows of a larger radius, and are finite over these.
+    The table has shape (n, wmax, delta + 1), wmax the widest window, in
+    the padded layout of _window_tables; the slots past a narrower window
+    are padding that belongs to no node, and may read +inf where they
+    gather a node outside the windows the tables were swept over. No node
+    outside the windows is reachable, so a search never reads them. Each
+    entry is cost - lam * capacity, maximised over the tables in the order
+    of tables.zeta; the tables may be swept over the wider windows of a
+    larger radius, and are finite over these.
     """
-    lo, hi = reach_windows(inst)
+    cols = _window_tables(inst)[2]
+    wmax = inst.m if cols is None else cols.shape[1]
     width = inst.delta + 1
-    wmax = int((hi - lo).max())
-    # padding slots repeat value index m - 1, so every gather stays in range
-    cols = np.minimum(lo[:, None] + np.arange(wmax), inst.m - 1)
     layers = np.arange(inst.n)[:, None]
     caps = np.arange(width, dtype=np.float64)
     h = np.full((inst.n, wmax, width), -np.inf)
     for t in tables.zeta:
-        np.maximum(
-            h, t.cost[layers, cols][:, :, None] - t.lam * caps[None, None, :], out=h
-        )
+        cost = t.cost if cols is None else t.cost[layers, cols]
+        np.maximum(h, cost[:, :, None] - t.lam * caps[None, None, :], out=h)
     return h
 
 

@@ -17,7 +17,9 @@ and predecessor choices move to the capacities they leave with one gather
 each, not one copy per value: the rolling cost table carries a pad column of
 inf (predecessor -1), and each state whose consumption would take it past
 delta reads that column. The gathered indices are rows of one strided view
-of a small fixed array, so no index table of a layer's size is built.
+of a small fixed array; selecting a layer's rows is an advanced index, so
+it copies them into a (w_i, delta + 2) index table, the size of the cost
+table it gathers into.
 
 One set of tables answers every radius up to the one it was built at. The
 states of radius delta - s are exactly the states of radius delta whose

@@ -684,9 +684,8 @@ SWEEP_SETUP = {"_window_tables", "_bulk_pass", "_winners", "_pick", "_jump_rows"
 def swept_layer_kinds(inst, lams) -> dict[str, int]:
     """Sweep lams on inst, check every table against reference_sweep bit for
     bit, and count the sweep's layer steps by kind: decided in bulk (before
-    the loop), single-row (lagrange._row_cone) and _lex_min (its calls less
-    the source's). A layer step is one of these three: the sweep calls no
-    other private function of lagrange."""
+    the loop) and _lex_min (its calls less the source's). A layer step is one
+    of these two: the sweep calls no other private function of lagrange."""
     calls = {}
     with pytest.MonkeyPatch.context() as mp:
         for name, fn in vars(tripsolve.lagrange).copy().items():
@@ -698,14 +697,14 @@ def swept_layer_kinds(inst, lams) -> dict[str, int]:
 
                 mp.setattr(tripsolve.lagrange, name, counted)
         assert_matches_reference_sweep(inst, lams)
-    assert set(calls) <= SWEEP_SETUP | {"_row_cone", "_lex_min"}
-    kinds = {"row": calls.get("_row_cone", 0), "lex_min": calls["_lex_min"] - 1}
-    return {"bulk": inst.n - 1 - sum(kinds.values()), **kinds}
+    assert set(calls) <= SWEEP_SETUP | {"_lex_min"}
+    lex_min = calls["_lex_min"] - 1
+    return {"bulk": inst.n - 1 - lex_min, "lex_min": lex_min}
 
 
 def one_kind(kind: str) -> dict[str, int]:
     """The layer kinds of a sweep with one inner layer step, of this kind."""
-    return {name: int(name == kind) for name in ("bulk", "row", "lex_min")}
+    return {name: int(name == kind) for name in ("bulk", "lex_min")}
 
 
 @pytest.mark.parametrize(
@@ -762,9 +761,9 @@ def test_predecessor_free_test_boundary(gap, bulk):
 @pytest.mark.parametrize(
     "c3, kinds",
     [
-        (1.5, {"bulk": 1, "row": 0, "lex_min": 1}),
-        (0.05, {"bulk": 0, "row": 0, "lex_min": 2}),
-        (1.0, {"bulk": 1, "row": 0, "lex_min": 1}),
+        (1.5, {"bulk": 1, "lex_min": 1}),
+        (0.05, {"bulk": 0, "lex_min": 2}),
+        (1.0, {"bulk": 1, "lex_min": 1}),
     ],
 )
 def test_wrong_chain_guess_falls_back(monkeypatch, c3, kinds):
@@ -815,26 +814,36 @@ def test_wrong_chain_guess_falls_back(monkeypatch, c3, kinds):
 def test_single_row_ties_go_to_budget_then_index(x, c, picked):
     # gamma_1 = 10 > delta leaves layer 0 (table row 0) the one value
     # xi = 0 (index 1), so the step into layer 1 has one row; its heads tie
-    # within COST_TIE_TOL
+    # within COST_TIE_TOL, so no margin test decides it and _lex_min's tie
+    # rule picks the column
     inst = validate(
         {"n": 3, "alpha": 0.5, "delta": 9, "xi": [-1, 0, 1], "x": x,
          "gamma": [10, 1, 1], "c": c}
     )
     assert reach_windows(inst)[1][0] - reach_windows(inst)[0][0] == 1
-    assert swept_layer_kinds(inst, [0.0]) == {
-        "bulk": 0, "row": 1, "lex_min": 1}
+    assert swept_layer_kinds(inst, [0.0]) == {"bulk": 0, "lex_min": 2}
     assert relaxed_costs_to_sink(inst, [0.0])[0].choice[0, 1] == picked
     for lams in ([1.0], [0.0, 1.0]):
         swept_layer_kinds(inst, lams)
 
 
-def test_wide_single_rows_take_row_cone():
+def test_wide_single_rows_fall_back_when_the_chain_guess_fails(monkeypatch):
     # gamma_1 = 10 > delta leaves layer 0 one value, and the step into
     # layer 1 reads 19 heads from one row. With |c_2|, |c_3| and lam at most
-    # 0.02, far below alpha, no step passes a margin test and each row of
-    # the step into layer 2 keeps its own column, so that step is no cone:
-    # the single row takes _row_cone, however many heads it has
+    # 0.02, far below alpha, the bulk pass decides that single row against
+    # the cone of the next step's cheapest columns. But each row of the step
+    # into layer 2 keeps its own column, so that step is no cone: the guess
+    # fails and the single row takes _lex_min, however many heads it has
     xi = list(range(-10, 11))
+    decisions = []
+    bulk_pass = tripsolve.lagrange._bulk_pass
+
+    def recorded(*args):
+        out = bulk_pass(*args)
+        decisions.append(out[:2])
+        return out
+
+    monkeypatch.setattr(tripsolve.lagrange, "_bulk_pass", recorded)
     for seed in range(4):
         rng = np.random.default_rng(seed)
         c = [float(rng.uniform(-1.0, 1.0)), *rng.uniform(-0.02, 0.02, size=2).tolist()]
@@ -845,7 +854,45 @@ def test_wide_single_rows_take_row_cone():
         lo, hi = reach_windows(inst)
         assert hi[0] - lo[0] == 1 and hi[1] - lo[1] == 19
         for lams in ([0.0], [0.0, 0.01, 0.02]):
-            assert swept_layer_kinds(inst, lams) == {"bulk": 0, "row": 1, "lex_min": 1}
+            decisions.clear()
+            assert swept_layer_kinds(inst, lams) == {"bulk": 0, "lex_min": 2}
+            [(decided, guess)] = decisions
+            assert decided == [True, False] and guess[0] is not None
+
+
+@pytest.mark.parametrize(
+    "gap, bulk, picked",
+    [
+        (0.0, False, 0),
+        (0.5 * COST_TIE_TOL, False, 0),
+        (COST_TIE_TOL, False, 0),
+        (2.0 * COST_TIE_TOL, False, 1),
+        (1.0, True, 1),
+    ],
+)
+def test_single_row_chain_test_boundary(gap, bulk, picked):
+    # x_1 = 1 with gamma_1 = 10 > delta leaves layer 0 the one value index
+    # j0 = 1, so the step into layer 1 has one row. The step into layer 2
+    # (h = c_3 * xi = [0, -5]) passes the predecessor-free test with winner
+    # t = 1. The single row's own prices h = c_2 * xi = [0, 1 - gap] fail
+    # it, but against the cone at t its totals are f = h + jump[t] +
+    # jump[j0] = [1, 1 - gap] plus a constant: column 1 wins by gap. The
+    # bulk pass decides the row only when gap exceeds 2 * margin, about
+    # 2.1 * COST_TIE_TOL here; below it the row takes _lex_min, which picks
+    # column 0, the smaller budget, while the two tie within COST_TIE_TOL
+    alpha = 0.5
+    inst = validate(
+        {"n": 3, "alpha": alpha, "delta": 2, "xi": [0, 1], "x": [1, 0, 0],
+         "gamma": [10, 1, 1], "c": [0.25, 2.0 * alpha - gap, -5.0]}
+    )
+    assert reach_windows(inst)[1][0] - reach_windows(inst)[0][0] == 1
+    kind = {"bulk": 1 + bulk, "lex_min": int(not bulk)}
+    assert swept_layer_kinds(inst, [0.0]) == kind
+    assert relaxed_costs_to_sink(inst, [0.0])[0].choice[0, 1] == picked
+    # at lam = 3 the row's own prices decide it; batched with lam = 0 the
+    # row is one decision for both
+    assert swept_layer_kinds(inst, [3.0]) == {"bulk": 2, "lex_min": 0}
+    assert swept_layer_kinds(inst, [0.0, 3.0]) == kind
 
 
 def heat_instance():
@@ -870,26 +917,40 @@ def test_dominance_test_passes_on_heat_layers():
     assert kinds["bulk"] > kinds["lex_min"]
 
 
-def test_dominated_and_lex_min_layers_alternate_on_narrow_windows():
-    # knapsack windows hold 1 or 2 values, so a sweep mixes steps decided in
-    # bulk, whose one budget per multiplier passes to the next step, with
-    # single-row steps; the cone steps' rows are written after the loop. At
+def test_dominated_and_lex_min_layers_alternate_on_narrow_windows(monkeypatch):
+    # knapsack windows hold 1 or 2 values, so most layer steps have one row.
+    # The bulk pass decides nearly all of them, each multiplier's one budget
+    # passing to the next step, and the cone steps' rows are written after
+    # the loop; the few it leaves take _lex_min inside the same sweeps. At
     # the multipliers the searches evaluate, in one batch and one by one
     searched = [(inst, binary_search(inst, 1e-6).lambdas) for inst in knapsack_instances()]
-    rows = mixed = 0
+    lex_min_rows = []  # the rows of each _lex_min call, the source's last
+    lex_min = tripsolve.lagrange._lex_min
+
+    def recorded(total, *args):
+        lex_min_rows.append(total.shape[1])
+        return lex_min(total, *args)
+
+    monkeypatch.setattr(tripsolve.lagrange, "_lex_min", recorded)
+    single = single_lex_min = mixed = 0
     for inst, lams in searched:
+        lo, hi = reach_windows(inst)
         for batch in [lams] + [[lam] for lam in lams]:
+            lex_min_rows.clear()
             kinds = swept_layer_kinds(inst, batch)
-            rows += kinds["row"]
-            mixed += kinds["bulk"] > 0 and kinds["row"] > 0
-    assert rows > 0 and mixed > 0  # both kinds, inside one sweep
+            single += int(np.count_nonzero(hi[:-1] - lo[:-1] == 1))
+            single_lex_min += lex_min_rows[:-1].count(1)
+            mixed += kinds["bulk"] > 0 and kinds["lex_min"] > 0
+    # the single rows are decided in bulk, bar a few near ties
+    assert single > 0 and 20 * single_lex_min <= single
+    assert mixed > 0  # both kinds, inside one sweep
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_overflowing_costs_skip_the_bulk_pass(monkeypatch, seed):
     # |c| of 1e300-1e306 makes 2 * n * E overflow: the sweep turns the
-    # dominance tests off, skips the bulk pass and the single rows, and
-    # every layer step takes _lex_min, which matches reference_sweep
+    # dominance tests off and skips the bulk pass, and every layer step
+    # takes _lex_min, which matches reference_sweep
     rng = np.random.default_rng(seed)
     n = 16
     c = rng.choice([-1.0, 1.0], size=n) * 10.0 ** rng.uniform(300, 306, size=n)
@@ -904,17 +965,16 @@ def test_overflowing_costs_skip_the_bulk_pass(monkeypatch, seed):
     )
     cons, linear, jump = edge_terms(inst)
     assert not math.isfinite(2.0 * n * (float(np.abs(linear).max()) + float(jump.max())))
-    entered = {"_bulk_pass": 0, "_row_cone": 0}
+    entered = {"_bulk_pass": 0}
     for name in entered:
         monkeypatch.setattr(
             tripsolve.lagrange, name, lambda *args, name=name: entered.__setitem__(name, 1)
         )
     lams = [0.0, 1e300, 1e306]
-    assert swept_layer_kinds(inst, lams) == {
-        "bulk": 0, "row": 0, "lex_min": n - 1}
+    assert swept_layer_kinds(inst, lams) == {"bulk": 0, "lex_min": n - 1}
     for lam in lams:
         swept_layer_kinds(inst, [lam])
-    assert entered == {"_bulk_pass": 0, "_row_cone": 0}
+    assert entered == {"_bulk_pass": 0}
 
 
 def test_batch_tables_are_contiguous_and_give_the_same_steps(monkeypatch):
