@@ -30,13 +30,16 @@ is that of a search over all m value indices:
   distinct states and every heap entry is a distinct tuple, so pushing the
   heads in this order instead of by value index pops the same sequence.
 * windowed heuristic table: lagrange.heuristic_table fills the heuristic
-  over the reach windows only, (n, widest window, delta + 1), with the
-  floats of the dense table; a label's head always lies in its layer's
-  window, since its edge consumed at most the radius. Above
-  HEURISTIC_TABLE_CAP entries no table is built, and each push takes the
-  maximum of cost - lam * capacity from the multipliers' (n, m) cost
-  tables in place; max is exact, so the floats are those the table would
-  hold.
+  over the reach windows only, (n, widest window, R + 1), with the floats
+  of the dense table; a label's head always lies in its layer's window,
+  since its edge consumed at most the radius. R is the radius of the
+  windows, table.shape[2] - 1 >= delta: a RadiusCache keeps the last table
+  built, and a search at a smaller radius that evaluates the same
+  multipliers reads it again, its rows starting at the windows of R, which
+  hold those of delta. Above HEURISTIC_TABLE_CAP entries no table is
+  built, and each push takes the maximum of cost - lam * capacity from the
+  multipliers' (n, m) cost tables in place; max is exact, so the floats
+  are those the table would hold.
 """
 
 from __future__ import annotations
@@ -44,7 +47,7 @@ from __future__ import annotations
 import heapq
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -159,15 +162,18 @@ def solve_astar(
     smaller value index. preprocessing_iterations counts the rounds of the
     multiplier search.
 
-    With a cache, the multiplier search's sweeps and the successor rows are
-    kept there for later calls on the same instance at radii up to the one
-    they were built at; rows built with and without edge pruning are
-    separate entries. Both cover the reach windows of that radius, which
-    hold those of every smaller one, so the heuristic stays consistent and
-    the answer optimal. Where the windows at the radius of a call are
-    narrower, its multiplier search may evaluate other multipliers than a
-    solve without the cache, and nodes_expanded, nodes_generated and
-    preprocessing_iterations may differ. Without a cache, the search keeps
+    With a cache, the multiplier search's sweeps, the successor rows and the
+    last heuristic table are kept there for later calls on the same
+    instance at radii up to the one they were built at; rows built with and
+    without edge pruning are separate entries, and the table is read again
+    only by a search that evaluates the multipliers it was built from. All
+    three cover the reach windows of that radius, which hold those of every
+    smaller one, so the heuristic stays consistent and the answer optimal;
+    a table read again holds the floats a fresh one would. Where the
+    windows at the radius of a call are narrower, its multiplier search may
+    evaluate other multipliers than a solve without the cache, and
+    nodes_expanded, nodes_generated and preprocessing_iterations may
+    differ. Without a cache, the search keeps
     only the evaluated tables; the K tables of one sweep are views of one
     block of arrays, so a table swept but not evaluated is freed before the
     search only when no table of its sweep was evaluated.
@@ -199,11 +205,14 @@ def solve_astar(
     rows = succ.rows
 
     lo, hi = reach_windows(inst)
-    window_start = lo.tolist()  # heuristic table row of value index j: j - lo
     h_table: Optional[np.ndarray] = None
     # the table pays: per label, knapsack solves take 1.25-1.35x as long
     if n * int((hi - lo).max()) * width <= HEURISTIC_TABLE_CAP:
         h_table = heuristic_table(inst, tables)
+        # a kept table covers the windows of the larger radius it was built at
+        if h_table.shape[2] > width:
+            lo = reach_windows(replace(inst, delta=h_table.shape[2] - 1))[0]
+        window_start = lo.tolist()  # heuristic table row of value index j: j - lo
     else:  # the heuristic per label
         zeta = [(t.cost.item, t.lam) for t in tables.zeta]
 

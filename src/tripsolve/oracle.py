@@ -2,13 +2,14 @@
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .instance import Solution, SolverError, TripInstance, validate
+from .instance import InstanceError, Solution, SolverError, TripInstance, validate
 
 
 def _decode_block(inst: TripInstance, codes: np.ndarray) -> np.ndarray:
@@ -81,6 +82,10 @@ def knapsack_reduce(
     The admissible set is built from prefix weight sums offset by multiples
     of budget + 1, so that every odd interval is pinned to zero and every
     even interval can only stay or move by one item weight.
+
+    Every weight must be a positive integer; ValueError names the first
+    item whose weight is not. Items heavier than the budget fit in no
+    selection and are dropped: kept_items lists the others.
     """
     if budget < 1:
         raise ValueError("budget must be a positive integer")
@@ -88,16 +93,16 @@ def knapsack_reduce(
         raise ValueError("alpha must be positive")
     if len(values) != len(weights):
         raise ValueError("values and weights must have equal length")
-    kept = [
-        i
-        for i in range(len(weights))
-        if 0 < int(weights[i]) <= budget
-    ]
+    for i, weight in enumerate(weights):
+        # NaN fails the first test and +inf the second, before int() sees it
+        if not (weight >= 1 and weight != math.inf and int(weight) == weight):
+            raise ValueError(
+                f"weight of item {i} must be a positive integer, got {weight!r}"
+            )
+    kept = [i for i in range(len(weights)) if weights[i] <= budget]
     for i in kept:
         if values[i] <= 0:
             raise ValueError(f"value of item {i} must be positive")
-        if int(weights[i]) != weights[i]:
-            raise ValueError(f"weight of item {i} must be an integer")
     w = [int(weights[i]) for i in kept]
     v = [float(values[i]) for i in kept]
     n_items = len(kept)
@@ -173,7 +178,11 @@ def gen_random(
     n: int, m: int, delta: int, alpha: float, seed: int
 ) -> TripInstance:
     """Reproducible random instance: m distinct admissible values, x uniform
-    over them, standard-normal costs, weights in {1, 2, 3}."""
+    over them, standard-normal costs, weights in {1, 2, 3}. Raises
+    InstanceError when n or m is below 1."""
+    for name, size in (("n", n), ("m", m)):
+        if size < 1:
+            raise InstanceError(f"{name} = {size!r} must be a positive integer")
     rng = np.random.default_rng(seed)
     xi = np.sort(rng.choice(np.arange(-2 * m, 2 * m + 1), size=m, replace=False))
     x = rng.choice(xi, size=n)

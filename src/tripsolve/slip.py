@@ -19,7 +19,9 @@ the iteration. topo builds its dynamic program once, at the first radius,
 and reads every smaller radius from it (the states of radius delta - s are
 the states of radius delta with at least s capacity left); A*'s multiplier
 search keeps its relaxed sweeps, made over the reach windows of the first
-radius, and sweeps again only multipliers it has not swept yet. topo's
+radius, and sweeps again only multipliers it has not swept yet, and a
+search that evaluates the multipliers of the last heuristic table built,
+at a radius up to that table's, reads that table again. topo's
 answers are those of a solver without the cache; A*'s are optimal, the
 same steps on every tested trace, but their search counters may differ
 where the windows of a smaller radius are narrower.

@@ -312,6 +312,21 @@ def test_gen_knapsack(tmp_path, capsys):
     assert inst.n == 5 and inst.delta == 2
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["gen-knapsack", "--values", "1", "--weights", "0", "--budget", "1"],
+         "weight of item 0 must be a positive integer"),
+        (["gen-random", "--n", "3", "--m", "0", "--delta", "2", "--alpha", "0.5",
+          "--seed", "0"], "m = 0 must be a positive integer"),
+    ],
+)
+def test_generators_reject_bad_sizes(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1
+
+
 @pytest.fixture(scope="module")
 def trace_file(tmp_path_factory):
     path = tmp_path_factory.mktemp("traces") / "sig.jsonl"

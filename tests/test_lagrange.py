@@ -3,6 +3,7 @@ import inspect
 import itertools
 import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -34,6 +35,7 @@ from tripsolve.lagrange import (
     COST_TIE_TOL,
     LagrangeTables,
     binary_search,
+    default_epsilon,
     extract_path_step,
     heuristic_table,
     relaxed_costs_to_sink,
@@ -341,6 +343,106 @@ def test_heuristic_table_matches_pointwise(derived3):
             assert dense[
                 node.layer - 1, node.value_index - lo[node.layer - 1], node.capacity
             ] == pytest.approx(heuristic_h(derived3, tables, node), abs=1e-12)
+
+
+def kept_table_instances():
+    """Two instances whose reach windows narrow at every halving of the
+    radius 8, and on which a search at a smaller radius evaluates the
+    multipliers of a larger one: the heat problem at n = 16 linearised at
+    one of its trust-region iterates, alpha 1e-4, reusing at radius 2 the
+    table of radius 4; and a three-item knapsack reduction, reusing at
+    radius 4 the table of radius 8."""
+    problem = make_heat_problem(16)
+    x = [0] * 5 + [-1, -2] + [0] * 9
+    heat = validate(
+        {"n": 16, "alpha": 1e-4, "delta": 8, "xi": problem.xi.tolist(), "x": x,
+         "gamma": problem.gamma.tolist(),
+         "c": problem.gradient_coeffs(np.array(x)).tolist()}
+    )
+    knapsack = knapsack_reduce([6.0, 7.0, 13.0], [1, 2, 8], 8, 1.0).instance
+    return [heat, knapsack]
+
+
+def window_values(inst):
+    """The number of nodes in the reach windows of inst."""
+    lo, hi = reach_windows(inst)
+    return int((hi - lo).sum())
+
+
+def kept_table(inst, tables, noted):
+    """heuristic_table(inst, tables) through the cache record of tables and
+    whether it built the table. Every table it returns is noted in noted by
+    a weak reference, and none of the noted tables may be alive when it
+    starts a build: at most one is ever alive. The record keeps the table
+    it returns."""
+    window_tables = tripsolve.lagrange._window_tables
+    built = []
+
+    def watched(at):
+        assert all(ref() is None for ref in noted)
+        built.append(True)
+        return window_tables(at)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tripsolve.lagrange, "_window_tables", watched)
+        table = heuristic_table(inst, tables)
+    assert tables.record.htable is table
+    if built:
+        noted.append(weakref.ref(table))
+    return table, bool(built)
+
+
+def assert_reads_fresh_entries(inst, tables, table):
+    """The entries a search at inst.delta reads from table, the windows of
+    inst at capacities 0..inst.delta, are bitwise those of a table built
+    afresh; the rows of table start at the windows of its own radius."""
+    fresh = heuristic_table(inst, dataclasses.replace(tables, record=None))
+    start = reach_windows(dataclasses.replace(inst, delta=table.shape[2] - 1))[0]
+    lo, hi = reach_windows(inst)
+    for l in range(inst.n):
+        got = table[l, lo[l] - start[l]:hi[l] - start[l], :inst.delta + 1]
+        assert got.tobytes() == fresh[l, :hi[l] - lo[l]].tobytes()
+
+
+@pytest.mark.parametrize("inst", kept_table_instances(), ids=["heat", "knapsack"])
+def test_cache_keeps_one_heuristic_table(inst):
+    cache, noted, reused = RadiusCache(), [], 0
+    for delta in (8, 4, 2):
+        at = dataclasses.replace(inst, delta=delta)
+        tables = binary_search(at, default_epsilon(at), cache)
+        table, built = kept_table(at, tables, noted)
+        if not built:  # a table of a larger radius, over wider windows
+            assert table.shape[2] - 1 > delta
+            wider = dataclasses.replace(at, delta=table.shape[2] - 1)
+            assert window_values(wider) > window_values(at)
+            reused += 1
+        assert_reads_fresh_entries(at, tables, table)
+        # the same multipliers at the same radius: no rebuild
+        assert kept_table(at, tables, noted) == (table, False)
+        del table
+    assert reused == 1
+
+    # at radius 2, a table is rebuilt for other multipliers
+    assert len(tables.zeta) > 1
+    fewer = dataclasses.replace(tables, zeta=tables.zeta[1:])
+    assert kept_table(at, fewer, noted)[1]
+    assert kept_table(at, tables, noted)[1]
+    # above the kept table's radius, with the same multipliers and record
+    above = dataclasses.replace(inst, delta=4)
+    assert kept_table(above, dataclasses.replace(tables, inst=above), noted)[1]
+    # for another instance, which gets a record of its own; fewer would keep
+    # the record the cache drops alive, and its table with it
+    del fewer
+    other = dataclasses.replace(inst, c=-inst.c)
+    tables = binary_search(other, default_epsilon(other), cache)
+    assert kept_table(other, tables, noted)[1]
+    # and for a record rebuilt at a larger radius
+    other = dataclasses.replace(at, c=-inst.c)
+    tables = binary_search(other, default_epsilon(other), cache)
+    larger = dataclasses.replace(other, delta=16)
+    tables = binary_search(larger, default_epsilon(larger), cache)
+    assert kept_table(larger, tables, noted)[1]
+    assert_reads_fresh_entries(larger, tables, tables.record.htable)
 
 
 def test_windowed_heuristic_table_equals_heuristic_h():

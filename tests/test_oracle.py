@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from graph_reference import knapsack_bruteforce
-from tripsolve.instance import SolverError, TripInstance, is_feasible, objective, validate
+from tripsolve.instance import InstanceError, SolverError, TripInstance, is_feasible, objective, validate
 from tripsolve.oracle import (
     extract_knapsack,
     gen_random,
@@ -162,6 +162,33 @@ def test_knapsack_input_validation():
         knapsack_reduce([1.0], [1], 0, 0.5)
     with pytest.raises(ValueError, match="alpha"):
         knapsack_reduce([1.0], [1], 1, 0.0)
+
+
+@pytest.mark.parametrize("weight", [0, -1, 0.5, 1.5, float("nan"), float("inf")])
+def test_knapsack_rejects_weights_that_are_not_positive_integers(weight):
+    # item 0 alone, or behind an item within the budget: neither is dropped
+    for weights, item in (([weight], 0), ([1, weight], 1)):
+        with pytest.raises(ValueError, match=f"weight of item {item} must be a positive integer"):
+            knapsack_reduce([5.0] * len(weights), weights, 1, 0.5)
+
+
+def test_knapsack_weight_zero_is_not_dropped():
+    # dropping item 0 would leave the selection [1] of value 1; taking
+    # both items is worth 6
+    with pytest.raises(ValueError, match="item 0"):
+        knapsack_reduce([5.0, 1.0], [0, 1], 1, 0.5)
+    # an integral float weight is an integer weight; one above the budget
+    # is dropped
+    red = knapsack_reduce([5.0, 1.0, 2.0], [1.0, 1, 3], 2, 0.5)
+    assert red.kept_items == (0, 1) and red.weights == (1, 1)
+    assert extract_knapsack(red, solve_topo(red.instance).d) == [0, 1]
+
+
+@pytest.mark.parametrize("n, m", [(3, 0), (3, -2), (-1, 3)])
+def test_gen_random_rejects_empty_sizes(n, m):
+    name, size = ("m", m) if m < 1 else ("n", n)
+    with pytest.raises(InstanceError, match=f"{name} = {size} must be a positive integer"):
+        gen_random(n, m, 2, 0.5, seed=0)
 
 
 def test_gen_random_deterministic():
