@@ -16,30 +16,32 @@ the states topo visits. Two independent prunings cut the search space:
 States are packed integers in a hash map; the graph is never materialized.
 Two structures keep the work per expansion small, and both only leave out
 what the search could never read, so every expansion, f value and counter
-is that of a search over all m value indices:
+is that of a search over all m value indices. Both read the instance's edge
+terms and reach windows (graph.edge_terms, graph.reach_windows) from the
+multiplier search's Sweeps record (lagrange), which derives them once, at
+the record's radius R >= delta:
 
 * successor rows: a (layer, value index) class builds the list of its
   out-edges on its first expansion, as Python (consumption, head value
   index, weight) triples sorted by (consumption, value index), with the
-  dominated edges left out. The heads are those of the next layer's reach
-  window (graph.reach_windows), the only ones whose edges consume at most
-  the radius. A label with capacity eta follows the prefix of the row with
-  consumption <= eta, exactly the heads the budget admits. The rows do not
-  depend on the capacity, so a RadiusCache keeps them for every radius up
-  to the one they were built at. The pushes of one expansion reach
-  distinct states and every heap entry is a distinct tuple, so pushing the
-  heads in this order instead of by value index pops the same sequence.
+  dominated edges left out. The heads are those of the next layer's window
+  at R, which holds every head whose edge consumes at most delta. A label
+  with capacity eta follows the prefix of the row with consumption
+  <= eta, exactly the heads the budget admits. The rows do not depend on
+  the capacity, so a RadiusCache keeps them for every radius up to the one
+  they were built at. The pushes of one expansion reach distinct states
+  and every heap entry is a distinct tuple, so pushing the heads in this
+  order instead of by value index pops the same sequence.
 * windowed heuristic table: lagrange.heuristic_table fills the heuristic
-  over the reach windows only, (n, widest window, R + 1), with the floats
-  of the dense table; a label's head always lies in its layer's window,
-  since its edge consumed at most the radius. R is the radius of the
-  windows, table.shape[2] - 1 >= delta: a RadiusCache keeps the last table
-  built, and a search at a smaller radius that evaluates the same
-  multipliers reads it again, its rows starting at the windows of R, which
-  hold those of delta. Above HEURISTIC_TABLE_CAP entries no table is
-  built, and each push takes the maximum of cost - lam * capacity from the
-  multipliers' (n, m) cost tables in place; max is exact, so the floats
-  are those the table would hold.
+  over the record's windows only, (n, widest window, table radius + 1),
+  with the floats of the dense table; a label's head always lies in its
+  layer's window, since its edge consumed at most the radius. The table's
+  radius, table.shape[2] - 1, is at least delta: a RadiusCache keeps the
+  last table built, and a search at a smaller radius that evaluates the
+  same multipliers reads it again. Above HEURISTIC_TABLE_CAP entries no
+  table is built, and each push takes the maximum of cost - lam * capacity
+  from the multipliers' (n, m) cost tables in place; max is exact, so the
+  floats are those the table would hold.
 """
 
 from __future__ import annotations
@@ -47,12 +49,12 @@ from __future__ import annotations
 import heapq
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
 
-from .graph import NodeRef, edge_terms, reach_windows
+from .graph import NodeRef
 from .instance import (
     TABLE_BYTES_CAP,
     RadiusCache,
@@ -62,7 +64,7 @@ from .instance import (
     clamp_delta,
     objective,
 )
-from .lagrange import binary_search, default_epsilon, heuristic_table
+from .lagrange import Sweeps, binary_search, default_epsilon, heuristic_table
 
 PRUNE_TOL = 1e-9
 # largest heuristic table, in float64 entries, built before the search; above
@@ -105,40 +107,33 @@ class SuccessorRows:
 
     rows[layer * m + j] lists (consumption, value index, weight) of the
     edges from value index j of layer 0..n-1 into the reach window of layer
-    + 1 at the radius of inst, sorted by (consumption, value index), less
-    the dominated edges when pruned is set. Weights and consumptions come
-    from graph.edge_terms: linear[layer, j'] + jump[j, j'], and linear[0, j']
-    from the source.
+    + 1 held by record, the Sweeps record of inst at a radius at least
+    inst.delta, sorted by (consumption, value index), less the dominated
+    edges when pruned is set. Weights and consumptions come from the
+    record's graph.edge_terms: linear[layer, j'] + jump[j, j'], and
+    linear[0, j'] from the source.
     """
 
     inst: TripInstance
     pruned: bool
+    record: Sweeps
     rows: dict[int, list[tuple[int, int, float]]] = field(default_factory=dict)
-    lo: list[int] = field(init=False)
-    hi: list[int] = field(init=False)
-    cons: np.ndarray = field(init=False)
-    linear: np.ndarray = field(init=False)
-    jump: np.ndarray = field(init=False)
-
-    def __post_init__(self) -> None:
-        self.lo, self.hi = (w.tolist() for w in reach_windows(self.inst))
-        self.cons, self.linear, self.jump = edge_terms(self.inst)
 
     def build(self, layer: int, j: int) -> list[tuple[int, int, float]]:
         """Build, keep and return the row of value index j in layer."""
         inst = self.inst
-        a, b = self.lo[layer], self.hi[layer]
+        cons, linear, jump = self.record.terms
+        lo, hi, _, _ = self.record.windows
+        a, b = lo[layer], hi[layer]
         heads = np.arange(a, b)
         if self.pruned and layer >= 1:
             du = inst.xi[j] - inst.x[layer - 1]
             dv = inst.xi[a:b] - inst.x[layer]
             heads = heads[~edge_dominated(inst, layer, du, dv)]
-        weights = self.linear[layer, heads]
+        weights = linear[layer, heads]
         if layer >= 1:
-            weights = weights + self.jump[j, heads]
-        row = sorted(
-            zip(self.cons[layer, heads].tolist(), heads.tolist(), weights.tolist())
-        )
+            weights = weights + jump[j, heads]
+        row = sorted(zip(cons[layer, heads].tolist(), heads.tolist(), weights.tolist()))
         self.rows[layer * inst.m + j] = row
         return row
 
@@ -162,21 +157,27 @@ def solve_astar(
     smaller value index. preprocessing_iterations counts the rounds of the
     multiplier search.
 
-    With a cache, the multiplier search's sweeps, the successor rows and the
+    The multiplier search's Sweeps record (tables.record) holds the
+    instance's edge terms and reach windows, at the radius the record was
+    built at: the successor rows, the heuristic table and the search read
+    them there. Without a cache the solve makes one for itself, so every
+    solve has a record. With a cache, the record, the successor rows and the
     last heuristic table are kept there for later calls on the same
     instance at radii up to the one they were built at; rows built with and
     without edge pruning are separate entries, and the table is read again
     only by a search that evaluates the multipliers it was built from. All
-    three cover the reach windows of that radius, which hold those of every
-    smaller one, so the heuristic stays consistent and the answer optimal;
-    a table read again holds the floats a fresh one would. Where the
-    windows at the radius of a call are narrower, its multiplier search may
-    evaluate other multipliers than a solve without the cache, and
+    three cover the reach windows of the record's radius, which hold those
+    of every smaller one, so the heuristic stays consistent and the answer
+    optimal; a table read again holds the floats a fresh one would. Where
+    the windows at the radius of a call are narrower, its multiplier search
+    may evaluate other multipliers than a solve without the cache, and
     nodes_expanded, nodes_generated and preprocessing_iterations may
-    differ. Without a cache, the search keeps
-    only the evaluated tables; the K tables of one sweep are views of one
-    block of arrays, so a table swept but not evaluated is freed before the
-    search only when no table of its sweep was evaluated.
+    differ. During the search the record keeps alive every table swept,
+    evaluated or not, with the relaxed paths' steps, the edge terms and the
+    windows. The K tables of one sweep are views of one block of arrays,
+    and a sweep's block holds an evaluated table, so the tables not
+    evaluated add little: over the 24 seed-0 knapsack solves of the
+    benchmark the tracemalloc peak is 5.8 MB.
 
     Raises SolverError when the search exhausts without reaching the sink,
     which a consistent heuristic and a feasible zero step rule out.
@@ -186,6 +187,7 @@ def solve_astar(
     inst = clamp_delta(inst)
     if epsilon is None:
         epsilon = default_epsilon(inst)
+    cache = cache or RadiusCache()
     tables = binary_search(inst, epsilon, cache)
     if tables.early_exit is not None:
         sol = tables.early_exit
@@ -197,22 +199,16 @@ def solve_astar(
     upper = min(tables.upper_bound, objective(inst, zero))
     bound = upper + PRUNE_TOL
 
-    # a throwaway cache made only now, once binary_search's own is gone
+    record = tables.record
     name = f"successor rows, edge pruning {opts.edge_pruning}"
-    succ = (cache or RadiusCache()).entry(
-        name, inst, lambda: SuccessorRows(inst, opts.edge_pruning)
-    )
+    succ = cache.entry(name, inst, lambda: SuccessorRows(inst, opts.edge_pruning, record))
     rows = succ.rows
 
-    lo, hi = reach_windows(inst)
+    window_start, _, cols, _ = record.windows
     h_table: Optional[np.ndarray] = None
     # the table pays: per label, knapsack solves take 1.25-1.35x as long
-    if n * int((hi - lo).max()) * width <= HEURISTIC_TABLE_CAP:
-        h_table = heuristic_table(inst, tables)
-        # a kept table covers the windows of the larger radius it was built at
-        if h_table.shape[2] > width:
-            lo = reach_windows(replace(inst, delta=h_table.shape[2] - 1))[0]
-        window_start = lo.tolist()  # heuristic table row of value index j: j - lo
+    if n * (m if cols is None else cols.shape[1]) * width <= HEURISTIC_TABLE_CAP:
+        h_table = heuristic_table(inst, tables)  # row of value index j: j - window_start
     else:  # the heuristic per label
         zeta = [(t.cost.item, t.lam) for t in tables.zeta]
 

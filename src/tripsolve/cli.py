@@ -111,6 +111,9 @@ def cmd_bench(args: argparse.Namespace) -> int:
         raise ValueError(
             f"--solvers {args.solvers!r} must name one or more of {', '.join(SOLVERS)}"
         )
+    if len(set(solvers)) < len(solvers):  # each would write its rows twice
+        twice = next(s for k, s in enumerate(solvers) if s in solvers[:k])
+        raise ValueError(f"--solvers {args.solvers!r} names {twice} more than once")
     if args.delta_d is not None and not {"topo", "astar"} <= set(solvers):
         raise ValueError("hybrid reporting needs both topo and astar runs")
     if args.delta_d is not None and args.delta_d < 0:
@@ -179,9 +182,28 @@ def cmd_gen_random(args: argparse.Namespace) -> int:
     return 0
 
 
+def _numbers(text: str, what: str) -> list[float]:
+    """The comma-separated entries of text as numbers, each an int where
+    int() reads it; ValueError names the first item whose entry is not a
+    number."""
+    numbers: list[float] = []
+    for i, entry in enumerate(text.split(",")):
+        try:
+            numbers.append(int(entry))
+        except ValueError:
+            try:
+                numbers.append(float(entry))
+            except ValueError:
+                raise ValueError(
+                    f"{what} of item {i} must be a number, got {entry!r}"
+                ) from None
+    return numbers
+
+
 def cmd_gen_knapsack(args: argparse.Namespace) -> int:
-    values = [float(v) for v in args.values.split(",")]
-    weights = [int(w) for w in args.weights.split(",")]
+    # knapsack_reduce names an item whose weight is not a positive integer
+    values = _numbers(args.values, "value")
+    weights = _numbers(args.weights, "weight")
     reduction = knapsack_reduce(values, weights, args.budget, args.alpha)
     _emit(write_instance(reduction.instance), args.out)
     return 0

@@ -73,10 +73,13 @@ those, so the tables still bound the optimum there and the heuristic stays
 consistent on every edge the search generates. Where the windows are
 narrower than at the record's radius, the multipliers the search evaluates,
 the heuristic and the search counters may differ from those of a solve
-without the cache; the answer is an optimum all the same. The record also
-keeps the last heuristic table built from its tables, which a search at a
-radius up to the table's own that evaluates the same multipliers reads
-again (heuristic_table).
+without the cache; the answer is an optimum all the same. A solve without a
+cache makes a record for itself alone. The record is the one place an
+instance's edge terms and windows are derived: its sweeps, A*'s successor
+rows and its heuristic table all read them from there. It also keeps the
+last heuristic table built from its tables, laid out over its windows,
+which a search at a radius up to the table's own that evaluates the same
+multipliers reads again (heuristic_table).
 """
 
 from __future__ import annotations
@@ -130,10 +133,11 @@ class LagrangeTables:
     """Everything the multiplier search produced: evaluated multipliers with
     their cost-to-sink tables, the best feasible incumbent, and, when a
     relaxed path met the budget exactly, the proven optimum. record is the
-    cache's Sweeps record the tables were read from, None without a
-    cache."""
+    Sweeps record the tables were read from: the cache's entry, or one made
+    for this search alone without a cache."""
 
     inst: TripInstance
+    record: Sweeps
     zeta: list[ZetaTable] = field(default_factory=list)
     upper_bound: float = math.inf
     incumbent: Optional[Solution] = None
@@ -141,7 +145,6 @@ class LagrangeTables:
     lambda_star: float = 0.0
     iterations: int = 0  # rounds, endpoint evaluations excluded
     log: list[tuple[float, float, int]] = field(default_factory=list)
-    record: Optional[Sweeps] = None
 
     @property
     def lambdas(self) -> list[float]:
@@ -166,11 +169,12 @@ class Sweeps:
     swept over the windows of inst bounds the optimum at that radius too,
     and its heuristic stays consistent on every edge a search there
     generates. The record also keeps the inputs of relaxed_costs_to_sink
-    that depend on inst alone, which its first sweep computes, and one
-    heuristic table: the last one heuristic_table built from its tables,
-    htable, with the multipliers of those tables in the order of
-    LagrangeTables.zeta, htable_lams. The table covers the windows of its
-    own radius, htable.shape[2] - 1, at most that of inst; a search at a
+    that depend on inst alone, which its first sweep computes and which A*'s
+    successor rows and heuristic table read too, and one heuristic table:
+    the last one heuristic_table built from its tables, htable, with the
+    multipliers of those tables in the order of LagrangeTables.zeta,
+    htable_lams. The table covers the record's windows at capacities up to
+    its own radius, htable.shape[2] - 1, at most that of inst; a search at a
     radius up to that one which evaluates the same multipliers reads it
     again."""
 
@@ -576,13 +580,14 @@ def binary_search(
     swept by an earlier search of the same instance are not swept again.
     At that radius the result is the one a search without the cache
     returns; at a smaller one whose windows are narrower it may evaluate
-    other multipliers, whose tables bound the optimum all the same.
+    other multipliers, whose tables bound the optimum all the same. Without
+    a cache the search makes a record of its own. Either way the result's
+    record holds every swept table with the instance's edge terms and
+    windows.
     """
     check_epsilon(epsilon)
     sweeps = (cache or RadiusCache()).entry("sweeps", inst, lambda: Sweeps(inst))
-    # a throwaway record holds every table swept, evaluated or not: the
-    # result keeps it only when a cache keeps it anyway
-    tables = LagrangeTables(inst=inst, record=sweeps if cache is not None else None)
+    tables = LagrangeTables(inst=inst, record=sweeps)
     upper0 = float(np.max(np.abs(inst.c))) + 2.0 * inst.alpha
 
     def evaluate(lam: float) -> ZetaTable:
@@ -662,45 +667,42 @@ def binary_search(
 def heuristic_table(
     inst: TripInstance, tables: LagrangeTables
 ) -> np.ndarray:
-    """Heuristic lookup over the reach windows of the inner layers 1..n at a
-    radius R >= inst.delta: H[layer - 1, j - lo[layer - 1], capacity] is the
-    consistent cost-to-go estimate of the node (layer, j, capacity), the
-    best lower bound cost[layer - 1, j] - lam * capacity over the evaluated
-    multipliers, for every j in the layer's window lo..hi - 1, with
-    (lo, hi) = graph.reach_windows at radius R.
+    """Heuristic lookup over the reach windows of tables.record, those of
+    its radius, for the inner layers 1..n: H[layer - 1, j - lo[layer - 1],
+    capacity] is the consistent cost-to-go estimate of the node (layer, j,
+    capacity), the best lower bound cost[layer - 1, j] - lam * capacity over
+    the evaluated multipliers, for every j in the layer's window lo..hi - 1
+    of the record and every capacity up to the table's radius.
 
-    The table has shape (n, wmax, R + 1), wmax the widest window, in the
-    padded layout of _window_tables; the slots past a narrower window are
-    padding that belongs to no node, and may read +inf where they gather a
-    node outside the windows the tables were swept over. No node outside
-    the windows is reachable, so a search never reads them. Each entry is
-    cost - lam * capacity, maximised over the tables of tables.zeta; the
-    tables may be swept over the wider windows of a larger radius, and are
-    finite over these.
+    The table has shape (n, wmax, R + 1), R >= inst.delta its radius and
+    wmax the record's widest window, in the padded layout of the record's
+    windows (_window_tables); the slots past a narrower window are padding
+    that belongs to no node, and may read +inf where they gather a node
+    outside the windows. No node outside the windows is reachable, so a
+    search never reads them. Each entry is cost - lam * capacity, maximised
+    over the tables of tables.zeta, which were swept over the same windows.
 
-    Without a cache record (tables.record) the table is built afresh at
-    R = inst.delta. With one, the record's kept table is returned, not a
-    copy, when it was built from exactly the multipliers of tables.zeta at
-    a radius R >= inst.delta: each multiplier maps to one table of the
-    record, every entry is the same float, and max is exact, so the entries
-    a search at inst.delta reads, its windows at capacities 0..inst.delta,
-    are bitwise those of a fresh build. Otherwise the kept table is dropped
-    first, so that at most one is alive, and the one built at inst.delta is
-    kept. On the seed-0 heat slip run of the benchmark 53 of 81 builds are
-    served so, by re-solves at radii 16 down to 1; knapsack replays solve
-    without a cache.
+    The record's kept table is returned, not a copy, when it was built from
+    exactly the multipliers of tables.zeta at a radius R >= inst.delta: each
+    multiplier maps to one table of the record, every entry is the same
+    float, and max is exact, so the entries a search at inst.delta reads,
+    capacities 0..inst.delta, are bitwise those of a fresh build. Otherwise
+    the kept table is dropped first, so that at most one is alive, and the
+    one built at R = inst.delta is kept. On the seed-0 heat slip run of the
+    benchmark 53 of 81 builds are served so, by re-solves at radii 16 down
+    to 1; knapsack replays solve without a cache, each with a record of its
+    own.
     """
     record = tables.record
     lams = tuple(t.lam for t in tables.zeta)
-    if record is not None:
-        if (
-            record.htable is not None
-            and record.htable_lams == lams
-            and record.htable.shape[2] > inst.delta
-        ):
-            return record.htable
-        record.htable = None
-    cols = _window_tables(inst)[2]
+    if (
+        record.htable is not None
+        and record.htable_lams == lams
+        and record.htable.shape[2] > inst.delta
+    ):
+        return record.htable
+    record.htable = None
+    cols = record.windows[2]
     wmax = inst.m if cols is None else cols.shape[1]
     width = inst.delta + 1
     layers = np.arange(inst.n)[:, None]
@@ -709,8 +711,7 @@ def heuristic_table(
     for t in tables.zeta:
         cost = t.cost if cols is None else t.cost[layers, cols]
         np.maximum(h, cost[:, :, None] - t.lam * caps[None, None, :], out=h)
-    if record is not None:
-        record.htable, record.htable_lams = h, lams
+    record.htable, record.htable_lams = h, lams
     return h
 
 

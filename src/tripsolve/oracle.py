@@ -22,13 +22,15 @@ def _decode_block(inst: TripInstance, codes: np.ndarray) -> np.ndarray:
     return steps
 
 
-def solve_bruteforce(
-    inst: TripInstance, cap: int = 1 << 20, block: int = 1 << 14
-) -> Solution:
+# step vectors enumerated per block of solve_bruteforce
+_BLOCK = 1 << 14
+
+
+def solve_bruteforce(inst: TripInstance, cap: int = 1 << 20) -> Solution:
     """Exhaustive minimum over every admissible step vector.
 
-    Iterates in mixed-radix order in fixed-size blocks, so memory stays
-    proportional to block * n rather than the enumeration size. Ties are
+    Iterates in mixed-radix order in blocks of _BLOCK, so memory stays
+    proportional to _BLOCK * n rather than the enumeration size. Ties are
     broken by the lexicographically smallest step vector. Raises ValueError
     when |xi| ** n exceeds `cap`.
     """
@@ -38,8 +40,8 @@ def solve_bruteforce(
         raise ValueError(f"enumeration size {count} exceeds cap {cap}")
     best_value = np.inf
     best_d: np.ndarray | None = None
-    for start in range(0, count, block):
-        codes = np.arange(start, min(start + block, count))
+    for start in range(0, count, _BLOCK):
+        codes = np.arange(start, min(start + _BLOCK, count))
         steps = _decode_block(inst, codes)
         resource = np.abs(steps) @ inst.gamma
         values = steps @ inst.c + inst.alpha * np.abs(

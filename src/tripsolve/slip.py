@@ -18,9 +18,11 @@ from it with dataclasses.replace, and hands the solvers one RadiusCache for
 the iteration. topo builds its dynamic program once, at the first radius,
 and reads every smaller radius from it (the states of radius delta - s are
 the states of radius delta with at least s capacity left); A*'s multiplier
-search keeps its relaxed sweeps, made over the reach windows of the first
-radius, and sweeps again only multipliers it has not swept yet, and a
-search that evaluates the multipliers of the last heuristic table built,
+search keeps one record of the instance: its edge terms, its reach windows
+at the first radius, and the relaxed sweeps made over those windows. A
+later search sweeps again only multipliers the record has not swept yet,
+builds its successor rows and heuristic table over the record's windows,
+and, when it evaluates the multipliers of the last heuristic table built,
 at a radius up to that table's, reads that table again. topo's
 answers are those of a solver without the cache; A*'s are optimal, the
 same steps on every tested trace, but their search counters may differ
@@ -403,20 +405,22 @@ def round_to_members(values: np.ndarray, xi: np.ndarray) -> np.ndarray:
     return np.where(take_upper, upper, lower).astype(np.int64)
 
 
-def solve_box_relaxation(
-    problem: ControlProblem,
-    tol: float = 1e-4,
-    max_iter: int = 500,
-) -> np.ndarray:
+# stopping rule of solve_box_relaxation: the largest projected-gradient
+# move, and the iteration limit
+_RELAX_TOL = 1e-4
+_RELAX_MAX_ITER = 500
+
+
+def solve_box_relaxation(problem: ControlProblem) -> np.ndarray:
     """Projected gradient descent for the smooth part over the box hull of
     the admissible set (no switching penalty), with a backtracking step."""
     lo, hi = float(problem.xi[0]), float(problem.xi[-1])
     x = np.zeros(problem.n)
     fx = problem.smooth_value(x)
     step = 1.0
-    for _ in range(max_iter):
+    for _ in range(_RELAX_MAX_ITER):
         g = problem.gradient_coeffs(x)
-        if np.max(np.abs(x - np.clip(x - g, lo, hi))) <= tol:
+        if np.max(np.abs(x - np.clip(x - g, lo, hi))) <= _RELAX_TOL:
             break
         while True:
             x_new = np.clip(x - step * g, lo, hi)

@@ -1,6 +1,7 @@
 import contextlib
 import dataclasses
 import functools
+import sys
 from collections import Counter
 
 import numpy as np
@@ -247,6 +248,30 @@ def _knapsack_instances():
         values = weights + 5.0 + rng.uniform(0.0, 0.01, size=items)
         capacity = int(weights.sum()) // 3
         yield knapsack_reduce(values.tolist(), weights.tolist(), capacity, 1.0).instance
+
+
+def test_searched_solve_derives_terms_and_windows_once(monkeypatch):
+    # the multiplier search's record derives the edge terms and the reach
+    # windows; the successor rows, the heuristic table and the search read
+    # them there
+    inst = list(_knapsack_instances())[-1]  # 24 items
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    for key, module in list(sys.modules.items()):
+        if key == "tripsolve" or key.startswith("tripsolve."):
+            for name in ("edge_terms", "reach_windows"):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    sol = solve_astar(inst)
+    assert sol.stats.nodes_expanded > 0
+    assert calls == {"edge_terms": 1, "reach_windows": 1}
 
 
 def _assert_search_matches_reference(inst, variant, cache):

@@ -319,6 +319,12 @@ def test_gen_knapsack(tmp_path, capsys):
          "weight of item 0 must be a positive integer"),
         (["gen-random", "--n", "3", "--m", "0", "--delta", "2", "--alpha", "0.5",
           "--seed", "0"], "m = 0 must be a positive integer"),
+        (["gen-knapsack", "--values", "6,10", "--weights", "1,1.5", "--budget", "4"],
+         "weight of item 1 must be a positive integer, got 1.5\n"),
+        (["gen-knapsack", "--values", "6,x", "--weights", "1,2", "--budget", "4"],
+         "value of item 1 must be a number, got 'x'\n"),
+        (["gen-knapsack", "--values", "6,10,12", "--weights", "1,2,", "--budget", "4"],
+         "weight of item 2 must be a number, got ''\n"),
     ],
 )
 def test_generators_reject_bad_sizes(capsys, argv, message):
@@ -510,6 +516,15 @@ def test_bench_rejects_solver_list_before_solving(
                            "--out", str(out))
     assert code == 2 and err.startswith("error: ") and err.count("\n") == 1
     assert not out.exists()
+
+
+def test_bench_rejects_repeated_solver(tmp_path, trace_file, capsys):
+    # a solver named twice would write each of its rows twice
+    out = tmp_path / "x.csv"
+    code, _, err = run_cli(capsys, "bench", str(trace_file), "--solvers",
+                           "topo,astar,topo", "--out", str(out))
+    assert code == 2 and not out.exists()
+    assert err == "error: --solvers 'topo,astar,topo' names topo more than once\n"
 
 
 def test_bench_negative_delta_d_exits_2(tmp_path, trace_file, capsys, monkeypatch):

@@ -370,38 +370,43 @@ def window_values(inst):
 
 
 def kept_table(inst, tables, noted):
-    """heuristic_table(inst, tables) through the cache record of tables and
-    whether it built the table. Every table it returns is noted in noted by
-    a weak reference, and none of the noted tables may be alive when it
-    starts a build: at most one is ever alive. The record keeps the table
-    it returns."""
-    window_tables = tripsolve.lagrange._window_tables
-    built = []
+    """heuristic_table(inst, tables) through the record of tables and
+    whether it built the table, told by the identity of the record's kept
+    table. Every table it returns is noted in noted by a weak reference, and
+    none of the noted tables may be alive when it allocates a table: at most
+    one is ever alive. The record keeps the table it returns."""
+    record = tables.record
+    kept = None if record.htable is None else weakref.ref(record.htable)
+    full = np.full
 
-    def watched(at):
+    def allocated(*args, **kwargs):
         assert all(ref() is None for ref in noted)
-        built.append(True)
-        return window_tables(at)
+        return full(*args, **kwargs)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(tripsolve.lagrange, "_window_tables", watched)
+        mp.setattr(np, "full", allocated)
         table = heuristic_table(inst, tables)
-    assert tables.record.htable is table
+    assert record.htable is table
+    built = kept is None or kept() is not table
     if built:
         noted.append(weakref.ref(table))
-    return table, bool(built)
+    return table, built
 
 
 def assert_reads_fresh_entries(inst, tables, table):
     """The entries a search at inst.delta reads from table, the windows of
     inst at capacities 0..inst.delta, are bitwise those of a table built
-    afresh; the rows of table start at the windows of its own radius."""
-    fresh = heuristic_table(inst, dataclasses.replace(tables, record=None))
-    start = reach_windows(dataclasses.replace(inst, delta=table.shape[2] - 1))[0]
+    afresh from the multipliers of tables over those windows; the rows of
+    table start at the windows of its record."""
+    start = tables.record.windows[0]
     lo, hi = reach_windows(inst)
+    caps = np.arange(inst.delta + 1, dtype=np.float64)
     for l in range(inst.n):
+        fresh = np.full((hi[l] - lo[l], inst.delta + 1), -np.inf)
+        for t in tables.zeta:
+            np.maximum(fresh, t.cost[l, lo[l]:hi[l], None] - t.lam * caps, out=fresh)
         got = table[l, lo[l] - start[l]:hi[l] - start[l], :inst.delta + 1]
-        assert got.tobytes() == fresh[l, :hi[l] - lo[l]].tobytes()
+        assert got.tobytes() == fresh.tobytes()
 
 
 @pytest.mark.parametrize("inst", kept_table_instances(), ids=["heat", "knapsack"])
