@@ -7,9 +7,11 @@ the sink is optimal. The relaxation covers only the reach windows
 seed-0 knapsacks of the benchmark the search expands 21810 states, 8.5% of
 the states topo visits. Two independent prunings cut the search space:
 
-* dominated edges: a nonzero step whose immediate cost exceeds the zero
-  step's cost by more than the worst-case saving on the following jump can
-  never lie on an optimal path;
+* dominated edges: an edge whose weight exceeds that of the edge into the
+  head layer's zero step by more than the jump between the two heads can
+  never lie on an optimal path, since the reroute through the zero step
+  uses no budget and, by the triangle inequality, saves more than its next
+  jump can cost (successor_row);
 * upper-bound pruning: labels whose optimistic total exceeds the best known
   feasible cost are dropped.
 
@@ -28,10 +30,11 @@ the record's radius R >= delta:
   at R, which holds every head whose edge consumes at most delta. A label
   with capacity eta follows the prefix of the row with consumption
   <= eta, exactly the heads the budget admits. The rows do not depend on
-  the capacity, so a RadiusCache keeps them for every radius up to the one
-  they were built at. The pushes of one expansion reach distinct states
-  and every heap entry is a distinct tuple, so pushing the heads in this
-  order instead of by value index pops the same sequence.
+  the capacity, so the record keeps them, one set per edge pruning
+  setting, for every search at a radius up to its own, and they go with
+  it. The pushes of one expansion reach distinct states and every heap
+  entry is a distinct tuple, so pushing the heads in this order instead of
+  by value index pops the same sequence.
 * windowed heuristic table: lagrange.heuristic_table fills the heuristic
   over the record's windows only, (n, widest window, table radius + 1),
   with the floats of the dense table; a label's head always lies in its
@@ -49,7 +52,7 @@ from __future__ import annotations
 import heapq
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -79,63 +82,37 @@ class AstarOptions:
     expansion_listener: Optional[Callable[[NodeRef, float], None]] = None
 
 
-def edge_dominated(
-    inst: TripInstance, layer: int, delta_u: int, delta_v: np.ndarray
-) -> np.ndarray:
-    """Mask over delta_v: True where the edge from a layer node with shift
-    delta_u to a layer + 1 node with shift delta_v cannot lie on an optimal
-    path.
+def successor_row(
+    inst: TripInstance, record: Sweeps, pruned: bool, layer: int, j: int
+) -> list[tuple[int, int, float]]:
+    """The out-edges of value index j of layer 0..n-1, as (consumption,
+    head value index, weight) triples sorted by (consumption, value index).
 
-    Compares each edge against rerouting through the zero step: if the cost
-    surplus exceeds the largest possible saving alpha * |delta_v| on the
-    following jump, the reroute is strictly better. Never true for
-    delta_v = 0.
+    The heads are the reach window a..b-1 of layer + 1 held by record, the
+    Sweeps record of inst at a radius at least inst.delta; weights and
+    consumptions are the record's graph.edge_terms: linear[layer, j'] +
+    jump[j, j'], and linear[0, j'] from the source. When pruned is set, an
+    edge from layer >= 1 into j' is left out where its weight exceeds that
+    of the edge into the head layer's zero step z plus jump[z, j']:
+    rerouting through z consumes no budget, and by the triangle inequality
+    the reroute's next jump, jump[z, k], costs at most jump[z, j'] +
+    jump[j', k], so the reroute is strictly cheaper on every path and the
+    edge lies on no optimal one. z itself is never left out. Where the two
+    sides tie exactly, their float sums may round either way; an edge left
+    out then has a reroute that costs no more, so an optimum is kept.
     """
-    if not 1 <= layer <= inst.n - 1:
-        raise ValueError(f"layer = {layer} out of range 1..{inst.n - 1}")
-    dv = np.asarray(delta_v)
-    base = int(inst.x[layer]) - int(inst.x[layer - 1]) - delta_u
-    # alpha factored out of the two jump terms
-    lhs = inst.c[layer] * dv + inst.alpha * (np.abs(base + dv) - np.abs(base))
-    return (lhs > inst.alpha * np.abs(dv)) & (dv != 0)
-
-
-@dataclass
-class SuccessorRows:
-    """The out-edges of the (layer, value index) classes a search expands,
-    built on first use.
-
-    rows[layer * m + j] lists (consumption, value index, weight) of the
-    edges from value index j of layer 0..n-1 into the reach window of layer
-    + 1 held by record, the Sweeps record of inst at a radius at least
-    inst.delta, sorted by (consumption, value index), less the dominated
-    edges when pruned is set. Weights and consumptions come from the
-    record's graph.edge_terms: linear[layer, j'] + jump[j, j'], and
-    linear[0, j'] from the source.
-    """
-
-    inst: TripInstance
-    pruned: bool
-    record: Sweeps
-    rows: dict[int, list[tuple[int, int, float]]] = field(default_factory=dict)
-
-    def build(self, layer: int, j: int) -> list[tuple[int, int, float]]:
-        """Build, keep and return the row of value index j in layer."""
-        inst = self.inst
-        cons, linear, jump = self.record.terms
-        lo, hi, _, _ = self.record.windows
-        a, b = lo[layer], hi[layer]
-        heads = np.arange(a, b)
-        if self.pruned and layer >= 1:
-            du = inst.xi[j] - inst.x[layer - 1]
-            dv = inst.xi[a:b] - inst.x[layer]
-            heads = heads[~edge_dominated(inst, layer, du, dv)]
-        weights = linear[layer, heads]
-        if layer >= 1:
-            weights = weights + jump[j, heads]
-        row = sorted(zip(cons[layer, heads].tolist(), heads.tolist(), weights.tolist()))
-        self.rows[layer * inst.m + j] = row
-        return row
+    cons, linear, jump = record.terms
+    lo, hi, _, _ = record.windows
+    a, b = lo[layer], hi[layer]
+    heads = np.arange(a, b)
+    weights = linear[layer, a:b]
+    if layer >= 1:
+        weights = weights + jump[j, a:b]
+        if pruned:
+            z = np.searchsorted(inst.xi, inst.x[layer])
+            keep = weights <= weights[z - a] + jump[z, a:b]
+            heads, weights = heads[keep], weights[keep]
+    return sorted(zip(cons[layer, heads].tolist(), heads.tolist(), weights.tolist()))
 
 
 def solve_astar(
@@ -160,13 +137,12 @@ def solve_astar(
     The multiplier search's Sweeps record (tables.record) holds the
     instance's edge terms and reach windows, at the radius the record was
     built at: the successor rows, the heuristic table and the search read
-    them there. Without a cache the solve makes one for itself, so every
-    solve has a record. With a cache, the record, the successor rows and the
-    last heuristic table are kept there for later calls on the same
-    instance at radii up to the one they were built at; rows built with and
-    without edge pruning are separate entries, and the table is read again
-    only by a search that evaluates the multipliers it was built from. All
-    three cover the reach windows of the record's radius, which hold those
+    them there. Without a cache the multiplier search makes a record of its
+    own, so every solve has one. With a cache, the record is kept there for later
+    calls on the same instance at radii up to the one it was built at, and
+    with it the successor rows, by edge pruning setting, and the last
+    heuristic table, which is read again only by a search that evaluates
+    the multipliers it was built from. All three cover the reach windows of the record's radius, which hold those
     of every smaller one, so the heuristic stays consistent and the answer
     optimal; a table read again holds the floats a fresh one would. Where
     the windows at the radius of a call are narrower, its multiplier search
@@ -187,7 +163,6 @@ def solve_astar(
     inst = clamp_delta(inst)
     if epsilon is None:
         epsilon = default_epsilon(inst)
-    cache = cache or RadiusCache()
     tables = binary_search(inst, epsilon, cache)
     if tables.early_exit is not None:
         sol = tables.early_exit
@@ -200,9 +175,7 @@ def solve_astar(
     bound = upper + PRUNE_TOL
 
     record = tables.record
-    name = f"successor rows, edge pruning {opts.edge_pruning}"
-    succ = cache.entry(name, inst, lambda: SuccessorRows(inst, opts.edge_pruning, record))
-    rows = succ.rows
+    rows = record.rows.setdefault(opts.edge_pruning, {})  # key layer * m + j
 
     window_start, _, cols, _ = record.windows
     h_table: Optional[np.ndarray] = None
@@ -249,9 +222,11 @@ def solve_astar(
                 generated += 1
             continue
 
-        row = rows.get(packed // width)  # key layer * m + j
+        row = rows.get(packed // width)
         if row is None:
-            row = succ.build(layer, j)
+            row = rows[packed // width] = successor_row(
+                inst, record, opts.edge_pruning, layer, j
+            )
         head = layer + 1
         at_head = head * m
         if h_table is not None:

@@ -242,7 +242,8 @@ def build_parser() -> argparse.ArgumentParser:
                    default="zero")
     p.add_argument("--solver", choices=("topo", "astar", "hybrid"),
                    default="topo")
-    p.add_argument("--delta-d", type=int, default=None)
+    p.add_argument("--delta-d", type=int, default=None,
+                   help="switchover radius, --solver hybrid only")
     p.add_argument("--rho", type=float, default=0.1)
     p.add_argument("--delta0", type=int, default=None,
                    help="reset radius, defaults to n // 8")

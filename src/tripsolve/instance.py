@@ -243,6 +243,11 @@ def validate(raw: Mapping[str, Any]) -> TripInstance:
         raise InstanceError(
             "missing field(s): " + ", ".join(repr(name) for name in missing)
         )
+    unknown = [name for name in raw if name not in _FIELDS]
+    if unknown:
+        raise InstanceError(
+            "unknown field(s): " + ", ".join(repr(name) for name in unknown)
+        )
 
     problems: list[str] = []
     n = _integer(raw["n"])

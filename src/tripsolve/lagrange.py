@@ -170,13 +170,18 @@ class Sweeps:
     and its heuristic stays consistent on every edge a search there
     generates. The record also keeps the inputs of relaxed_costs_to_sink
     that depend on inst alone, which its first sweep computes and which A*'s
-    successor rows and heuristic table read too, and one heuristic table:
-    the last one heuristic_table built from its tables, htable, with the
-    multipliers of those tables in the order of LagrangeTables.zeta,
-    htable_lams. The table covers the record's windows at capacities up to
-    its own radius, htable.shape[2] - 1, at most that of inst; a search at a
-    radius up to that one which evaluates the same multipliers reads it
-    again."""
+    successor rows and heuristic table read too; A*'s successor rows
+    themselves, rows[pruned][layer * m + j], each built on the first
+    expansion of its class by a search with that edge pruning setting
+    (astar.successor_row) and read by every later search at a radius up to
+    that of inst, since they depend on the radius only through its windows;
+    and one heuristic table: the last one heuristic_table built from its
+    tables, htable, with the multipliers of those tables in the order of
+    LagrangeTables.zeta, htable_lams. The table covers the record's windows
+    at capacities up to its own radius, htable.shape[2] - 1, at most that of
+    inst; a search at a radius up to that one which evaluates the same
+    multipliers reads it again. Everything here goes with the record when a
+    RadiusCache replaces it."""
 
     inst: TripInstance
     swept: dict[float, ZetaTable] = field(default_factory=dict)
@@ -190,6 +195,7 @@ class Sweeps:
     ] = None
     htable: Optional[np.ndarray] = None
     htable_lams: tuple[float, ...] = ()
+    rows: dict[bool, dict[int, list[tuple[int, int, float]]]] = field(default_factory=dict)
 
     def sweep(self, lams: list[float]) -> None:
         """Sweep every multiplier of lams not swept yet."""

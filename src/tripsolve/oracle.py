@@ -85,9 +85,10 @@ def knapsack_reduce(
     of budget + 1, so that every odd interval is pinned to zero and every
     even interval can only stay or move by one item weight.
 
-    Every weight must be a positive integer; ValueError names the first
-    item whose weight is not. Items heavier than the budget fit in no
-    selection and are dropped: kept_items lists the others.
+    Every weight must be a positive integer and every value a finite
+    positive number, dropped items included; ValueError names the first
+    item whose weight, or else whose value, is not. Items heavier than the
+    budget fit in no selection and are dropped: kept_items lists the others.
     """
     if budget < 1:
         raise ValueError("budget must be a positive integer")
@@ -101,10 +102,12 @@ def knapsack_reduce(
             raise ValueError(
                 f"weight of item {i} must be a positive integer, got {weight!r}"
             )
+    for i, value in enumerate(values):
+        if not (value > 0 and value != math.inf):  # NaN fails the first test
+            raise ValueError(
+                f"value of item {i} must be a finite positive number, got {value!r}"
+            )
     kept = [i for i in range(len(weights)) if weights[i] <= budget]
-    for i in kept:
-        if values[i] <= 0:
-            raise ValueError(f"value of item {i} must be positive")
     w = [int(weights[i]) for i in kept]
     v = [float(values[i]) for i in kept]
     n_items = len(kept)

@@ -19,9 +19,10 @@ the iteration. topo builds its dynamic program once, at the first radius,
 and reads every smaller radius from it (the states of radius delta - s are
 the states of radius delta with at least s capacity left); A*'s multiplier
 search keeps one record of the instance: its edge terms, its reach windows
-at the first radius, and the relaxed sweeps made over those windows. A
-later search sweeps again only multipliers the record has not swept yet,
-builds its successor rows and heuristic table over the record's windows,
+at the first radius, the relaxed sweeps made over those windows and the
+successor rows A* built over them, with and without edge pruning. A later
+search sweeps again only multipliers the record has not swept yet, reads
+the rows built so far and builds the others over the record's windows,
 and, when it evaluates the multipliers of the last heuristic table built,
 at a radius up to that table's, reads that table again. topo's
 answers are those of a solver without the cache; A*'s are optimal, the
@@ -93,6 +94,8 @@ class SlipConfig:
             raise ValueError(f"unknown solver {self.solver!r}")
         if self.solver == "hybrid" and self.delta_d is None:
             raise ValueError("hybrid solver needs delta_d")
+        if self.solver != "hybrid" and self.delta_d is not None:
+            raise ValueError(f"delta_d applies only to the hybrid solver, not {self.solver}")
         if self.delta_d is not None and self.delta_d < 0:
             raise ValueError("delta_d must be a non-negative integer")
         if self.max_outer < 0:

@@ -1,7 +1,9 @@
 import contextlib
 import dataclasses
 import functools
+import gc
 import sys
+import weakref
 from collections import Counter
 
 import numpy as np
@@ -17,8 +19,9 @@ from conftest import (
 )
 import tripsolve.instance
 from tripsolve import astar
-from tripsolve.astar import AstarOptions, edge_dominated, solve_astar
+from tripsolve.astar import AstarOptions, solve_astar, successor_row
 from tripsolve.instance import RadiusCache, clamp_delta, validate
+from tripsolve.lagrange import Sweeps
 from tripsolve.oracle import gen_random, knapsack_reduce
 from tripsolve.topo import solve_topo
 
@@ -101,6 +104,13 @@ def test_no_node_expanded_twice(corpus200):
             assert seen.most_common(1)[0][1] == 1
 
 
+def _record(inst):
+    """The Sweeps record of inst, with its edge terms and reach windows."""
+    record = Sweeps(inst)
+    record.sweep([0.0])
+    return record
+
+
 def test_edge_dominated_examples():
     alpha = 0.8
     base = {
@@ -113,31 +123,29 @@ def test_edge_dominated_examples():
     }
     # cost 3*alpha for the move: surplus 4*alpha > alpha, pruned
     expensive = validate({**base, "c": [0.0, 3 * alpha, 0.0]})
-    assert edge_dominated(expensive, 1, 0, 1)
+    heads = [head for _, head, _ in successor_row(expensive, _record(expensive), True, 1, 0)]
+    assert heads == [0]
     # cost -3*alpha: surplus -2*alpha <= alpha, kept
     cheap = validate({**base, "c": [0.0, -3 * alpha, 0.0]})
-    assert not edge_dominated(cheap, 1, 0, 1)
+    heads = [head for _, head, _ in successor_row(cheap, _record(cheap), True, 1, 0)]
+    assert sorted(heads) == [0, 1]
     # the zero step is never pruned
-    assert not edge_dominated(expensive, 1, 1, 0)
-
-
-def test_edge_dominated_layer_range(derived3):
-    with pytest.raises(ValueError):
-        edge_dominated(derived3, 0, 0, 1)
-    with pytest.raises(ValueError):
-        edge_dominated(derived3, derived3.n, 0, 1)
+    heads = [head for _, head, _ in successor_row(expensive, _record(expensive), True, 1, 1)]
+    assert heads == [0]
 
 
 def test_edge_dominated_matches_reference_masks():
-    # one head array per call, as SuccessorRows.build makes it, and one head
-    # per call must both give the reference masks bit for bit
+    # the pruned rows keep exactly the heads of the reach windows that the
+    # reference masks leave
     for inst in [*radius_corpus(), *_knapsack_instances()]:
+        record = _record(inst)
+        lo, hi, _, _ = record.windows
         for i, mask in enumerate(dominated_masks(inst), start=1):
-            heads = inst.shifts(i + 1)
-            for j, du in enumerate(inst.shifts(i)):
-                assert np.array_equal(edge_dominated(inst, i, du, heads), mask[j])
-                scalar = [bool(edge_dominated(inst, i, int(du), int(dv))) for dv in heads]
-                assert scalar == mask[j].tolist()
+            a, b = lo[i], hi[i]
+            for j in range(inst.m):
+                row = successor_row(inst, record, True, i, j)
+                want = np.flatnonzero(~mask[j, a:b]) + a
+                assert sorted(head for _, head, _ in row) == want.tolist()
 
 
 @pytest.mark.parametrize("options", OPTION_VARIANTS[1:])
@@ -314,3 +322,19 @@ def test_cache_mixes_edge_pruning_off_and_on():
                 assert_cached_astar_matches(got, want, at, inst.delta)
             differ += fresh[0][4] != fresh[1][4]  # generated counts
     assert differ > 0  # pruning changes the search somewhere in the corpus
+
+
+def test_replaced_record_takes_its_rows_with_it():
+    # the successor rows live in the Sweeps record they were built from, so a
+    # record that a solve at a larger radius replaces is freed with its rows,
+    # whichever edge pruning built them
+    inst = list(_knapsack_instances())[-1]  # 24 items
+    cache = RadiusCache()
+    half = dataclasses.replace(inst, delta=inst.delta // 2)
+    sol = solve_astar(half, options=AstarOptions(edge_pruning=False), cache=cache)
+    assert sol.stats.nodes_expanded > 0
+    first = weakref.ref(cache.entries["sweeps"][1])
+    assert first().rows[False]
+    solve_astar(inst, cache=cache)
+    gc.collect()
+    assert first() is None

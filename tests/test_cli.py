@@ -95,6 +95,14 @@ def test_solve_non_finite_input_exits_2(tmp_path, capsys, alpha, c):
         assert "finite" in err
 
 
+def test_solve_unknown_field_exits_2(instance_file, capsys):
+    raw = json.loads(instance_file.read_text())
+    instance_file.write_text(json.dumps({**raw, "bogus": 7}))
+    code, out, err = run_cli(capsys, "solve", str(instance_file))
+    assert code == 2 and out == ""
+    assert err == "error: unknown field(s): 'bogus'\n"
+
+
 @pytest.mark.parametrize("epsilon", ["nan", "inf", "0", "-1"])
 def test_solve_astar_bad_epsilon_exits_2(instance_file, capsys, epsilon):
     code, out, err = run_cli(
@@ -144,6 +152,8 @@ def test_slip_signal_bad_n_exits_2(tmp_path, capsys, n):
     [
         (["--max-outer", "-3"], "max_outer must be a non-negative integer"),
         (["--solver", "hybrid", "--delta-d", "-4"], "delta_d must be a non-negative integer"),
+        (["--solver", "topo", "--delta-d", "4"],
+         "delta_d applies only to the hybrid solver, not topo"),
     ],
 )
 def test_slip_negative_loop_settings_exit_2(tmp_path, capsys, flags, message):
@@ -325,6 +335,8 @@ def test_gen_knapsack(tmp_path, capsys):
          "value of item 1 must be a number, got 'x'\n"),
         (["gen-knapsack", "--values", "6,10,12", "--weights", "1,2,", "--budget", "4"],
          "weight of item 2 must be a number, got ''\n"),
+        (["gen-knapsack", "--values", "1,nan", "--weights", "1,1", "--budget", "1"],
+         "value of item 1 must be a finite positive number, got nan\n"),
     ],
 )
 def test_generators_reject_bad_sizes(capsys, argv, message):
@@ -489,7 +501,15 @@ def test_bench_hybrid_on_instance_only_records(tmp_path, trace_file, capsys):
 
 @pytest.mark.parametrize(
     "record",
-    ['{"kind": "step"}', "[1, 2]", "{broken", '{"kind": "step", "instance": {"n": 0}}'],
+    [
+        '{"kind": "step"}',
+        "[1, 2]",
+        "{broken",
+        '{"kind": "step", "instance": {"n": 0}}',
+        # a valid instance but for its one unknown field
+        '{"kind": "step", "instance": {"n": 1, "alpha": 0.5, "delta": 0, "xi": [0], '
+        '"x": [0], "gamma": [1], "c": [0.0], "bogus": 7}}',
+    ],
 )
 def test_bench_malformed_trace_record_exits_2(tmp_path, trace_file, capsys, record):
     bad = tmp_path / "bad.jsonl"

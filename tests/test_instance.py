@@ -127,6 +127,7 @@ def test_validate_rejects_non_integral_values(overrides, field):
         ({"x": [[0], [0, 1]]}, "x must be a vector"),
         ({"gamma": [1e20, 1]}, "gamma entries are out of the int64 range"),
         ({"gamma": [10**20, 1]}, "gamma entries are out of the int64 range"),
+        ({"bogus": 7, "d": [0, 0]}, "^unknown field\\(s\\): 'bogus', 'd'$"),
     ],
 )
 def test_validate_rejects_malformed_fields(overrides, message):

@@ -172,6 +172,16 @@ def test_knapsack_rejects_weights_that_are_not_positive_integers(weight):
             knapsack_reduce([5.0] * len(weights), weights, 1, 0.5)
 
 
+@pytest.mark.parametrize("value", [0.0, -1.0, float("nan"), float("inf"), float("-inf")])
+def test_knapsack_rejects_values_that_are_not_finite_and_positive(value):
+    # item 1 within the budget, or heavier than it and dropped: both are named
+    for weight in (1, 5):
+        with pytest.raises(
+            ValueError, match="value of item 1 must be a finite positive number"
+        ):
+            knapsack_reduce([5.0, value], [1, weight], 2, 0.5)
+
+
 def test_knapsack_weight_zero_is_not_dropped():
     # dropping item 0 would leave the selection [1] of value 1; taking
     # both items is worth 6

@@ -105,6 +105,9 @@ def test_config_validation():
         SlipConfig(alpha=0.1, delta0=2, solver="hybrid")
     with pytest.raises(ValueError, match="delta_d"):
         SlipConfig(alpha=0.1, delta0=2, solver="hybrid", delta_d=-1)
+    for solver in ("topo", "astar"):  # only the hybrid reads delta_d
+        with pytest.raises(ValueError, match=f"only to the hybrid solver, not {solver}"):
+            SlipConfig(alpha=0.1, delta0=2, solver=solver, delta_d=4)
     with pytest.raises(ValueError, match="max_outer"):
         SlipConfig(alpha=0.1, delta0=2, max_outer=-1)
     assert SlipConfig(alpha=0.1, delta0=2, solver="hybrid", delta_d=0).delta_d == 0
