@@ -1,11 +1,12 @@
 """A* search on the implicit layered graph.
 
 The search runs with the multiplier-relaxation heuristic, which is
-consistent, so every node is expanded at most once and the first path into
-the sink is optimal. The relaxation covers only the reach windows
-(lagrange), which makes its bound tight on knapsack reductions: on the 24
-seed-0 knapsacks of the benchmark the search expands 21810 states, 8.5% of
-the states topo visits. Two independent prunings cut the search space:
+consistent and 0 at the last layer, so every node is expanded at most once
+and the first last-layer label expanded ends an optimal path. The
+relaxation covers only the reach windows (lagrange), which makes its bound
+tight on knapsack reductions: on the 24 seed-0 knapsacks of the benchmark
+the search expands 21789 states, 8.5% of the states topo visits. Two
+independent prunings cut the search space:
 
 * dominated edges: an edge whose weight exceeds that of the edge into the
   head layer's zero step by more than the jump between the two heads can
@@ -13,7 +14,8 @@ the states topo visits. Two independent prunings cut the search space:
   uses no budget and, by the triangle inequality, saves more than its next
   jump can cost (successor_row);
 * upper-bound pruning: labels whose optimistic total exceeds the best known
-  feasible cost are dropped.
+  feasible cost by more than the rounding of both (instance.cost_bound)
+  are dropped.
 
 States are packed integers in a hash map; the graph is never materialized.
 Two structures keep the work per expansion small, and both only leave out
@@ -65,10 +67,12 @@ from .instance import (
     SolverError,
     TripInstance,
     clamp_delta,
-    objective,
+    cost_bound,
 )
 from .lagrange import Sweeps, binary_search, default_epsilon, heuristic_table
 
+# absolute part of the upper-bound pruning margin; the relative part scales
+# with the instance (instance.cost_bound)
 PRUNE_TOL = 1e-9
 # largest heuristic table, in float64 entries, built before the search; above
 # it the heuristic is evaluated per push from the multiplier cost tables
@@ -117,7 +121,6 @@ def successor_row(
 
 def solve_astar(
     inst: TripInstance,
-    epsilon: Optional[float] = None,
     options: Optional[AstarOptions] = None,
     cache: Optional[RadiusCache] = None,
 ) -> Solution:
@@ -127,12 +130,15 @@ def solve_astar(
     cutting-plane method on the Lagrangian dual (Kelley 1960; Handler &
     Zang 1980) that sweeps three multipliers per round and stops when a
     bracket end or the cut reaches the model value of the dual within
-    epsilon. When it proves an optimum on its own (budget met exactly, or
-    the unconstrained optimum already feasible) no search happens at all.
-    Otherwise A* runs from source to sink with f = path cost + heuristic;
-    ties prefer larger remaining capacity, then the deeper layer, then the
-    smaller value index. preprocessing_iterations counts the rounds of the
-    multiplier search.
+    lagrange.default_epsilon(inst), 1e-6 * (1 + max|c|); the search is exact
+    at any tolerance, which only moves the multipliers it evaluates. When it
+    proves an optimum on its own (budget met exactly, or the unconstrained
+    optimum already feasible) no search happens at all. Otherwise A* runs
+    from the source with f = path cost + heuristic; ties prefer larger
+    remaining capacity, then the deeper layer, then the smaller value index.
+    The heuristic is 0 at layer n, so the first layer-n label expanded ends
+    an optimal path and the search. preprocessing_iterations counts the
+    rounds of the multiplier search.
 
     The multiplier search's Sweeps record (tables.record) holds the
     instance's edge terms and reach windows, at the radius the record was
@@ -155,24 +161,22 @@ def solve_astar(
     evaluated add little: over the 24 seed-0 knapsack solves of the
     benchmark the tracemalloc peak is 5.8 MB.
 
-    Raises SolverError when the search exhausts without reaching the sink,
-    which a consistent heuristic and a feasible zero step rule out.
+    Raises SolverError when the search exhausts without reaching the last
+    layer, which a consistent heuristic and a feasible zero step rule out.
     """
     t0 = time.perf_counter()
     opts = options or AstarOptions()
     inst = clamp_delta(inst)
-    if epsilon is None:
-        epsilon = default_epsilon(inst)
-    tables = binary_search(inst, epsilon, cache)
+    tables = binary_search(inst, default_epsilon(inst), cache)
     if tables.early_exit is not None:
         sol = tables.early_exit
         sol.stats.wall_seconds = time.perf_counter() - t0
         return sol
 
     n, m, width = inst.n, inst.m, inst.delta + 1
-    zero = np.zeros(n, dtype=np.int64)
-    upper = min(tables.upper_bound, objective(inst, zero))
-    bound = upper + PRUNE_TOL
+    # the incumbent is at worst the zero step, recorded at the upper end; the
+    # margin covers the rounding of f and of its objective (cost_bound)
+    bound = tables.upper_bound + PRUNE_TOL + 8 * (n + 1) * math.ulp(cost_bound(inst))
 
     record = tables.record
     rows = record.rows.setdefault(opts.edge_pruning, {})  # key layer * m + j
@@ -187,40 +191,26 @@ def solve_astar(
 
     # packed state: (layer * m + value_index) * width + capacity
     src = inst.delta
-    snk = (n + 1) * m * width
     inf = math.inf
     g_of: dict[int, float] = {src: 0.0}
     parent: dict[int, int] = {}
-    closed: set[int] = set()
-    heap: list[tuple[float, int, int, int, int, float]] = []
-    heapq.heappush(heap, (tables.dual_bound(), -inst.delta, 0, 0, src, 0.0))
+    heap = [(tables.dual_bound(), -inst.delta, 0, 0, src, 0.0)]  # a heap of one
     heappush, heappop = heapq.heappush, heapq.heappop
     listener = opts.expansion_listener
     ub_pruning = opts.upper_bound_pruning
     expanded = 0
     generated = 1
 
-    best_goal_g = inf
     while heap:
         f, neg_eta, neg_layer, j, packed, g = heappop(heap)
-        if packed in closed or g > g_of.get(packed, inf):
+        if g > g_of[packed]:  # a label its state has since bettered
             continue
-        closed.add(packed)
         expanded += 1
         layer, eta = -neg_layer, -neg_eta
         if listener is not None:
             listener(NodeRef(layer, j, eta), f)
-        if packed == snk:
-            best_goal_g = g
+        if layer == n:  # the heuristic is 0 here, so f = g is the optimum
             break
-
-        if layer == n:
-            if g < g_of.get(snk, inf):
-                g_of[snk] = g
-                parent[snk] = packed
-                heappush(heap, (g, 0, -(n + 1), 0, snk, g))
-                generated += 1
-            continue
 
         row = rows.get(packed // width)
         if row is None:
@@ -249,12 +239,11 @@ def solve_astar(
             parent[p2] = packed
             heappush(heap, (f2, -eta2, -head, j2, p2, g2))
             generated += 1
-
-    if best_goal_g == inf:
-        raise SolverError("search exhausted without reaching the sink")
+    else:
+        raise SolverError("search exhausted without reaching the last layer")
 
     js = []  # value indices of layers n..1
-    at = parent[snk]
+    at = packed
     while at != src:
         js.append(at // width % m)
         at = parent[at]

@@ -22,7 +22,6 @@ from .instance import (
     read_instance,
     write_instance,
 )
-from .lagrange import check_epsilon
 from .oracle import gen_random, knapsack_reduce, solve_bruteforce
 from .slip import (
     SlipConfig,
@@ -40,30 +39,25 @@ SOLVERS = ("topo", "astar", "oracle")
 
 
 def _solve_with(
-    name: str,
-    inst: TripInstance,
-    epsilon: Optional[float],
-    options: Optional[AstarOptions] = None,
+    name: str, inst: TripInstance, options: Optional[AstarOptions] = None
 ) -> Solution:
     if name == "topo":
         return solve_topo(inst)
     if name == "astar":
-        return solve_astar(inst, epsilon, options)
+        return solve_astar(inst, options)
     if name == "oracle":
         return solve_bruteforce(inst)
     raise ValueError(f"unknown solver {name!r}")
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
-    if args.epsilon is not None:  # whichever the solver, as slip does
-        check_epsilon(args.epsilon)
     with open(args.instance, encoding="utf-8") as fh:
         inst = read_instance(fh.read())
     options = AstarOptions(
         edge_pruning=not args.no_edge_pruning,
         upper_bound_pruning=not args.no_upper_bound_pruning,
     )
-    sol = _solve_with(args.solver, inst, args.epsilon, options)
+    sol = _solve_with(args.solver, inst, options)
     print(json.dumps(sol.to_dict()))
     return 0
 
@@ -73,7 +67,6 @@ def cmd_slip(args: argparse.Namespace) -> int:
         alpha=args.alpha,
         delta0=args.delta0 if args.delta0 is not None else max(1, args.n // 8),
         rho=args.rho,
-        epsilon=args.epsilon,
         solver=args.solver,
         delta_d=args.delta_d,
         max_outer=args.max_outer,
@@ -118,8 +111,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
         raise ValueError("hybrid reporting needs both topo and astar runs")
     if args.delta_d is not None and args.delta_d < 0:
         raise ValueError("--delta-d must be a non-negative integer")
-    if args.epsilon is not None:
-        check_epsilon(args.epsilon)
 
     # one pass, record-major and solver-minor, over the validated instances
     out_rows: list[dict] = []
@@ -130,7 +121,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
             rows: dict[str, dict] = {}
             for solver in solvers:
                 t0 = time.perf_counter()
-                sol = _solve_with(solver, inst, args.epsilon)
+                sol = _solve_with(solver, inst)
                 rows[solver] = {
                     "instance": name,
                     "n": inst.n,
@@ -227,8 +218,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="solve one instance file, print the solution")
     p.add_argument("instance", help="path to an instance JSON file")
     p.add_argument("--solver", choices=SOLVERS, default="topo")
-    p.add_argument("--epsilon", type=float, default=None,
-                   help="preprocessing tolerance for astar")
     p.add_argument("--no-edge-pruning", action="store_true")
     p.add_argument("--no-upper-bound-pruning", action="store_true")
     p.set_defaults(func=cmd_solve)
@@ -247,7 +236,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rho", type=float, default=0.1)
     p.add_argument("--delta0", type=int, default=None,
                    help="reset radius, defaults to n // 8")
-    p.add_argument("--epsilon", type=float, default=None)
     p.add_argument("--max-outer", type=int, default=1000)
     p.add_argument("--out", required=True, help="trace output path")
     p.set_defaults(func=cmd_slip)
@@ -258,7 +246,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated solver list")
     p.add_argument("--delta-d", type=int, default=None,
                    help="also report the radius-switched hybrid")
-    p.add_argument("--epsilon", type=float, default=None)
     p.add_argument("--out", default="-", help="CSV path, - for stdout")
     p.set_defaults(func=cmd_bench)
 

@@ -294,18 +294,41 @@ def validate(raw: Mapping[str, Any]) -> TripInstance:
             f"budget cap n * range(xi) * max(gamma) = {cap}, m = {len(xi)} and "
             f"max|xi| = {top} break cap * m < 2**62 or max|xi| + cap < 2**63"
         )
-    # bounds |objective| of every step, and every relaxed path cost up to the
-    # multiplier search's first upper end max|c| + 2 * alpha
-    with np.errstate(over="ignore"):  # a sum past the float range is inf
-        abs_sum, abs_max = float(np.abs(c).sum()), float(np.abs(c).max())
-    span = int(xi[-1]) - int(xi[0])
-    bound = span * (abs_sum + alpha * (n - 1)) + (abs_max + 2 * alpha) * cap
-    if not math.isfinite(bound):
+    inst = TripInstance(n=n, c=c, alpha=alpha, delta=delta, xi=xi, x=x, gamma=gamma)
+    if not math.isfinite(cost_bound(inst)):
         raise InstanceError(
             "range(xi) * (sum|c| + alpha * (n - 1)) + (max|c| + 2 * alpha) * "
             f"budget cap {cap} overflows float64"
         )
-    return TripInstance(n=n, c=c, alpha=alpha, delta=delta, xi=xi, x=x, gamma=gamma)
+    return inst
+
+
+def cost_bound(inst: TripInstance) -> float:
+    """V = range(xi) * (sum|c| + alpha * (n - 1)) + (max|c| + 2 * alpha) * B,
+    B = budget_cap, or inf where it overflows; validate's finiteness rule
+    requires it finite.
+
+    The first term bounds the sum of the absolute terms of every step's
+    objective: |c_i d_i| <= |c_i| range(xi), and each of the n - 1 jumps is
+    at most range(xi). The second bounds lam * r for every multiplier the
+    multiplier search evaluates, lam <= max|c| + 2 * alpha, and every budget
+    use r <= B, so V also bounds every relaxed path cost, and 2V every A*
+    f value, path cost plus cost-to-go minus lam * capacity.
+
+    So every intermediate of those float sums has magnitude at most 2V and
+    each of their roundings errs by at most ulp(2V) / 2 = ulp(V). An f value
+    of A* takes at most 6 roundings per layer (edge terms, the multiplier's
+    term, the sums) and 3 more, and objective(inst, d) at most 2n + 1 of at
+    most ulp(V) / 2, so the two differ from their exact values by less than
+    7 (n + 1) ulp(V) together: A*'s upper-bound pruning allows 8 (n + 1)
+    ulp(V), and drops no label of an optimal path at any scale of c and
+    alpha.
+    """
+    with np.errstate(over="ignore"):  # a sum past the float range is inf
+        abs_sum, abs_max = float(np.abs(inst.c).sum()), float(np.abs(inst.c).max())
+    span, alpha = int(inst.xi[-1]) - int(inst.xi[0]), inst.alpha
+    cap = budget_cap(inst.n, inst.xi, inst.gamma)
+    return span * (abs_sum + alpha * (inst.n - 1)) + (abs_max + 2 * alpha) * cap
 
 
 def budget_cap(n: int, xi: np.ndarray, gamma: np.ndarray) -> int:

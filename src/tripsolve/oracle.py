@@ -87,13 +87,18 @@ def knapsack_reduce(
 
     Every weight must be a positive integer and every value a finite
     positive number, dropped items included; ValueError names the first
-    item whose weight, or else whose value, is not. Items heavier than the
-    budget fit in no selection and are dropped: kept_items lists the others.
+    item whose weight, or else whose value, is not. alpha must be positive
+    and 2 * alpha, which every item's cost holds, finite. Items heavier
+    than the budget fit in no selection and are dropped: kept_items lists
+    the others.
     """
     if budget < 1:
         raise ValueError("budget must be a positive integer")
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
+    # NaN fails the first test, and an alpha whose double overflows the second
+    if not (alpha > 0 and math.isfinite(2.0 * alpha)):
+        raise ValueError(
+            f"alpha must be a positive number with 2 * alpha finite, got {alpha!r}"
+        )
     if len(values) != len(weights):
         raise ValueError("values and weights must have equal length")
     for i, weight in enumerate(weights):
@@ -184,10 +189,12 @@ def gen_random(
 ) -> TripInstance:
     """Reproducible random instance: m distinct admissible values, x uniform
     over them, standard-normal costs, weights in {1, 2, 3}. Raises
-    InstanceError when n or m is below 1."""
+    InstanceError when n or m is below 1 or seed below 0."""
     for name, size in (("n", n), ("m", m)):
         if size < 1:
             raise InstanceError(f"{name} = {size!r} must be a positive integer")
+    if seed < 0:
+        raise InstanceError(f"seed = {seed!r} must be a non-negative integer")
     rng = np.random.default_rng(seed)
     xi = np.sort(rng.choice(np.arange(-2 * m, 2 * m + 1), size=m, replace=False))
     x = rng.choice(xi, size=n)

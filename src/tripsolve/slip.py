@@ -44,8 +44,8 @@ from scipy.linalg import solveh_banded
 from scipy.special import erf
 
 from .astar import solve_astar
-from .instance import InstanceError, RadiusCache, Solution, TripInstance, validate
-from .lagrange import check_epsilon
+from .instance import (InstanceError, RadiusCache, Solution, TripInstance,
+                       check_table_bytes, validate)
 from .topo import solve_topo
 
 
@@ -75,10 +75,15 @@ class ControlProblem:
 
 @dataclass
 class SlipConfig:
+    """Settings of run_slip: the switching penalty, the radius each outer
+    iteration starts from, the acceptance fraction, the subproblem solver
+    (with the hybrid's switchover radius) and the outer iteration limit.
+    astar's multiplier search runs at the tolerance of each subproblem,
+    lagrange.default_epsilon, which is not a setting."""
+
     alpha: float
     delta0: int
     rho: float = 0.1
-    epsilon: Optional[float] = None
     solver: str = "topo"  # topo | astar | hybrid
     delta_d: Optional[int] = None  # hybrid switchover radius
     max_outer: int = 1000
@@ -88,8 +93,6 @@ class SlipConfig:
             raise ValueError("delta0 must be a positive integer")
         if not 0.0 < self.rho < 1.0:
             raise ValueError("rho must lie strictly between 0 and 1")
-        if self.epsilon is not None:
-            check_epsilon(self.epsilon)
         if self.solver not in ("topo", "astar", "hybrid"):
             raise ValueError(f"unknown solver {self.solver!r}")
         if self.solver == "hybrid" and self.delta_d is None:
@@ -136,7 +139,7 @@ def _solve_subproblem(
         solver = hybrid_solver(inst.delta, config.delta_d)
     if solver == "topo":
         return solve_topo(inst, cache=cache)
-    return solve_astar(inst, config.epsilon, cache=cache)
+    return solve_astar(inst, cache=cache)
 
 
 def run_slip(
@@ -228,6 +231,8 @@ def make_heat_problem(n: int, fine_factor: int = 4) -> ControlProblem:
     if fine_factor < 4:
         raise ValueError("need at least 4 fine intervals per control interval")
     m_fine = fine_factor * n
+    # the largest arrays: 8 quadrature nodes on each of the m_fine + 1 pieces
+    check_table_bytes("heat problem's quadrature table", (m_fine + 1) * 8 * 8)
     h = 2.0 / m_fine
     cell_left = -1.0 + h * np.arange(m_fine)
 
@@ -325,6 +330,8 @@ def make_signal_problem(
     """
     if n < 1:
         raise ValueError("n must be a positive integer")
+    if seed < 0:  # numpy's own message would name no input
+        raise ValueError("seed must be a non-negative integer")
     if fine_cells < 1:
         raise ValueError("fine_cells must be a positive integer")
     if fine_cells % n != 0:

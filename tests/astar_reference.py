@@ -1,5 +1,6 @@
 """Reference solvers for the tests: the A* search loop solve_astar ran
-before its successor rows and windowed heuristic table, the heuristic of one
+before its successor rows and windowed heuristic table, with the closed set
+and the zero step's upper bound it has since left out, the heuristic of one
 node, and a relaxed sweep over the reach windows with the tie rule spelled
 out, which relaxed_costs_to_sink must reproduce bit for bit; over full
 windows it is the sweep over the whole graph.
@@ -8,13 +9,15 @@ Each expansion finds its successors with numpy calls over all m value
 indices of the head layer (consumption within the capacity, dominated edges
 masked out), reads the heuristic from a dense (n, m, delta + 1) table or,
 over the table cap, from the stacked cost tables, and pushes the survivors
-in ascending value index. solve_astar must reproduce its expansions, f
-values and counters exactly.
+in ascending value index. Like solve_astar it ends at the first layer-n
+label it expands, where the heuristic is 0. solve_astar must reproduce its
+expansions, f values and counters exactly.
 """
 
 from __future__ import annotations
 
 import heapq
+import math
 import time
 from typing import Optional
 
@@ -30,6 +33,7 @@ from tripsolve.instance import (
     SolverStats,
     TripInstance,
     clamp_delta,
+    cost_bound,
     objective,
     resource_use,
 )
@@ -37,7 +41,6 @@ from tripsolve.lagrange import (
     COST_TIE_TOL,
     LagrangeTables,
     binary_search,
-    default_epsilon,
     relaxed_costs_to_sink,
 )
 
@@ -82,16 +85,14 @@ def dense_heuristic_table(inst: TripInstance, tables: LagrangeTables) -> np.ndar
 
 def solve_astar_reference(
     inst: TripInstance,
-    epsilon: Optional[float] = None,
     options: Optional[AstarOptions] = None,
     cache: Optional[RadiusCache] = None,
 ) -> Solution:
     t0 = time.perf_counter()
     opts = options or AstarOptions()
     inst = clamp_delta(inst)
-    if epsilon is None:
-        epsilon = default_epsilon(inst)
-    tables = binary_search(inst, epsilon, cache)
+    # looked up where solve_astar looks it up, so a test's tolerance holds here
+    tables = binary_search(inst, astar.default_epsilon(inst), cache)
     prep = tables.iterations
     if tables.early_exit is not None:
         sol = tables.early_exit
@@ -104,6 +105,7 @@ def solve_astar_reference(
     n, m, width = inst.n, inst.m, inst.delta + 1
     zero = np.zeros(n, dtype=np.int64)
     upper = min(tables.upper_bound, objective(inst, zero))
+    margin = PRUNE_TOL + 8 * (n + 1) * math.ulp(cost_bound(inst))
 
     cons_all, linear, jump = edge_terms(inst)
     weights_all = [linear[:1]] + [linear[i] + jump for i in range(1, n)]
@@ -125,7 +127,6 @@ def solve_astar_reference(
         return (layer * m + j) * width + eta
 
     src = pack(0, 0, inst.delta)
-    snk = pack(n + 1, 0, 0)
     g_of: dict[int, float] = {src: 0.0}
     parent: dict[int, int] = {}
     closed: set[int] = set()
@@ -135,7 +136,7 @@ def solve_astar_reference(
     expanded = 0
     generated = 1
 
-    best_goal_g = np.inf
+    goal = None
     while heap:
         f, neg_eta, neg_layer, j, packed, g = heapq.heappop(heap)
         if packed in closed or g > g_of.get(packed, np.inf):
@@ -145,17 +146,10 @@ def solve_astar_reference(
         layer, eta = -neg_layer, -neg_eta
         if opts.expansion_listener is not None:
             opts.expansion_listener(NodeRef(layer, j, eta), f)
-        if packed == snk:
-            best_goal_g = g
-            break
-
         if layer == n:
-            if g < g_of.get(snk, np.inf):
-                g_of[snk] = g
-                parent[snk] = packed
-                heapq.heappush(heap, (g, 0, -(n + 1), 0, snk, g))
-                generated += 1
-            continue
+            assert heuristic_h(inst, tables, NodeRef(layer, j, eta)) == 0.0
+            goal = packed
+            break
 
         head = layer + 1
         cons = cons_all[layer]
@@ -178,7 +172,7 @@ def solve_astar_reference(
                 continue
             if (
                 opts.upper_bound_pruning
-                and g2 + h_vals[k] > upper + PRUNE_TOL
+                and g2 + h_vals[k] > upper + margin
             ):
                 continue
             g_of[p2] = g2
@@ -188,11 +182,11 @@ def solve_astar_reference(
             )
             generated += 1
 
-    if not np.isfinite(best_goal_g):
-        raise AssertionError("search exhausted without reaching the sink")
+    if goal is None:
+        raise AssertionError("search exhausted without reaching the last layer")
 
     d = np.zeros(n, dtype=np.int64)
-    at = parent[snk]
+    at = goal
     while at != src:
         layer = at // (m * width)
         j = at // width % m

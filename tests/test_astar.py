@@ -1,6 +1,5 @@
 import contextlib
 import dataclasses
-import functools
 import gc
 import sys
 import weakref
@@ -157,7 +156,7 @@ def test_pruning_toggles_preserve_objective(options, corpus200):
         assert abs(base.objective - toggled.objective) <= 1e-9
 
 
-def test_equal_f_prefers_larger_capacity():
+def test_equal_f_prefers_larger_capacity(monkeypatch):
     # both first-layer labels enter the queue with f = -1 when the source
     # expands; the capacity-1 label must pop first
     from astar_reference import heuristic_h
@@ -175,7 +174,9 @@ def test_equal_f_prefers_larger_capacity():
             "c": [-1.0, -1.0],
         }
     )
-    tables = binary_search(inst, epsilon=3.0)  # evaluates only 0 and max|c|
+    # a tolerance of 3 evaluates only 0 and max|c|
+    monkeypatch.setattr(astar, "default_epsilon", lambda inst: 3.0)
+    tables = binary_search(inst, epsilon=3.0)
     assert tables.early_exit is None
     f_stay = 0.0 + heuristic_h(inst, tables, NodeRef(1, 0, 1))
     f_move = -1.0 + heuristic_h(inst, tables, NodeRef(1, 1, 0))
@@ -185,16 +186,17 @@ def test_equal_f_prefers_larger_capacity():
     opts = AstarOptions(
         expansion_listener=lambda node, f: order.append((node, f))
     )
-    sol = solve_astar(inst, epsilon=3.0, options=opts)
+    sol = solve_astar(inst, options=opts)
     assert sol.objective == pytest.approx(-1.0)
     assert order[0][0].layer == 0
     first = order[1][0]
     assert (first.layer, first.capacity) == (1, 1)  # larger capacity wins
 
 
-def test_preprocessing_counter_reported():
+def test_preprocessing_counter_reported(monkeypatch):
+    monkeypatch.setattr(astar, "default_epsilon", lambda inst: 1e-6)
     inst = gen_random(8, 3, 4, 0.4, seed=9)
-    sol = solve_astar(inst, epsilon=1e-6)
+    sol = solve_astar(inst)
     topo = solve_topo(inst)
     assert abs(sol.objective - topo.objective) <= 1e-9
     if sol.stats.nodes_expanded > 0:
@@ -216,10 +218,11 @@ def test_per_label_heuristic_reads_the_cost_tables_in_place(monkeypatch):
 
 def test_cached_radii_match_fresh_solves():
     # the default tolerance, and coarser ones that end the bisection sooner
-    epsilons = (None, 1e-3, 0.3)
+    epsilons = (astar.default_epsilon, lambda inst: 1e-3, lambda inst: 0.3)
     for k, inst in enumerate(radius_corpus()):
-        solve = functools.partial(solve_astar, epsilon=epsilons[k % 3])
-        assert_cached_astar_radii_match(solve, inst)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(astar, "default_epsilon", epsilons[k % 3])
+            assert_cached_astar_radii_match(solve_astar, inst)
 
 
 def test_cached_radii_with_many_values():
@@ -338,3 +341,40 @@ def test_replaced_record_takes_its_rows_with_it():
     solve_astar(inst, cache=cache)
     gc.collect()
     assert first() is None
+
+
+def _scaled_instances(count, scale):
+    """Random small instances with c and alpha multiplied by scale."""
+    rng = np.random.default_rng(5)
+    for seed in range(count):
+        n, m = int(rng.integers(1, 9)), int(rng.integers(2, 6))
+        delta = int(rng.integers(0, 3 * n + 1))
+        alpha = float(rng.choice([0.1, 0.5, 1.0, 3.0]))
+        raw = gen_random(n, m, delta, alpha, seed=seed).to_dict()
+        raw["c"] = [value * scale for value in raw["c"]]
+        yield validate({**raw, "alpha": alpha * scale})
+
+
+def test_upper_bound_pruning_keeps_the_optimum_of_large_costs():
+    # an absolute margin of 1e-9 is below one ulp of costs near 1e7: the
+    # rounding of f or of the incumbent's objective pruned every optimal
+    # label, and the search ran dry
+    reproducer = validate(
+        {
+            "n": 4,
+            "alpha": 1e6,
+            "delta": 3,
+            "xi": [-10, -9, 1, 2, 9],
+            "x": [-10, -9, 9, 1],
+            "gamma": [3, 1, 1, 1],
+            "c": [541952.2204102933, -316595.4511658161,
+                  -322389.11615896015, 97167.31867045719],
+        }
+    )
+    corpus = [reproducer]
+    for scale in (1e6, 1e9, 1e12, 1e16, 1e100, 1e300):
+        corpus.extend(_scaled_instances(200, scale))
+    for inst in corpus:
+        want = solve_topo(inst).objective
+        assert solve_astar(inst).objective == pytest.approx(want, rel=1e-9, abs=1e-9)
+    assert solve_topo(reproducer).d.tolist() == [0, 0, 0, 1]

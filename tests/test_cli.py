@@ -1,6 +1,9 @@
+import argparse
 import csv
 import dataclasses
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,7 +12,7 @@ from conftest import RANGE_RULE_BREAKERS
 import tripsolve.astar
 import tripsolve.instance
 import tripsolve.lagrange
-from tripsolve.cli import main
+from tripsolve.cli import build_parser, main
 from tripsolve.instance import is_feasible, read_instance
 from tripsolve.slip import initial_iterate_heat, make_heat_problem
 
@@ -51,7 +54,7 @@ def test_solve_oracle(instance_file, capsys):
 
 
 @pytest.mark.parametrize(
-    "flags", [["--no-edge-pruning"], ["--no-upper-bound-pruning"], ["--epsilon", "0.3"]]
+    "flags", [["--no-edge-pruning"], ["--no-upper-bound-pruning"]]
 )
 def test_solve_astar_flags_keep_the_objective(instance_file, capsys, flags):
     _, out, _ = run_cli(capsys, "solve", str(instance_file), "--solver", "astar")
@@ -103,40 +106,6 @@ def test_solve_unknown_field_exits_2(instance_file, capsys):
     assert err == "error: unknown field(s): 'bogus'\n"
 
 
-@pytest.mark.parametrize("epsilon", ["nan", "inf", "0", "-1"])
-def test_solve_astar_bad_epsilon_exits_2(instance_file, capsys, epsilon):
-    code, out, err = run_cli(
-        capsys, "solve", str(instance_file), "--solver", "astar", "--epsilon", epsilon
-    )
-    assert code == 2 and out == ""
-    assert err.startswith("error: epsilon must be finite and positive")
-    assert err.count("\n") == 1
-
-
-@pytest.mark.parametrize("epsilon", ["nan", "inf"])
-def test_slip_bad_epsilon_exits_2(tmp_path, capsys, epsilon):
-    out = tmp_path / "heat.jsonl"
-    code, stdout, err = run_cli(
-        capsys, "slip", "heat", "--n", "8", "--alpha", "1e-4", "--solver", "astar",
-        "--epsilon", epsilon, "--out", str(out),
-    )
-    assert code == 2 and stdout == "" and not out.exists()
-    assert err.startswith("error: epsilon must be finite and positive")
-
-
-@pytest.mark.parametrize("epsilon", ["nan", "inf", "0", "-1"])
-@pytest.mark.parametrize("solver", ["topo", "oracle"])
-def test_solve_bad_epsilon_exits_2_for_every_solver(
-    instance_file, capsys, solver, epsilon
-):
-    code, out, err = run_cli(
-        capsys, "solve", str(instance_file), "--solver", solver, "--epsilon", epsilon
-    )
-    assert code == 2 and out == ""
-    assert err.startswith("error: epsilon must be finite and positive")
-    assert err.count("\n") == 1
-
-
 @pytest.mark.parametrize("n", ["0", "-4"])
 def test_slip_signal_bad_n_exits_2(tmp_path, capsys, n):
     out = tmp_path / "signal.jsonl"
@@ -145,6 +114,46 @@ def test_slip_signal_bad_n_exits_2(tmp_path, capsys, n):
     )
     assert code == 2 and stdout == "" and not out.exists()
     assert err == "error: n must be a positive integer\n"
+
+
+@pytest.mark.parametrize("command", ["solve", "slip", "bench"])
+def test_epsilon_is_not_an_option(tmp_path, instance_file, capsys, command):
+    # the multiplier search's tolerance comes from the instance
+    argv = {
+        "solve": ["solve", str(instance_file), "--solver", "astar"],
+        "slip": ["slip", "heat", "--n", "8", "--alpha", "1e-4", "--solver", "astar",
+                 "--out", str(tmp_path / "heat.jsonl")],
+        "bench": ["bench", str(tmp_path / "none.jsonl")],
+    }[command]
+    with pytest.raises(SystemExit) as exit_info:
+        main([*argv, "--epsilon", "0.3"])
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments: --epsilon 0.3" in capsys.readouterr().err
+
+
+def test_slip_heat_too_large_exits_2_before_allocating(tmp_path, capsys, monkeypatch):
+    # 80001 quadrature pieces of 8 nodes, 5.1 MB, over the lowered cap
+    monkeypatch.setattr(tripsolve.instance, "TABLE_BYTES_CAP", 1_000_000)
+    out = tmp_path / "heat.jsonl"
+    code, stdout, err = run_cli(
+        capsys, "slip", "heat", "--n", "20000", "--alpha", "1e-4", "--out", str(out)
+    )
+    assert code == 2 and stdout == "" and not out.exists()
+    assert err == (
+        "error: the heat problem's quadrature table would take 5120064 bytes, over "
+        "the cap of 1000000; its size grows with some of n, the number of values in "
+        "xi and delta\n"
+    )
+
+
+def test_slip_signal_negative_seed_exits_2(tmp_path, capsys):
+    out = tmp_path / "signal.jsonl"
+    code, stdout, err = run_cli(
+        capsys, "slip", "signal", "--n", "32", "--alpha", "1e-2", "--seed", "-1",
+        "--out", str(out),
+    )
+    assert code == 2 and stdout == "" and not out.exists()
+    assert err == "error: seed must be a non-negative integer\n"
 
 
 @pytest.mark.parametrize(
@@ -337,6 +346,14 @@ def test_gen_knapsack(tmp_path, capsys):
          "weight of item 2 must be a number, got ''\n"),
         (["gen-knapsack", "--values", "1,nan", "--weights", "1,1", "--budget", "1"],
          "value of item 1 must be a finite positive number, got nan\n"),
+        (["gen-random", "--n", "3", "--m", "2", "--delta", "2", "--alpha", "0.5",
+          "--seed", "-1"], "seed = -1 must be a non-negative integer\n"),
+        *(
+            (["gen-knapsack", "--values", "1,2", "--weights", "1,1", "--budget", "1",
+              "--alpha", alpha],
+             f"alpha must be a positive number with 2 * alpha finite, got {shown}\n")
+            for alpha, shown in (("nan", "nan"), ("inf", "inf"), ("1e308", "1e+308"))
+        ),
     ],
 )
 def test_generators_reject_bad_sizes(capsys, argv, message):
@@ -444,8 +461,8 @@ def test_bench_mismatch_gate(tmp_path, trace_file, capsys, monkeypatch):
 
     true_solve = cli_mod._solve_with
 
-    def lying_solver(name, inst, epsilon, options=None):
-        sol = true_solve(name, inst, epsilon, options)
+    def lying_solver(name, inst, options=None):
+        sol = true_solve(name, inst, options)
         if name == "astar":
             sol.objective += 1.0
         return sol
@@ -561,11 +578,28 @@ def test_bench_negative_delta_d_exits_2(tmp_path, trace_file, capsys, monkeypatc
     assert err == "error: --delta-d must be a non-negative integer\n"
 
 
-@pytest.mark.parametrize("epsilon", ["nan", "inf", "0", "-1"])
-def test_bench_bad_epsilon_exits_2_for_every_solver(tmp_path, trace_file, capsys, epsilon):
-    out = tmp_path / "x.csv"
-    code, _, err = run_cli(capsys, "bench", str(trace_file), "--solvers", "topo",
-                           "--epsilon", epsilon, "--out", str(out))
-    assert code == 2 and not out.exists()
-    assert err.startswith("error: epsilon must be finite and positive")
-    assert err.count("\n") == 1
+def test_readme_synopsis_matches_the_parser():
+    # each subcommand's long options in README's "Command line" block are
+    # those its parser defines, --help aside
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Command line", 1)[1].split("```")[1]
+    documented: dict[str, set[str]] = {}
+    for line in block.splitlines():
+        if line.startswith("tripsolve "):
+            options = documented.setdefault(line.split()[1], set())
+        if line.strip():
+            options.update(re.findall(r"--[a-z][a-z0-9-]*", line))
+    subparsers = next(
+        action for action in build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    )
+    defined = {
+        name: {
+            option
+            for action in parser._actions
+            for option in action.option_strings
+            if option.startswith("--") and option != "--help"
+        }
+        for name, parser in subparsers.choices.items()
+    }
+    assert documented == defined

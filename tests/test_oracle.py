@@ -164,6 +164,17 @@ def test_knapsack_input_validation():
         knapsack_reduce([1.0], [1], 1, 0.0)
 
 
+@pytest.mark.parametrize("alpha", [0.0, -1.0, float("nan"), float("inf"), 1e308])
+def test_knapsack_rejects_alpha_that_is_not_finite_and_positive(alpha):
+    # 2 * alpha enters every item's cost: an alpha whose double overflows is
+    # named itself, not the cost entries built from it
+    with pytest.raises(ValueError) as info:
+        knapsack_reduce([1.0, 2.0], [1, 1], 1, alpha)
+    assert str(info.value) == (
+        f"alpha must be a positive number with 2 * alpha finite, got {alpha!r}"
+    )
+
+
 @pytest.mark.parametrize("weight", [0, -1, 0.5, 1.5, float("nan"), float("inf")])
 def test_knapsack_rejects_weights_that_are_not_positive_integers(weight):
     # item 0 alone, or behind an item within the budget: neither is dropped
@@ -199,6 +210,11 @@ def test_gen_random_rejects_empty_sizes(n, m):
     name, size = ("m", m) if m < 1 else ("n", n)
     with pytest.raises(InstanceError, match=f"{name} = {size} must be a positive integer"):
         gen_random(n, m, 2, 0.5, seed=0)
+
+
+def test_gen_random_rejects_negative_seed():
+    with pytest.raises(InstanceError, match="seed = -1 must be a non-negative integer"):
+        gen_random(3, 2, 2, 0.5, seed=-1)
 
 
 def test_gen_random_deterministic():

@@ -5,10 +5,12 @@ import numpy as np
 import pytest
 from scipy.fft import next_fast_len
 
+import tripsolve.instance
 import tripsolve.slip
 from conftest import assert_cached_astar_matches, solution_fields
 from slip_reference import make_heat_problem_reference, make_signal_problem_reference
 from tripsolve.astar import solve_astar
+from tripsolve.instance import InstanceError
 from tripsolve.slip import (
     ControlProblem,
     SlipConfig,
@@ -255,6 +257,25 @@ def test_signal_requires_divisor():
 def test_signal_requires_positive_n(n):
     with pytest.raises(ValueError, match="n must be a positive integer"):
         make_signal_problem(n, seed=0)
+
+
+def test_signal_requires_non_negative_seed():
+    with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+        make_signal_problem(32, seed=-1)
+
+
+def test_heat_problem_checks_its_size_before_allocating(monkeypatch):
+    # its largest arrays hold 8 quadrature nodes per fine piece, 5.1 MB at
+    # n = 20000, over the lowered cap; the check comes before any of them
+    monkeypatch.setattr(tripsolve.instance, "TABLE_BYTES_CAP", 1_000_000)
+    tracemalloc.start()
+    try:
+        with pytest.raises(InstanceError, match="heat problem's quadrature table"):
+            make_heat_problem(20000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000
 
 
 def test_signal_slip_run_monotone():
