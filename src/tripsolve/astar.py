@@ -4,9 +4,9 @@ The search runs with the multiplier-relaxation heuristic, which is
 consistent and 0 at the last layer, so every node is expanded at most once
 and the first last-layer label expanded ends an optimal path. The
 relaxation covers only the reach windows (lagrange), which makes its bound
-tight on knapsack reductions: on the 24 seed-0 knapsacks of the benchmark
-the search expands 21789 states, 8.5% of the states topo visits. Two
-independent prunings cut the search space:
+tight on knapsack reductions, whose windows hold 1-2 values, so the search
+there expands a small share of the states topo visits. Two independent
+prunings cut the search space:
 
 * dominated edges: an edge whose weight exceeds that of the edge into the
   head layer's zero step by more than the jump between the two heads can
@@ -23,30 +23,26 @@ what the search could never read, so every expansion, f value and counter
 is that of a search over all m value indices. Both read the instance's edge
 terms and reach windows (graph.edge_terms, graph.reach_windows) from the
 multiplier search's Sweeps record (lagrange), which derives them once, at
-the record's radius R >= delta:
+the record's radius R >= delta; lagrange.Sweeps says why the record, the
+rows and the table it keeps serve delta:
 
 * successor rows: a (layer, value index) class builds the list of its
   out-edges on its first expansion, as Python (consumption, head value
   index, weight) triples sorted by (consumption, value index), with the
-  dominated edges left out. The heads are those of the next layer's window
-  at R, which holds every head whose edge consumes at most delta. A label
-  with capacity eta follows the prefix of the row with consumption
-  <= eta, exactly the heads the budget admits. The rows do not depend on
-  the capacity, so the record keeps them, one set per edge pruning
-  setting, for every search at a radius up to its own, and they go with
-  it. The pushes of one expansion reach distinct states and every heap
-  entry is a distinct tuple, so pushing the heads in this order instead of
-  by value index pops the same sequence.
+  dominated edges left out, over the next layer's window. A label with
+  capacity eta follows the prefix of the row with consumption <= eta,
+  exactly the heads the budget admits. The record keeps the rows, one set
+  per edge pruning setting. The pushes of one expansion reach distinct
+  states and every heap entry is a distinct tuple, so pushing the heads in
+  this order instead of by value index pops the same sequence.
 * windowed heuristic table: lagrange.heuristic_table fills the heuristic
   over the record's windows only, (n, widest window, table radius + 1),
   with the floats of the dense table; a label's head always lies in its
-  layer's window, since its edge consumed at most the radius. The table's
-  radius, table.shape[2] - 1, is at least delta: a RadiusCache keeps the
-  last table built, and a search at a smaller radius that evaluates the
-  same multipliers reads it again. Above HEURISTIC_TABLE_CAP entries no
-  table is built, and each push takes the maximum of cost - lam * capacity
-  from the multipliers' (n, m) cost tables in place; max is exact, so the
-  floats are those the table would hold.
+  layer's window, since its edge consumed at most the radius. Above
+  HEURISTIC_TABLE_CAP entries no table is built, and each push takes the
+  maximum of cost - lam * capacity from the multipliers' (n, m) cost
+  tables in place; max is exact, so the floats are those the table would
+  hold.
 """
 
 from __future__ import annotations
@@ -141,25 +137,16 @@ def solve_astar(
     rounds of the multiplier search.
 
     The multiplier search's Sweeps record (tables.record) holds the
-    instance's edge terms and reach windows, at the radius the record was
-    built at: the successor rows, the heuristic table and the search read
-    them there. Without a cache the multiplier search makes a record of its
-    own, so every solve has one. With a cache, the record is kept there for later
-    calls on the same instance at radii up to the one it was built at, and
-    with it the successor rows, by edge pruning setting, and the last
-    heuristic table, which is read again only by a search that evaluates
-    the multipliers it was built from. All three cover the reach windows of the record's radius, which hold those
-    of every smaller one, so the heuristic stays consistent and the answer
-    optimal; a table read again holds the floats a fresh one would. Where
-    the windows at the radius of a call are narrower, its multiplier search
-    may evaluate other multipliers than a solve without the cache, and
-    nodes_expanded, nodes_generated and preprocessing_iterations may
-    differ. During the search the record keeps alive every table swept,
-    evaluated or not, with the relaxed paths' steps, the edge terms and the
-    windows. The K tables of one sweep are views of one block of arrays,
-    and a sweep's block holds an evaluated table, so the tables not
-    evaluated add little: over the 24 seed-0 knapsack solves of the
-    benchmark the tracemalloc peak is 5.8 MB.
+    instance's edge terms and reach windows, which the successor rows, the
+    heuristic table and the search read; without a cache the multiplier
+    search makes a record of its own. With a cache the record may come from
+    a call at a larger radius, and lagrange.Sweeps says why the answer is
+    still an optimum though nodes_expanded, nodes_generated and
+    preprocessing_iterations may differ from a fresh solve's. During the
+    search the record keeps alive every table swept, evaluated or not,
+    with the relaxed paths' steps, the edge terms and the windows. The K
+    tables of one sweep are views of one block of arrays, and a sweep's
+    block holds an evaluated table, so the tables not evaluated add little.
 
     Raises SolverError when the search exhausts without reaching the last
     layer, which a consistent heuristic and a feasible zero step rule out.

@@ -25,7 +25,6 @@ from .instance import (
 from .oracle import gen_random, knapsack_reduce, solve_bruteforce
 from .slip import (
     SlipConfig,
-    hybrid_solver,
     initial_iterate_heat,
     make_heat_problem,
     make_signal_problem,
@@ -51,6 +50,8 @@ def _solve_with(
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
+    if args.solver != "astar" and (args.no_edge_pruning or args.no_upper_bound_pruning):
+        raise ValueError(f"the pruning flags apply only to --solver astar, not {args.solver}")
     with open(args.instance, encoding="utf-8") as fh:
         inst = read_instance(fh.read())
     options = AstarOptions(
@@ -107,10 +108,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
     if len(set(solvers)) < len(solvers):  # each would write its rows twice
         twice = next(s for k, s in enumerate(solvers) if s in solvers[:k])
         raise ValueError(f"--solvers {args.solvers!r} names {twice} more than once")
-    if args.delta_d is not None and not {"topo", "astar"} <= set(solvers):
-        raise ValueError("hybrid reporting needs both topo and astar runs")
-    if args.delta_d is not None and args.delta_d < 0:
-        raise ValueError("--delta-d must be a non-negative integer")
 
     # one pass, record-major and solver-minor, over the validated instances
     out_rows: list[dict] = []
@@ -143,9 +140,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
                         file=sys.stderr,
                     )
                     return 3
-            if args.delta_d is not None:
-                chosen = rows[hybrid_solver(inst.delta, args.delta_d)]
-                out_rows.append({**chosen, "solver": "hybrid"})
 
     buffer = io.StringIO()
     writer = csv.DictWriter(buffer, fieldnames=_CSV_FIELDS)
@@ -158,12 +152,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
     else:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
-    if args.delta_d is not None:
-        total = sum(r["wall_seconds"] for r in out_rows if r["solver"] == "hybrid")
-        print(
-            f"hybrid(delta_d={args.delta_d}) cumulative_seconds={total!r}",
-            file=sys.stderr,
-        )
     return 0
 
 
@@ -244,8 +232,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("traces", nargs="+", help="trace files to replay")
     p.add_argument("--solvers", default="topo,astar",
                    help="comma-separated solver list")
-    p.add_argument("--delta-d", type=int, default=None,
-                   help="also report the radius-switched hybrid")
     p.add_argument("--out", default="-", help="CSV path, - for stdout")
     p.set_defaults(func=cmd_bench)
 

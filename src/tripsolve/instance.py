@@ -90,6 +90,18 @@ class RadiusCache:
     built at. A query for another instance (any of n, alpha, xi, x, gamma,
     c differs in content) empties the cache; a query above an entry's
     radius rebuilds that entry.
+
+    The instances an entry serves differ only in delta, the budget a path
+    may spend, and an entry built at radius R serves every delta <= R for a
+    reason its own docstring gives: topo.TopoTables for the dynamic program
+    (the states at delta are those at R with capacity at least R - delta),
+    lagrange.Sweeps for A*'s relaxed tables, successor rows and heuristic
+    table (the reach windows at delta lie inside those at R). A cached topo
+    answer is the one a fresh solve returns, counters included. A cached A*
+    answer is an optimum, but where the windows at delta are narrower than
+    at R its multiplier search may evaluate other multipliers than a fresh
+    solve: its search counters may differ and, where objectives tie
+    exactly, so may the optimal step it returns.
     """
 
     inst: Optional[TripInstance] = None

@@ -14,9 +14,8 @@ that keeps the per-interval constraints gamma_i * |d_i| <= delta and prices
 only their sum. Its optimum still bounds the constrained one from below,
 and at every multiplier it is at least the optimum relaxed over all nodes.
 Knapsack reductions show the difference: their windows hold 1-2 of
-2 * items + 1 values, and on the 24 seed-0 knapsacks of the benchmark the
-median gap between the optimum and the dual bound is 2.1 instead of
-455 over all nodes.
+2 * items + 1 values, so the bound over the windows is far tighter than
+the one over all nodes.
 
 The Lagrangian dual L(lam), the relaxed optimum less lam * delta, is
 concave and piecewise linear: the relaxed path of a multiplier, with cost c
@@ -35,8 +34,7 @@ Each relaxed graph is evaluated by a backward sweep over the layers.
 `relaxed_costs_to_sink` evaluates several multipliers in one pass, forming
 the edge weights from the terms of graph.edge_terms, and a round sweeps its
 cut together with the midpoints on either side of it, one of which is the
-midpoint it evaluates next. On the 24 seed-0 knapsack reductions of the
-benchmark this takes 144 sweeps.
+midpoint it evaluates next.
 A layer prices its heads once, g = (linear + lam * consumption) +
 cost-to-sink, and every total of the layer is g[j'] + jump[j, j']. Its rows
 thus minimise over the same priced columns plus an L1 jump, so a column
@@ -57,29 +55,14 @@ as Python scalars, with the additions of a per-layer sweep in their order,
 and their rows are written after the last layer. The other layers take the
 lexicographic minimum of each row, the one place the tie rule is applied;
 where every row of one picks the same column, its rows are that column's
-cone, which a retry can stand on. At the multipliers the benchmark's
-seed-0 searches evaluate, the pass decides 35676 of the 38250 heat layer
-steps and the other 2574 take the minimum; it decides 10555 of the 10576
-knapsack steps and the other 21 take the minimum. Every table is bitwise
-the one the per-layer sweep gives.
+cone, which a retry can stand on. Every table is bitwise the one the
+per-layer sweep gives.
 
-A relaxed sweep reads the radius delta only through the windows; delta
-enters otherwise only when the search compares a path's budget use with
-it. A RadiusCache therefore keeps every swept table of an instance with its
-relaxed path's step once read (the Sweeps record), swept over the windows
-of the radius the record was built at, and a sweep evaluates only
-multipliers not swept before. The windows at a smaller radius lie inside
-those, so the tables still bound the optimum there and the heuristic stays
-consistent on every edge the search generates. Where the windows are
-narrower than at the record's radius, the multipliers the search evaluates,
-the heuristic and the search counters may differ from those of a solve
-without the cache; the answer is an optimum all the same. A solve without a
-cache makes a record for itself alone. The record is the one place an
-instance's edge terms and windows are derived: its sweeps, A*'s successor
-rows and its heuristic table all read them from there. It also keeps the
-last heuristic table built from its tables, laid out over its windows,
-which a search at a radius up to the table's own that evaluates the same
-multipliers reads again (heuristic_table).
+The Sweeps record is the one place an instance's edge terms and windows
+are derived, and it keeps every swept table, A*'s successor rows and the
+last heuristic table; a solve without a RadiusCache makes a record for
+itself alone. In a RadiusCache the record serves every radius up to the
+one it was built at, and Sweeps says why.
 """
 
 from __future__ import annotations
@@ -161,27 +144,38 @@ class LagrangeTables:
 @dataclass
 class Sweeps:
     """The multiplier searches' work on one instance at every radius up to
-    that of inst, the instance it was built for: every relaxed table swept
-    so far over the reach windows of inst, by its exact multiplier, and the
-    relaxed path's step of each table whose path a search used.
-
-    The windows at a smaller radius lie inside those of inst, so a table
-    swept over the windows of inst bounds the optimum at that radius too,
-    and its heuristic stays consistent on every edge a search there
-    generates. The record also keeps the inputs of relaxed_costs_to_sink
-    that depend on inst alone, which its first sweep computes and which A*'s
+    R, that of inst, the instance it was built for: every relaxed table
+    swept so far over the reach windows of inst, by its exact multiplier,
+    and the relaxed path's step of each table whose path a search used. It
+    also keeps the inputs of relaxed_costs_to_sink that depend on inst
+    alone, terms and windows, which its first sweep computes and which A*'s
     successor rows and heuristic table read too; A*'s successor rows
     themselves, rows[pruned][layer * m + j], each built on the first
     expansion of its class by a search with that edge pruning setting
-    (astar.successor_row) and read by every later search at a radius up to
-    that of inst, since they depend on the radius only through its windows;
-    and one heuristic table: the last one heuristic_table built from its
-    tables, htable, with the multipliers of those tables in the order of
-    LagrangeTables.zeta, htable_lams. The table covers the record's windows
-    at capacities up to its own radius, htable.shape[2] - 1, at most that of
-    inst; a search at a radius up to that one which evaluates the same
-    multipliers reads it again. Everything here goes with the record when a
-    RadiusCache replaces it."""
+    (astar.successor_row); and one heuristic table, htable, the last one
+    heuristic_table built from its tables, with the multipliers of those
+    tables in the order of LagrangeTables.zeta, htable_lams. Everything here
+    goes with the record when a RadiusCache replaces it.
+
+    Why the record serves a search at a radius delta <= R (RadiusCache
+    gives the general contract): a relaxed sweep reads the radius only
+    through the windows, and the windows at delta lie inside those at R.
+    So a table swept at R bounds the optimum at delta too, and its
+    heuristic stays consistent on every edge a search at delta generates;
+    a search sweeps only the multipliers the record has not swept yet. A
+    successor row holds the heads of the next layer's window at R, which
+    holds every head whose edge consumes at most delta, and a label follows
+    only the prefix of the row its capacity pays for, so the rows serve
+    every delta <= R. The heuristic table covers the windows at R and the
+    capacities up to its own radius, htable.shape[2] - 1, at most R; a
+    search at a radius up to that one which evaluates exactly htable_lams
+    reads it again, since each multiplier maps to one table of the record,
+    every entry is the same float and max is exact, so the entries at
+    capacities 0..delta are bitwise those of a fresh build. Where the
+    windows at delta are narrower than at R, the multipliers a search
+    evaluates, and with them its heuristic and search counters, may differ
+    from those of a solve without the cache; the answer is an optimum all
+    the same."""
 
     inst: TripInstance
     swept: dict[float, ZetaTable] = field(default_factory=dict)
@@ -581,15 +575,10 @@ def binary_search(
     Path slopes r - delta are integers, so a multiplier within epsilon of
     the dual optimum in value is within epsilon of a maximiser.
 
-    With a cache, the swept tables are kept there, swept over the reach
-    windows of the radius the cache entry was built at, and multipliers
-    swept by an earlier search of the same instance are not swept again.
-    At that radius the result is the one a search without the cache
-    returns; at a smaller one whose windows are narrower it may evaluate
-    other multipliers, whose tables bound the optimum all the same. Without
-    a cache the search makes a record of its own. Either way the result's
-    record holds every swept table with the instance's edge terms and
-    windows.
+    The result's record holds every swept table with the instance's edge
+    terms and windows: the cache's "sweeps" entry, which may have been
+    built at a larger radius (Sweeps says why it serves this one), or,
+    without a cache, a record of the search's own.
     """
     check_epsilon(epsilon)
     sweeps = (cache or RadiusCache()).entry("sweeps", inst, lambda: Sweeps(inst))
@@ -689,15 +678,10 @@ def heuristic_table(
     over the tables of tables.zeta, which were swept over the same windows.
 
     The record's kept table is returned, not a copy, when it was built from
-    exactly the multipliers of tables.zeta at a radius R >= inst.delta: each
-    multiplier maps to one table of the record, every entry is the same
-    float, and max is exact, so the entries a search at inst.delta reads,
-    capacities 0..inst.delta, are bitwise those of a fresh build. Otherwise
-    the kept table is dropped first, so that at most one is alive, and the
-    one built at R = inst.delta is kept. On the seed-0 heat slip run of the
-    benchmark 53 of 81 builds are served so, by re-solves at radii 16 down
-    to 1; knapsack replays solve without a cache, each with a record of its
-    own.
+    exactly the multipliers of tables.zeta at a radius R >= inst.delta
+    (Sweeps says why its entries are those of a fresh build). Otherwise the
+    kept table is dropped first, so that at most one is alive, and the one
+    built at R = inst.delta is kept.
     """
     record = tables.record
     lams = tuple(t.lam for t in tables.zeta)

@@ -88,9 +88,10 @@ def knapsack_reduce(
     Every weight must be a positive integer and every value a finite
     positive number, dropped items included; ValueError names the first
     item whose weight, or else whose value, is not. alpha must be positive
-    and 2 * alpha, which every item's cost holds, finite. Items heavier
-    than the budget fit in no selection and are dropped: kept_items lists
-    the others.
+    and 2 * alpha, which every item's cost holds, finite, and so must each
+    kept item's cost -value / weight - 2 * alpha: ValueError names the first
+    item whose cost overflows. Items heavier than the budget fit in no
+    selection and are dropped: kept_items lists the others.
     """
     if budget < 1:
         raise ValueError("budget must be a positive integer")
@@ -136,6 +137,11 @@ def knapsack_reduce(
         i = 2 * item
         x[i - 1] = prefix[item - 1] + item * big
         c[i - 1] = -v[item - 1] / w[item - 1] - 2.0 * alpha
+    if not np.isfinite(c).all():  # validate would name a derived c_i instead
+        k = next(k for k in range(n_items) if not math.isfinite(c[2 * k + 1]))
+        raise ValueError(
+            f"value of item {kept[k]} over its weight plus 2 * alpha overflows float64"
+        )
     inst = validate(
         {
             "n": n,

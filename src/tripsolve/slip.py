@@ -11,23 +11,14 @@ stationary iterate and stops the run; at radius zero only the zero step is
 feasible, so a run that rejects its way down always terminates through that
 same certificate.
 
-The subproblems of one outer iteration differ only in the radius: c, x,
-alpha, xi and gamma stay fixed while a rejected step halves delta. Each
-outer iteration therefore validates its instance once, derives every radius
-from it with dataclasses.replace, and hands the solvers one RadiusCache for
-the iteration. topo builds its dynamic program once, at the first radius,
-and reads every smaller radius from it (the states of radius delta - s are
-the states of radius delta with at least s capacity left); A*'s multiplier
-search keeps one record of the instance: its edge terms, its reach windows
-at the first radius, the relaxed sweeps made over those windows and the
-successor rows A* built over them, with and without edge pruning. A later
-search sweeps again only multipliers the record has not swept yet, reads
-the rows built so far and builds the others over the record's windows,
-and, when it evaluates the multipliers of the last heuristic table built,
-at a radius up to that table's, reads that table again. topo's
-answers are those of a solver without the cache; A*'s are optimal, the
-same steps on every tested trace, but their search counters may differ
-where the windows of a smaller radius are narrower.
+The subproblems of one outer iteration differ only in the radius, so each
+outer iteration validates its instance once, derives every radius from it
+with dataclasses.replace, and hands the solvers one RadiusCache, whose
+entries, built at the first radius, serve every smaller one
+(instance.RadiusCache says why). topo's answers are those of a solve
+without the cache; every A* answer is an optimum, but where objectives tie
+exactly a cached solve may return a different optimal step than a fresh
+one.
 """
 
 from __future__ import annotations
@@ -125,18 +116,12 @@ class SlipTrace:
     wall_seconds: float = 0.0
 
 
-def hybrid_solver(delta: int, delta_d: int) -> str:
-    """The solver the hybrid runs at radius delta: topo below the switchover
-    radius delta_d, astar from it on."""
-    return "topo" if delta < delta_d else "astar"
-
-
 def _solve_subproblem(
     inst: TripInstance, config: SlipConfig, cache: RadiusCache
 ) -> Solution:
     solver = config.solver
-    if solver == "hybrid":
-        solver = hybrid_solver(inst.delta, config.delta_d)
+    if solver == "hybrid":  # topo below the switchover radius delta_d, astar from it on
+        solver = "topo" if inst.delta < config.delta_d else "astar"
     if solver == "topo":
         return solve_topo(inst, cache=cache)
     return solve_astar(inst, cache=cache)

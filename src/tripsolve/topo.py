@@ -21,15 +21,8 @@ of a small fixed array; selecting a layer's rows is an advanced index, so
 it copies them into a (w_i, delta + 2) index table, the size of the cost
 table it gathers into.
 
-One set of tables answers every radius up to the one it was built at. The
-states of radius delta - s are exactly the states of radius delta whose
-remaining capacity eta is at least s, shifted down by s: a path's capacity
-only falls, so no state with eta >= s is reached through one below s, and
-each of them carries the same cost and the same predecessor choice, the same
-floats compared in the same order. The answer at radius delta - s is
-therefore read from the capacity columns s.. of the tables, and its visit
-counters from the per-layer counts of finite states by capacity and of
-out-edges by consumption. A trust-region run that halves its radius after a
+One set of tables answers every radius up to the one it was built at
+(TopoTables says why), so a trust-region run that halves its radius after a
 rejected step passes a RadiusCache and builds the tables once per instance.
 """
 
@@ -68,6 +61,16 @@ class TopoTables:
     allocates anything, when pred or the largest float table of the sweep
     would take more than instance.TABLE_BYTES_CAP bytes, and before the
     succ counts when their largest temporary would.
+
+    The tables answer every radius up to delta (solution). The states of
+    radius delta - s are exactly the states of radius delta whose remaining
+    capacity eta is at least s, shifted down by s: a path's capacity only
+    falls, so no state with eta >= s is reached through one below s, and
+    each of them carries the same cost and the same predecessor choice, the
+    same floats compared in the same order. The answer at radius delta - s
+    is therefore read from the capacity columns s.. of the tables, and its
+    visit counters from the per-layer counts of finite states by capacity
+    and of out-edges by consumption.
     """
 
     delta: int

@@ -131,6 +131,22 @@ def test_epsilon_is_not_an_option(tmp_path, instance_file, capsys, command):
     assert "unrecognized arguments: --epsilon 0.3" in capsys.readouterr().err
 
 
+def test_bench_delta_d_is_not_an_option(tmp_path, capsys):
+    # the hybrid's switchover is slip's alone: bench writes topo and astar rows
+    with pytest.raises(SystemExit) as exit_info:
+        main(["bench", str(tmp_path / "none.jsonl"), "--delta-d", "2"])
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments: --delta-d 2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", ["--no-edge-pruning", "--no-upper-bound-pruning"])
+@pytest.mark.parametrize("solver", ["topo", "oracle"])
+def test_solve_pruning_flags_need_astar(instance_file, capsys, solver, flag):
+    code, out, err = run_cli(capsys, "solve", str(instance_file), "--solver", solver, flag)
+    assert code == 2 and out == ""
+    assert err == f"error: the pruning flags apply only to --solver astar, not {solver}\n"
+
+
 def test_slip_heat_too_large_exits_2_before_allocating(tmp_path, capsys, monkeypatch):
     # 80001 quadrature pieces of 8 nodes, 5.1 MB, over the lowered cap
     monkeypatch.setattr(tripsolve.instance, "TABLE_BYTES_CAP", 1_000_000)
@@ -354,6 +370,10 @@ def test_gen_knapsack(tmp_path, capsys):
              f"alpha must be a positive number with 2 * alpha finite, got {shown}\n")
             for alpha, shown in (("nan", "nan"), ("inf", "inf"), ("1e308", "1e+308"))
         ),
+        # a kept item's cost -value / weight - 2 * alpha past the float range
+        (["gen-knapsack", "--values", "1e308,1", "--weights", "1,1", "--budget", "1",
+          "--alpha", "5e307"],
+         "value of item 0 over its weight plus 2 * alpha overflows float64\n"),
     ],
 )
 def test_generators_reject_bad_sizes(capsys, argv, message):
@@ -424,38 +444,6 @@ def test_bench_csv(tmp_path, trace_file, capsys):
         assert values["topo"] == pytest.approx(values["astar"], rel=1e-6)
 
 
-def test_bench_hybrid_edges(tmp_path, trace_file, capsys):
-    out = tmp_path / "bench.csv"
-
-    def hybrid_rows(delta_d):
-        code, _, _ = run_cli(capsys, "bench", str(trace_file),
-                             "--solvers", "topo,astar",
-                             "--delta-d", str(delta_d), "--out", str(out))
-        assert code == 0
-        rows = list(csv.DictReader(out.read_text().splitlines()))
-        return rows
-
-    rows = hybrid_rows(0)  # always astar
-    hybrid = {r["instance"]: r for r in rows if r["solver"] == "hybrid"}
-    astar = {r["instance"]: r for r in rows if r["solver"] == "astar"}
-    assert hybrid and all(
-        hybrid[k]["wall_seconds"] == astar[k]["wall_seconds"] for k in hybrid
-    )
-
-    rows = hybrid_rows(10**6)  # always topo
-    hybrid = {r["instance"]: r for r in rows if r["solver"] == "hybrid"}
-    topo = {r["instance"]: r for r in rows if r["solver"] == "topo"}
-    assert all(hybrid[k]["wall_seconds"] == topo[k]["wall_seconds"] for k in hybrid)
-
-    rows = hybrid_rows(2)  # astar from delta_d on, topo below it
-    by_solver = {(r["instance"], r["solver"]): r for r in rows}
-    hybrid = [r for r in rows if r["solver"] == "hybrid"]
-    assert {int(r["delta"]) for r in hybrid} >= {1, 2}
-    for r in hybrid:
-        chosen = "astar" if int(r["delta"]) >= 2 else "topo"
-        assert r == {**by_solver[(r["instance"], chosen)], "solver": "hybrid"}
-
-
 def test_bench_mismatch_gate(tmp_path, trace_file, capsys, monkeypatch):
     import tripsolve.cli as cli_mod
 
@@ -475,12 +463,6 @@ def test_bench_mismatch_gate(tmp_path, trace_file, capsys, monkeypatch):
     assert "mismatch" in err
 
 
-def test_bench_hybrid_needs_both_solvers(trace_file, capsys):
-    code, _, err = run_cli(capsys, "bench", str(trace_file),
-                           "--solvers", "topo", "--delta-d", "2")
-    assert code != 0 and "hybrid" in err
-
-
 def test_bench_deterministic_apart_from_timing(tmp_path, trace_file, capsys):
     outs = []
     for name in ("one.csv", "two.csv"):
@@ -494,26 +476,25 @@ def test_bench_deterministic_apart_from_timing(tmp_path, trace_file, capsys):
     assert outs[0] == outs[1]
 
 
-def test_bench_hybrid_on_instance_only_records(tmp_path, trace_file, capsys):
+def test_bench_on_instance_only_records(tmp_path, trace_file, capsys):
     # the form perfbench writes: no "delta" next to the instance
     bare = tmp_path / "bare.jsonl"
+    deltas = []
     with open(bare, "w", encoding="utf-8") as fh:
         for line in trace_file.read_text().splitlines():
             record = json.loads(line)
             if record["kind"] == "step":
                 fh.write(json.dumps({"kind": "step", "instance": record["instance"]}))
                 fh.write("\n")
+                deltas.append(record["instance"]["delta"])
     out = tmp_path / "bare.csv"
     code, _, err = run_cli(capsys, "bench", str(bare), "--solvers", "topo,astar",
-                           "--delta-d", "2", "--out", str(out))
+                           "--out", str(out))
     assert code == 0, err
     rows = list(csv.DictReader(out.read_text().splitlines()))
-    by_solver = {(r["instance"], r["solver"]): r for r in rows}
-    hybrid = [r for r in rows if r["solver"] == "hybrid"]
-    assert hybrid and len(rows) == 3 * len(hybrid)
-    for r in hybrid:
-        chosen = "astar" if int(r["delta"]) >= 2 else "topo"
-        assert r == {**by_solver[(r["instance"], chosen)], "solver": "hybrid"}
+    assert deltas and len(rows) == 2 * len(deltas)
+    for r in rows:
+        assert int(r["delta"]) == deltas[int(r["instance"].split(":")[1])]
 
 
 @pytest.mark.parametrize(
@@ -562,20 +543,6 @@ def test_bench_rejects_repeated_solver(tmp_path, trace_file, capsys):
                            "topo,astar,topo", "--out", str(out))
     assert code == 2 and not out.exists()
     assert err == "error: --solvers 'topo,astar,topo' names topo more than once\n"
-
-
-def test_bench_negative_delta_d_exits_2(tmp_path, trace_file, capsys, monkeypatch):
-    import tripsolve.cli as cli_mod
-
-    def no_solve(*args, **kwargs):
-        raise AssertionError("solved before --delta-d was checked")
-
-    monkeypatch.setattr(cli_mod, "_solve_with", no_solve)
-    out = tmp_path / "x.csv"
-    code, stdout, err = run_cli(capsys, "bench", str(trace_file), "--solvers",
-                                "topo,astar", "--delta-d", "-4", "--out", str(out))
-    assert code == 2 and stdout == "" and not out.exists()
-    assert err == "error: --delta-d must be a non-negative integer\n"
 
 
 def test_readme_synopsis_matches_the_parser():

@@ -193,6 +193,16 @@ def test_knapsack_rejects_values_that_are_not_finite_and_positive(value):
             knapsack_reduce([5.0, value], [1, weight], 2, 0.5)
 
 
+def test_knapsack_names_the_item_whose_cost_overflows():
+    # -value / weight - 2 * alpha passes the float range although value and
+    # alpha are finite; item 0 is dropped, so kept item 0 is item 1
+    with pytest.raises(ValueError) as info:
+        knapsack_reduce([1.0, 1e308, 1e308], [5, 1, 1], 2, 5e307)
+    assert str(info.value) == (
+        "value of item 1 over its weight plus 2 * alpha overflows float64"
+    )
+
+
 def test_knapsack_weight_zero_is_not_dropped():
     # dropping item 0 would leave the selection [1] of value 1; taking
     # both items is worth 6
