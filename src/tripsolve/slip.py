@@ -6,10 +6,11 @@ subproblem at the current radius and applies the classic accept/reject test:
 the step is taken when the actual decrease of the full objective reaches a
 fraction rho of the decrease the linear model predicted, otherwise the
 radius is halved (integer floor, down to zero). The radius resets at every
-outer iteration. A subproblem whose model predicts no decrease certifies a
-stationary iterate and stops the run; at radius zero only the zero step is
-feasible, so a run that rejects its way down always terminates through that
-same certificate.
+outer iteration, to delta0 or, where that is smaller, to the budget cap,
+above which every radius is the same subproblem. A subproblem whose model
+predicts no decrease certifies a stationary iterate and stops the run; at
+radius zero only the zero step is feasible, so a run that rejects its way
+down always terminates through that same certificate.
 
 The subproblems of one outer iteration differ only in the radius, so each
 outer iteration validates its instance once, derives every radius from it
@@ -36,7 +37,7 @@ from scipy.special import erf
 
 from .astar import solve_astar
 from .instance import (InstanceError, RadiusCache, Solution, TripInstance,
-                       check_table_bytes, validate)
+                       budget_cap, check_table_bytes, validate)
 from .topo import solve_topo
 
 
@@ -161,7 +162,7 @@ def run_slip(
             }
         )
         cache = RadiusCache()
-        delta = config.delta0
+        delta = min(config.delta0, budget_cap(problem.n, problem.xi, problem.gamma))
         inner = 0
         while True:
             inst = replace(base, delta=delta)

@@ -11,15 +11,15 @@ changes no float and no tie. A layer costs delta * w_i * w_{i-1} for windows
 of w_i and w_{i-1} value indices, so the running time is proportional to
 delta * sum_i w_i * w_{i-1}, at most n * delta * |xi|^2 when every window
 is full. The cost tables roll layer by layer; only the predecessor choices,
-the last layer's costs and two per-layer counts are kept, in a TopoTables
-record, so the optimal step can be reconstructed. A layer's arrival costs
-and predecessor choices move to the capacities they leave with one gather
-each, not one copy per value: the rolling cost table carries a pad column of
-inf (predecessor -1), and each state whose consumption would take it past
-delta reads that column. The gathered indices are rows of one strided view
-of a small fixed array; selecting a layer's rows is an advanced index, so
-it copies them into a (w_i, delta + 2) index table, the size of the cost
-table it gathers into.
+the last layer's costs, two per-layer counts and what the answer at each
+radius reads of them are kept, in a TopoTables record, so the optimal step
+can be reconstructed. A layer's arrival costs and predecessor choices move
+to the capacities they leave with one gather each, not one copy per value:
+the rolling cost table carries a pad column of inf (predecessor -1), and
+each state whose consumption would take it past delta reads that column.
+The gathered indices are rows of one strided view of a small fixed array;
+selecting a layer's rows is an advanced index, so it copies them into a
+(w_i, delta + 2) index table, the size of the cost table it gathers into.
 
 One set of tables answers every radius up to the one it was built at
 (TopoTables says why), so a trust-region run that halves its radius after a
@@ -71,6 +71,15 @@ class TopoTables:
     is therefore read from the capacity columns s.. of the tables, and its
     visit counters from the per-layer counts of finite states by capacity
     and of out-edges by consumption.
+
+    build reads off what depends on s alone, one entry per offset s.
+    terminal[s] is the layer-n state (value index, capacity) where the
+    answer at radius delta - s ends. It is the tie rule of every topo
+    answer: the minimum cost, compared exactly, then the largest remaining
+    capacity (the smallest budget use), then the smallest value index.
+    nodes[s] counts the finite states of capacity at least s, and ends[s]
+    those of the first and the last layer, whose source and sink edges the
+    edge count adds.
     """
 
     delta: int
@@ -78,6 +87,9 @@ class TopoTables:
     last_cost: np.ndarray  # (m, delta + 1) float
     finite: np.ndarray  # (n, delta + 1)
     succ: np.ndarray  # (n - 1, delta + 1)
+    terminal: list[tuple[int, int]]  # delta + 1 entries
+    nodes: list[int]
+    ends: list[int]
 
     @classmethod
     def build(cls, inst: TripInstance) -> "TopoTables":
@@ -146,56 +158,65 @@ class TopoTables:
 
         last_cost = np.full((m, width), _INF)
         last_cost[a:b] = cost[:, :width]
-        return cls(
-            delta=inst.delta,
-            pred=pred,
-            last_cost=last_cost,
-            finite=finite,
-            succ=succ,
-        )
+        per_radius = _per_radius(last_cost, finite)
+        return cls(inst.delta, pred, last_cost, finite, succ, *per_radius)
 
     def solution(self, inst: TripInstance) -> Solution:
         """The optimum of inst, which must be the tables' instance at a
-        clamped radius of at most delta, with solve_topo's tie rule."""
+        clamped radius of at most delta, ending at its terminal state."""
         s = self.delta - inst.delta
         if s < 0:
             raise ValueError(f"radius {inst.delta} above the tables' {self.delta}")
-        n = inst.n
-        width = self.delta + 1
-        cost = self.last_cost[:, s:]
-        ties = np.argwhere(cost == cost.min())
-        order = np.lexsort((ties[:, 0], -ties[:, 1]))  # max capacity, then min index
-        j_best, eta_best = (int(v) for v in ties[order[0]])
-        eta_best += s  # capacity in the tables' coordinates
-
+        j, eta = self.terminal[s]
         pred = self.pred.item
         xi, x, gamma = inst.xi.tolist(), inst.x.tolist(), inst.gamma.tolist()
-        js = [j_best]  # value indices of layers n..1
-        eta = eta_best
-        for i in range(n - 1, 0, -1):  # from layer i + 1 back to layer i
-            j = js[-1]
-            js.append(pred(i, j, eta))
-            eta += gamma[i] * abs(xi[j] - x[i])  # capacity one layer back
-        d = inst.xi[js[::-1]] - inst.x
-
-        finite = self.finite[:, s:]  # sums of small ints accumulate in int64
-        succ = self.succ[:, : width - s]
-        nodes = int(finite.sum()) + 2  # plus source and sink
-        # source out-edges, edges between layers, sink edges
-        edges = int(
-            finite[0].sum()
-            + np.einsum("ij,ij->", finite[:-1], succ, dtype=np.int64)
-            + finite[-1].sum()
+        js = [j]  # value indices of layers n..1
+        for i in range(inst.n - 1, 0, -1):  # from layer i + 1 back to layer i
+            # the predecessor, and the capacity one layer back
+            j, eta = pred(i, j, eta), eta + gamma[i] * abs(xi[j] - x[i])
+            js.append(j)
+        d = inst.xi.take(js[::-1]) - inst.x
+        # edges between layers; sums of small ints accumulate in int64
+        inner = np.einsum(
+            "ij,ij->", self.finite[:-1, s:], self.succ[:, : inst.delta + 1],
+            dtype=np.int64,
         )
-        return Solution.of(inst, d, nodes_expanded=nodes, nodes_generated=edges)
+        return Solution.of(
+            inst,
+            d,
+            nodes_expanded=self.nodes[s] + 2,  # plus source and sink
+            nodes_generated=self.ends[s] + int(inner),
+        )
+
+
+def _per_radius(last_cost: np.ndarray, finite: np.ndarray) -> tuple[list, list, list]:
+    """terminal, nodes and ends of TopoTables, one entry per offset s."""
+    # scanned from the largest capacity down, a column takes the terminal
+    # only when strictly cheaper; argmin picks its smallest value index
+    cheapest = np.minimum.reduce(last_cost, axis=0).tolist()
+    first = last_cost.argmin(axis=0).tolist()
+    terminal, best = [], _INF
+    for eta in range(len(cheapest) - 1, -1, -1):
+        if cheapest[eta] < best:
+            best, end = cheapest[eta], (first[eta], eta)
+        terminal.append(end)
+    terminal.reverse()
+    # suffix sums over capacity of the per-capacity counts, in int64
+    nodes = np.add.reduce(finite, axis=0, dtype=np.int64)
+    ends = np.add(finite[0], finite[-1], dtype=np.int64)
+    return (
+        terminal,
+        nodes[::-1].cumsum()[::-1].tolist(),
+        ends[::-1].cumsum()[::-1].tolist(),
+    )
 
 
 def solve_topo(inst: TripInstance, cache: Optional[RadiusCache] = None) -> Solution:
     """Globally optimal step vector by layer-ordered dynamic programming.
 
-    Among minimum-cost terminal states the one with the smallest budget use
-    wins, then the smallest value index; predecessor ties prefer the smaller
-    value index. This makes the result deterministic.
+    The answer ends at the terminal state whose tie rule TopoTables states,
+    and predecessor ties prefer the smaller value index, so the result is
+    deterministic.
 
     With a cache, the tables are kept there and a later call for the same
     instance at a radius no larger reads its answer from them.

@@ -13,7 +13,7 @@ import tripsolve.astar
 import tripsolve.instance
 import tripsolve.lagrange
 from tripsolve.cli import build_parser, main
-from tripsolve.instance import is_feasible, read_instance
+from tripsolve.instance import budget_cap, is_feasible, read_instance
 from tripsolve.slip import initial_iterate_heat, make_heat_problem
 
 
@@ -427,6 +427,24 @@ def test_slip_heat_start_strategies(tmp_path, capsys, x0):
     assert first["delta"] == 4
     start = initial_iterate_heat(make_heat_problem(16), x0)
     assert first["instance"]["x"] == start.tolist()
+
+
+def test_slip_radius_starts_at_most_at_the_budget_cap(tmp_path, capsys):
+    # every radius above the cap is the same clamped subproblem, which a
+    # run from delta0 = 10**11 used to solve again after each rejection
+    problem = make_heat_problem(8)
+    cap = budget_cap(8, problem.xi, problem.gamma)
+    traces = []
+    for delta0 in (10**11, cap):
+        out = tmp_path / f"heat-{delta0}.jsonl"
+        code, _, _ = run_cli(
+            capsys, "slip", "heat", "--n", "8", "--alpha", "1e-4",
+            "--delta0", str(delta0), "--out", str(out),
+        )
+        assert code == 0
+        traces.append(out.read_bytes())
+    assert traces[0] == traces[1]
+    assert json.loads(traces[0].splitlines()[0])["delta"] == cap
 
 
 def test_bench_csv(tmp_path, trace_file, capsys):

@@ -17,6 +17,7 @@ from tripsolve.instance import (
     TABLE_BYTES_CAP,
     InstanceError,
     RadiusCache,
+    Solution,
     TripInstance,
     clamp_delta,
     validate,
@@ -185,11 +186,23 @@ def test_cache_rebuilds_for_changed_instances():
         assert cached != solution_fields(solve_topo(inst))
 
 
-def dense_tables(inst: TripInstance) -> tuple[TopoTables, np.ndarray]:
+@dataclasses.dataclass(frozen=True)
+class DenseTables:
+    """The arrays of TopoTables, made by the dense reference DP, and
+    reached (n, m, delta + 1), the mask of each layer's reachable states."""
+
+    delta: int
+    pred: np.ndarray
+    last_cost: np.ndarray
+    finite: np.ndarray
+    succ: np.ndarray
+    reached: np.ndarray
+
+
+def dense_tables(inst: TripInstance) -> DenseTables:
     """The DP over every value index of every layer, without reach windows,
-    as a reference: the tables (pred as argmin leaves it, 0 at some
-    unreachable states) and reached (n, m, delta + 1), the mask of the
-    reachable states of each layer."""
+    as a reference: pred as argmin leaves it, 0 at some unreachable
+    states."""
     n, m, width = inst.n, inst.m, inst.delta + 1
     pred_dtype = np.int8 if m <= np.iinfo(np.int8).max else np.int16
     pred = np.full((n, m, width), -1, dtype=pred_dtype)
@@ -231,29 +244,56 @@ def dense_tables(inst: TripInstance) -> tuple[TopoTables, np.ndarray]:
         reached[head - 1] = np.isfinite(cost)
 
     finite = reached.sum(axis=1).astype(pred_dtype)
-    tables = TopoTables(
-        delta=inst.delta, pred=pred, last_cost=cost, finite=finite, succ=succ
+    return DenseTables(inst.delta, pred, cost, finite, succ, reached)
+
+
+def dense_solution(ref: DenseTables, inst: TripInstance) -> Solution:
+    """The answer at inst.delta <= ref.delta by the rule of solve_topo,
+    applied with its own code: among the cheapest layer-n states of
+    capacity at least s = ref.delta - inst.delta the largest capacity, then
+    the smallest value index, and the predecessors walked back from there."""
+    s = ref.delta - inst.delta
+    cost = ref.last_cost[:, s:]
+    ties = np.argwhere(cost == cost.min())
+    order = np.lexsort((ties[:, 0], -ties[:, 1]))  # max capacity, then min index
+    j, eta = (int(v) for v in ties[order[0]])
+    eta += s
+    js = [j]
+    for layer in range(inst.n, 1, -1):  # from layer `layer` back to layer - 1
+        used = int(inst.gamma[layer - 1] * abs(inst.shifts(layer)[j]))
+        j = int(ref.pred[layer - 1, j, eta])
+        eta += used
+        js.append(j)
+    d = inst.xi[js[::-1]] - inst.x
+    finite = ref.finite[:, s:].astype(np.int64)
+    nodes = int(ref.reached[:, :, s:].sum()) + 2
+    edges = int(
+        finite[0].sum()
+        + (finite[:-1] * ref.succ[:, : inst.delta + 1]).sum()
+        + finite[-1].sum()
     )
-    return tables, reached
+    return Solution.of(inst, d, nodes_expanded=nodes, nodes_generated=edges)
 
 
 def assert_matches_dense(inst: TripInstance) -> None:
     """The windowed tables of inst equal the dense reference: bitwise costs,
     exact counts, pred at every reachable state and -1 elsewhere, and the
-    same solution at halving radii."""
+    reference's solution at halving radii."""
     inst = clamp_delta(inst)
     got = TopoTables.build(inst)
-    ref, reached = dense_tables(inst)
+    ref = dense_tables(inst)
     assert got.last_cost.tobytes() == ref.last_cost.tobytes()
     for name in ("finite", "succ"):
         assert getattr(got, name).dtype == getattr(ref, name).dtype
         assert np.array_equal(getattr(got, name), getattr(ref, name))
     assert got.pred.dtype == ref.pred.dtype
-    assert np.array_equal(got.pred[reached], ref.pred[reached])
-    assert np.all(got.pred[~reached] == -1)
+    assert np.array_equal(got.pred[ref.reached], ref.pred[ref.reached])
+    assert np.all(got.pred[~ref.reached] == -1)
     for delta in halving(inst.delta):
         at = dataclasses.replace(inst, delta=delta)
-        assert solution_fields(got.solution(at)) == solution_fields(ref.solution(at))
+        assert solution_fields(got.solution(at)) == solution_fields(
+            dense_solution(ref, at)
+        )
 
 
 def test_windowed_tables_match_dense_dp():
@@ -283,6 +323,27 @@ def test_windowed_tables_on_signal_subproblems():
         }
         for delta in range(1, 33):
             assert_matches_dense(validate({**record, "delta": delta}))
+
+
+def test_terminal_rule_on_exact_ties_at_every_radius():
+    # half-integer edge weights: many paths tie exactly, so the answer
+    # rests on the tie rule; every radius, not only halving ones
+    rng = np.random.default_rng(28)
+    for k in range(1000):
+        n, m = int(rng.integers(1, 10)), int(rng.integers(1, 6))
+        inst = gen_random(n, m, int(rng.integers(0, 4 * n + 1)), 1.0, seed=9000 + k)
+        inst = clamp_delta(dataclasses.replace(
+            inst,
+            alpha=float(rng.choice([0.5, 1.0, 2.0])),
+            gamma=rng.integers(1, 3, size=n),
+            c=rng.integers(-2, 3, size=n).astype(float),
+        ))
+        tables, ref = TopoTables.build(inst), dense_tables(inst)
+        for delta in range(inst.delta + 1):
+            at = dataclasses.replace(inst, delta=delta)
+            assert solution_fields(tables.solution(at)) == solution_fields(
+                dense_solution(ref, at)
+            )
 
 
 def _knapsacks(items: int, draws: int, seed: int):
