@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 import time
 from dataclasses import dataclass
@@ -9,7 +10,14 @@ from typing import Sequence
 
 import numpy as np
 
-from .instance import InstanceError, Solution, SolverError, TripInstance, validate
+from .instance import (
+    InstanceError,
+    Solution,
+    SolverError,
+    TripInstance,
+    check_table_bytes,
+    validate,
+)
 
 
 def _decode_block(inst: TripInstance, codes: np.ndarray) -> np.ndarray:
@@ -91,7 +99,9 @@ def knapsack_reduce(
     and 2 * alpha, which every item's cost holds, finite, and so must each
     kept item's cost -value / weight - 2 * alpha: ValueError names the first
     item whose cost overflows. Items heavier than the budget fit in no
-    selection and are dropped: kept_items lists the others.
+    selection and are dropped: kept_items lists the others. ValueError names
+    the budget and the kept weights' sum when the largest admissible value,
+    that sum plus items * (budget + 1), passes the int64 range.
     """
     if budget < 1:
         raise ValueError("budget must be a positive integer")
@@ -119,10 +129,16 @@ def knapsack_reduce(
     n_items = len(kept)
     delta = int(budget)
     big = delta + 1
-    prefix = np.concatenate([[0], np.cumsum(w)]).astype(int)
+    prefix = [0, *itertools.accumulate(w)]  # exact, however large
+    top = prefix[-1] + n_items * big  # the largest admissible value
+    if top >= 2**63:
+        raise ValueError(
+            f"budget {delta} and weights summing to {prefix[-1]} put the largest "
+            f"admissible value at {top}, outside int64"
+        )
 
-    members = {int(prefix[k] + k * big) for k in range(n_items + 1)}
-    members |= {int(prefix[k] + (k + 1) * big) for k in range(n_items)}
+    members = {prefix[k] + k * big for k in range(n_items + 1)}
+    members |= {prefix[k] + (k + 1) * big for k in range(n_items)}
     if len(members) != 2 * n_items + 1:
         raise ValueError(
             "degenerate weight pattern: admissible-set construction collided; "
@@ -195,12 +211,15 @@ def gen_random(
 ) -> TripInstance:
     """Reproducible random instance: m distinct admissible values, x uniform
     over them, standard-normal costs, weights in {1, 2, 3}. Raises
-    InstanceError when n or m is below 1 or seed below 0."""
+    InstanceError when n or m is below 1, seed below 0, or the largest draw
+    would pass TABLE_BYTES_CAP."""
     for name, size in (("n", n), ("m", m)):
         if size < 1:
             raise InstanceError(f"{name} = {size!r} must be a positive integer")
     if seed < 0:
         raise InstanceError(f"seed = {seed!r} must be a non-negative integer")
+    # the 4m + 1 candidate values of xi, or a length-n vector
+    check_table_bytes(f"random draw for n = {n}, m = {m}", 8 * max(4 * m + 1, n))
     rng = np.random.default_rng(seed)
     xi = np.sort(rng.choice(np.arange(-2 * m, 2 * m + 1), size=m, replace=False))
     x = rng.choice(xi, size=n)

@@ -1,12 +1,16 @@
 import argparse
+import contextlib
 import csv
 import dataclasses
+import io
 import json
 import re
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import RANGE_RULE_BREAKERS
 import tripsolve.astar
@@ -374,12 +378,74 @@ def test_gen_knapsack(tmp_path, capsys):
         (["gen-knapsack", "--values", "1e308,1", "--weights", "1,1", "--budget", "1",
           "--alpha", "5e307"],
          "value of item 0 over its weight plus 2 * alpha overflows float64\n"),
+        # admissible values past int64, which the prefix sums and their offsets
+        # used to overflow in numpy
+        (["gen-knapsack", "--values", "1", "--weights", str(10**20),
+          "--budget", str(10**20)],
+         f"budget {10**20} and weights summing to {10**20} put the largest "
+         f"admissible value at {2 * 10**20 + 1}, outside int64\n"),
+        (["gen-knapsack", "--values", "1,1", "--weights", f"{5 * 10**18},{5 * 10**18}",
+          "--budget", str(9 * 10**18)],
+         f"budget {9 * 10**18} and weights summing to {10**19} put the largest "
+         f"admissible value at {28 * 10**18 + 2}, outside int64\n"),
     ],
 )
 def test_generators_reject_bad_sizes(capsys, argv, message):
     code, out, err = run_cli(capsys, *argv)
     assert code == 2 and out == ""
     assert err.startswith(f"error: {message}") and err.count("\n") == 1
+
+
+def test_gen_random_checks_its_draw_before_allocating(capsys, monkeypatch):
+    # a length-1000 vector of 8-byte entries
+    monkeypatch.setattr(tripsolve.instance, "TABLE_BYTES_CAP", 4000)
+    code, out, err = run_cli(capsys, "gen-random", "--n", "1000", "--m", "5",
+                             "--delta", "2", "--alpha", "0.5", "--seed", "0")
+    assert code == 2 and out == ""
+    assert err.startswith("error: the random draw for n = 1000, m = 5 would take 8000 bytes")
+    assert err.count("\n") == 1
+
+
+_ANY = st.one_of(
+    st.integers(-3, 2**70),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([1e308, -1e308, 0.5, 2.5]),
+)
+_SIZE = st.integers(-3, 2**70)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(data=st.data())
+def test_generators_exit_0_or_2_with_one_error_line(data):
+    """Sizes stay small; magnitudes do not. Each list of knapsack entries,
+    and the alpha, is drawn valid three times in four, so that large weights
+    and budgets reach the construction, and from anything otherwise."""
+
+    def drawn(valid):
+        return data.draw(st.sampled_from([valid, valid, valid, _ANY]))
+
+    def entries(items, valid):
+        listed = data.draw(st.lists(drawn(valid), min_size=items, max_size=items))
+        return ",".join(map(repr, listed))
+
+    if data.draw(st.booleans()):
+        items = data.draw(st.integers(1, 50))
+        argv = ["gen-knapsack",
+                f"--values={entries(items, st.floats(1e-300, 1e308))}",
+                f"--weights={entries(items, st.integers(1, 2**70))}",
+                f"--budget={data.draw(_SIZE)}",
+                f"--alpha={data.draw(drawn(st.floats(1e-300, 1e300)))!r}"]
+    else:
+        argv = ["gen-random", f"--n={data.draw(st.integers(-3, 50))}",
+                f"--m={data.draw(st.integers(-3, 50))}", f"--delta={data.draw(_SIZE)}",
+                f"--alpha={data.draw(_ANY)!r}", f"--seed={data.draw(_SIZE)}"]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 2)
+    if code == 2:
+        assert out.getvalue() == ""
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
 
 
 @pytest.fixture(scope="module")
