@@ -170,7 +170,8 @@ def solve_astar(
 
     window_start, _, cols, _ = record.windows
     h_table: Optional[np.ndarray] = None
-    # the table pays: per label, knapsack solves take 1.25-1.35x as long
+    # the table pays: a read per label is cheaper than a maximum over the
+    # multipliers
     if n * (m if cols is None else cols.shape[1]) * width <= HEURISTIC_TABLE_CAP:
         h_table = heuristic_table(inst, tables)  # row of value index j: j - window_start
     else:  # the heuristic per label

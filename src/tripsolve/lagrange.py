@@ -50,13 +50,15 @@ that test to all of them in one whole-array pass, and retries the others
 against the cone of the next layer's cheapest columns; a layer whose
 tails' window holds one value has one row, and its retry compares that
 row's totals directly. A layer step is of one of two kinds. The layers
-the pass decides carry each multiplier's cone (winner, g at it, budget)
-as Python scalars, with the additions of a per-layer sweep in their order,
-and their rows are written after the last layer. The other layers take the
-lexicographic minimum of each row, the one place the tie rule is applied;
-where every row of one picks the same column, its rows are that column's
-cone, which a retry can stand on. Every table is bitwise the one the
-per-layer sweep gives.
+the pass decides form runs, each taken in a few whole-array operations:
+one accumulation gives each multiplier's cone (winner, g at it, budget)
+at every layer of the run, and their rows are written after the last
+layer. An accumulation adds strictly in sequence and float addition
+commutes, so each g is the float a per-layer sweep gives. The other
+layers take the lexicographic minimum of each row, the one place the tie
+rule is applied; where every row of one picks the same column, its rows
+are that column's cone, which a retry can stand on. Every table is
+bitwise the one the per-layer sweep gives.
 
 The Sweeps record is the one place an instance's edge terms and windows
 are derived, and it keeps every swept table, A*'s successor rows and the
@@ -88,6 +90,8 @@ from .instance import (
 COST_TIE_TOL = 1e-12
 # tie key of an entry outside the cost ties, above every real key
 _NO_KEY = np.iinfo(np.int64).max
+# entries of heuristic_table's temporary block of capacity rows
+_HTABLE_BLOCK = 16384
 
 
 @dataclass(frozen=True)
@@ -149,7 +153,8 @@ class Sweeps:
     and the relaxed path's step of each table whose path a search used. It
     also keeps the inputs of relaxed_costs_to_sink that depend on inst
     alone, terms and windows, which its first sweep computes and which A*'s
-    successor rows and heuristic table read too; A*'s successor rows
+    successor rows and heuristic table read too, with key_cons and spread,
+    which the sweeps alone read; A*'s successor rows
     themselves, rows[pruned][layer * m + j], each built on the first
     expansion of its class by a search with that edge pruning setting
     (astar.successor_row); and one heuristic table, htable, the last one
@@ -182,8 +187,11 @@ class Sweeps:
     steps: dict[float, np.ndarray] = field(default_factory=dict)
     # graph.edge_terms, and the reach windows as lists with their index
     # tables (relaxed_costs_to_sink), set by the first sweep once its table
-    # checks pass
+    # checks pass; with the terms, the sweep's tie keys of the edges and the
+    # multiplier-free part of its margin scale, max|linear| + max jump
     terms: Optional[tuple[np.ndarray, np.ndarray, np.ndarray]] = None
+    key_cons: Optional[np.ndarray] = None
+    spread: float = 0.0
     windows: Optional[
         tuple[list[int], list[int], Optional[np.ndarray], Optional[np.ndarray]]
     ] = None
@@ -265,10 +273,14 @@ def _bulk_pass(lin_lam, cons, jump, windows, margin):
     """The predecessor-free and chain tests of relaxed_costs_to_sink on the
     steps into layers 1..n - 1 at once, over the windows (lo, hi, cols, pad)
     of _window_tables. The chain test of a single-row step compares its one
-    row's totals (slack 0), that of any other step g with slack 1. Returns
-    lists over l = i - 1: whether the step into layer i is decided, the
+    row's totals (slack 0), that of any other step g with slack 1. Returns,
+    over l = i - 1: whether the step into layer i is decided and the
     winners at layer i + 1 its chain test assumed (None when it passed
-    without them), its winners, and lin_lam and cons at them."""
+    without them), as lists; its winners, and lin_lam and cons at them, as
+    (n - 1, K) arrays; and low, a list: the lowest step of the run of
+    decided steps that starts at step l, each step below l continuing it
+    when it is decided and its guess, if any, is the bulk winners of the
+    step above it."""
     lo, hi, cols, pad = windows
     heads = None if cols is None else cols[1:]
     if heads is None:
@@ -278,6 +290,7 @@ def _bulk_pass(lin_lam, cons, jump, windows, margin):
         np.copyto(h, np.inf, where=pad[1:, None, :])
     s, decided = _winners(h, jump, heads, 2.0, margin)
     guess = [None] * len(h)
+    follows = decided  # whether step l continues a run that holds step l + 1
     retry = np.flatnonzero(~decided[:-1])  # no step lies beyond the last one
     if retry.size:
         t = s[retry + 1]
@@ -292,12 +305,17 @@ def _bulk_pass(lin_lam, cons, jump, windows, margin):
         )
         for l, winners in zip(retry.tolist(), t.tolist()):
             guess[l] = winners
+        follows = decided.copy()
+        follows[retry] &= (t == s[retry + 1]).all(axis=1)
+    # a step that does not follow bounds the runs above it from below
+    low = np.maximum.accumulate(np.where(follows, 0, np.arange(1, len(h) + 1)))
     return (
         decided.tolist(),
         guess,
-        s.tolist(),
-        _pick(lin_lam[1:], s).tolist(),
-        _pick(cons[1:], s).tolist(),
+        s,
+        _pick(lin_lam[1:], s),
+        _pick(cons[1:], s),
+        [0] + low[:-1].tolist(),
     )
 
 
@@ -310,7 +328,7 @@ def _window_tables(inst: TripInstance):
     this layout. Raises InstanceError first when cols would exceed
     TABLE_BYTES_CAP."""
     lo, hi = reach_windows(inst)
-    # full windows skip the gathers, which takes 10-36% off a heat sweep
+    # full windows skip the gathers
     if (lo == 0).all() and (hi == inst.m).all():
         cols = pad = None
     else:
@@ -392,14 +410,27 @@ def relaxed_costs_to_sink(
     for all K multipliers of a step at once; a chain-tested step is taken
     in the loop only when the step into layer i + 1 turned out a cone with
     winners t for every multiplier. A layer step is then of one of two
-    kinds. A step the pass decides updates each multiplier's cone (s, g[s],
-    budget) as Python floats and ints, with the additions of the per-layer
-    path in the same order; its rows are written after the loop in a few
-    whole-array writes. Every other step, an undecided one or one whose
-    chain guess failed, takes _lex_min over the (K, w_i, w_{i+1}) totals of
-    the two windows, built with one broadcast addition, w_i the number of
-    values in the window of layer i, and is a cone when its rows pick one
-    column per multiplier. _lex_min is the only code that resolves a tie.
+    kinds.
+    - Decided steps come in runs. Inside a run the cone that the next
+      step's guess is tested against is the bulk winners of the step above
+      it, so whether a step continues a run is known before the loop, and
+      the loop only decides whether a run starts: on the sink row, or
+      below a _lex_min step, whose cone the guess must match. A run costs
+      a fixed handful of whole-array operations. Its winners s give the
+      jumps between them, jump[s[l + 1], s[l]], and one add.accumulate
+      down the sequence (the heads' cost-to-sink at the first winner,
+      lin_win, jump, lin_win, ...) gives g at every winner; a cumulative
+      sum gives the budgets. accumulate adds strictly in sequence and
+      float addition commutes, so each g is (g_above + jump) + lin, the
+      float lin + (jump + g_above) of a per-layer sweep; the first term,
+      read off the heads' row, is 0 on the sink row and g_above + jump on
+      a _lex_min row, the same float. The rows are written after the loop
+      in a few whole-array writes.
+    - Every other step, an undecided one or one whose chain guess failed,
+      takes _lex_min over the (K, w_i, w_{i+1}) totals of the two windows,
+      built with one broadcast addition, w_i the number of values in the
+      window of layer i, and is a cone when its rows pick one column per
+      multiplier. _lex_min is the only code that resolves a tie.
     The bulk arrays are the (n, K, m) rows when every window is full, and
     are restricted to the windows, (n, K, W), when one is not.
 
@@ -426,79 +457,79 @@ def relaxed_costs_to_sink(
         entry = Sweeps(inst)
     check_table_bytes("relaxed sweep tables", n * k * m * 8)
     if entry.terms is None:
-        entry.terms = edge_terms(inst)
+        cons, linear, jump = edge_terms(inst)
+        entry.key_cons = cons * m + np.arange(m)  # (budget * m + column) per edge
+        entry.spread = float(np.abs(linear).max()) + float(jump.max())
+        entry.terms = cons, linear, jump
     cons, linear, jump = entry.terms
+    key_cons = entry.key_cons
     check_table_bytes("relaxed sweep tables", k * m * m * 8)
     if entry.windows is None:
         entry.windows = _window_tables(inst)
     lo, hi, cols, pad = entry.windows  # the window of layer i + 1 is lo[i]..hi[i] - 1
     lam_cons = lam[None, :, None] * cons[:, None, :]  # (n, K, m)
-    key_cons = cons * m + np.arange(m)  # (budget * m + column) per edge
     cost = np.full((k, n, m), np.inf)
     cost[:, n - 1, lo[n - 1]:hi[n - 1]] = 0.0  # the zero-weight sink edge
     res = np.zeros((k, n, m), dtype=np.int64)
     choice = np.full((k, n, m), -1, dtype=np.int64)
-    scale = n * (
-        float(np.abs(linear).max())
-        + float(jump.max())
-        + float(np.abs(lam_cons).max(initial=0.0))
-    )
+    scale = n * (entry.spread + float(np.abs(lam_cons).max(initial=0.0)))
     dominance = math.isfinite(2.0 * scale)
     margin = COST_TIE_TOL + 16.0 * np.finfo(np.float64).eps * scale
     lin_lam = linear[:, None, :] + lam_cons  # (n, K, m): g before its cost-to-sink
-    first = np.arange(0, k * m, m)  # flat index of each multiplier's row
+    blocks = np.arange(k)  # each multiplier's block of the tables
     decided = [False] * (n - 1)
     if dominance and n > 1:
         width = m if cols is None else cols.shape[1]
         check_table_bytes("relaxed sweep bulk arrays", n * k * width * 8)
-        decided, guess, win, lin_win, cons_win = _bulk_pass(
+        decided, guess, win, lin_win, cons_win, low = _bulk_pass(
             lin_lam, cons, jump, entry.windows, margin
         )
     # the cone steps, written after the loop: the tails' layer of each and,
-    # per multiplier, its winner, g at it and budget
+    # per multiplier, its winner, g at it and budget, one array per run
     rows, cone_s, cone_g, cone_b = [], [], [], []
-    # the step into layer i + 1 as a cone, (winners, g at them, budgets),
-    # each a list over the multipliers; None when not known to be one
+    # the winners of the step into layer i + 1, a list over the multipliers,
+    # when _lex_min found its rows a cone; None otherwise
     cone = None
-    for i in range(n - 1, 0, -1):
+    i = n - 1
+    while i > 0:
         l = i - 1  # the tails' layer
         a, b = lo[i], hi[i]  # the heads' window
-        if decided[l] and (guess[l] is None or (cone is not None and cone[0] == guess[l])):
-            s = win[l]
-            if cone is None:
-                c = [cost.item(q, i, j) for q, j in enumerate(s)]
-                heads = [res.item(q, i, j) for q, j in enumerate(s)]
-            else:
-                c = [jump.item(x, y) + z for x, y, z in zip(cone[0], s, cone[1])]
-                heads = cone[2]
-            cone = (
-                s,
-                [x + y for x, y in zip(lin_win[l], c)],
-                [x + y for x, y in zip(cons_win[l], heads)],
-            )
-            rows.append(l)
-            cone_s += cone[0]
-            cone_g += cone[1]
-            cone_b += cone[2]
-        else:
-            if rows and rows[-1] == i:  # the heads' row is a cone not yet written
-                cost[:, i, a:b] = jump[cone[0], a:b] + np.array(cone[1])[:, None]
-                res[:, i, a:b] = np.array(cone[2])[:, None]
-            g = lin_lam[i] + cost[:, i]
-            tail = slice(lo[l], hi[l])
-            cost[:, l, tail], res[:, l, tail], choice[:, l, tail] = _lex_min(
-                g[:, None, a:b] + jump[tail, a:b], key_cons[i, a:b] + res[:, i, a:b] * m, m, a
-            )
+        if decided[l] and (guess[l] is None or cone == guess[l]):
+            # the run of steps l down to r, each a cone on the one above
+            r = low[l]
+            s = win[r:i][::-1]  # (steps, K), step l first
+            # g at each winner: the cost-to-sink at the first, read off the
+            # heads' row, then lin_win and the jump to the next, in turn
+            seq = np.empty((2 * (i - r), k))
+            seq[0] = cost[blocks, i, s[0]]
+            seq[1::2] = lin_win[r:i][::-1]
+            seq[2::2] = jump[s[:-1], s[1:]]
+            g = np.add.accumulate(seq, axis=0)[1::2]
+            budget = res[blocks, i, s[0]] + np.cumsum(cons_win[r:i][::-1], axis=0)
+            rows.append(np.arange(l, r - 1, -1))
+            cone_s.append(s)
+            cone_g.append(g)
+            cone_b.append(budget)
             cone = None
-            s = choice[:, l, lo[l]]
-            # rows that all pick s are its cone: the next step's chain guess may stand
-            if dominance and (choice[:, l, tail] == s[:, None]).all():
-                cone = (s.tolist(), g.take(first + s).tolist(), res[:, l, lo[l]].tolist())
+            i = r
+            continue
+        if rows and rows[-1][-1] == i:  # the heads' row is a cone not yet written
+            cost[:, i, a:b] = jump[cone_s[-1][-1], a:b] + cone_g[-1][-1][:, None]
+            res[:, i, a:b] = cone_b[-1][-1][:, None]
+        g = lin_lam[i] + cost[:, i]
+        tail = slice(lo[l], hi[l])
+        cost[:, l, tail], res[:, l, tail], choice[:, l, tail] = _lex_min(
+            g[:, None, a:b] + jump[tail, a:b], key_cons[i, a:b] + res[:, i, a:b] * m, m, a
+        )
+        s = choice[:, l, lo[l]]
+        # rows that all pick s are its cone: the next step's chain guess may stand
+        cone = s.tolist() if dominance and (choice[:, l, tail] == s[:, None]).all() else None
+        i = l
     if rows:
-        r = np.array(rows)
-        s = np.array(cone_s, dtype=np.int64).reshape(r.size, k).T  # (K, cone steps)
-        gs = np.array(cone_g, dtype=np.float64).reshape(r.size, k).T
-        budget = np.array(cone_b, dtype=np.int64).reshape(r.size, k).T
+        r = np.concatenate(rows)
+        s = np.concatenate(cone_s).T  # (K, cone steps)
+        gs = np.concatenate(cone_g).T
+        budget = np.concatenate(cone_b).T
         if cols is None:
             cost[:, r] = jump.take(s, axis=0) + gs[:, :, None]
             res[:, r] = budget[:, :, None]
@@ -676,6 +707,12 @@ def heuristic_table(
     outside the windows. No node outside the windows is reachable, so a
     search never reads them. Each entry is cost - lam * capacity, maximised
     over the tables of tables.zeta, which were swept over the same windows.
+    The table is a view of a capacity-major (R + 1, n, wmax) array, so that
+    each multiplier's subtraction and maximum run over whole (n, wmax)
+    capacity rows, not along the short capacity axis. The window costs of
+    a table are gathered once, and one block holds the rows being priced,
+    as many as _HTABLE_BLOCK entries hold and at least one: the
+    temporaries are one gathered copy and one block.
 
     The record's kept table is returned, not a copy, when it was built from
     exactly the multipliers of tables.zeta at a radius R >= inst.delta
@@ -693,14 +730,21 @@ def heuristic_table(
         return record.htable
     record.htable = None
     cols = record.windows[2]
-    wmax = inst.m if cols is None else cols.shape[1]
-    width = inst.delta + 1
-    layers = np.arange(inst.n)[:, None]
+    n, wmax, width = inst.n, (inst.m if cols is None else cols.shape[1]), inst.delta + 1
+    layers = np.arange(n)[:, None]
     caps = np.arange(width, dtype=np.float64)
-    h = np.full((inst.n, wmax, width), -np.inf)
+    h = np.full((width, n, wmax), -np.inf)
+    rows = max(1, _HTABLE_BLOCK // (n * wmax))
+    block = np.empty((min(rows, width), n, wmax))
     for t in tables.zeta:
         cost = t.cost if cols is None else t.cost[layers, cols]
-        np.maximum(h, cost[:, :, None] - t.lam * caps[None, None, :], out=h)
+        priced = t.lam * caps
+        for c in range(0, width, rows):
+            out = h[c:c + rows]
+            tmp = block[:len(out)]
+            np.subtract(cost, priced[c:c + rows, None, None], out=tmp)
+            np.maximum(out, tmp, out=out)
+    h = np.moveaxis(h, 0, 2)
     record.htable, record.htable_lams = h, lams
     return h
 

@@ -7,7 +7,9 @@ OUT/counters/, A*'s output with its search counters (COUNTERS) kept, to show
 a change to the search, not to fail on it. compared/ holds every output
 without its one timing field, wall_seconds, and A*'s also without COUNTERS,
 which follow the multiplier search and the heuristic it leaves; sweeps.txt
-counts and hashes the relaxed tables A* sweeps in the SWEPT runs. INPUTS
+counts and hashes the relaxed tables A* sweeps in the SWEPT runs, and
+htables.txt the heuristic tables A* reads there, in their logical order,
+whatever their memory layout. INPUTS
 holds the traces `bench` replays: a run writes the missing ones, so that a
 second run, against another commit, replays the same subproblems under the
 same names. README says how to compare two commits.
@@ -23,6 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
+import tripsolve.astar
 import tripsolve.lagrange as lagrange
 from tripsolve import cli
 from tripsolve.oracle import knapsack_reduce
@@ -60,7 +63,8 @@ INSTANCES = {  # instance name: generator arguments
 # A* with both prunings, then with each one off
 SOLVES = ("topo", "astar", "astar --no-edge-pruning",
           "astar --no-upper-bound-pruning", "oracle")
-# the runs whose relaxed sweeps sweeps.txt hashes, in this order
+# the runs whose relaxed sweeps sweeps.txt hashes, and whose heuristic
+# tables htables.txt hashes, in this order
 SWEPT = ("bench-knapsack-replay.csv", "heat-astar.jsonl")
 
 
@@ -146,12 +150,24 @@ def main(out: Path, inputs: Path) -> None:
             digest.update(repr((t.source_cost, t.source_res, t.source_choice)).encode())
         return tables
 
+    table_digest, tables_read = hashlib.sha256(), 0
+    table = tripsolve.astar.heuristic_table
+
+    def hashed_table(*args):
+        nonlocal tables_read
+        tables_read += 1
+        h = table(*args)
+        table_digest.update(np.ascontiguousarray(h).tobytes())
+        return h
+
     for name, argv in commands(compared, inputs):
         lagrange.relaxed_costs_to_sink = hashed if name in SWEPT else sweep
+        tripsolve.astar.heuristic_table = hashed_table if name in SWEPT else table
         try:
             printed = run(argv)
         finally:
             lagrange.relaxed_costs_to_sink = sweep
+            tripsolve.astar.heuristic_table = table
         astar = argv[0] == "bench" or "astar" in argv or "hybrid" in argv
         if argv[0] == "bench":
             kept, text = bench_csv(printed, False), bench_csv(printed, True)
@@ -166,6 +182,9 @@ def main(out: Path, inputs: Path) -> None:
             shutil.copyfile(counters / name, inputs / name)
     (compared / "sweeps.txt").write_text(
         f"sweeps={sweeps} sha256={digest.hexdigest()}\n", encoding="utf-8"
+    )
+    (compared / "htables.txt").write_text(
+        f"tables={tables_read} sha256={table_digest.hexdigest()}\n", encoding="utf-8"
     )
 
 

@@ -450,6 +450,29 @@ def test_cache_keeps_one_heuristic_table(inst):
     assert_reads_fresh_entries(larger, tables, tables.record.htable)
 
 
+@pytest.mark.parametrize("block", ["one row", "uneven", "whole table"])
+def test_heuristic_table_is_the_same_in_any_block(monkeypatch, block):
+    # heuristic_table fills its capacity rows a block at a time: one row per
+    # block, a number of rows that does not divide R + 1, and the whole
+    # table in one block all give the entries of a fresh build, padding
+    # included, byte for byte
+    for inst in kept_table_instances() + knapsack_instances(count=3):
+        tables = binary_search(inst, default_epsilon(inst))
+        cols = tables.record.windows[2]
+        row = inst.n * (inst.m if cols is None else cols.shape[1])
+        width = inst.delta + 1
+        default = np.ascontiguousarray(heuristic_table(inst, tables))
+        rows = next(r for r in range(2, width) if width % r) if block == "uneven" else 1
+        size = row * width + 1 if block == "whole table" else row * rows
+        monkeypatch.setattr(tripsolve.lagrange, "_HTABLE_BLOCK", size)
+        tables.record.htable = None
+        table = heuristic_table(inst, tables)
+        assert table.shape == default.shape
+        assert np.ascontiguousarray(table).tobytes() == default.tobytes()
+        assert_reads_fresh_entries(inst, tables, table)
+        monkeypatch.undo()
+
+
 def test_windowed_heuristic_table_equals_heuristic_h():
     checked = 0
     for inst in radius_corpus(60):
@@ -905,6 +928,129 @@ def test_wrong_chain_guess_falls_back(monkeypatch, c3, kinds):
         assert swept_layer_kinds(inst, lams) == kinds
         # decided on the guess: column 0 at layer 2, for every multiplier
         assert decisions == [([True, False], [[0] * len(lams), None])]
+
+
+def run_walk(inst, lams, bulk) -> tuple[int, set[str]]:
+    """The layer steps of a sweep of lams on inst as relaxed_costs_to_sink's
+    run rule takes them, from its bulk pass's output bulk and the choices of
+    reference_sweep: a decided step starts a run when it has no chain guess
+    or its guess is the winners of the step above it, a _lex_min step whose
+    rows all pick one column per multiplier, and the run goes down to the
+    step bulk gives as its lowest. Returns the number of _lex_min steps and
+    the boundaries met: a run of more than one step from the sink row
+    ("sink"); a run right after a _lex_min cone, on a guess of that cone's
+    winners ("cone, guessed") or without a guess ("cone, free"); a decided
+    step whose guess that cone does not match ("cone, wrong guess"); and a
+    run that ends above a decided step ("run, wrong guess")."""
+    decided, guess, _, _, _, low = bulk
+    lo, hi = reach_windows(inst)
+    choices = [reference_sweep(inst, lam)[2] for lam in lams]
+    met, lex_min, cone, i = set(), 0, None, inst.n - 1
+    while i > 0:
+        l = i - 1
+        if decided[l] and (guess[l] is None or cone == guess[l]):
+            if l == inst.n - 2 and low[l] < l:
+                met.add("sink")
+            if cone is not None:
+                met.add("cone, free" if guess[l] is None else "cone, guessed")
+            if low[l] > 0 and decided[low[l] - 1]:
+                met.add("run, wrong guess")
+            cone, i = None, low[l]
+            continue
+        if decided[l] and cone is not None:
+            met.add("cone, wrong guess")
+        picks = [c[l, lo[l]:hi[l]] for c in choices]
+        cone = [int(p[0]) for p in picks] if all((p == p[0]).all() for p in picks) else None
+        lex_min, i = lex_min + 1, l
+    return lex_min, met
+
+
+@pytest.mark.parametrize("k", [1, 3])
+@pytest.mark.parametrize("windows", ["full", "cols"])
+def test_runs_of_decided_steps_match_reference_sweep(monkeypatch, windows, k):
+    # Random instances, x and c drawn per layer, whose decided steps form
+    # runs of every kind: each table is checked bitwise against
+    # reference_sweep, and the sweep takes _lex_min exactly where the run
+    # rule says. A _lex_min cone whose winners are not the guess of the
+    # step below needs a row of its window that is no head of the step
+    # above: full windows never give one.
+    bulk_pass = tripsolve.lagrange._bulk_pass
+    recorded = []
+
+    def recording(*args):
+        recorded.append(bulk_pass(*args))
+        return recorded[-1]
+
+    monkeypatch.setattr(tripsolve.lagrange, "_bulk_pass", recording)
+    rng = np.random.default_rng(2200 + k)
+    met, swept = set(), 0
+    while swept < 60:
+        n, m = int(rng.integers(4, 16)), int(rng.integers(3, 8))
+        delta = 2 * m if windows == "full" else int(rng.integers(1, m - 1))
+        inst = validate(
+            {"n": n, "alpha": 1.0, "delta": delta, "xi": list(range(m)),
+             "x": rng.integers(0, m, size=n).tolist(), "gamma": [1] * n,
+             "c": (rng.choice([0.3, 1.0, 2.0, 4.0]) * rng.uniform(-1, 1, size=n)).tolist()}
+        )
+        lo, hi = reach_windows(inst)
+        if bool((lo == 0).all() and (hi == m).all()) != (windows == "full"):
+            continue  # narrow radii can still reach every value
+        swept += 1
+        lams = [0.0, 0.2, 0.5][:k]
+        recorded.clear()
+        kinds = swept_layer_kinds(inst, lams)
+        lex_min, seen = run_walk(inst, lams, recorded[0])
+        assert kinds["lex_min"] == lex_min
+        met |= seen
+    wrong = {"cone, wrong guess"} if windows == "cols" else set()
+    assert met == {"sink", "cone, guessed", "cone, free"} | wrong
+
+
+@pytest.mark.parametrize("xi, delta", [(range(-2, 3), 16), (range(-4, 5), 2)], ids=["full", "cols"])
+def test_a_wrong_guess_inside_a_run_ends_it(monkeypatch, xi, delta):
+    # x = 0 and alpha = 1; the windows hold the values -2..2. At small lam
+    # the step into layer 3 (prices c_4 * xi = -3 xi) passes the
+    # predecessor-free test at xi = 2, and the step into layer 2 (-0.5 xi)
+    # passes the chain test against that cone, with the same winner: the
+    # run from the sink row holds both. The step into layer 1 (0.5 xi)
+    # fails both tests, since against that cone its rows keep their own
+    # columns. A winner the chain test decides with slack 1 is the step's
+    # cheapest price, and the step below a single-row step has one head and
+    # no guess, so the guess of a step below a decided one is that step's
+    # winner; here the predecessor-free test's winners of the undecided
+    # steps, the guesses, are moved to xi = -2. The step into layer 1 then
+    # passes the chain test against the wrong cone, and the run must end
+    # above it: it takes _lex_min, and every table is the reference's.
+    inst = validate(
+        {"n": 4, "alpha": 1.0, "delta": delta, "xi": list(xi), "x": [0] * 4,
+         "gamma": [1] * 4, "c": [0.25, 0.5, -0.5, -3.0]}
+    )
+    left, right = list(xi).index(-2), list(xi).index(2)
+    decisions = []
+    bulk_pass, winners = tripsolve.lagrange._bulk_pass, tripsolve.lagrange._winners
+
+    def recorded(*args):
+        out = bulk_pass(*args)
+        decisions.append(out[:2])
+        return out
+
+    def misguided(h, jump, cols, slack, margin):
+        s, decided = winners(h, jump, cols, slack, margin)
+        if np.ndim(slack) == 0:  # the predecessor-free test
+            s = np.where(decided[:, None], s, left if cols is None else cols[:, :1])
+        return s, decided
+
+    monkeypatch.setattr(tripsolve.lagrange, "_bulk_pass", recorded)
+    for lams in ([0.0], [0.0, 0.01, 0.02]):
+        k = len(lams)
+        decisions.clear()
+        assert swept_layer_kinds(inst, lams) == {"bulk": 2, "lex_min": 1}
+        assert decisions == [([False, True, True], [[right] * k, [right] * k, None])]
+        with monkeypatch.context() as mp:
+            mp.setattr(tripsolve.lagrange, "_winners", misguided)
+            decisions.clear()
+            assert swept_layer_kinds(inst, lams) == {"bulk": 2, "lex_min": 1}
+        assert decisions == [([True, True, True], [[left] * k, [right] * k, None])]
 
 
 @pytest.mark.parametrize(
