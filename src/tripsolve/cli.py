@@ -12,8 +12,6 @@ import sys
 import time
 from typing import Optional, Sequence
 
-import numpy as np
-
 from .astar import AstarOptions, solve_astar
 from .instance import (
     Solution,
@@ -25,7 +23,7 @@ from .instance import (
 from .oracle import gen_random, knapsack_reduce, solve_bruteforce
 from .slip import (
     SlipConfig,
-    initial_iterate_heat,
+    initial_iterate,
     make_heat_problem,
     make_signal_problem,
     read_trace_instances,
@@ -64,6 +62,8 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
 
 def cmd_slip(args: argparse.Namespace) -> int:
+    if args.problem == "heat" and args.seed is not None:
+        raise ValueError("--seed applies only to the signal problem")
     config = SlipConfig(
         alpha=args.alpha,
         delta0=args.delta0 if args.delta0 is not None else max(1, args.n // 8),
@@ -74,13 +74,9 @@ def cmd_slip(args: argparse.Namespace) -> int:
     )
     if args.problem == "heat":
         problem = make_heat_problem(args.n)
-        x0 = initial_iterate_heat(problem, args.x0)
     else:
-        problem = make_signal_problem(args.n, args.seed)
-        if args.x0 != "zero":
-            raise ValueError("the signal problem only supports the zero start")
-        x0 = np.zeros(args.n, dtype=np.int64)
-    trace = run_slip(problem, x0, config)
+        problem = make_signal_problem(args.n, 0 if args.seed is None else args.seed)
+    trace = run_slip(problem, initial_iterate(problem, args.x0), config)
     write_trace(trace, args.out)
     print(
         f"{args.problem} n={args.n} alpha={args.alpha}: "
@@ -214,7 +210,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("problem", choices=("heat", "signal"))
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--alpha", type=float, required=True)
-    p.add_argument("--seed", type=int, default=0, help="kernel seed (signal)")
+    p.add_argument("--seed", type=int, default=None,
+                   help="kernel seed, signal only, defaults to 0")
     p.add_argument("--x0", choices=("zero", "relax_round", "mean_round"),
                    default="zero")
     p.add_argument("--solver", choices=("topo", "astar", "hybrid"),

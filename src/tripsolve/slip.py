@@ -20,6 +20,19 @@ entries, built at the first radius, serve every smaller one
 without the cache; every A* answer is an optimum, but where objectives tie
 exactly a cached solve may return a different optimal step than a fresh
 one.
+
+initial_iterate gives a run its start: the zero vector, the box relaxation
+rounded to the nearest members of xi (relax_round), or the rounded mean of
+those two (mean_round), for either problem. solve_box_relaxation minimizes
+the smooth part over the box hull of xi with scipy's bounded L-BFGS-B from
+zero. It stops when no entry of the projected gradient exceeds 1e-8, or
+when the value no longer decreases at all, which scipy also counts as
+success. Rounding jumps at each midpoint between members, so an entry near
+one rounds by where the optimizer stopped. On heat n = 64 the closest
+relaxed entry lies 0.0099 from a midpoint. The rounded start there is the
+same for every tolerance up to 1e-7; at 1e-6, 11 of its 64 entries change.
+A start is therefore reproducible within one scipy release, but it can move
+between the Fortran L-BFGS-B (scipy <= 1.14) and the C one (>= 1.15).
 """
 
 from __future__ import annotations
@@ -36,8 +49,8 @@ from scipy.linalg import solveh_banded
 from scipy.special import erf
 
 from .astar import solve_astar
-from .instance import (InstanceError, RadiusCache, Solution, TripInstance,
-                       budget_cap, check_table_bytes, validate)
+from .instance import (InstanceError, RadiusCache, Solution, SolverError,
+                       TripInstance, budget_cap, check_table_bytes, validate)
 from .topo import solve_topo
 
 
@@ -65,6 +78,12 @@ class ControlProblem:
     gradient_coeffs: Callable[[np.ndarray], np.ndarray]
 
 
+def _is_integer(value: object) -> bool:
+    """An int or numpy integer; bools and integral floats such as 2.0 are
+    not, so no setting is ever truncated."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 @dataclass
 class SlipConfig:
     """Settings of run_slip: the switching penalty, the radius each outer
@@ -81,7 +100,7 @@ class SlipConfig:
     max_outer: int = 1000
 
     def __post_init__(self) -> None:
-        if self.delta0 < 1:
+        if not _is_integer(self.delta0) or self.delta0 < 1:
             raise ValueError("delta0 must be a positive integer")
         if not 0.0 < self.rho < 1.0:
             raise ValueError("rho must lie strictly between 0 and 1")
@@ -91,9 +110,9 @@ class SlipConfig:
             raise ValueError("hybrid solver needs delta_d")
         if self.solver != "hybrid" and self.delta_d is not None:
             raise ValueError(f"delta_d applies only to the hybrid solver, not {self.solver}")
-        if self.delta_d is not None and self.delta_d < 0:
+        if self.delta_d is not None and (not _is_integer(self.delta_d) or self.delta_d < 0):
             raise ValueError("delta_d must be a non-negative integer")
-        if self.max_outer < 0:
+        if not _is_integer(self.max_outer) or self.max_outer < 0:
             raise ValueError("max_outer must be a non-negative integer")
 
 
@@ -134,9 +153,12 @@ def run_slip(
     """Run the trust-region loop from a feasible start until the model
     predicts no decrease, the radius is exhausted, or max_outer is hit."""
     t0 = time.perf_counter()
-    x = np.asarray(x0, dtype=np.int64)
-    if x.shape != (problem.n,) or not np.all(np.isin(x, problem.xi)):
+    x = np.asarray(x0)
+    # entries are checked before the cast, which would truncate 0.7 to 0
+    if (x.dtype.kind not in "iuf" or x.shape != (problem.n,)
+            or not np.all(np.isin(x, problem.xi))):
         raise ValueError("x0 must be a length-n vector with entries in xi")
+    x = x.astype(np.int64)
 
     trace = SlipTrace()
     j_cur = problem.smooth_value(x) + config.alpha * total_variation(x)
@@ -401,37 +423,31 @@ def round_to_members(values: np.ndarray, xi: np.ndarray) -> np.ndarray:
     return np.where(take_upper, upper, lower).astype(np.int64)
 
 
-# stopping rule of solve_box_relaxation: the largest projected-gradient
-# move, and the iteration limit
-_RELAX_TOL = 1e-4
-_RELAX_MAX_ITER = 500
+# the projected-gradient tolerance of solve_box_relaxation, L-BFGS-B's gtol
+_RELAX_TOL = 1e-8
 
 
 def solve_box_relaxation(problem: ControlProblem) -> np.ndarray:
-    """Projected gradient descent for the smooth part over the box hull of
-    the admissible set (no switching penalty), with a backtracking step."""
-    lo, hi = float(problem.xi[0]), float(problem.xi[-1])
-    x = np.zeros(problem.n)
-    fx = problem.smooth_value(x)
-    step = 1.0
-    for _ in range(_RELAX_MAX_ITER):
-        g = problem.gradient_coeffs(x)
-        if np.max(np.abs(x - np.clip(x - g, lo, hi))) <= _RELAX_TOL:
-            break
-        while True:
-            x_new = np.clip(x - step * g, lo, hi)
-            f_new = problem.smooth_value(x_new)
-            if f_new <= fx - 1e-4 * float(g @ (x - x_new)) or step < 1e-12:
-                break
-            step *= 0.5
-        if step < 1e-12:
-            break
-        x, fx = x_new, f_new
-        step *= 1.5
-    return x
+    """The minimizer of the smooth part over the box hull of the admissible
+    set (no switching penalty), by scipy's bounded L-BFGS-B from the zero
+    vector; the module docstring gives its stopping rule. Raises SolverError
+    when scipy does not report success."""
+    from scipy.optimize import minimize  # about 17 MB, so only when asked
+
+    result = minimize(
+        lambda x: (problem.smooth_value(x), problem.gradient_coeffs(x)),
+        np.zeros(problem.n),
+        jac=True,
+        method="L-BFGS-B",
+        bounds=[(problem.xi[0], problem.xi[-1])] * problem.n,
+        options={"ftol": 0.0, "gtol": _RELAX_TOL},
+    )
+    if not result.success:
+        raise SolverError(f"the box relaxation did not converge: {result.message}")
+    return result.x
 
 
-def initial_iterate_heat(problem: ControlProblem, strategy: str) -> np.ndarray:
+def initial_iterate(problem: ControlProblem, strategy: str) -> np.ndarray:
     """Start vector: all zeros, the rounded box relaxation, or the rounded
     mean of those two."""
     zero = np.zeros(problem.n, dtype=np.int64)

@@ -4,6 +4,7 @@ import csv
 import dataclasses
 import io
 import json
+import math
 import re
 from pathlib import Path
 
@@ -16,9 +17,9 @@ from conftest import RANGE_RULE_BREAKERS
 import tripsolve.astar
 import tripsolve.instance
 import tripsolve.lagrange
-from tripsolve.cli import build_parser, main
+from tripsolve.cli import SOLVERS, build_parser, main
 from tripsolve.instance import budget_cap, is_feasible, read_instance
-from tripsolve.slip import initial_iterate_heat, make_heat_problem
+from tripsolve.slip import initial_iterate, make_heat_problem, make_signal_problem
 
 
 def run_cli(capsys, *argv):
@@ -448,6 +449,73 @@ def test_generators_exit_0_or_2_with_one_error_line(data):
         assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
 
 
+_BAD = st.sampled_from([
+    None, True, "1", "", [], [[0]], [0, [1]], {}, {"n": 1}, 0, -1, -3, 0.5, 2.5,
+    10**6, 2**40, 1e300, 2**70, -(2**70), 2**63, 1e308, -1e308,
+    math.nan, math.inf, -math.inf,
+])
+_FIELDS = ("n", "alpha", "delta", "xi", "x", "gamma", "c")
+
+
+def _instance_record(data):
+    """A small valid instance record with up to two faults: a field set to a
+    bad value, a vector entry set to one, a field dropped or an unknown field
+    added; one record in ten is a bad value itself."""
+    if data.draw(st.integers(0, 9)) == 0:
+        return data.draw(_BAD)
+    n = data.draw(st.integers(1, 4))
+    xi = sorted(data.draw(st.sets(st.integers(-3, 3), min_size=1, max_size=4)))
+    raw = {
+        "n": n,
+        "alpha": data.draw(st.floats(0.0, 2.0)),
+        "delta": data.draw(st.integers(0, 6)),
+        "xi": xi,
+        "x": data.draw(st.lists(st.sampled_from(xi), min_size=n, max_size=n)),
+        "gamma": data.draw(st.lists(st.integers(1, 2), min_size=n, max_size=n)),
+        "c": data.draw(st.lists(st.floats(-2.0, 2.0), min_size=n, max_size=n)),
+    }
+    for _ in range(data.draw(st.integers(0, 2))):
+        name = data.draw(st.sampled_from(_FIELDS))
+        fault = data.draw(st.sampled_from(["field", "entry", "drop", "unknown"]))
+        if fault == "field":
+            raw[name] = data.draw(_BAD)
+        elif fault == "entry" and isinstance(raw.get(name), list) and raw[name]:
+            raw[name][data.draw(st.integers(0, len(raw[name]) - 1))] = data.draw(_BAD)
+        elif fault == "drop":
+            raw.pop(name, None)
+        else:
+            raw["bogus"] = data.draw(_BAD)
+    return raw
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(data=st.data())
+def test_file_inputs_exit_0_2_or_3_with_one_error_line(tmp_path_factory, data):
+    """solve (every solver) reads one instance file, bench a trace of one to
+    three records: step records around such instances, or the instances
+    themselves as records."""
+    path = tmp_path_factory.getbasetemp() / "fuzzed-input"
+    if data.draw(st.booleans()):
+        path.write_text(json.dumps(_instance_record(data)))
+        argv = ["solve", str(path), "--solver", data.draw(st.sampled_from(SOLVERS))]
+    else:
+        records = [
+            {"kind": "step", "instance": _instance_record(data)}
+            if data.draw(st.integers(0, 3)) else _instance_record(data)
+            for _ in range(data.draw(st.integers(1, 3)))
+        ]
+        path.write_text("".join(json.dumps(record) + "\n" for record in records))
+        solvers = data.draw(st.lists(st.sampled_from(SOLVERS), min_size=1, unique=True))
+        argv = ["bench", str(path), "--solvers", ",".join(solvers)]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 2, 3)
+    if code == 2:
+        assert out.getvalue() == ""
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+
+
 @pytest.fixture(scope="module")
 def trace_file(tmp_path_factory):
     path = tmp_path_factory.mktemp("traces") / "sig.jsonl"
@@ -491,8 +559,48 @@ def test_slip_heat_start_strategies(tmp_path, capsys, x0):
     assert code == 0
     first = json.loads(out.read_text().splitlines()[0])
     assert first["delta"] == 4
-    start = initial_iterate_heat(make_heat_problem(16), x0)
+    start = initial_iterate(make_heat_problem(16), x0)
     assert first["instance"]["x"] == start.tolist()
+
+
+def test_slip_signal_relaxed_start(tmp_path, capsys):
+    out = tmp_path / "signal.jsonl"
+    code, _, _ = run_cli(
+        capsys, "slip", "signal", "--n", "64", "--alpha", "1e-3", "--x0", "relax_round",
+        "--max-outer", "1", "--out", str(out),
+    )
+    assert code == 0
+    first = json.loads(out.read_text().splitlines()[0])
+    start = initial_iterate(make_signal_problem(64, 0), "relax_round")
+    assert first["instance"]["x"] == start.tolist()
+
+
+def test_slip_relaxation_without_success_exits_2(tmp_path, capsys, monkeypatch):
+    import scipy.optimize
+
+    def no_success(fun, x0, **kwargs):
+        return scipy.optimize.OptimizeResult(x=x0, success=False, message="ABNORMAL")
+
+    monkeypatch.setattr(scipy.optimize, "minimize", no_success)
+    out = tmp_path / "heat.jsonl"
+    code, stdout, err = run_cli(
+        capsys, "slip", "heat", "--n", "8", "--alpha", "1e-4", "--x0", "mean_round",
+        "--out", str(out),
+    )
+    assert code == 2 and stdout == "" and not out.exists()
+    assert err == "error: the box relaxation did not converge: ABNORMAL\n"
+
+
+@pytest.mark.parametrize("seed", ["0", "3"])
+def test_slip_heat_rejects_a_seed(tmp_path, capsys, seed):
+    # the heat problem has no random input; --seed used to be ignored there
+    out = tmp_path / "heat.jsonl"
+    code, stdout, err = run_cli(
+        capsys, "slip", "heat", "--n", "8", "--alpha", "1e-4", "--seed", seed,
+        "--out", str(out),
+    )
+    assert code == 2 and stdout == "" and not out.exists()
+    assert err == "error: --seed applies only to the signal problem\n"
 
 
 def test_slip_radius_starts_at_most_at_the_budget_cap(tmp_path, capsys):

@@ -1,5 +1,6 @@
 import json
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,16 +11,17 @@ import tripsolve.slip
 from conftest import assert_cached_astar_matches, solution_fields
 from slip_reference import make_heat_problem_reference, make_signal_problem_reference
 from tripsolve.astar import solve_astar
-from tripsolve.instance import InstanceError
+from tripsolve.instance import InstanceError, SolverError
 from tripsolve.slip import (
     ControlProblem,
     SlipConfig,
-    initial_iterate_heat,
+    initial_iterate,
     make_heat_problem,
     make_signal_problem,
     read_trace_instances,
     round_to_members,
     run_slip,
+    solve_box_relaxation,
     total_variation,
     write_trace,
 )
@@ -94,6 +96,41 @@ def test_infeasible_start_rejected():
     problem = quadratic_problem(3, curvature=1.0, linear=np.zeros(3))
     with pytest.raises(ValueError, match="x0"):
         run_slip(problem, np.full(3, 99), SlipConfig(alpha=0.1, delta0=2))
+
+
+@pytest.mark.parametrize(
+    "x0", [np.full(3, 0.7), np.full(3, -1.9), ["1", "0", "0"], [True, False, True]]
+)
+def test_non_integral_start_rejected(x0):
+    # a cast to int64 would have truncated these to members of xi
+    problem = quadratic_problem(3, curvature=1.0, linear=np.zeros(3))
+    with pytest.raises(ValueError, match="x0 must be"):
+        run_slip(problem, x0, SlipConfig(alpha=0.1, delta0=2))
+
+
+def test_integral_float_start_runs_as_its_integers():
+    problem = quadratic_problem(3, curvature=1.0, linear=np.array([-2.0, 0.5, 1.0]))
+    config = SlipConfig(alpha=0.1, delta0=2)
+    floats = run_slip(problem, np.array([1.0, 0.0, -2.0]), config)
+    ints = run_slip(problem, np.array([1, 0, -2]), config)
+    assert floats.j_values == ints.j_values
+    assert floats.final_x.tolist() == ints.final_x.tolist()
+
+
+@pytest.mark.parametrize(
+    "settings, field",
+    [
+        ({"delta0": 2.5}, "delta0"),
+        ({"delta0": 2.0}, "delta0"),
+        ({"delta0": True}, "delta0"),
+        ({"solver": "hybrid", "delta_d": 1.5}, "delta_d"),
+        ({"max_outer": 3.5}, "max_outer"),
+    ],
+)
+def test_config_rejects_non_integral_radii(settings, field):
+    # delta0 = 2.5 used to reach validate, which blamed a field named delta
+    with pytest.raises(ValueError, match=f"^{field} must be a"):
+        SlipConfig(**{"alpha": 0.1, "delta0": 2, **settings})
 
 
 def test_config_validation():
@@ -300,23 +337,54 @@ def test_round_to_members():
 
 def test_initial_iterate_strategies():
     problem = make_heat_problem(16)
-    zero = initial_iterate_heat(problem, "zero")
+    zero = initial_iterate(problem, "zero")
     assert np.array_equal(zero, np.zeros(16))
-    relaxed = initial_iterate_heat(problem, "relax_round")
+    relaxed = initial_iterate(problem, "relax_round")
     assert np.all(np.isin(relaxed, problem.xi))
-    mean = initial_iterate_heat(problem, "mean_round")
+    mean = initial_iterate(problem, "mean_round")
     assert np.all(np.isin(mean, problem.xi))
-    again = initial_iterate_heat(problem, "relax_round")
+    again = initial_iterate(problem, "relax_round")
     assert np.array_equal(relaxed, again)
     with pytest.raises(ValueError):
-        initial_iterate_heat(problem, "nope")
+        initial_iterate(problem, "nope")
 
 
 def test_mean_of_zero_with_zero_relaxation_is_zero():
     # a flat objective keeps the relaxation at the zero start, so the mean
     # strategy collapses to the zero vector as well
     problem = quadratic_problem(5, curvature=0.0, linear=np.zeros(5))
-    assert np.array_equal(initial_iterate_heat(problem, "mean_round"), np.zeros(5))
+    assert np.array_equal(initial_iterate(problem, "mean_round"), np.zeros(5))
+
+
+def test_box_relaxation_of_a_separable_quadratic():
+    # each entry minimizes 0.5 * curvature * x_i^2 + linear_i * x_i over [-5, 5]
+    linear = np.array([-3.0, 1.0, 0.0, 40.0, -25.0, 7.5])
+    problem = quadratic_problem(6, curvature=2.0, linear=linear)
+    relaxed = solve_box_relaxation(problem)
+    assert np.allclose(relaxed, np.clip(-linear / 2.0, -5, 5), rtol=0.0, atol=1e-8)
+
+
+def projected_gradient_residual(problem, x):
+    g = problem.gradient_coeffs(x)
+    return np.max(np.abs(x - np.clip(x - g, problem.xi[0], problem.xi[-1])))
+
+
+@pytest.mark.parametrize("n, value", [(16, 0.0972555), (64, 0.0936839)])
+def test_heat_box_relaxation_converges(n, value):
+    # the start --x0 relax_round rounds is the box optimum, not an iterate
+    # stopped short of it (values near 0.155 did so)
+    problem = make_heat_problem(n)
+    relaxed = solve_box_relaxation(problem)
+    assert problem.smooth_value(relaxed) == pytest.approx(value, abs=1e-6)
+    assert projected_gradient_residual(problem, relaxed) <= 1e-6
+
+
+def test_box_relaxation_that_fails_raises_solver_error():
+    # a gradient that points uphill leaves the line search no descent
+    problem = quadratic_problem(3, curvature=1.0, linear=np.ones(3))
+    wrong = replace(problem, gradient_coeffs=lambda x: -problem.gradient_coeffs(x))
+    with pytest.raises(SolverError, match="the box relaxation did not converge"):
+        solve_box_relaxation(wrong)
 
 
 def test_trace_roundtrip(tmp_path):

@@ -4,6 +4,9 @@ used by perfbench, or exported in tripsolve.__all__. Oracles that only the
 tests need live in tests/ (graph_reference.py, astar_reference.py)."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import tripsolve
@@ -43,3 +46,15 @@ def test_every_package_definition_has_a_caller():
         and not any(node.name in names for at, names in enumerate(reads) if at != k)
     ]
     assert unused == []
+
+
+def test_importing_the_package_leaves_scipy_optimize_unloaded():
+    # scipy.optimize adds about 17 MB of RSS, so only a relaxed start loads
+    # it; a fresh interpreter, since other tests load it in this one
+    code = "import sys, tripsolve, tripsolve.cli; print('scipy.optimize' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(ROOT / "src"), *filter(None, [os.environ.get("PYTHONPATH")])]
+    )}
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert run.stdout == "False\n"
