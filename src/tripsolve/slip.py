@@ -214,6 +214,32 @@ def run_slip(
     return finish("max_outer")
 
 
+def _last_state(
+    solve: Callable[[np.ndarray], np.ndarray]
+) -> Callable[[np.ndarray], np.ndarray]:
+    """solve(x) for x as a float64 vector, where the last result is handed
+    out once more to a next call at the same x: the trust region asks for
+    the gradient at the iterate whose value it has just computed, and
+    L-BFGS-B for both at every point. The key is a copy of x's bytes, so a
+    hit returns the same floats a fresh solve would. Each call drops the
+    kept result, so at most one is held; callers must not write into it."""
+    last: tuple = (None, None)
+
+    def cached(xv: np.ndarray) -> np.ndarray:
+        nonlocal last
+        xf = np.asarray(xv, dtype=np.float64)
+        key = xf.tobytes()
+        hit = last[1] if last[0] == key else None
+        last = (None, None)
+        if hit is not None:
+            return hit
+        state = solve(xf)
+        last = (key, state)
+        return state
+
+    return cached
+
+
 # ---------------------------------------------------------------------------
 # built-in problem: steady heat equation
 
@@ -284,6 +310,7 @@ def make_heat_problem(n: int, fine_factor: int = 4) -> ControlProblem:
         xf = np.repeat(np.asarray(xv, dtype=np.float64), rep)
         return ((lw * xf)[1:] + (rw * xf)[:-1]) / h
 
+    @_last_state
     def state(xv: np.ndarray) -> np.ndarray:
         return solveh_banded(band, rhs_f + control_rhs(xv))
 
@@ -386,17 +413,16 @@ def make_signal_problem(
         operand_spectrum = rfftn(rows, fshape, axes=[1])
         return irfftn(operand_spectrum * kernel_spectrum, fshape, axes=[1])[:, :m_fine]
 
-    def forward(xv: np.ndarray) -> np.ndarray:
-        xf = np.repeat(np.asarray(xv, dtype=np.float64), rep)
-        return convolve(xf[None, :])
+    @_last_state
+    def residual(xv: np.ndarray) -> np.ndarray:
+        # kept compact: the convolution's own rows are twice as long
+        return convolve(np.repeat(xv, rep)[None, :]) - target
 
     def smooth_value(xv: np.ndarray) -> float:
-        residual = forward(xv) - target
-        return float(0.5 * np.sum(wq[:, None] * residual**2))
+        return float(0.5 * np.sum(wq[:, None] * residual(xv) ** 2))
 
     def gradient_coeffs(xv: np.ndarray) -> np.ndarray:
-        residual = forward(xv) - target
-        z = wq[:, None] * residual
+        z = wq[:, None] * residual(xv)
         g_rows = convolve(z[:, ::-1])[:, ::-1]
         return g_rows.sum(axis=0).reshape(n, rep).sum(axis=1)
 

@@ -13,13 +13,28 @@ delta * sum_i w_i * w_{i-1}, at most n * delta * |xi|^2 when every window
 is full. The cost tables roll layer by layer; only the predecessor choices,
 the last layer's costs, two per-layer counts and what the answer at each
 radius reads of them are kept, in a TopoTables record, so the optimal step
-can be reconstructed. A layer's arrival costs and predecessor choices move
-to the capacities they leave with one gather each, not one copy per value:
-the rolling cost table carries a pad column of inf (predecessor -1), and
+can be reconstructed.
+
+A layer is taken with one sum and one minimum: the totals of every (tail,
+head, capacity) triple, tails first, and their minimum over the tails. Its
+arrival costs move to the capacities they leave with one gather, not one
+copy per value: the rolling cost table carries a pad column of inf, and
 each state whose consumption would take it past delta reads that column.
-The gathered indices are rows of one strided view of a small fixed array;
-selecting a layer's rows is an advanced index, so it copies them into a
-(w_i, delta + 2) index table, the size of the cost table it gathers into.
+The gathered indices are rows of one strided view of a small fixed array.
+The predecessor of a state is the first tail whose total equals the
+minimum, which is argmin's rule, found without argmin: the minimum is one
+of the totals, exactly, so the first tail that equals it is the first
+occurrence of the smallest total. Tail t of u carries the code u - t, and
+the largest code among the equal tails is the first one.
+
+The predecessor choices, their offset to value indices, the -1 of
+unreached states and the per-capacity counts are taken once per block of
+layers, not once per layer. Small layers whose windows differ at most
+twofold share a block, their rows widened to its largest window, while the
+block's sums, minima and gather indices fit in a fixed byte budget; a
+widened row lies outside its reach window, so it only ever reads the pad
+column and stays unreached. A layer too large for the budget is a block of
+its own.
 
 One set of tables answers every radius up to the one it was built at
 (TopoTables says why), so a trust-region run that halves its radius after a
@@ -45,6 +60,10 @@ from .instance import (
 )
 
 _INF = np.inf
+# the bytes of a block of small layers' sums, minima and gather indices;
+# the layers of a block share the per-call overhead of their predecessor
+# choices, offsets, -1 marks and counts
+_BLOCK_BYTES = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -58,9 +77,17 @@ class TopoTables:
     states with capacity eta; succ[i - 1, t] counts the value indices of
     layer i + 1 whose edges consume at most t, i = 1..n-1. The counts are at
     most m and share pred's dtype. build raises InstanceError, before it
-    allocates anything, when pred or the largest float table of the sweep
-    would take more than instance.TABLE_BYTES_CAP bytes, and before the
-    succ counts when their largest temporary would.
+    allocates anything, when pred or the largest float table of the sweep,
+    the sums of one block of layers, would take more than
+    instance.TABLE_BYTES_CAP bytes, and before the succ counts when their
+    largest temporary would.
+
+    build takes each layer with one sum and one minimum (the module says
+    how) and each block of layers' predecessors at once: for every state,
+    the largest code u - t among the tails t whose total equals the
+    minimum. That is the first such tail, the one argmin returns, since the
+    minimum is itself one of the totals; a state whose minimum is inf gets
+    -1, as does every state outside the windows.
 
     The tables answer every radius up to delta (solution). The states of
     radius delta - s are exactly the states of radius delta whose remaining
@@ -100,9 +127,10 @@ class TopoTables:
         )
         lo, hi = (w.tolist() for w in reach_windows(inst))
         sizes = [b - a for a, b in zip(lo, hi)]
-        # the last layer's costs, the index rows below or one layer's
-        # (w_i, w_{i-1}) sums, each width + 1 wide with its pad column
-        rows = max([m, 2 * max(sizes)] + [u * v for u, v in zip(sizes, sizes[1:])])
+        blocks, row0 = _blocks(lo, sizes, width, m)
+        # the last layer's costs, the index rows below or one block's
+        # (layers, tails, heads) sums, each width + 1 wide with its pad column
+        rows = max([m, 2 * max(sizes)] + [(j - i) * u * v for i, j, u, v in blocks])
         check_table_bytes("layer cost table", rows * (width + 1) * 8)
         pred = np.full((n, m, width), -1, dtype=pred_dtype)
         finite = np.zeros((n, width), dtype=pred_dtype)
@@ -118,46 +146,77 @@ class TopoTables:
 
         # A layer-i state (j, eta) is reached at capacity eta + cons[i, j] of
         # its arrival table, or from the inf pad column width when that
-        # exceeds delta. The flat positions of window row r are therefore
-        # min(cons[i, j] + eta, width) + r * (width + 1), eta = 0..width:
-        # the window of the row-r copy of min(arange(span), width) that
-        # starts at cons[i, j], shifted[start[i, j]].
+        # exceeds delta. The flat positions of its row r = j - row0[i] are
+        # therefore min(cons[i, j] + eta, width) + r * (width + 1), eta =
+        # 0..width: the window of the row-r copy of min(arange(span), width)
+        # that starts at min(cons[i, j], width), shifted[start[i, j]]; a row
+        # outside the reach window reads the pad column only.
         span = 2 * (width + 1)
         window_row = np.arange(max(sizes))[:, None]
         shifted = sliding_window_view(
             (np.minimum(np.arange(span), width) + (width + 1) * window_row).ravel(),
             width + 1,
         )
-        start = np.arange(m) - np.array(lo)[:, None]
+        start = np.arange(m) - np.array(row0)[:, None]
         start *= span
-        start += cons
+        start += np.minimum(cons, width)
+        # codes[m - u:] is u, u - 1, ..., 1: tail row t of u has code u - t
+        codes = np.arange(m, 0, -1, dtype=pred_dtype)[:, None, None]
 
-        # cost[j - lo_i, eta]: cost of the layer-i state (j, eta), j in the
-        # window, and an inf pad column at eta = width
-        a, b = lo[0], hi[0]
+        # cost[j - at, eta]: cost of the layer-i state (j, eta), for the value
+        # indices j = at.. of the layer's rows, and an inf pad column at
+        # eta = width; a row outside the reach window is inf
+        at, a, b = lo[0], lo[0], hi[0]
         cost = np.full((b - a, width + 1), _INF)
         cost[np.arange(b - a), inst.delta - cons[0, a:b]] = linear[0, a:b]
         finite[0] = np.add.reduce(np.isfinite(cost), axis=0)[:width]
 
-        # ufunc reductions rather than the .min and .sum methods, whose
-        # Python wrappers cost a measurable share of a small layer
-        for i in range(1, n):  # head layer i + 1, tail window a..b-1
-            pa, pb, a, b = a, b, lo[i], hi[i]
-            weight = linear[i, a:b] + jump[pa:pb, a:b]
-            # stacked[j', j, eta] = cost of reaching (i, pa + j, eta) + edge to a + j'
-            stacked = cost[None, :, :] + weight.T[:, :, None]
-            arrived = np.minimum.reduce(stacked, axis=1)
-            best_prev = stacked.argmin(axis=1)  # smallest value index on ties
-            best_prev += pa
-            best_prev[arrived == _INF] = -1  # the pad column too
-
-            index = shifted[start[i, a:b]]
-            cost = arrived.take(index)
-            pred[i, a:b] = best_prev.take(index)[:, :width]
-            finite[i] = np.add.reduce(np.isfinite(cost), axis=0)[:width]
+        # ufunc reductions rather than the .min method, whose Python wrapper
+        # costs a measurable share of a small layer
+        for i, j, u, v in blocks:  # head layers i + 1..j
+            top = min(lo[i - 1], m - u)  # the first tail row
+            if at != top or len(cost) != u:  # lay the tail rows out afresh
+                a, b = lo[i - 1], hi[i - 1]
+                moved = np.full((u, width + 1), _INF)
+                moved[a - top : b - top] = cost[a - at : b - at]
+                cost = moved
+            a = row0[i]  # the first head row
+            if j - i == 1 or top == a and row0[i:j].count(a) == j - i:
+                # every layer of the block has the same tail and head rows
+                layer_heads = slice(i, j), slice(a, a + v)
+                tail_heads = slice(top, top + u), slice(a, a + v)
+            else:
+                heads = np.array(row0[i:j])[:, None] + np.arange(v)
+                tails = np.array([top] + row0[i : j - 1])[:, None]
+                layer_heads = np.arange(i, j)[:, None], heads
+                tail_heads = (tails + np.arange(u))[:, :, None], heads[:, None, :]
+                top = tails.astype(pred_dtype)[:, :, None]  # per layer
+            weights = linear[layer_heads][:, None, :] + jump[tail_heads]
+            index = shifted[start[layer_heads]]
+            # stacked[k, t, h, eta] = cost of reaching tail row t of layer
+            # i + k at capacity eta, plus the edge to its head row h
+            stacked = np.empty((j - i, u, v, width + 1))
+            arrived = np.empty((j - i, v, width + 1))
+            for k in range(j - i):
+                np.add(cost[:, None, :], weights[k, :, :, None], out=stacked[k])
+                np.minimum.reduce(stacked[k], axis=0, out=arrived[k])
+                cost = arrived[k].take(index[k])
+            at = row0[j - 1]
+            # the first tail whose total equals the minimum is argmin's
+            # choice: the largest code among them, u - t for tail row t, the
+            # value index top + t
+            hits = stacked == arrived[:, None]
+            first = np.maximum.reduce(hits * codes[m - u :], axis=1)
+            np.subtract(top + u, first, out=first)
+            first[arrived == _INF] = -1  # the pad column too
+            if j - i > 1:
+                index += (np.arange(j - i) * first[0].size)[:, None, None]
+            got = first.take(index)[..., :width]
+            pred[layer_heads] = got
+            np.add.reduce(got >= 0, axis=1, dtype=pred_dtype, out=finite[i:j])
 
         last_cost = np.full((m, width), _INF)
-        last_cost[a:b] = cost[:, :width]
+        last_cost[lo[-1] : hi[-1]] = cost[lo[-1] - at : hi[-1] - at, :width]
         per_radius = _per_radius(last_cost, finite)
         return cls(inst.delta, pred, last_cost, finite, succ, *per_radius)
 
@@ -187,6 +246,33 @@ class TopoTables:
             nodes_expanded=self.nodes[s] + 2,  # plus source and sink
             nodes_generated=self.ends[s] + int(inner),
         )
+
+
+def _blocks(
+    lo: list[int], sizes: list[int], width: int, m: int
+) -> tuple[list[tuple[int, int, int, int]], list[int]]:
+    """Layers 1..n-1 in blocks (i, j, u, v) of head layers i + 1..j, whose
+    sums take u tail rows and v head rows, and row0[i], the value index of
+    layer i's first row. A layer alone takes its reach windows. Small layers
+    whose windows differ at most twofold share a block, their rows widened
+    to the largest window, while the block's sums, minima and gather indices
+    fit in _BLOCK_BYTES."""
+    rows = _BLOCK_BYTES // ((width + 1) * 8)  # of sums, minima and indices
+    blocks, row0, i, n = [], lo[:1], 1, len(sizes)
+    while i < n:
+        u, v = sizes[i - 1], sizes[i]
+        w = max(u, v)
+        stop = min(n, i + rows // (w * w + 2 * w))
+        j = i + 1
+        if 2 * min(u, v) >= w:
+            while j < stop and w <= 2 * sizes[j] <= 2 * w:
+                j += 1
+        if j > i + 1:
+            u = v = w
+        blocks.append((i, j, u, v))
+        row0 += [min(a, m - v) for a in lo[i:j]]
+        i = j
+    return blocks, row0
 
 
 def _per_radius(last_cost: np.ndarray, finite: np.ndarray) -> tuple[list, list, list]:

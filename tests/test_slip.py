@@ -329,6 +329,30 @@ def test_signal_slip_run_monotone():
     assert len(trace.j_values) > 3  # made actual progress
 
 
+@pytest.mark.parametrize(
+    "make, solve",
+    [
+        (lambda: make_heat_problem(32), "solveh_banded"),
+        (lambda: make_signal_problem(64, 3), "irfftn"),
+    ],
+)
+def test_run_solves_each_state_once(monkeypatch, make, solve):
+    # a value solves the state; the gradient at the iterate whose value the
+    # run has just computed reuses that state and adds one adjoint solve
+    problem, calls = make(), []
+    real = getattr(tripsolve.slip, solve)
+    monkeypatch.setattr(
+        tripsolve.slip, solve, lambda *args, **kw: calls.append(1) or real(*args, **kw)
+    )
+    trace = run_slip(
+        problem, np.zeros(problem.n, dtype=int), SlipConfig(alpha=1e-3, delta0=8)
+    )
+    values = 1 + sum(s.actual is not None for s in trace.steps)
+    gradients = len({s.outer for s in trace.steps})
+    assert gradients > 3
+    assert len(calls) == values + gradients
+
+
 def test_round_to_members():
     xi = np.array([-2, 0, 3, 7])
     vals = np.array([-5.0, -1.0, 1.4, 1.6, 5.0, 9.0])

@@ -12,6 +12,7 @@ from conftest import (
     solution_fields,
 )
 import tripsolve.instance
+import tripsolve.topo
 from graph_reference import build_explicit
 from tripsolve.instance import (
     TABLE_BYTES_CAP,
@@ -22,6 +23,7 @@ from tripsolve.instance import (
     clamp_delta,
     validate,
 )
+from tripsolve.graph import reach_windows
 from tripsolve.oracle import gen_random, knapsack_reduce, solve_bruteforce
 from tripsolve.slip import make_signal_problem
 from tripsolve.topo import TopoTables, solve_topo
@@ -346,6 +348,52 @@ def test_terminal_rule_on_exact_ties_at_every_radius():
             )
 
 
+def test_windowed_tables_on_exact_ties():
+    # integer costs and half-integer penalties: many tails tie exactly, so
+    # each predecessor rests on the first-tail rule; narrow and wide windows,
+    # x at the ends of xi, radius 0, and m > 127 for int16 predecessors
+    # (at small radii: the reference's sums are m x m x (delta + 2))
+    rng = np.random.default_rng(33)
+    for _ in range(200):
+        m = int(rng.choice([1, 2, 3, 6, 11, 130]))
+        n = int(rng.integers(1, 4 if m > 127 else 12))
+        xi = np.sort(rng.choice(np.arange(-3 * m, 3 * m), m, replace=False))
+        ends = xi[[0, -1]]
+        x = np.where(rng.random(n) < 0.5, rng.choice(ends, n), rng.choice(xi, n))
+        span = 8 if m > 127 else int(xi[-1] - xi[0])
+        delta = int(rng.choice([0, 1, rng.integers(0, 2 * span + 2)]))
+        inst = validate(
+            {"n": n, "alpha": float(rng.choice([0.0, 0.5, 1.0])), "delta": delta,
+             "xi": xi.tolist(), "x": x.tolist(),
+             "gamma": rng.integers(1, 4, size=n).tolist(),
+             "c": rng.integers(-2, 3, size=n).astype(float).tolist()}
+        )
+        assert_matches_dense(inst)
+
+
+def test_windowed_tables_around_the_block_length():
+    # layers 1..n-1 run in blocks of `layers` full windows; n - 1 of 0,
+    # `layers` - 1, `layers`, `layers` + 1 and 2 `layers` + 1; windows of
+    # 2 or 3 values at moving positions share padded blocks
+    m, delta = 5, 20
+    layers = tripsolve.topo._BLOCK_BYTES // ((delta + 2) * 8) // (m * m + 2 * m)
+    rng = np.random.default_rng(34)
+    for n in (1, layers, layers + 1, layers + 2, 2 * layers + 2):
+        x = rng.integers(0, m, size=n)
+        full = {"n": n, "alpha": 0.5, "delta": delta, "xi": list(range(m)),
+                "x": x.tolist(), "gamma": [1] * n,
+                "c": rng.integers(-2, 3, size=n).astype(float).tolist()}
+        inst = validate(full)
+        lo, hi = (w.tolist() for w in reach_windows(inst))
+        sizes = [b - a for a, b in zip(lo, hi)]
+        blocks, _ = tripsolve.topo._blocks(lo, sizes, delta + 1, m)
+        assert [j - i for i, j, _, _ in blocks] == [layers] * ((n - 1) // layers) + (
+            [(n - 1) % layers] if (n - 1) % layers else []
+        )
+        assert_matches_dense(inst)
+        assert_matches_dense(validate({**full, "gamma": [delta] * n}))
+
+
 def _knapsacks(items: int, draws: int, seed: int):
     rng = np.random.default_rng(seed)
     for _ in range(draws):
@@ -403,15 +451,20 @@ def test_oversized_tables_rejected_before_allocation():
 
 
 @pytest.mark.parametrize(
-    "n, xi, delta",
+    "n, xi, delta, cap",
     [
-        (2, list(range(60)), 59),  # a 60 x 60 x 60 sum in the layer sweep
-        (1, [0, 10**5], 10**5),  # the (m, delta + 1) last-layer costs
+        # a 60 x 60 x 60 sum in the layer sweep
+        pytest.param(2, list(range(60)), 59, 1_000_000, id="2-xi0-59"),
+        # the (m, delta + 1) last-layer costs
+        pytest.param(1, [0, 10**5], 10**5, 1_000_000, id="1-xi1-100000"),
+        # a block of 6 layers with 11 x 11 x 34 sums takes 197 kB, one 33 kB
+        pytest.param(40, list(range(11)), 32, 100_000, id="block-of-layers"),
     ],
 )
-def test_float_tables_rejected_before_allocation(monkeypatch, n, xi, delta):
-    # predecessor tables of 7.2 kB and 200 kB, float tables of 1.7 and 1.6 MB
-    monkeypatch.setattr(tripsolve.instance, "TABLE_BYTES_CAP", 1_000_000)
+def test_float_tables_rejected_before_allocation(monkeypatch, n, xi, delta, cap):
+    # predecessor tables of 7.2 kB, 200 kB and 15 kB, float tables of 1.7
+    # MB, 1.6 MB and 197 kB
+    monkeypatch.setattr(tripsolve.instance, "TABLE_BYTES_CAP", cap)
     inst = validate(
         {"n": n, "alpha": 0.5, "delta": delta, "xi": xi, "x": [0] * n,
          "gamma": [1] * n, "c": [-1.0] * n}
@@ -424,7 +477,7 @@ def test_float_tables_rejected_before_allocation(monkeypatch, n, xi, delta):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 1_000_000
+    assert peak < cap
 
 
 def test_counts_take_no_int64_temporaries():
@@ -454,6 +507,28 @@ def test_counts_take_no_int64_temporaries():
     # 2i states in layer i, with both out-edges affordable below layer n
     assert sol.stats.nodes_expanded == n * (n + 1) + 2
     assert sol.stats.nodes_generated == 2 + 2 * n * (n - 1) + 2 * n
+
+
+def test_signal_build_peak_stays_small():
+    # the default path's shape: n 256, m 11, delta 32, whose layers share
+    # blocks of at most _BLOCK_BYTES
+    problem = make_signal_problem(256, seed=0)
+    x = np.zeros(256, dtype=np.int64)
+    inst = validate(
+        {"n": 256, "alpha": 1e-3, "delta": 32, "xi": problem.xi.tolist(),
+         "x": x.tolist(), "gamma": problem.gamma.tolist(),
+         "c": problem.gradient_coeffs(x).tolist()}
+    )
+    tracemalloc.start()
+    try:
+        tables = TopoTables.build(inst)
+        _, build_peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    kept = sum(
+        a.nbytes for a in (tables.pred, tables.last_cost, tables.finite, tables.succ)
+    )
+    assert build_peak < kept + 1_000_000
 
 
 def test_successor_counts_rejected_before_allocation(monkeypatch):
