@@ -69,7 +69,6 @@ def cmd_slip(args: argparse.Namespace) -> int:
         delta0=args.delta0 if args.delta0 is not None else max(1, args.n // 8),
         rho=args.rho,
         solver=args.solver,
-        delta_d=args.delta_d,
         max_outer=args.max_outer,
     )
     if args.problem == "heat":
@@ -214,10 +213,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="kernel seed, signal only, defaults to 0")
     p.add_argument("--x0", choices=("zero", "relax_round", "mean_round"),
                    default="zero")
-    p.add_argument("--solver", choices=("topo", "astar", "hybrid"),
-                   default="topo")
-    p.add_argument("--delta-d", type=int, default=None,
-                   help="switchover radius, --solver hybrid only")
+    p.add_argument("--solver", choices=("topo", "astar"), default="topo")
     p.add_argument("--rho", type=float, default=0.1)
     p.add_argument("--delta0", type=int, default=None,
                    help="reset radius, defaults to n // 8")

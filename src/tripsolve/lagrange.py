@@ -153,8 +153,8 @@ class Sweeps:
     and the relaxed path's step of each table whose path a search used. It
     also keeps the inputs of relaxed_costs_to_sink that depend on inst
     alone, terms and windows, which its first sweep computes and which A*'s
-    successor rows and heuristic table read too, with key_cons and spread,
-    which the sweeps alone read; A*'s successor rows
+    successor rows and heuristic table read too, with key_cons, spread and
+    cons_max, which the sweeps alone read; A*'s successor rows
     themselves, rows[pruned][layer * m + j], each built on the first
     expansion of its class by a search with that edge pruning setting
     (astar.successor_row); and one heuristic table, htable, the last one
@@ -188,10 +188,12 @@ class Sweeps:
     # graph.edge_terms, and the reach windows as lists with their index
     # tables (relaxed_costs_to_sink), set by the first sweep once its table
     # checks pass; with the terms, the sweep's tie keys of the edges and the
-    # multiplier-free part of its margin scale, max|linear| + max jump
+    # multiplier-free parts of its margin scale, max|linear| + max jump and
+    # max|cons|
     terms: Optional[tuple[np.ndarray, np.ndarray, np.ndarray]] = None
     key_cons: Optional[np.ndarray] = None
     spread: float = 0.0
+    cons_max: float = 0.0
     windows: Optional[
         tuple[list[int], list[int], Optional[np.ndarray], Optional[np.ndarray]]
     ] = None
@@ -460,6 +462,7 @@ def relaxed_costs_to_sink(
         cons, linear, jump = edge_terms(inst)
         entry.key_cons = cons * m + np.arange(m)  # (budget * m + column) per edge
         entry.spread = float(np.abs(linear).max()) + float(jump.max())
+        entry.cons_max = float(np.abs(cons).max())
         entry.terms = cons, linear, jump
     cons, linear, jump = entry.terms
     key_cons = entry.key_cons
@@ -467,15 +470,16 @@ def relaxed_costs_to_sink(
     if entry.windows is None:
         entry.windows = _window_tables(inst)
     lo, hi, cols, pad = entry.windows  # the window of layer i + 1 is lo[i]..hi[i] - 1
-    lam_cons = lam[None, :, None] * cons[:, None, :]  # (n, K, m)
     cost = np.full((k, n, m), np.inf)
     cost[:, n - 1, lo[n - 1]:hi[n - 1]] = 0.0  # the zero-weight sink edge
     res = np.zeros((k, n, m), dtype=np.int64)
     choice = np.full((k, n, m), -1, dtype=np.int64)
-    scale = n * (entry.spread + float(np.abs(lam_cons).max(initial=0.0)))
+    # max|lam| * max|cons| is the float max|lam * cons|: rounding is monotone
+    scale = n * (entry.spread + float(np.abs(lam).max(initial=0.0)) * entry.cons_max)
     dominance = math.isfinite(2.0 * scale)
     margin = COST_TIE_TOL + 16.0 * np.finfo(np.float64).eps * scale
-    lin_lam = linear[:, None, :] + lam_cons  # (n, K, m): g before its cost-to-sink
+    lin_lam = lam[None, :, None] * cons[:, None, :]  # (n, K, m): g before its cost-to-sink
+    lin_lam += linear[:, None, :]
     blocks = np.arange(k)  # each multiplier's block of the tables
     decided = [False] * (n - 1)
     if dominance and n > 1:

@@ -88,15 +88,14 @@ def _is_integer(value: object) -> bool:
 class SlipConfig:
     """Settings of run_slip: the switching penalty, the radius each outer
     iteration starts from, the acceptance fraction, the subproblem solver
-    (with the hybrid's switchover radius) and the outer iteration limit.
-    astar's multiplier search runs at the tolerance of each subproblem,
-    lagrange.default_epsilon, which is not a setting."""
+    and the outer iteration limit. astar's multiplier search runs at the
+    tolerance of each subproblem, lagrange.default_epsilon, which is not a
+    setting."""
 
     alpha: float
     delta0: int
     rho: float = 0.1
-    solver: str = "topo"  # topo | astar | hybrid
-    delta_d: Optional[int] = None  # hybrid switchover radius
+    solver: str = "topo"  # topo | astar
     max_outer: int = 1000
 
     def __post_init__(self) -> None:
@@ -104,14 +103,8 @@ class SlipConfig:
             raise ValueError("delta0 must be a positive integer")
         if not 0.0 < self.rho < 1.0:
             raise ValueError("rho must lie strictly between 0 and 1")
-        if self.solver not in ("topo", "astar", "hybrid"):
+        if self.solver not in ("topo", "astar"):
             raise ValueError(f"unknown solver {self.solver!r}")
-        if self.solver == "hybrid" and self.delta_d is None:
-            raise ValueError("hybrid solver needs delta_d")
-        if self.solver != "hybrid" and self.delta_d is not None:
-            raise ValueError(f"delta_d applies only to the hybrid solver, not {self.solver}")
-        if self.delta_d is not None and (not _is_integer(self.delta_d) or self.delta_d < 0):
-            raise ValueError("delta_d must be a non-negative integer")
         if not _is_integer(self.max_outer) or self.max_outer < 0:
             raise ValueError("max_outer must be a non-negative integer")
 
@@ -136,17 +129,6 @@ class SlipTrace:
     wall_seconds: float = 0.0
 
 
-def _solve_subproblem(
-    inst: TripInstance, config: SlipConfig, cache: RadiusCache
-) -> Solution:
-    solver = config.solver
-    if solver == "hybrid":  # topo below the switchover radius delta_d, astar from it on
-        solver = "topo" if inst.delta < config.delta_d else "astar"
-    if solver == "topo":
-        return solve_topo(inst, cache=cache)
-    return solve_astar(inst, cache=cache)
-
-
 def run_slip(
     problem: ControlProblem, x0: np.ndarray, config: SlipConfig
 ) -> SlipTrace:
@@ -159,6 +141,9 @@ def run_slip(
             or not np.all(np.isin(x, problem.xi))):
         raise ValueError("x0 must be a length-n vector with entries in xi")
     x = x.astype(np.int64)
+    # slip's own names, read when the run starts: perfbench wraps
+    # tripsolve.slip.solve_topo and solve_astar
+    solve = solve_topo if config.solver == "topo" else solve_astar
 
     trace = SlipTrace()
     j_cur = problem.smooth_value(x) + config.alpha * total_variation(x)
@@ -188,7 +173,7 @@ def run_slip(
         inner = 0
         while True:
             inst = replace(base, delta=delta)
-            sol = _solve_subproblem(inst, config, cache)
+            sol = solve(inst, cache=cache)
             predicted = config.alpha * total_variation(x) - sol.objective
             if predicted <= 0.0:
                 trace.steps.append(

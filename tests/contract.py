@@ -39,12 +39,10 @@ SLIPS = {  # trace name: `slip` arguments
     # it was built at
     "heat-astar-64": "heat --n 256 --alpha 1e-4 --solver astar --delta0 64",
     "heat-topo": "heat --n 256 --alpha 1e-4 --solver topo",
-    "heat-hybrid": "heat --n 256 --alpha 1e-4 --solver hybrid --delta-d 8",
     "signal-topo": "signal --n 128 --alpha 1e-3 --solver topo",
-    # signal's 11-value windows, which A* otherwise meets only inside the
-    # hybrid, at radii 16 and 8
+    # the one run in which A* meets signal's windows, of at most 11 values,
+    # at every radius from 16 down
     "signal-astar": "signal --n 128 --alpha 1e-3 --solver astar",
-    "signal-hybrid": "signal --n 128 --alpha 1e-5 --solver hybrid --delta-d 8",
     "signal-256": "signal --n 256 --alpha 1e-5 --solver topo",
     # with signal-topo and signal-256, the four runs of perfbench's
     # signal-slip: every cached topo answer it times, counters included
@@ -168,7 +166,7 @@ def main(out: Path, inputs: Path) -> None:
         finally:
             lagrange.relaxed_costs_to_sink = sweep
             tripsolve.astar.heuristic_table = table
-        astar = argv[0] == "bench" or "astar" in argv or "hybrid" in argv
+        astar = argv[0] == "bench" or "astar" in argv
         if argv[0] == "bench":
             kept, text = bench_csv(printed, False), bench_csv(printed, True)
         else:  # solve prints its JSON, slip and the generators write --out

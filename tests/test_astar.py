@@ -252,6 +252,34 @@ def test_cache_rebuilds_for_changed_instances():
         assert cached == solution_fields(solve_astar(other))
 
 
+def test_topo_and_astar_share_one_cache():
+    # each solver keeps its own entry of one RadiusCache: the first solves
+    # at the radius R, the second at r < R, then the first at r from its
+    # entry at R
+    names = {solve_topo: "topo", solve_astar: "sweeps"}
+    shared = 0
+    for inst in radius_corpus(80):
+        small = dataclasses.replace(inst, delta=inst.delta // 2)
+        # the solvers key their entries by the clamped radius
+        radius, r = clamp_delta(inst).delta, clamp_delta(small).delta
+        if r == radius:
+            continue
+        shared += 1
+        for first, second in ((solve_astar, solve_topo), (solve_topo, solve_astar)):
+            cache = RadiusCache()
+            first(inst, cache=cache)
+            kept = cache.entries[names[first]]
+            answers = {second: second(small, cache=cache)}
+            answers[first] = first(small, cache=cache)
+            assert cache.entries[names[first]] is kept
+            assert {name: entry[0] for name, entry in cache.entries.items()} == {
+                names[first]: radius, names[second]: r
+            }
+            assert solution_fields(answers[solve_topo]) == solution_fields(solve_topo(small))
+            assert answers[solve_astar].objective == solve_astar(small).objective
+    assert shared > 40
+
+
 def _knapsack_instances():
     rng = np.random.default_rng(77)
     for items in (3, 8, 16, 24):

@@ -123,25 +123,28 @@ def test_slip_signal_bad_n_exits_2(tmp_path, capsys, n):
 
 @pytest.mark.parametrize("command", ["solve", "slip", "bench"])
 def test_epsilon_is_not_an_option(tmp_path, instance_file, capsys, command):
-    # the multiplier search's tolerance comes from the instance
+    # the multiplier search's tolerance comes from the instance, and no
+    # command switches between solvers by radius
     argv = {
         "solve": ["solve", str(instance_file), "--solver", "astar"],
         "slip": ["slip", "heat", "--n", "8", "--alpha", "1e-4", "--solver", "astar",
                  "--out", str(tmp_path / "heat.jsonl")],
         "bench": ["bench", str(tmp_path / "none.jsonl")],
     }[command]
-    with pytest.raises(SystemExit) as exit_info:
-        main([*argv, "--epsilon", "0.3"])
-    assert exit_info.value.code == 2
-    assert "unrecognized arguments: --epsilon 0.3" in capsys.readouterr().err
+    for flag in (["--epsilon", "0.3"], ["--delta-d", "2"]):
+        with pytest.raises(SystemExit) as exit_info:
+            main([*argv, *flag])
+        assert exit_info.value.code == 2
+        assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
 
 
-def test_bench_delta_d_is_not_an_option(tmp_path, capsys):
-    # the hybrid's switchover is slip's alone: bench writes topo and astar rows
+def test_slip_hybrid_is_not_a_solver(tmp_path, capsys):
+    out = tmp_path / "heat.jsonl"
     with pytest.raises(SystemExit) as exit_info:
-        main(["bench", str(tmp_path / "none.jsonl"), "--delta-d", "2"])
-    assert exit_info.value.code == 2
-    assert "unrecognized arguments: --delta-d 2" in capsys.readouterr().err
+        main(["slip", "heat", "--n", "8", "--alpha", "1e-4", "--solver", "hybrid",
+              "--out", str(out)])
+    assert exit_info.value.code == 2 and not out.exists()
+    assert "argument --solver: invalid choice: 'hybrid'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("flag", ["--no-edge-pruning", "--no-upper-bound-pruning"])
@@ -181,9 +184,6 @@ def test_slip_signal_negative_seed_exits_2(tmp_path, capsys):
     "flags, message",
     [
         (["--max-outer", "-3"], "max_outer must be a non-negative integer"),
-        (["--solver", "hybrid", "--delta-d", "-4"], "delta_d must be a non-negative integer"),
-        (["--solver", "topo", "--delta-d", "4"],
-         "delta_d applies only to the hybrid solver, not topo"),
     ],
 )
 def test_slip_negative_loop_settings_exit_2(tmp_path, capsys, flags, message):

@@ -123,7 +123,7 @@ def test_integral_float_start_runs_as_its_integers():
         ({"delta0": 2.5}, "delta0"),
         ({"delta0": 2.0}, "delta0"),
         ({"delta0": True}, "delta0"),
-        ({"solver": "hybrid", "delta_d": 1.5}, "delta_d"),
+        ({"max_outer": True}, "max_outer"),
         ({"max_outer": 3.5}, "max_outer"),
     ],
 )
@@ -138,18 +138,11 @@ def test_config_validation():
         SlipConfig(alpha=0.1, delta0=0)
     with pytest.raises(ValueError):
         SlipConfig(alpha=0.1, delta0=2, rho=1.0)
-    with pytest.raises(ValueError):
-        SlipConfig(alpha=0.1, delta0=2, solver="bogus")
-    with pytest.raises(ValueError):
-        SlipConfig(alpha=0.1, delta0=2, solver="hybrid")
-    with pytest.raises(ValueError, match="delta_d"):
-        SlipConfig(alpha=0.1, delta0=2, solver="hybrid", delta_d=-1)
-    for solver in ("topo", "astar"):  # only the hybrid reads delta_d
-        with pytest.raises(ValueError, match=f"only to the hybrid solver, not {solver}"):
-            SlipConfig(alpha=0.1, delta0=2, solver=solver, delta_d=4)
+    for solver in ("bogus", "hybrid"):
+        with pytest.raises(ValueError, match=f"^unknown solver '{solver}'$"):
+            SlipConfig(alpha=0.1, delta0=2, solver=solver)
     with pytest.raises(ValueError, match="max_outer"):
         SlipConfig(alpha=0.1, delta0=2, max_outer=-1)
-    assert SlipConfig(alpha=0.1, delta0=2, solver="hybrid", delta_d=0).delta_d == 0
     assert SlipConfig(alpha=0.1, delta0=2, max_outer=0).max_outer == 0
 
 
@@ -443,13 +436,9 @@ def _without_cache(solve):
     [
         (make_heat_problem(32), SlipConfig(alpha=1e-4, delta0=16, solver="astar")),
         (make_heat_problem(32), SlipConfig(alpha=1e-4, delta0=16, solver="topo")),
-        (
-            make_heat_problem(32),
-            SlipConfig(alpha=1e-4, delta0=16, solver="hybrid", delta_d=8),
-        ),
         (make_signal_problem(64, seed=3), SlipConfig(alpha=1e-3, delta0=8)),
     ],
-    ids=["heat-astar", "heat-topo", "heat-hybrid", "signal-topo"],
+    ids=["heat-astar", "heat-topo", "signal-topo"],
 )
 def test_radius_cache_leaves_every_step_unchanged(problem, config, tmp_path, monkeypatch):
     x0 = np.zeros(problem.n, dtype=int)
@@ -458,10 +447,7 @@ def test_radius_cache_leaves_every_step_unchanged(problem, config, tmp_path, mon
     # A* sweeps over the reach windows of its iteration's first radius
     first = {step.outer: step.instance.delta for step in trace.steps if step.inner == 0}
     for step in trace.steps:
-        use_topo = config.solver == "topo" or (
-            config.solver == "hybrid" and step.instance.delta < config.delta_d
-        )
-        if use_topo:
+        if config.solver == "topo":
             fresh = solve_topo(step.instance)
             assert solution_fields(step.solution) == solution_fields(fresh)
         else:
