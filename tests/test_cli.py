@@ -138,6 +138,14 @@ def test_epsilon_is_not_an_option(tmp_path, instance_file, capsys, command):
         assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
 
 
+def test_bench_delta_d_is_not_an_option(tmp_path, capsys):
+    # bench writes topo and astar rows; there is no radius switchover to set
+    with pytest.raises(SystemExit) as exit_info:
+        main(["bench", str(tmp_path / "none.jsonl"), "--delta-d", "2"])
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments: --delta-d 2" in capsys.readouterr().err
+
+
 def test_slip_hybrid_is_not_a_solver(tmp_path, capsys):
     out = tmp_path / "heat.jsonl"
     with pytest.raises(SystemExit) as exit_info:
