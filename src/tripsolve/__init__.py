@@ -29,7 +29,7 @@ from .instance import (
     write_instance,
 )
 from .topo import solve_topo
-from .astar import AstarOptions, solve_astar
+from .astar import solve_astar
 from .oracle import gen_random, knapsack_reduce, extract_knapsack, solve_bruteforce
 from .slip import (
     ControlProblem,
@@ -42,7 +42,6 @@ from .slip import (
 )
 
 __all__ = [
-    "AstarOptions",
     "ControlProblem",
     "InstanceError",
     "RadiusCache",

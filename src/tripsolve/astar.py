@@ -6,7 +6,7 @@ and the first last-layer label expanded ends an optimal path. The
 relaxation covers only the reach windows (lagrange), which makes its bound
 tight on knapsack reductions, whose windows hold 1-2 values, so the search
 there expands a small share of the states topo visits. Two independent
-prunings cut the search space:
+prunings, both always on, cut the search space:
 
 * dominated edges: an edge whose weight exceeds that of the edge into the
   head layer's zero step by more than the jump between the two heads can
@@ -31,10 +31,10 @@ rows and the table it keeps serve delta:
   index, weight) triples sorted by (consumption, value index), with the
   dominated edges left out, over the next layer's window. A label with
   capacity eta follows the prefix of the row with consumption <= eta,
-  exactly the heads the budget admits. The record keeps the rows, one set
-  per edge pruning setting. The pushes of one expansion reach distinct
-  states and every heap entry is a distinct tuple, so pushing the heads in
-  this order instead of by value index pops the same sequence.
+  exactly the heads the budget admits. The record keeps the rows. The
+  pushes of one expansion reach distinct states and every heap entry is a
+  distinct tuple, so pushing the heads in this order instead of by value
+  index pops the same sequence.
 * windowed heuristic table: lagrange.heuristic_table fills the heuristic
   over the record's windows only, (n, widest window, table radius + 1),
   with the floats of the dense table; a label's head always lies in its
@@ -50,7 +50,6 @@ from __future__ import annotations
 import heapq
 import math
 import time
-from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -75,15 +74,8 @@ PRUNE_TOL = 1e-9
 HEURISTIC_TABLE_CAP = TABLE_BYTES_CAP // 8
 
 
-@dataclass
-class AstarOptions:
-    edge_pruning: bool = True
-    upper_bound_pruning: bool = True
-    expansion_listener: Optional[Callable[[NodeRef, float], None]] = None
-
-
 def successor_row(
-    inst: TripInstance, record: Sweeps, pruned: bool, layer: int, j: int
+    inst: TripInstance, record: Sweeps, layer: int, j: int
 ) -> list[tuple[int, int, float]]:
     """The out-edges of value index j of layer 0..n-1, as (consumption,
     head value index, weight) triples sorted by (consumption, value index).
@@ -91,13 +83,13 @@ def successor_row(
     The heads are the reach window a..b-1 of layer + 1 held by record, the
     Sweeps record of inst at a radius at least inst.delta; weights and
     consumptions are the record's graph.edge_terms: linear[layer, j'] +
-    jump[j, j'], and linear[0, j'] from the source. When pruned is set, an
-    edge from layer >= 1 into j' is left out where its weight exceeds that
-    of the edge into the head layer's zero step z plus jump[z, j']:
-    rerouting through z consumes no budget, and by the triangle inequality
-    the reroute's next jump, jump[z, k], costs at most jump[z, j'] +
-    jump[j', k], so the reroute is strictly cheaper on every path and the
-    edge lies on no optimal one. z itself is never left out. Where the two
+    jump[j, j'], and linear[0, j'] from the source. An edge from layer >= 1
+    into j' is left out where its weight exceeds that of the edge into the
+    head layer's zero step z plus jump[z, j']: rerouting through z
+    consumes no budget, and by the triangle inequality the reroute's next
+    jump, jump[z, k], costs at most jump[z, j'] + jump[j', k], so the
+    reroute is strictly cheaper on every path and the edge lies on no
+    optimal one. z itself is never left out. Where the two
     sides tie exactly, their float sums may round either way; an edge left
     out then has a reroute that costs no more, so an optimum is kept.
     """
@@ -108,17 +100,17 @@ def successor_row(
     weights = linear[layer, a:b]
     if layer >= 1:
         weights = weights + jump[j, a:b]
-        if pruned:
-            z = np.searchsorted(inst.xi, inst.x[layer])
-            keep = weights <= weights[z - a] + jump[z, a:b]
-            heads, weights = heads[keep], weights[keep]
+        z = np.searchsorted(inst.xi, inst.x[layer])
+        keep = weights <= weights[z - a] + jump[z, a:b]
+        heads, weights = heads[keep], weights[keep]
     return sorted(zip(cons[layer, heads].tolist(), heads.tolist(), weights.tolist()))
 
 
 def solve_astar(
     inst: TripInstance,
-    options: Optional[AstarOptions] = None,
     cache: Optional[RadiusCache] = None,
+    *,
+    expansion_listener: Optional[Callable[[NodeRef, float], None]] = None,
 ) -> Solution:
     """Globally optimal step vector by preprocessed A* search.
 
@@ -148,11 +140,13 @@ def solve_astar(
     tables of one sweep are views of one block of arrays, and a sweep's
     block holds an evaluated table, so the tables not evaluated add little.
 
+    expansion_listener, when given, is called with the node and f of every
+    expansion, in order.
+
     Raises SolverError when the search exhausts without reaching the last
     layer, which a consistent heuristic and a feasible zero step rule out.
     """
     t0 = time.perf_counter()
-    opts = options or AstarOptions()
     inst = clamp_delta(inst)
     tables = binary_search(inst, default_epsilon(inst), cache)
     if tables.early_exit is not None:
@@ -166,7 +160,7 @@ def solve_astar(
     bound = tables.upper_bound + PRUNE_TOL + 8 * (n + 1) * math.ulp(cost_bound(inst))
 
     record = tables.record
-    rows = record.rows.setdefault(opts.edge_pruning, {})  # key layer * m + j
+    rows = record.rows  # key layer * m + j
 
     window_start, _, cols, _ = record.windows
     h_table: Optional[np.ndarray] = None
@@ -184,8 +178,6 @@ def solve_astar(
     parent: dict[int, int] = {}
     heap = [(tables.dual_bound(), -inst.delta, 0, 0, src, 0.0)]  # a heap of one
     heappush, heappop = heapq.heappush, heapq.heappop
-    listener = opts.expansion_listener
-    ub_pruning = opts.upper_bound_pruning
     expanded = 0
     generated = 1
 
@@ -195,16 +187,14 @@ def solve_astar(
             continue
         expanded += 1
         layer, eta = -neg_layer, -neg_eta
-        if listener is not None:
-            listener(NodeRef(layer, j, eta), f)
+        if expansion_listener is not None:
+            expansion_listener(NodeRef(layer, j, eta), f)
         if layer == n:  # the heuristic is 0 here, so f = g is the optimum
             break
 
         row = rows.get(packed // width)
         if row is None:
-            row = rows[packed // width] = successor_row(
-                inst, record, opts.edge_pruning, layer, j
-            )
+            row = rows[packed // width] = successor_row(inst, record, layer, j)
         head = layer + 1
         at_head = head * m
         if h_table is not None:
@@ -221,7 +211,7 @@ def solve_astar(
                 f2 = g2 + h_head.item(j2 - first, eta2)
             else:
                 f2 = g2 + max(cost(layer, j2) - lam * eta2 for cost, lam in zeta)
-            if ub_pruning and f2 > bound:
+            if f2 > bound:
                 continue
             g_of[p2] = g2
             parent[p2] = packed

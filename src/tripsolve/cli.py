@@ -12,7 +12,7 @@ import sys
 import time
 from typing import Optional, Sequence
 
-from .astar import AstarOptions, solve_astar
+from .astar import solve_astar
 from .instance import (
     Solution,
     SolverError,
@@ -35,28 +35,20 @@ from .topo import solve_topo
 SOLVERS = ("topo", "astar", "oracle")
 
 
-def _solve_with(
-    name: str, inst: TripInstance, options: Optional[AstarOptions] = None
-) -> Solution:
+def _solve_with(name: str, inst: TripInstance) -> Solution:
     if name == "topo":
         return solve_topo(inst)
     if name == "astar":
-        return solve_astar(inst, options)
+        return solve_astar(inst)
     if name == "oracle":
         return solve_bruteforce(inst)
     raise ValueError(f"unknown solver {name!r}")
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
-    if args.solver != "astar" and (args.no_edge_pruning or args.no_upper_bound_pruning):
-        raise ValueError(f"the pruning flags apply only to --solver astar, not {args.solver}")
     with open(args.instance, encoding="utf-8") as fh:
         inst = read_instance(fh.read())
-    options = AstarOptions(
-        edge_pruning=not args.no_edge_pruning,
-        upper_bound_pruning=not args.no_upper_bound_pruning,
-    )
-    sol = _solve_with(args.solver, inst, options)
+    sol = _solve_with(args.solver, inst)
     print(json.dumps(sol.to_dict()))
     return 0
 
@@ -201,8 +193,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="solve one instance file, print the solution")
     p.add_argument("instance", help="path to an instance JSON file")
     p.add_argument("--solver", choices=SOLVERS, default="topo")
-    p.add_argument("--no-edge-pruning", action="store_true")
-    p.add_argument("--no-upper-bound-pruning", action="store_true")
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("slip", help="run the trust-region loop, write a trace")

@@ -155,12 +155,11 @@ class Sweeps:
     alone, terms and windows, which its first sweep computes and which A*'s
     successor rows and heuristic table read too, with key_cons, spread and
     cons_max, which the sweeps alone read; A*'s successor rows
-    themselves, rows[pruned][layer * m + j], each built on the first
-    expansion of its class by a search with that edge pruning setting
-    (astar.successor_row); and one heuristic table, htable, the last one
-    heuristic_table built from its tables, with the multipliers of those
-    tables in the order of LagrangeTables.zeta, htable_lams. Everything here
-    goes with the record when a RadiusCache replaces it.
+    themselves, rows[layer * m + j], each built on the first expansion of
+    its class (astar.successor_row); and one heuristic table, htable, the
+    last one heuristic_table built from its tables, with the multipliers of
+    those tables in the order of LagrangeTables.zeta, htable_lams.
+    Everything here goes with the record when a RadiusCache replaces it.
 
     Why the record serves a search at a radius delta <= R (RadiusCache
     gives the general contract): a relaxed sweep reads the radius only
@@ -199,7 +198,7 @@ class Sweeps:
     ] = None
     htable: Optional[np.ndarray] = None
     htable_lams: tuple[float, ...] = ()
-    rows: dict[bool, dict[int, list[tuple[int, int, float]]]] = field(default_factory=dict)
+    rows: dict[int, list[tuple[int, int, float]]] = field(default_factory=dict)
 
     def sweep(self, lams: list[float]) -> None:
         """Sweep every multiplier of lams not swept yet."""

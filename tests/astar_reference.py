@@ -7,10 +7,11 @@ windows it is the sweep over the whole graph.
 
 Each expansion finds its successors with numpy calls over all m value
 indices of the head layer (consumption within the capacity, dominated edges
-masked out), reads the heuristic from a dense (n, m, delta + 1) table or,
-over the table cap, from the stacked cost tables, and pushes the survivors
-in ascending value index. Like solve_astar it ends at the first layer-n
-label it expands, where the heuristic is 0. solve_astar must reproduce its
+masked out unless edge_pruning is off), reads the heuristic from a dense
+(n, m, delta + 1) table or, over the table cap, from the stacked cost
+tables, and pushes the survivors in ascending value index. Like
+solve_astar it ends at the first layer-n label it expands, where the
+heuristic is 0. With both prunings on, solve_astar must reproduce its
 expansions, f values and counters exactly.
 """
 
@@ -19,12 +20,12 @@ from __future__ import annotations
 import heapq
 import math
 import time
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
 from tripsolve import astar
-from tripsolve.astar import PRUNE_TOL, AstarOptions
+from tripsolve.astar import PRUNE_TOL
 from graph_reference import enumerate_steps
 from tripsolve.graph import NodeRef, edge_terms, reach_windows
 from tripsolve.instance import (
@@ -85,11 +86,18 @@ def dense_heuristic_table(inst: TripInstance, tables: LagrangeTables) -> np.ndar
 
 def solve_astar_reference(
     inst: TripInstance,
-    options: Optional[AstarOptions] = None,
     cache: Optional[RadiusCache] = None,
+    *,
+    edge_pruning: bool = True,
+    upper_bound_pruning: bool = True,
+    expansion_listener: Optional[Callable[[NodeRef, float], None]] = None,
 ) -> Solution:
+    """solve_astar's search, whose two prunings can be turned off one by
+    one: edge_pruning masks the dominated edges (dominated_masks),
+    upper_bound_pruning drops labels whose f exceeds the incumbent by more
+    than solve_astar's margin. With both off it drops only the labels whose
+    state already has a path as cheap."""
     t0 = time.perf_counter()
-    opts = options or AstarOptions()
     inst = clamp_delta(inst)
     # looked up where solve_astar looks it up, so a test's tolerance holds here
     tables = binary_search(inst, astar.default_epsilon(inst), cache)
@@ -109,7 +117,7 @@ def solve_astar_reference(
 
     cons_all, linear, jump = edge_terms(inst)
     weights_all = [linear[:1]] + [linear[i] + jump for i in range(1, n)]
-    dom = dominated_masks(inst) if opts.edge_pruning else None
+    dom = dominated_masks(inst) if edge_pruning else None
 
     lam_arr = np.array([t.lam for t in tables.zeta])
     zcost = np.stack([t.cost for t in tables.zeta])  # (L, n, m)
@@ -144,8 +152,8 @@ def solve_astar_reference(
         closed.add(packed)
         expanded += 1
         layer, eta = -neg_layer, -neg_eta
-        if opts.expansion_listener is not None:
-            opts.expansion_listener(NodeRef(layer, j, eta), f)
+        if expansion_listener is not None:
+            expansion_listener(NodeRef(layer, j, eta), f)
         if layer == n:
             assert heuristic_h(inst, tables, NodeRef(layer, j, eta)) == 0.0
             goal = packed
@@ -170,10 +178,7 @@ def solve_astar_reference(
             p2 = pack(head, j2, eta2)
             if g2 >= g_of.get(p2, np.inf):
                 continue
-            if (
-                opts.upper_bound_pruning
-                and g2 + h_vals[k] > upper + margin
-            ):
+            if upper_bound_pruning and g2 + h_vals[k] > upper + margin:
                 continue
             g_of[p2] = g2
             parent[p2] = packed

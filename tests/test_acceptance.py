@@ -7,8 +7,13 @@ import time
 import numpy as np
 import pytest
 
-from astar_reference import heuristic_h, relaxed_objective, window_steps
-from tripsolve.astar import AstarOptions, solve_astar
+from astar_reference import (
+    heuristic_h,
+    relaxed_objective,
+    solve_astar_reference,
+    window_steps,
+)
+from tripsolve.astar import solve_astar
 from graph_reference import (
     build_explicit,
     knapsack_bruteforce,
@@ -27,8 +32,6 @@ from tripsolve.oracle import (
 )
 from tripsolve.slip import SlipConfig, make_heat_problem, make_signal_problem, run_slip
 from tripsolve.topo import solve_topo
-
-ALL_PRUNING = AstarOptions(edge_pruning=True, upper_bound_pruning=True)
 
 
 def random_corpus(count, seed0, max_n=8, max_m=4, max_delta=6, min_n=1,
@@ -82,7 +85,7 @@ def test_criterion_1_oracle_equivalence(corpus1000):
     for inst in corpus1000:
         bf = solve_bruteforce(inst)
         tp = solve_topo(inst)
-        As = solve_astar(inst, options=ALL_PRUNING)
+        As = solve_astar(inst)
         worst = max(
             worst, abs(bf.objective - tp.objective), abs(bf.objective - As.objective)
         )
@@ -297,22 +300,18 @@ def test_criterion_10_expansion_trend(signal_runs, heat_run):
 
 
 def test_criterion_11_pruning_safety(corpus1000, signal_runs, heat_run):
+    # solve_astar's prunings are always on; the reference search with both
+    # off must reach the same optimum
     runs, _ = signal_runs
     sampled = [s.instance for _, _, t in runs for s in t.steps[::5]]
     sampled += [s.instance for s in heat_run.steps[::5]]
-    configs = [
-        AstarOptions(edge_pruning=False),
-        AstarOptions(upper_bound_pruning=False),
-        AstarOptions(edge_pruning=False, upper_bound_pruning=False),
-    ]
     checked = 0
     for inst in corpus1000 + sampled:
-        base = solve_astar(inst).objective
-        for options in configs:
-            toggled = solve_astar(inst, options=options).objective
-            assert abs(base - toggled) <= 1e-9
+        pruned = solve_astar(inst).objective
+        unpruned = solve_astar_reference(inst, edge_pruning=False, upper_bound_pruning=False)
+        assert abs(pruned - unpruned.objective) <= 1e-9
         checked += 1
     print(
-        f"\n[criterion 11] PASS: pruning toggles preserve the objective on "
-        f"{checked} instances x 3 configurations"
+        f"\n[criterion 11] PASS: the prunings preserve the objective of the "
+        f"unpruned reference search on {checked} instances"
     )

@@ -58,21 +58,6 @@ def test_solve_oracle(instance_file, capsys):
     assert np.isfinite(json.loads(out)["objective"])
 
 
-@pytest.mark.parametrize(
-    "flags", [["--no-edge-pruning"], ["--no-upper-bound-pruning"]]
-)
-def test_solve_astar_flags_keep_the_objective(instance_file, capsys, flags):
-    _, out, _ = run_cli(capsys, "solve", str(instance_file), "--solver", "astar")
-    default = json.loads(out)
-    assert default["stats"]["nodes_expanded"] > 0  # the search runs
-    code, out, _ = run_cli(
-        capsys, "solve", str(instance_file), "--solver", "astar", *flags
-    )
-    assert code == 0
-    objective = json.loads(out)["objective"]
-    assert objective == pytest.approx(default["objective"], abs=1e-12)
-
-
 def test_solve_malformed_file(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{broken")
@@ -156,11 +141,13 @@ def test_slip_hybrid_is_not_a_solver(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("flag", ["--no-edge-pruning", "--no-upper-bound-pruning"])
-@pytest.mark.parametrize("solver", ["topo", "oracle"])
-def test_solve_pruning_flags_need_astar(instance_file, capsys, solver, flag):
-    code, out, err = run_cli(capsys, "solve", str(instance_file), "--solver", solver, flag)
-    assert code == 2 and out == ""
-    assert err == f"error: the pruning flags apply only to --solver astar, not {solver}\n"
+def test_solve_pruning_flags_are_not_options(instance_file, capsys, flag):
+    # both prunings are always on; there is no switch to turn one off
+    with pytest.raises(SystemExit) as exit_info:
+        main(["solve", str(instance_file), "--solver", "astar", flag])
+    assert exit_info.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and f"unrecognized arguments: {flag}" in err
 
 
 def test_slip_heat_too_large_exits_2_before_allocating(tmp_path, capsys, monkeypatch):
@@ -649,8 +636,8 @@ def test_bench_mismatch_gate(tmp_path, trace_file, capsys, monkeypatch):
 
     true_solve = cli_mod._solve_with
 
-    def lying_solver(name, inst, options=None):
-        sol = true_solve(name, inst, options)
+    def lying_solver(name, inst):
+        sol = true_solve(name, inst)
         if name == "astar":
             sol.objective += 1.0
         return sol
