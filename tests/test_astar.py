@@ -23,11 +23,23 @@ from tripsolve.lagrange import Sweeps
 from tripsolve.oracle import gen_random, knapsack_reduce
 from tripsolve.topo import solve_topo
 
-# search variants: "table_cap" sets astar.HEURISTIC_TABLE_CAP
+# search variants: "edge_pruning" and "upper_bound_pruning" turn a pruning
+# off in the reference search (solve_astar always prunes), "table_cap" sets
+# astar.HEURISTIC_TABLE_CAP
 OPTION_VARIANTS = [
     {},
+    {"edge_pruning": False},
+    {"upper_bound_pruning": False},
+    {"edge_pruning": False, "upper_bound_pruning": False},
+    {"edge_pruning": False, "upper_bound_pruning": False, "table_cap": 0},
     {"table_cap": 0},  # the on-the-fly heuristic
 ]
+
+
+def variant_prunings(variant):
+    """The solve_astar_reference pruning arguments of an OPTION_VARIANTS
+    entry."""
+    return {k: v for k, v in variant.items() if k != "table_cap"}
 
 
 @contextlib.contextmanager
@@ -138,6 +150,16 @@ def test_edge_dominated_matches_reference_masks():
                 row = successor_row(inst, record, i, j)
                 want = np.flatnonzero(~mask[j, a:b]) + a
                 assert sorted(head for _, head, _ in row) == want.tolist()
+
+
+@pytest.mark.parametrize("options", OPTION_VARIANTS[1:])
+def test_pruning_toggles_preserve_objective(options, corpus200):
+    # the reference search with a pruning off reaches solve_astar's optimum
+    for inst in corpus200[:60]:
+        with variant_cap(options):
+            base = solve_astar(inst)
+            toggled = solve_astar_reference(inst, **variant_prunings(options))
+        assert abs(base.objective - toggled.objective) <= 1e-9
 
 
 def test_equal_f_prefers_larger_capacity(monkeypatch):
@@ -296,7 +318,9 @@ def test_searched_solve_derives_terms_and_windows_once(monkeypatch):
 
 def _assert_search_matches_reference(inst, variant, cache):
     """Solve inst at cached halving radii with solve_astar and with the
-    reference loop: same expansions with the same f, same answer."""
+    reference loop: same expansions with the same f, same answer. Where the
+    variant turns a pruning off in the reference loop, the same objective."""
+    prunings = variant_prunings(variant)
     for delta in halving(inst.delta):
         at = dataclasses.replace(inst, delta=delta)
         seen, expected = [], []
@@ -305,17 +329,23 @@ def _assert_search_matches_reference(inst, variant, cache):
                 at, cache, expansion_listener=lambda node, f: seen.append((node, f))
             )
             ref = solve_astar_reference(
-                at, cache, expansion_listener=lambda node, f: expected.append((node, f))
+                at,
+                cache,
+                **prunings,
+                expansion_listener=lambda node, f: expected.append((node, f)),
             )
-        assert seen == expected
-        assert solution_fields(sol) == solution_fields(ref)
+        if prunings:
+            assert abs(sol.objective - ref.objective) <= 1e-9
+        else:
+            assert seen == expected
+            assert solution_fields(sol) == solution_fields(ref)
 
 
 def test_search_matches_reference_loop_on_corpus():
-    # each instance runs under one variant, every variant on half the corpus
+    # each instance runs under one pruned variant, each on half the corpus
+    pruned = [v for v in OPTION_VARIANTS if not variant_prunings(v)]
     for k, inst in enumerate(radius_corpus()):
-        variant = OPTION_VARIANTS[k % len(OPTION_VARIANTS)]
-        _assert_search_matches_reference(inst, variant, RadiusCache())
+        _assert_search_matches_reference(inst, pruned[k % len(pruned)], RadiusCache())
 
 
 @pytest.mark.parametrize("variant", OPTION_VARIANTS)

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from astar_reference import solve_astar_reference
 from conftest import RANGE_RULE_BREAKERS
 import tripsolve.astar
 import tripsolve.instance
@@ -56,6 +57,20 @@ def test_solve_oracle(instance_file, capsys):
     code, out, _ = run_cli(capsys, "solve", str(instance_file), "--solver", "oracle")
     assert code == 0
     assert np.isfinite(json.loads(out)["objective"])
+
+
+@pytest.mark.parametrize(
+    "flags", [{"edge_pruning": False}, {"upper_bound_pruning": False}]
+)
+def test_solve_astar_flags_keep_the_objective(instance_file, capsys, flags):
+    # solve --solver astar, whose prunings are always on, prints the
+    # objective that the reference search reaches with one pruning off
+    code, out, _ = run_cli(capsys, "solve", str(instance_file), "--solver", "astar")
+    assert code == 0
+    printed = json.loads(out)
+    assert printed["stats"]["nodes_expanded"] > 0  # the search runs
+    unpruned = solve_astar_reference(read_instance(instance_file.read_text()), **flags)
+    assert printed["objective"] == pytest.approx(unpruned.objective, abs=1e-12)
 
 
 def test_solve_malformed_file(tmp_path, capsys):
@@ -141,10 +156,12 @@ def test_slip_hybrid_is_not_a_solver(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("flag", ["--no-edge-pruning", "--no-upper-bound-pruning"])
-def test_solve_pruning_flags_are_not_options(instance_file, capsys, flag):
-    # both prunings are always on; there is no switch to turn one off
+@pytest.mark.parametrize("solver", ["astar", "topo", "oracle"])
+def test_solve_pruning_flags_need_astar(instance_file, capsys, solver, flag):
+    # A*'s prunings are always on: no solver, astar included, takes a switch
+    # to turn one off
     with pytest.raises(SystemExit) as exit_info:
-        main(["solve", str(instance_file), "--solver", "astar", flag])
+        main(["solve", str(instance_file), "--solver", solver, flag])
     assert exit_info.value.code == 2
     out, err = capsys.readouterr()
     assert out == "" and f"unrecognized arguments: {flag}" in err
