@@ -357,18 +357,35 @@ def clamp_delta(inst: TripInstance) -> TripInstance:
     return replace(inst, delta=cap)
 
 
-def objective(inst: TripInstance, d: np.ndarray) -> float:
-    """Cost of a step vector: linear term plus penalized jumps of x + d."""
-    d = np.asarray(d, dtype=np.int64)
+def _step(inst: TripInstance, d: Any) -> np.ndarray:
+    """d as an int64 vector of length n. Integral floats such as 3.0 count,
+    as in validate; InstanceError when an entry is not an integer, or d has
+    another shape. An int64 array, which every solver passes, is taken as it
+    is."""
+    if not (isinstance(d, np.ndarray) and d.dtype == np.int64):
+        problems: list[str] = []
+        d = _vector(d, "d", problems, integer=True)
+        if d is None:
+            raise InstanceError("; ".join(problems))
     if d.shape != (inst.n,):
         raise InstanceError(f"d has shape {d.shape}, expected ({inst.n},)")
-    jumps = np.abs(np.diff(inst.x + d)).sum()
+    return d
+
+
+def objective(inst: TripInstance, d: np.ndarray) -> float:
+    """Cost of a step vector: linear term plus penalized jumps of x + d.
+    Raises InstanceError when d is not n integers."""
+    d = _step(inst, d)
+    v = inst.x + d
+    jumps = np.add.reduce(np.abs(v[1:] - v[:-1]))
     return float(np.dot(inst.c, d) + inst.alpha * jumps)
 
 
 def is_feasible(inst: TripInstance, d: np.ndarray) -> bool:
-    d = np.asarray(d, dtype=np.int64)
-    if d.shape != (inst.n,):
+    """True when d is n integers that keep x + d in xi within the budget."""
+    try:
+        d = _step(inst, d)
+    except InstanceError:
         return False
     if not np.all(np.isin(inst.x + d, inst.xi)):
         return False
@@ -376,8 +393,9 @@ def is_feasible(inst: TripInstance, d: np.ndarray) -> bool:
 
 
 def resource_use(inst: TripInstance, d: np.ndarray) -> int:
-    """Budget consumed by a step vector: sum_i gamma_i |d_i|."""
-    d = np.asarray(d, dtype=np.int64)
+    """Budget consumed by a step vector: sum_i gamma_i |d_i|. Raises
+    InstanceError when d is not n integers."""
+    d = _step(inst, d)
     return int(np.dot(inst.gamma, np.abs(d)))
 
 

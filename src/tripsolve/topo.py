@@ -11,9 +11,8 @@ changes no float and no tie. A layer costs delta * w_i * w_{i-1} for windows
 of w_i and w_{i-1} value indices, so the running time is proportional to
 delta * sum_i w_i * w_{i-1}, at most n * delta * |xi|^2 when every window
 is full. The cost tables roll layer by layer; only the predecessor choices,
-the last layer's costs, two per-layer counts and what the answer at each
-radius reads of them are kept, in a TopoTables record, so the optimal step
-can be reconstructed.
+the last layer's costs and what the answer at each radius reads are kept,
+in a TopoTables record, so the optimal step can be reconstructed.
 
 A layer is taken with one sum and one minimum: the totals of every (tail,
 head, capacity) triple, tails first, and their minimum over the tails. Its
@@ -73,14 +72,11 @@ class TopoTables:
     pred[i - 1, j, eta] is the value index in layer i - 1 of the best
     predecessor of the layer-i state (value index j, remaining capacity eta),
     -1 where the state is unreachable or i = 1. last_cost[j, eta] is the cost
-    of the layer-n state. finite[i - 1, eta] counts the reachable layer-i
-    states with capacity eta; succ[i - 1, t] counts the value indices of
-    layer i + 1 whose edges consume at most t, i = 1..n-1. The counts are at
-    most m and share pred's dtype. build raises InstanceError, before it
-    allocates anything, when pred or the largest float table of the sweep,
-    the sums of one block of layers, would take more than
-    instance.TABLE_BYTES_CAP bytes, and before the succ counts when their
-    largest temporary would.
+    of the layer-n state. build raises InstanceError, before it allocates
+    anything, when pred or the largest float table of the sweep, the sums
+    of one block of layers, would take more than instance.TABLE_BYTES_CAP
+    bytes, and before the visit counts when the tables of the affordable
+    heads they start from would.
 
     build takes each layer with one sum and one minimum (the module says
     how) and each block of layers' predecessors at once: for every state,
@@ -96,27 +92,26 @@ class TopoTables:
     each of them carries the same cost and the same predecessor choice, the
     same floats compared in the same order. The answer at radius delta - s
     is therefore read from the capacity columns s.. of the tables, and its
-    visit counters from the per-layer counts of finite states by capacity
-    and of out-edges by consumption.
+    visit counters from the counts of reached states by capacity and of
+    out-edges by consumption.
 
-    build reads off what depends on s alone, one entry per offset s.
-    terminal[s] is the layer-n state (value index, capacity) where the
-    answer at radius delta - s ends. It is the tie rule of every topo
-    answer: the minimum cost, compared exactly, then the largest remaining
-    capacity (the smallest budget use), then the smallest value index.
-    nodes[s] counts the finite states of capacity at least s, and ends[s]
-    those of the first and the last layer, whose source and sink edges the
-    edge count adds.
+    build reads off what depends on s alone, one entry per offset s, so an
+    answer is the predecessor walk and list reads. terminal[s] is the
+    layer-n state (value index, capacity) where the answer at radius
+    delta - s ends. It is the tie rule of every topo answer: the minimum
+    cost, compared exactly, then the largest remaining capacity (the
+    smallest budget use), then the smallest value index. expanded[s] and
+    generated[s] are the answer's nodes_expanded, the reached states of
+    capacity at least s plus source and sink, and nodes_generated, the
+    edges between them (_Counts sums both).
     """
 
     delta: int
     pred: np.ndarray  # (n, m, delta + 1)
     last_cost: np.ndarray  # (m, delta + 1) float
-    finite: np.ndarray  # (n, delta + 1)
-    succ: np.ndarray  # (n - 1, delta + 1)
     terminal: list[tuple[int, int]]  # delta + 1 entries
-    nodes: list[int]
-    ends: list[int]
+    expanded: list[int]
+    generated: list[int]
 
     @classmethod
     def build(cls, inst: TripInstance) -> "TopoTables":
@@ -133,16 +128,9 @@ class TopoTables:
         rows = max([m, 2 * max(sizes)] + [(j - i) * u * v for i, j, u, v in blocks])
         check_table_bytes("layer cost table", rows * (width + 1) * 8)
         pred = np.full((n, m, width), -1, dtype=pred_dtype)
-        finite = np.zeros((n, width), dtype=pred_dtype)
         cons, linear, jump = edge_terms(inst)
-        # succ[i-1, t] counts layer i+1's consumptions <= t: k from the k-th
-        # smallest; ends is the largest of the temporaries
-        check_table_bytes("successor count table", (n - 1) * (m + 2) * 8)
-        ends = np.full((n - 1, m + 2), width)
-        ends[:, 0] = 0
-        np.minimum(np.sort(cons[1:], axis=1), width, out=ends[:, 1:-1])
-        counts = np.arange(m + 1, dtype=pred_dtype)[None, :].repeat(n - 1, axis=0)
-        succ = counts.repeat((ends[:, 1:] - ends[:, :-1]).ravel()).reshape(n - 1, width)
+        longest = max((j - i for i, j, _, _ in blocks), default=1)
+        counts = _Counts(cons, width, pred_dtype, longest)
 
         # A layer-i state (j, eta) is reached at capacity eta + cons[i, j] of
         # its arrival table, or from the inf pad column width when that
@@ -169,6 +157,7 @@ class TopoTables:
         at, a, b = lo[0], lo[0], hi[0]
         cost = np.full((b - a, width + 1), _INF)
         cost[np.arange(b - a), inst.delta - cons[0, a:b]] = linear[0, a:b]
+        finite = counts.rows(0, 1)
         finite[0] = np.add.reduce(np.isfinite(cost), axis=0)[:width]
 
         # ufunc reductions rather than the .min method, whose Python wrapper
@@ -213,12 +202,11 @@ class TopoTables:
                 index += (np.arange(j - i) * first[0].size)[:, None, None]
             got = first.take(index)[..., :width]
             pred[layer_heads] = got
-            np.add.reduce(got >= 0, axis=1, dtype=pred_dtype, out=finite[i:j])
+            np.add.reduce(got >= 0, axis=1, dtype=pred_dtype, out=counts.rows(i, j))
 
         last_cost = np.full((m, width), _INF)
         last_cost[lo[-1] : hi[-1]] = cost[lo[-1] - at : hi[-1] - at, :width]
-        per_radius = _per_radius(last_cost, finite)
-        return cls(inst.delta, pred, last_cost, finite, succ, *per_radius)
+        return cls(inst.delta, pred, last_cost, _terminals(last_cost), *counts.sums())
 
     def solution(self, inst: TripInstance) -> Solution:
         """The optimum of inst, which must be the tables' instance at a
@@ -235,16 +223,8 @@ class TopoTables:
             j, eta = pred(i, j, eta), eta + gamma[i] * abs(xi[j] - x[i])
             js.append(j)
         d = inst.xi.take(js[::-1]) - inst.x
-        # edges between layers; sums of small ints accumulate in int64
-        inner = np.einsum(
-            "ij,ij->", self.finite[:-1, s:], self.succ[:, : inst.delta + 1],
-            dtype=np.int64,
-        )
         return Solution.of(
-            inst,
-            d,
-            nodes_expanded=self.nodes[s] + 2,  # plus source and sink
-            nodes_generated=self.ends[s] + int(inner),
+            inst, d, nodes_expanded=self.expanded[s], nodes_generated=self.generated[s]
         )
 
 
@@ -275,8 +255,8 @@ def _blocks(
     return blocks, row0
 
 
-def _per_radius(last_cost: np.ndarray, finite: np.ndarray) -> tuple[list, list, list]:
-    """terminal, nodes and ends of TopoTables, one entry per offset s."""
+def _terminals(last_cost: np.ndarray) -> list[tuple[int, int]]:
+    """terminal of TopoTables, one entry per offset s."""
     # scanned from the largest capacity down, a column takes the terminal
     # only when strictly cheaper; argmin picks its smallest value index
     cheapest = np.minimum.reduce(last_cost, axis=0).tolist()
@@ -287,14 +267,96 @@ def _per_radius(last_cost: np.ndarray, finite: np.ndarray) -> tuple[list, list, 
             best, end = cheapest[eta], (first[eta], eta)
         terminal.append(end)
     terminal.reverse()
-    # suffix sums over capacity of the per-capacity counts, in int64
-    nodes = np.add.reduce(finite, axis=0, dtype=np.int64)
-    ends = np.add(finite[0], finite[-1], dtype=np.int64)
-    return (
-        terminal,
-        nodes[::-1].cumsum()[::-1].tolist(),
-        ends[::-1].cumsum()[::-1].tolist(),
-    )
+    return terminal
+
+
+class _Counts:
+    """The visit counters of the answer at every offset s, summed from
+    finite[t, eta], the number of reached states of layer t + 1 with
+    remaining capacity eta, a chunk of layers at a time: no (n, delta + 1)
+    table outlives its chunk.
+
+    The build writes finite[i:j] into rows(i, j), layers in order. The
+    answer at offset s counts the states of capacity at least s, the source
+    edges into layer 1 and the sink edges out of layer n, and the inner
+    edges: an edge from a layer-(t + 1) state of capacity eta to a head of
+    layer t + 2 that consumes c is taken when eta >= s + c. Summed over
+    the heads and capacities, that is sum_{d >= s} h[d], with
+    h[d] = sum_t sum_c N[t, c] * finite[t, c + d], where N[t, c] counts the
+    heads of layer t + 2 that consume exactly c, and c runs over the
+    distinct consumptions below delta + 1 (the heads' reach windows).
+    Each chunk adds its share of h with one product over those
+    consumptions, exact in float64 since every count stays below 2**53,
+    and one gather of its skewed diagonals.
+    """
+
+    def __init__(self, cons: np.ndarray, width: int, dtype: type, block: int):
+        n, m = cons.shape
+        self.n, self.width = n, width
+        # the affordable heads' tail layers t, consumptions and their keys
+        # t * C + rank of the consumption, int64 each
+        check_table_bytes("successor count tables", (n - 1) * m * 24)
+        affordable = cons[1:] < width
+        used = cons[1:][affordable]
+        seen = np.bincount(used, minlength=width)
+        self.used = np.flatnonzero(seen)  # the distinct consumptions, ascending
+        rank = np.cumsum(seen > 0)
+        rank -= 1
+        self.flat = np.repeat(np.arange(n - 1), np.add.reduce(affordable, axis=1))
+        self.flat *= len(self.used)
+        self.flat += rank[used]  # ascending, as the tails are
+        # finite[t - base] for the layers t of the current chunk; a block
+        # of layers always fits
+        rows = max(block, _BLOCK_BYTES // (8 * width))
+        self.finite = np.empty((min(n, rows), width), dtype=dtype)
+        self.base = 0
+        self.states = np.zeros(width, dtype=np.int64)
+        self.ends = np.zeros(width, dtype=np.int64)
+        self.h = np.zeros(width)
+
+    def rows(self, i: int, j: int) -> np.ndarray:
+        """finite[i:j], to be written: rows base..i - 1 are folded into
+        the sums first when j - base rows would overflow the chunk."""
+        if j - self.base > len(self.finite):
+            self._fold(i)
+        return self.finite[i - self.base : j - self.base]
+
+    def _fold(self, stop: int) -> None:
+        """Add finite[base:stop] to the sums and start the chunk at stop."""
+        a, width, finite = self.base, self.width, self.finite[: stop - self.base]
+        self.base = stop
+        self.states += np.add.reduce(finite, axis=0, dtype=np.int64)
+        if a == 0:
+            self.ends += finite[0]
+        if stop == self.n:
+            self.ends += finite[-1]
+        k, count = min(stop, self.n - 1) - a, len(self.used)  # tail layers
+        if k <= 0 or count == 0:
+            return
+        lo, hi = np.searchsorted(self.flat, (a * count, (a + k) * count)).tolist()
+        per = np.bincount(self.flat[lo:hi] - a * count, minlength=k * count)
+        heads = per.reshape(k, count).T.astype(np.float64)  # N[t, c], transposed
+        tails = finite[:k].astype(np.float64)
+        step = max(1, _BLOCK_BYTES // (8 * (width + 1)))  # consumptions at once
+        for r in range(0, count, step):
+            # prod[c, e] = sum_t N[t, c] * finite[t, e], and a zero column
+            # at e = width for the diagonals past delta
+            used = self.used[r : r + step]
+            prod = np.zeros((len(used), width + 1))
+            np.matmul(heads[r : r + step], tails, out=prod[:, :width])
+            at = np.minimum(used[:, None] + np.arange(width), width)
+            at += (width + 1) * np.arange(len(used))[:, None]
+            self.h += np.add.reduce(prod.take(at), axis=0)
+
+    def sums(self) -> tuple[list[int], list[int]]:
+        """expanded and generated of TopoTables, after the last chunk."""
+        self._fold(self.n)
+        # suffix sums over capacity; h's are exact integers in float64
+        nodes = self.states[::-1].cumsum()[::-1]
+        inner = self.h[::-1].cumsum()[::-1].astype(np.int64)
+        inner += self.ends[::-1].cumsum()[::-1]
+        nodes += 2  # the source and the sink
+        return nodes.tolist(), inner.tolist()
 
 
 def solve_topo(inst: TripInstance, cache: Optional[RadiusCache] = None) -> Solution:

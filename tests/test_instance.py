@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -249,6 +250,26 @@ def test_is_feasible_cases(two_interval):
     tight = validate(base_raw(delta=1))
     assert not is_feasible(tight, np.array([1, 1]))
     assert not is_feasible(two_interval, np.array([2, 0]))  # leaves the set
+
+
+# each of these used to be truncated or to raise a bare numpy error:
+# objective([0.7, 0]) returned the objective of [0, 0], is_feasible
+# accepted [0.5, 0] and resource_use([0.9, 0]) returned 0
+@pytest.mark.parametrize(
+    "entry", [0.7, math.nan, math.inf, "a"], ids=["fraction", "nan", "inf", "text"]
+)
+def test_step_checks_refuse_non_integer_entries(two_interval, entry):
+    d = [entry, 0.0]
+    with pytest.raises(InstanceError):
+        objective(two_interval, d)
+    with pytest.raises(InstanceError):
+        resource_use(two_interval, d)
+    assert not is_feasible(two_interval, d)
+
+
+def test_step_checks_take_integral_floats(two_interval):
+    for check in (objective, resource_use, is_feasible):
+        assert check(two_interval, [1.0, 0.0]) == check(two_interval, np.array([1, 0]))
 
 
 def test_zero_step_always_feasible(corpus200):

@@ -1,7 +1,8 @@
 """Property tests over random instance records.
 
 Derandomized, so every run draws the same examples: valid small instances
-agree across topo, A* and brute force; a batched relaxed sweep equals the
+agree across topo, A* and brute force; objective and resource_use return
+the floats of their earlier formulas; a batched relaxed sweep equals the
 reference sweep of each multiplier bit for bit on dyadic data, where cost
 ties, exact or within the tie tolerance, are common; a record with one field
 broken is rejected with InstanceError and nothing else; records just inside
@@ -18,7 +19,14 @@ from hypothesis import strategies as st
 
 from astar_reference import assert_matches_reference_sweep
 from tripsolve.astar import solve_astar
-from tripsolve.instance import InstanceError, budget_cap, is_feasible, validate
+from tripsolve.instance import (
+    InstanceError,
+    budget_cap,
+    is_feasible,
+    objective,
+    resource_use,
+    validate,
+)
 from tripsolve.lagrange import COST_TIE_TOL
 from tripsolve.oracle import solve_bruteforce
 from tripsolve.topo import solve_topo
@@ -58,6 +66,23 @@ def assert_solvers_agree(inst) -> None:
 @given(records())
 def test_topo_astar_and_bruteforce_agree(raw):
     assert_solvers_agree(validate(raw))
+
+
+@settings(PROPERTY, max_examples=300)
+@given(raw=records(max_n=9, max_m=5), data=st.data())
+def test_objective_and_resource_use_keep_their_floats(raw, data):
+    # any float c and alpha and any int64 step of values in xi: the same
+    # floats as the np.diff and .sum() formulas the functions once used
+    n = raw["n"]
+    raw["c"] = data.draw(st.lists(st.floats(-1e3, 1e3), min_size=n, max_size=n))
+    raw["alpha"] = data.draw(st.floats(0.0, 1e3))
+    inst = validate(raw)
+    js = data.draw(st.lists(st.integers(0, inst.m - 1), min_size=n, max_size=n))
+    d = inst.xi[js] - inst.x
+    jumps = np.abs(np.diff(inst.x + d)).sum()
+    expected = float(np.dot(inst.c, d) + inst.alpha * jumps)
+    assert repr(objective(inst, d)) == repr(expected)
+    assert repr(resource_use(inst, d)) == repr(int(np.dot(inst.gamma, np.abs(d))))
 
 
 DYADIC = st.integers(-16, 16).map(lambda v: v / 8)

@@ -7,7 +7,6 @@ import pytest
 
 from conftest import (
     assert_cached_radii_match,
-    halving,
     radius_corpus,
     solution_fields,
 )
@@ -279,19 +278,17 @@ def dense_solution(ref: DenseTables, inst: TripInstance) -> Solution:
 
 def assert_matches_dense(inst: TripInstance) -> None:
     """The windowed tables of inst equal the dense reference: bitwise costs,
-    exact counts, pred at every reachable state and -1 elsewhere, and the
-    reference's solution at halving radii."""
+    pred at every reachable state and -1 elsewhere, and the reference's
+    solution at every radius, whose visit counters check each offset's
+    state and edge counts."""
     inst = clamp_delta(inst)
     got = TopoTables.build(inst)
     ref = dense_tables(inst)
     assert got.last_cost.tobytes() == ref.last_cost.tobytes()
-    for name in ("finite", "succ"):
-        assert getattr(got, name).dtype == getattr(ref, name).dtype
-        assert np.array_equal(getattr(got, name), getattr(ref, name))
     assert got.pred.dtype == ref.pred.dtype
     assert np.array_equal(got.pred[ref.reached], ref.pred[ref.reached])
     assert np.all(got.pred[~ref.reached] == -1)
-    for delta in halving(inst.delta):
+    for delta in range(inst.delta + 1):
         at = dataclasses.replace(inst, delta=delta)
         assert solution_fields(got.solution(at)) == solution_fields(
             dense_solution(ref, at)
@@ -394,6 +391,16 @@ def test_windowed_tables_around_the_block_length():
         assert_matches_dense(validate({**full, "gamma": [delta] * n}))
 
 
+def test_visit_counts_in_small_chunks(monkeypatch):
+    # a byte budget of 512: the counts fold in a few layers at a time, and
+    # each fold takes its consumptions a few at a time
+    monkeypatch.setattr(tripsolve.topo, "_BLOCK_BYTES", 512)
+    for seed in range(20):
+        inst = gen_random(12, 6, 3 + seed, 0.3, seed=400 + seed)
+        assert_matches_dense(inst)
+        assert_matches_dense(dataclasses.replace(inst, gamma=inst.gamma * 0 + 1))
+
+
 def _knapsacks(items: int, draws: int, seed: int):
     rng = np.random.default_rng(seed)
     for _ in range(draws):
@@ -421,7 +428,7 @@ def test_knapsack_reductions_match_bruteforce():
 def test_pred_is_minus_one_at_unreachable_states():
     inst = gen_random(6, 5, 3, 0.3, seed=2)
     tables = TopoTables.build(inst)
-    assert np.all(tables.finite[2, 1:3] == 0)  # no layer-3 state there
+    assert not dense_tables(inst).reached[2, :, 1:3].any()  # no layer-3 state there
     assert np.all(tables.pred[2, 3, 1:3] == -1)
 
 
@@ -498,9 +505,7 @@ def test_counts_take_no_int64_temporaries():
         _, solution_peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    kept = sum(
-        a.nbytes for a in (tables.pred, tables.last_cost, tables.finite, tables.succ)
-    )
+    kept = tables.pred.nbytes + tables.last_cost.nbytes
     assert kept < 4_100_000
     assert build_peak < kept + 1_000_000
     assert solution_peak - kept < 1_000_000
@@ -525,17 +530,16 @@ def test_signal_build_peak_stays_small():
         _, build_peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    kept = sum(
-        a.nbytes for a in (tables.pred, tables.last_cost, tables.finite, tables.succ)
-    )
+    kept = tables.pred.nbytes + tables.last_cost.nbytes
     assert build_peak < kept + 1_000_000
 
 
 def test_successor_counts_rejected_before_allocation(monkeypatch):
     # xi = [0] clamps the radius to 0: a 100 kB predecessor table and
-    # 0.8 MB edge-term tables, but the (n - 1, m + 2) int64 ends of the succ
-    # counts take 2.4 MB; the build used to go on to a 14.1 MB peak, and
-    # now stops with the edge terms and reach windows allocated
+    # 0.8 MB edge-term tables, but the tail layers, consumptions and keys
+    # of the (n - 1) * m affordable heads, int64 each, take 2.4 MB; the
+    # build used to go on to a 14.1 MB peak, and now stops with the edge
+    # terms and reach windows allocated
     monkeypatch.setattr(tripsolve.instance, "TABLE_BYTES_CAP", 1_000_000)
     n = 100000
     inst = validate(
