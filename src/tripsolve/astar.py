@@ -14,8 +14,9 @@ prunings, both always on, cut the search space:
   uses no budget and, by the triangle inequality, saves more than its next
   jump can cost (successor_row);
 * upper-bound pruning: labels whose optimistic total exceeds the best known
-  feasible cost by more than the rounding of both (instance.cost_bound)
-  are dropped.
+  feasible cost by more than the rounding of both (instance.rounding_bound)
+  and the most the relaxed tables' ties add to a heuristic
+  (instance.cost_bound) are dropped.
 
 States are packed integers in a hash map; the graph is never materialized.
 Two structures keep the work per expansion small, and both only leave out
@@ -62,13 +63,10 @@ from .instance import (
     SolverError,
     TripInstance,
     clamp_delta,
-    cost_bound,
+    rounding_bound,
 )
 from .lagrange import Sweeps, binary_search, default_epsilon, heuristic_table
 
-# absolute part of the upper-bound pruning margin; the relative part scales
-# with the instance (instance.cost_bound)
-PRUNE_TOL = 1e-9
 # largest heuristic table, in float64 entries, built before the search; above
 # it the heuristic is evaluated per push from the multiplier cost tables
 HEURISTIC_TABLE_CAP = TABLE_BYTES_CAP // 8
@@ -155,11 +153,14 @@ def solve_astar(
         return sol
 
     n, m, width = inst.n, inst.m, inst.delta + 1
-    # the incumbent is at worst the zero step, recorded at the upper end; the
-    # margin covers the rounding of f and of its objective (cost_bound)
-    bound = tables.upper_bound + PRUNE_TOL + 8 * (n + 1) * math.ulp(cost_bound(inst))
-
     record = tables.record
+    # the incumbent is at worst the zero step, recorded at the upper end; the
+    # margin covers the rounding of f and of its objective, and the
+    # heuristic's excess: a table entry exceeds the exact cost-to-sink by at
+    # most n of its sweep's ties, the largest at the largest multiplier
+    # (instance.cost_bound)
+    bound = tables.upper_bound + rounding_bound(inst)
+    bound += n * record.tie(max(tables.lambdas))
     rows = record.rows  # key layer * m + j
 
     window_start, _, cols, _ = record.windows

@@ -18,6 +18,7 @@ from .instance import (
     SolverError,
     TripInstance,
     read_instance,
+    rounding_bound,
     write_instance,
 )
 from .oracle import gen_random, knapsack_reduce, solve_bruteforce
@@ -82,8 +83,10 @@ _CSV_FIELDS = ("instance", "n", "delta", "alpha", "solver", "wall_seconds",
                "nodes_expanded", "objective")
 
 
-def _objectives_agree(a: float, b: float, rel: float = 1e-6) -> bool:
-    return abs(a - b) <= rel * max(1.0, abs(a), abs(b))
+def _objectives_agree(a: float, b: float, inst: TripInstance) -> bool:
+    """a and b agree to a relative 1e-6, or within the rounding of an
+    objective at the instance's own scale (instance.rounding_bound)."""
+    return abs(a - b) <= max(rounding_bound(inst), 1e-6 * max(abs(a), abs(b)))
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
@@ -120,7 +123,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
             first = rows[solvers[0]]["objective"]
             for solver in solvers[1:]:
                 value = rows[solver]["objective"]
-                if not _objectives_agree(first, value):
+                if not _objectives_agree(first, value, inst):
                     print(
                         f"objective mismatch on {name}: "
                         f"{solvers[0]}={first!r}, {solver}={value!r}",

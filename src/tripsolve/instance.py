@@ -332,15 +332,30 @@ def cost_bound(inst: TripInstance) -> float:
     of A* takes at most 6 roundings per layer (edge terms, the multiplier's
     term, the sums) and 3 more, and objective(inst, d) at most 2n + 1 of at
     most ulp(V) / 2, so the two differ from their exact values by less than
-    7 (n + 1) ulp(V) together: A*'s upper-bound pruning allows 8 (n + 1)
-    ulp(V), and drops no label of an optimal path at any scale of c and
-    alpha.
+    7 (n + 1) ulp(V) together: rounding_bound, 8 (n + 1) ulp(V), exceeds
+    that.
+
+    A*'s upper-bound pruning allows rounding_bound plus n ties of the
+    relaxed sweep at the largest multiplier evaluated (lagrange.Sweeps.tie),
+    the most by which a heuristic entry, a maximum of table entries that
+    each exceed their exact cost-to-sink by at most n ties and rounding, can
+    exceed its exact value. So it drops no label of an optimal path at any
+    scale of c and alpha. A tie is eps * n * E, with E the bound on one
+    edge's terms, and n * E <= 2V, so n ties stay below 4n ulp(V) and the
+    whole allowance below 12 (n + 1) ulp(V).
     """
     with np.errstate(over="ignore"):  # a sum past the float range is inf
         abs_sum, abs_max = float(np.abs(inst.c).sum()), float(np.abs(inst.c).max())
     span, alpha = int(inst.xi[-1]) - int(inst.xi[0]), inst.alpha
     cap = budget_cap(inst.n, inst.xi, inst.gamma)
     return span * (abs_sum + alpha * (inst.n - 1)) + (abs_max + 2 * alpha) * cap
+
+
+def rounding_bound(inst: TripInstance) -> float:
+    """8 (n + 1) ulp(V), V = cost_bound(inst): more than the rounding of an
+    A* f value and of an objective together, at any scale of c and alpha
+    (cost_bound says why)."""
+    return 8 * (inst.n + 1) * math.ulp(cost_bound(inst))
 
 
 def budget_cap(n: int, xi: np.ndarray, gamma: np.ndarray) -> int:

@@ -85,9 +85,6 @@ from .instance import (
     objective,
 )
 
-# Cost comparisons treat differences below this as ties so that the
-# smallest-budget path among equal-cost paths is selected reproducibly.
-COST_TIE_TOL = 1e-12
 # tie key of an entry outside the cost ties, above every real key
 _NO_KEY = np.iinfo(np.int64).max
 # entries of heuristic_table's temporary block of capacity rows
@@ -99,11 +96,11 @@ class ZetaTable:
     """Cost-to-sink data of one relaxed quotient graph.
 
     cost[i - 1, j] is the cheapest relaxed cost from the layer-i node with
-    value index j to the sink through the reach windows; res holds the
-    smallest budget use among those cheapest paths and choice the successor
-    index realizing the pair. A node outside its layer's window has no path:
-    cost +inf and choice -1. source_* carry the same data for the source
-    node.
+    value index j to the sink through the reach windows, up to the sweep's
+    ties (Sweeps.tie); res holds the smallest budget use among the paths
+    that tie with the cheapest and choice the successor index realizing the
+    pair. A node outside its layer's window has no path: cost +inf and
+    choice -1. source_* carry the same data for the source node.
     """
 
     lam: float
@@ -139,7 +136,8 @@ class LagrangeTables:
         return [t.lam for t in self.zeta]
 
     def dual_bound(self) -> float:
-        """Best lower bound on the constrained optimum over all multipliers."""
+        """Best lower bound on the constrained optimum over all multipliers,
+        up to rounding and the sweeps' ties (Sweeps.tie)."""
         return max(
             t.source_cost - t.lam * self.inst.delta for t in self.zeta
         )
@@ -153,12 +151,13 @@ class Sweeps:
     and the relaxed path's step of each table whose path a search used. It
     also keeps the inputs of relaxed_costs_to_sink that depend on inst
     alone, terms and windows, which its first sweep computes and which A*'s
-    successor rows and heuristic table read too, with key_cons, spread and
-    cons_max, which the sweeps alone read; A*'s successor rows
-    themselves, rows[layer * m + j], each built on the first expansion of
-    its class (astar.successor_row); and one heuristic table, htable, the
-    last one heuristic_table built from its tables, with the multipliers of
-    those tables in the order of LagrangeTables.zeta, htable_lams.
+    successor rows and heuristic table read too, with key_cons, which the
+    sweeps alone read, and spread and cons_max, which give the sweeps' ties
+    (tie) that A*'s pruning reads too; A*'s successor rows themselves,
+    rows[layer * m + j], each built on the first expansion of its class
+    (astar.successor_row); and one heuristic table, htable, the last one
+    heuristic_table built from its tables, with the multipliers of those
+    tables in the order of LagrangeTables.zeta, htable_lams.
     Everything here goes with the record when a RadiusCache replaces it.
 
     Why the record serves a search at a radius delta <= R (RadiusCache
@@ -187,8 +186,7 @@ class Sweeps:
     # graph.edge_terms, and the reach windows as lists with their index
     # tables (relaxed_costs_to_sink), set by the first sweep once its table
     # checks pass; with the terms, the sweep's tie keys of the edges and the
-    # multiplier-free parts of its margin scale, max|linear| + max jump and
-    # max|cons|
+    # multiplier-free parts of its ties, max|linear| + max jump and max|cons|
     terms: Optional[tuple[np.ndarray, np.ndarray, np.ndarray]] = None
     key_cons: Optional[np.ndarray] = None
     spread: float = 0.0
@@ -213,20 +211,29 @@ class Sweeps:
             d = self.steps[lam] = extract_path_step(self.inst, self.swept[lam])
         return d
 
+    def tie(self, lam):
+        """The sweep's tie at the multiplier lam, a float or an array of
+        them: eps * n * E, where E = spread + |lam| * cons_max bounds the
+        terms of one edge, so that every sum of the sweep is at most n * E
+        in size and two of equal value round at most that far apart. Read
+        once the first sweep has set spread and cons_max."""
+        return math.ulp(1.0) * self.inst.n * (self.spread + abs(lam) * self.cons_max)
+
 
 def _lex_min(
-    total: np.ndarray, key: np.ndarray, m: int, start: int
+    total: np.ndarray, key: np.ndarray, m: int, start: int, tie: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-row minimum over the last axis of total (K, rows, w), the value
     indices start..start + w - 1, in the order (cost, budget, column): costs
-    within COST_TIE_TOL of the row minimum tie, and among them the smallest
+    within tie[k] of the row minimum tie, and among them the smallest
     key = budget * m + column wins.
 
-    key: (K, w), shared by all rows of one multiplier.
+    key: (K, w), shared by all rows of one multiplier; tie: (K,), the
+    multipliers' ties (Sweeps.tie).
     Returns (cost, budget, column), each (K, rows).
     """
     k, rows, w = total.shape
-    tied = total <= np.minimum.reduce(total, axis=-1)[..., None] + COST_TIE_TOL
+    tied = total <= np.minimum.reduce(total, axis=-1)[..., None] + tie[:, None, None]
     best = np.minimum.reduce(np.where(tied, key[:, None, :], _NO_KEY), axis=-1)
     col = best % m
     offsets = np.arange(0, k * rows * w, w).reshape(k, rows)  # each row's start
@@ -388,16 +395,16 @@ def relaxed_costs_to_sink(
     column s has g[j'] > g[s] + jump[s, j'] + margin for every other column
     j', the triangle inequality jump[j, j'] >= jump[j, s] - jump[s, j']
     gives total[j, j'] > total[j, s] + margin in every row j: s is the only
-    entry within COST_TIE_TOL of the row minimum, and the rule picks it in
-    every row. Let h = linear + lam * consumption, so g = h + c with c the
+    entry within the tie of the row minimum, and the rule picks it in every
+    row. Let h = linear + lam * consumption, so g = h + c with c the
     cost-to-sink row of the heads. Every computed row c is alpha-Lipschitz:
-    |c[j] - c[j']| <= jump[j, j'] + COST_TIE_TOL, up to rounding, since it
-    is the sink's zeros or a row minimum, within COST_TIE_TOL, over cones
-    that each change by at most jump[j, j'].
+    |c[j] - c[j']| <= jump[j, j'] + tie, up to rounding, since it is the
+    sink's zeros or a row minimum, within the tie, over cones that each
+    change by at most jump[j, j'].
     - The predecessor-free test: s is the argmin of h over the heads'
       window, and every other column has h[j'] > h[s] + 2 * jump[s, j'] +
       2 * margin. Whatever row arrives, c takes back at most jump[s, j'] +
-      COST_TIE_TOL of that, so g[j'] > g[s] + jump[s, j'] + margin.
+      tie of that, so g[j'] > g[s] + jump[s, j'] + margin.
     - The chain test: against the cone at t, the argmin of h of the step
       into layer i + 1, f = h + jump[t] and every other column has
       f[j'] > f[s] + jump[s, j'] + 2 * margin. If that step is a cone with
@@ -435,19 +442,24 @@ def relaxed_costs_to_sink(
     The bulk arrays are the (n, K, m) rows when every window is full, and
     are restricted to the windows, (n, K, W), when one is not.
 
-    The margin is COST_TIE_TOL + 16 * eps * n * E, where E = max|linear| +
-    max jump + max|lam * cons| bounds the terms of one edge, so that each
-    finite g or total is at most B = n * E in size, up to factors
-    1 + O(n * eps). With u = eps / 2, the unit roundoff: a total errs by at
-    most uB; the jump table is alpha * |X_j' - X_j|, X the floats of xi, to
-    a relative 2u, and the triangle inequality holds exactly for those X;
-    the tie test's row minimum plus COST_TIE_TOL errs by u(B +
-    COST_TIE_TOL). A test can only pass when the spread of the finite g, at
-    most 2B, exceeds COST_TIE_TOL, and then these errors stay below
-    32uB = 16 * eps * n * E, so the computed totals of every row differ
-    from the one at s by more than COST_TIE_TOL and the tables are bitwise
-    those of _lex_min. Each test's second margin holds the COST_TIE_TOL of
-    the Lipschitz bound and its own few roundings of size uB. When
+    Ties. E = max|linear| + max jump + |lam| * max|cons| bounds the terms
+    of one edge at a multiplier lam, so that each finite g or total is at
+    most B = n * E in size, up to factors 1 + O(n * eps). With u = eps / 2,
+    the unit roundoff, a total errs by at most uB, and two totals of equal
+    value round at most 2uB = eps * n * E apart: that is the multiplier's
+    tie (Sweeps.tie). So costs equal in exact arithmetic tie at every scale
+    of c and alpha, an entry exceeds the exact minimum of its row by at most
+    the tie plus rounding, and a table entry exceeds the exact cost-to-sink
+    by at most n ties plus rounding.
+
+    The margin is the largest tie plus 16 * eps * n * E, E at the largest
+    |lam|. The jump table is alpha * |X_j' - X_j|, X the floats of xi, to a
+    relative 2u, and the triangle inequality holds exactly for those X; the
+    tie test's row minimum plus the tie errs by at most u(B + 2uB). These
+    errors stay below 32uB = 16 * eps * n * E, so the computed totals of
+    every row differ from the one at s by more than the tie and the tables
+    are bitwise those of _lex_min. Each test's second margin holds the tie
+    of the Lipschitz bound and its own few roundings of size uB. When
     2 * n * E is not finite (overflowing inputs), a g could be too: no test
     runs, and every step takes _lex_min.
     """
@@ -473,10 +485,11 @@ def relaxed_costs_to_sink(
     cost[:, n - 1, lo[n - 1]:hi[n - 1]] = 0.0  # the zero-weight sink edge
     res = np.zeros((k, n, m), dtype=np.int64)
     choice = np.full((k, n, m), -1, dtype=np.int64)
-    # max|lam| * max|cons| is the float max|lam * cons|: rounding is monotone
-    scale = n * (entry.spread + float(np.abs(lam).max(initial=0.0)) * entry.cons_max)
-    dominance = math.isfinite(2.0 * scale)
-    margin = COST_TIE_TOL + 16.0 * np.finfo(np.float64).eps * scale
+    # |lam| * max|cons| is the float max|lam * cons|: rounding is monotone
+    tie = entry.tie(lam)
+    top = float(tie.max(initial=0.0))  # eps * n * E at the largest |lam|
+    dominance = math.isfinite(2.0 * top / math.ulp(1.0))  # 2 * n * E, eps = ulp(1)
+    margin = 17.0 * top  # the tie plus 16 * eps * n * E
     lin_lam = lam[None, :, None] * cons[:, None, :]  # (n, K, m): g before its cost-to-sink
     lin_lam += linear[:, None, :]
     blocks = np.arange(k)  # each multiplier's block of the tables
@@ -522,7 +535,7 @@ def relaxed_costs_to_sink(
         g = lin_lam[i] + cost[:, i]
         tail = slice(lo[l], hi[l])
         cost[:, l, tail], res[:, l, tail], choice[:, l, tail] = _lex_min(
-            g[:, None, a:b] + jump[tail, a:b], key_cons[i, a:b] + res[:, i, a:b] * m, m, a
+            g[:, None, a:b] + jump[tail, a:b], key_cons[i, a:b] + res[:, i, a:b] * m, m, a, tie
         )
         s = choice[:, l, lo[l]]
         # rows that all pick s are its cone: the next step's chain guess may stand
@@ -547,9 +560,7 @@ def relaxed_costs_to_sink(
     a, b = lo[0], hi[0]
     cost_s, res_s, choice_s = _lex_min(
         (lin_lam[0, :, a:b] + cost[:, 0, a:b])[:, None],
-        key_cons[0, a:b] + res[:, 0, a:b] * m,
-        m,
-        a,
+        key_cons[0, a:b] + res[:, 0, a:b] * m, m, a, tie,
     )
     return [
         ZetaTable(

@@ -25,7 +25,6 @@ from typing import Callable, Optional
 import numpy as np
 
 from tripsolve import astar
-from tripsolve.astar import PRUNE_TOL
 from graph_reference import enumerate_steps
 from tripsolve.graph import NodeRef, edge_terms, reach_windows
 from tripsolve.instance import (
@@ -39,11 +38,20 @@ from tripsolve.instance import (
     resource_use,
 )
 from tripsolve.lagrange import (
-    COST_TIE_TOL,
     LagrangeTables,
     binary_search,
     relaxed_costs_to_sink,
 )
+
+
+def sweep_tie(inst: TripInstance, lam: float) -> float:
+    """The relaxed sweep's tie at the multiplier lam, written out from the
+    edge terms: eps * n * E, where E = max|linear| + max jump + |lam| *
+    max|cons| bounds the terms of one edge. Costs within it of a row's
+    minimum tie."""
+    cons, linear, jump = edge_terms(inst)
+    edge = float(np.abs(linear).max()) + float(jump.max()) + abs(lam) * float(np.abs(cons).max())
+    return float(np.finfo(np.float64).eps) * inst.n * edge
 
 
 def dominated_masks(inst: TripInstance) -> list[np.ndarray]:
@@ -113,7 +121,10 @@ def solve_astar_reference(
     n, m, width = inst.n, inst.m, inst.delta + 1
     zero = np.zeros(n, dtype=np.int64)
     upper = min(tables.upper_bound, objective(inst, zero))
-    margin = PRUNE_TOL + 8 * (n + 1) * math.ulp(cost_bound(inst))
+    # the rounding of f and of the objective, and the most the tables' ties
+    # add to a heuristic over n layers
+    margin = 8 * (n + 1) * math.ulp(cost_bound(inst))
+    margin += n * sweep_tie(inst, max(t.lam for t in tables.zeta))
 
     cons_all, linear, jump = edge_terms(inst)
     weights_all = [linear[:1]] + [linear[i] + jump for i in range(1, n)]
@@ -235,11 +246,12 @@ def full_windows(inst):
 def reference_sweep(inst, lam, windows=None):
     """One relaxed backward sweep over the reach windows (lo, hi), those of
     inst by default, layer by layer, with the tie rule spelled out: cheapest
-    cost within COST_TIE_TOL, then smallest budget, then smallest index. A
-    node outside its window gets cost +inf, budget 0 and choice -1; with
-    full_windows(inst) the sweep covers the whole graph. Returns (cost, res,
-    choice, source triple)."""
+    cost within sweep_tie(inst, lam), then smallest budget, then smallest
+    index. A node outside its window gets cost +inf, budget 0 and choice -1;
+    with full_windows(inst) the sweep covers the whole graph. Returns (cost,
+    res, choice, source triple)."""
     n, m = inst.n, inst.m
+    tie = sweep_tie(inst, lam)
     lo, hi = reach_windows(inst) if windows is None else windows
     outside = (np.arange(m)[None, :] < lo[:, None]) | (np.arange(m)[None, :] >= hi[:, None])
     cost = np.where(outside, np.inf, 0.0)
@@ -248,7 +260,7 @@ def reference_sweep(inst, lam, windows=None):
 
     def lex_min_rows(total, res_row):
         cmin = total.min(axis=1, keepdims=True)
-        tied = total <= cmin + COST_TIE_TOL
+        tied = total <= cmin + tie
         res_masked = np.where(tied, res_row[None, :], np.iinfo(np.int64).max)
         rmin = res_masked.min(axis=1)
         idx = (tied & (res_masked == rmin[:, None])).argmax(axis=1)

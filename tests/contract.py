@@ -57,6 +57,9 @@ INSTANCES = {  # instance name: generator arguments
     # its two selections tie in objective at budget uses 1 and 2: topo and
     # A* keep the larger remaining capacity, the oracle the smaller step
     "tie": "gen-knapsack --values 2,2 --weights 1,2 --budget 2",
+    # costs near 1e-13, below any absolute tolerance: the relaxed sweep's
+    # ties and A*'s pruning must follow the instance's own scale
+    "tiny": "gen-knapsack --values 2.1e-13,1.06e-13 --weights 4,2 --budget 3 --alpha 2e-13",
 }
 # each solver once; A*'s two prunings are always on
 SOLVES = ("topo", "astar", "oracle")

@@ -240,6 +240,40 @@ def test_cached_radii_above_the_clamp_cap():
     assert_cached_astar_radii_match(solve_astar, inst)
 
 
+def test_costs_below_any_absolute_tie_are_solved():
+    # costs near 1e-13: an absolute tie of 1e-12 tied every relaxed path,
+    # and A* returned the smallest-budget one, d = [0, 0] (objective 0) and
+    # the knapsack's empty selection (1.6e-12), as proven optima
+    inst = validate(
+        {"n": 2, "alpha": 5e-13, "delta": 2, "xi": [0, 1, 3], "x": [0, 0],
+         "gamma": [1, 2], "c": [-5.35669373161111e-13, 3.615950549094847e-13]}
+    )
+    assert solve_astar(inst).d.tolist() == [1, 0]
+    knapsack = knapsack_reduce([2.1e-13, 1.06e-13], [4, 2], 3, 2e-13).instance
+    assert solve_astar(knapsack).d.tolist() == solve_topo(knapsack).d.tolist() == [0, 2, 0]
+
+
+def test_cached_radius_at_large_costs_is_solved():
+    # costs near 1e5: at the upper endpoint max|c| + 2 * alpha the zero step
+    # ties with other relaxed paths in exact arithmetic, and an absolute tie
+    # of 1e-12, below one ulp there, let one of them win by rounding: the
+    # cached solve at delta 4 raised "relaxed path at the upper endpoint
+    # overuses budget"
+    inst = validate(
+        {"n": 12, "alpha": 1638.4, "delta": 17, "xi": [-5, -4, 0, 4, 9],
+         "x": [9, 0, 9, -5, 4, -4, 9, -4, 4, 4, 9, -5],
+         "gamma": [2, 2, 1, 3, 2, 2, 1, 1, 3, 3, 1, 3],
+         "c": [22454.039705514733, 70449.96942864236, 11691.736778804132,
+               -11022.446144568363, -5849.491983532509, 21836.264113427493,
+               22481.059129919493, -11336.183137055374, -48806.27823703419,
+               -32741.341191663378, 75966.79771654896, -2130.557127183708]}
+    )
+    cache = RadiusCache()
+    for delta in (17, 4):
+        at = dataclasses.replace(inst, delta=delta)
+        assert solve_astar(at, cache).objective == solve_topo(at).objective
+
+
 def test_cache_rebuilds_for_changed_instances():
     inst = gen_random(12, 5, 10, 0.2, seed=14)
     rng = np.random.default_rng(14)

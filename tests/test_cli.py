@@ -667,6 +667,33 @@ def test_bench_mismatch_gate(tmp_path, trace_file, capsys, monkeypatch):
     assert "mismatch" in err
 
 
+def test_bench_gate_holds_at_tiny_costs(tmp_path, capsys, monkeypatch):
+    # objectives near 1.5e-12: the gate's floor is the instance's rounding
+    # bound, not an absolute 1e-6, so an A* objective 1e-13 off is caught
+    import tripsolve.cli as cli_mod
+
+    inst_path, trace = tmp_path / "tiny.json", tmp_path / "tiny.jsonl"
+    code, _, _ = run_cli(
+        capsys, "gen-knapsack", "--values", "2.1e-13,1.06e-13", "--weights", "4,2",
+        "--budget", "3", "--alpha", "2e-13", "--out", str(inst_path),
+    )
+    assert code == 0
+    record = {"kind": "step", "instance": json.loads(inst_path.read_text())}
+    trace.write_text(json.dumps(record) + "\n")
+    argv = ["bench", str(trace), "--solvers", "topo,astar", "--out", str(tmp_path / "b.csv")]
+    assert run_cli(capsys, *argv)[0] == 0
+    true_solve = cli_mod.solve_astar
+
+    def off_by_a_little(inst):
+        sol = true_solve(inst)
+        sol.objective += 1e-13
+        return sol
+
+    monkeypatch.setattr(cli_mod, "solve_astar", off_by_a_little)
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 3 and "mismatch" in err
+
+
 def test_bench_deterministic_apart_from_timing(tmp_path, trace_file, capsys):
     outs = []
     for name in ("one.csv", "two.csv"):

@@ -20,6 +20,7 @@ from astar_reference import (
     full_windows,
     reference_sweep,
     relaxed_objective,
+    sweep_tie,
     window_steps,
 )
 from conftest import equivalence_instances, halving, radius_corpus
@@ -32,7 +33,6 @@ from tripsolve.instance import (
     validate,
 )
 from tripsolve.lagrange import (
-    COST_TIE_TOL,
     LagrangeTables,
     binary_search,
     default_epsilon,
@@ -54,7 +54,8 @@ def window_shifts(inst, i):
 def suffix_oracle(inst, lam, layer, value_index):
     """Exhaustive (cost, min budget among tied costs) over all continuations
     from a given (layer, value) class to the sink through the reach
-    windows."""
+    windows, costs within the relaxed sweep's tie (sweep_tie) tying."""
+    tie = sweep_tie(inst, lam)
     shifts = [window_shifts(inst, i) for i in range(layer + 1, inst.n + 1)]
     best = (math.inf, math.inf)
     prev_value = int(inst.xi[value_index])
@@ -70,9 +71,7 @@ def suffix_oracle(inst, lam, layer, value_index):
             cost += lam * used
             res += used
             prev = value
-        if cost < best[0] - COST_TIE_TOL or (
-            cost <= best[0] + COST_TIE_TOL and res < best[1]
-        ):
+        if cost < best[0] - tie or (cost <= best[0] + tie and res < best[1]):
             best = (min(cost, best[0]), res)
     return best
 
@@ -177,7 +176,7 @@ def test_extracted_path_minimizes_resource_among_ties():
             ).sum(axis=1)
             res = np.abs(steps) @ inst.gamma
             total = cost + lam * res
-            tied = total <= total.min() + COST_TIE_TOL
+            tied = total <= total.min() + sweep_tie(inst, lam)
             want_res = res[tied].min()
             d = extract_path_step(inst, table)
             got_res = int(np.abs(d) @ inst.gamma)
@@ -841,24 +840,27 @@ def one_kind(kind: str) -> dict[str, int]:
     "gap, dominated",
     [
         (0.0, False),
-        (0.5 * COST_TIE_TOL, False),
-        (COST_TIE_TOL, False),
-        (2.0 * COST_TIE_TOL, True),
+        (5e-13, False),
+        (1e-12, False),
+        (2e-12, True),
         (1.0, True),
     ],
 )
 def test_dominance_margin_boundary(gap, dominated):
     # At lam = 0 the last inner layer has g = c_2 * (xi - x_2) = [-c_2, 0]
     # and column 0 beats column 1 by g[1] - g[0] - jump[0, 1] = c_2 - alpha
-    # = gap. Up to COST_TIE_TOL the two tie in row 1, whose budget rule
-    # then picks column 1; above it column 0 wins both rows. A gap above
-    # jump[0, 1] = alpha lets the bulk pass decide the layer, and every
-    # smaller one leaves it to _lex_min.
+    # = gap. c_1 sets the sweep's tie at lam = 0: E = max|linear| + max
+    # jump = 4095.5 + 0.5, so eps * n * E = 2**-39, about 1.8e-12. Up to the
+    # tie the two tie in row 1, whose budget rule then picks column 1; above
+    # it column 0 wins both rows. A gap above jump[0, 1] = alpha lets the
+    # bulk pass decide the layer, and every smaller one leaves it to
+    # _lex_min.
     alpha = 0.5
     inst = validate(
         {"n": 2, "alpha": alpha, "delta": 2, "xi": [0, 1], "x": [1, 1],
-         "gamma": [1, 1], "c": [0.25, alpha + gap]}
+         "gamma": [1, 1], "c": [4095.5, alpha + gap]}
     )
+    assert sweep_tie(inst, 0.0) == 2.0**-39
     kind = one_kind("bulk" if gap > alpha else "lex_min")
     assert swept_layer_kinds(inst, [0.0]) == kind
     assert relaxed_costs_to_sink(inst, [0.0])[0].choice[0].tolist() == [0, int(not dominated)]
@@ -868,19 +870,23 @@ def test_dominance_margin_boundary(gap, dominated):
     assert swept_layer_kinds(inst, [0.0, 3.0]) == kind
 
 
-@pytest.mark.parametrize("gap, bulk", [(2.0 * COST_TIE_TOL, False), (3.0 * COST_TIE_TOL, True)])
+@pytest.mark.parametrize("gap, bulk", [(2e-12, False), (3e-12, True)])
 def test_predecessor_free_test_boundary(gap, bulk):
     # At lam = 0 the layer's own prices are h = c_2 * (xi - x_2) = [-c_2, 0]
     # and column 0 beats column 1 by c_2 = 2 * jump[0, 1] + gap. The bulk
-    # pass decides the layer only when gap exceeds 2 * margin, which is
-    # COST_TIE_TOL plus a rounding term of about 1e-14 here: 2 * COST_TIE_TOL
-    # is just under it and 3 * COST_TIE_TOL just over. Below it the layer
-    # takes _lex_min, whose rows both pick column 0.
+    # pass decides the layer only when gap exceeds 2 * margin, 34 ties at
+    # the largest multiplier swept. c_1 sets E = max|linear| + max jump +
+    # lam * max|cons| to 160 at lam = 0 and 163 at lam = 3, so 2 * margin is
+    # 34 * eps * n * E, 2.42e-12 or 2.46e-12: 2e-12 is just under it and
+    # 3e-12 just over. Below it the layer takes _lex_min, whose rows both
+    # pick column 0.
     alpha = 0.5
     inst = validate(
         {"n": 2, "alpha": alpha, "delta": 2, "xi": [0, 1], "x": [1, 1],
-         "gamma": [1, 1], "c": [0.25, 2.0 * alpha + gap]}
+         "gamma": [1, 1], "c": [159.5, 2.0 * alpha + gap]}
     )
+    for lam in (0.0, 3.0):
+        assert (gap > 34.0 * sweep_tie(inst, lam)) == bulk
     kind = one_kind("bulk" if bulk else "lex_min")
     assert swept_layer_kinds(inst, [0.0]) == kind
     assert relaxed_costs_to_sink(inst, [0.0])[0].choice[0].tolist() == [0, 0]
@@ -905,7 +911,7 @@ def test_wrong_chain_guess_falls_back(monkeypatch, c3, kinds):
     # rows are that cone, and the guess stands. With c_3 = 0.05 each of its
     # rows picks its own column: no cone, so the guess must fall back. A cone
     # assumed there would give value 2 of layer 0 the cost 2 instead of 0.2.
-    # With c_3 = alpha = 1 the rows at lam = 0 tie within COST_TIE_TOL, row 1
+    # With c_3 = alpha = 1 the rows at lam = 0 tie exactly, row 1
     # between columns 0 and 1 and row 2 among all three, and only the
     # budget rule picks column 0 in each: the step is still that column's
     # cone, and the guess stands. Layers are the rows of the tables, 0 to
@@ -1056,23 +1062,26 @@ def test_a_wrong_guess_inside_a_run_ends_it(monkeypatch, xi, delta):
 @pytest.mark.parametrize(
     "x, c, picked",
     [
-        # heads (costs, budgets): column 0 (-COST_TIE_TOL / 2, 2), column 1
-        # (0, 0), column 2 (1, 2): the budget picks column 1
-        ([0, 0, 0], [0.25, 0.5 * COST_TIE_TOL, 0.5], 1),
-        # columns 1 and 2 cost 0.75 + COST_TIE_TOL / 2 and 0.75, both with
-        # budget 1, column 0 1.75: the index picks column 1
-        ([0, 1, 0], [0.25, -0.75 - 0.5 * COST_TIE_TOL, 0.25], 1),
+        # heads (costs, budgets): column 0 (-tie / 2, 2), column 1 (0, 0),
+        # column 2 (1, 2): the budget picks column 1
+        ([0, 0, 0], [1023.0, 1.5 * 2.0**-42, 0.5], 1),
+        # columns 1 and 2 cost 0.75 + tie / 2 and 0.75, both with budget 1,
+        # column 0 1.75: the index picks column 1
+        ([0, 1, 0], [1023.0, -0.75 - 1.5 * 2.0**-42, 0.25], 1),
     ],
 )
 def test_single_row_ties_go_to_budget_then_index(x, c, picked):
     # gamma_1 = 10 > delta leaves layer 0 (table row 0) the one value
     # xi = 0 (index 1), so the step into layer 1 has one row; its heads tie
-    # within COST_TIE_TOL, so no margin test decides it and _lex_min's tie
-    # rule picks the column
+    # within the sweep's tie, so no margin test decides it and _lex_min's
+    # tie rule picks the column. c_1 moves no path through that one value,
+    # and sets the tie at lam = 0: E = max|linear| + max jump = 1023 + 1, so
+    # eps * n * E = 3 * 2**-42, about 6.8e-13
     inst = validate(
         {"n": 3, "alpha": 0.5, "delta": 9, "xi": [-1, 0, 1], "x": x,
          "gamma": [10, 1, 1], "c": c}
     )
+    assert sweep_tie(inst, 0.0) == 3 * 2.0**-42
     assert reach_windows(inst)[1][0] - reach_windows(inst)[0][0] == 1
     assert swept_layer_kinds(inst, [0.0]) == {"bulk": 0, "lex_min": 2}
     assert relaxed_costs_to_sink(inst, [0.0])[0].choice[0, 1] == picked
@@ -1117,9 +1126,9 @@ def test_wide_single_rows_fall_back_when_the_chain_guess_fails(monkeypatch):
     "gap, bulk, picked",
     [
         (0.0, False, 0),
-        (0.5 * COST_TIE_TOL, False, 0),
-        (COST_TIE_TOL, False, 0),
-        (2.0 * COST_TIE_TOL, False, 1),
+        (5e-13, False, 0),
+        (1e-12, False, 0),
+        (2e-12, False, 1),
         (1.0, True, 1),
     ],
 )
@@ -1129,15 +1138,18 @@ def test_single_row_chain_test_boundary(gap, bulk, picked):
     # (h = c_3 * xi = [0, -5]) passes the predecessor-free test with winner
     # t = 1. The single row's own prices h = c_2 * xi = [0, 1 - gap] fail
     # it, but against the cone at t its totals are f = h + jump[t] +
-    # jump[j0] = [1, 1 - gap] plus a constant: column 1 wins by gap. The
-    # bulk pass decides the row only when gap exceeds 2 * margin, about
-    # 2.1 * COST_TIE_TOL here; below it the row takes _lex_min, which picks
-    # column 0, the smaller budget, while the two tie within COST_TIE_TOL
+    # jump[j0] = [1, 1 - gap] plus a constant: column 1 wins by gap. c_1
+    # moves no path through j0, and sets the sweep's tie at lam = 0:
+    # E = max|linear| + max jump = 2047.5 + 0.5, so eps * n * E = 3 * 2**-41,
+    # about 1.4e-12. The bulk pass decides the row only when gap exceeds
+    # 2 * margin, 34 ties; below it the row takes _lex_min, which picks
+    # column 0, the smaller budget, while the two tie within the tie
     alpha = 0.5
     inst = validate(
         {"n": 3, "alpha": alpha, "delta": 2, "xi": [0, 1], "x": [1, 0, 0],
-         "gamma": [10, 1, 1], "c": [0.25, 2.0 * alpha - gap, -5.0]}
+         "gamma": [10, 1, 1], "c": [2047.5, 2.0 * alpha - gap, -5.0]}
     )
+    assert sweep_tie(inst, 0.0) == 3 * 2.0**-41
     assert reach_windows(inst)[1][0] - reach_windows(inst)[0][0] == 1
     kind = {"bulk": 1 + bulk, "lex_min": int(not bulk)}
     assert swept_layer_kinds(inst, [0.0]) == kind

@@ -66,10 +66,12 @@ def test_lexicographic_tie_break():
 
 
 def test_large_objectives_tie_to_within_a_few_ulps():
-    # both steps cost exactly -4e306, but one ulp there exceeds the
-    # absolute COST_TIE_TOL: topo and astar pick [2, 0, 1] by their own
-    # float sums, the oracle [2, 0, 2] by its own. The answers may differ;
-    # each is feasible, and the objectives agree to float precision
+    # both steps cost exactly -4e306, but their float sums round an ulp
+    # apart: topo and astar pick [2, 0, 1] by their own float sums, which
+    # topo and A*'s search loop compare exactly (A*'s relaxed sweep ties
+    # costs within its own rounding unit, eps * n * E), the oracle
+    # [2, 0, 2] by its own. The answers may differ; each is feasible, and
+    # the objectives agree to float precision
     inst = validate(
         {"n": 3, "alpha": 1e306, "delta": 4, "xi": [-2, -1, 0, 1, 2],
          "x": [0, 1, 0], "gamma": [1, 1, 1], "c": [-2e306, 1e306, -1e306]}

@@ -1,7 +1,8 @@
 """Property tests over random instance records.
 
 Derandomized, so every run draws the same examples: valid small instances
-agree across topo, A* and brute force; objective and resource_use return
+agree across topo, A* and brute force, and keep their answers when c and
+alpha are scaled by a power of two; objective and resource_use return
 the floats of their earlier formulas; a batched relaxed sweep equals the
 reference sweep of each multiplier bit for bit on dyadic data, where cost
 ties, exact or within the tie tolerance, are common; a record with one field
@@ -10,6 +11,7 @@ validate's int64 range rule are solved, and records just past it are
 rejected.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -17,17 +19,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from astar_reference import assert_matches_reference_sweep
+from astar_reference import assert_matches_reference_sweep, sweep_tie
+from conftest import halving
 from tripsolve.astar import solve_astar
 from tripsolve.instance import (
     InstanceError,
+    RadiusCache,
     budget_cap,
+    clamp_delta,
     is_feasible,
     objective,
     resource_use,
+    rounding_bound,
     validate,
 )
-from tripsolve.lagrange import COST_TIE_TOL
+from tripsolve.lagrange import binary_search, default_epsilon
 from tripsolve.oracle import solve_bruteforce
 from tripsolve.topo import solve_topo
 
@@ -68,6 +74,33 @@ def test_topo_astar_and_bruteforce_agree(raw):
     assert_solvers_agree(validate(raw))
 
 
+@settings(PROPERTY, max_examples=150)
+@given(raw=records(), k=st.sampled_from(range(-44, 41)))
+def test_answers_scale_with_the_costs(raw, k):
+    # c and alpha times 2**k, clear of subnormals and of validate's
+    # finiteness rule, scale every float sum exactly: topo and the oracle
+    # keep their steps, and every objective is 2**k times the unscaled one.
+    # A*, fresh and through one cache over halving radii, reaches it within
+    # the rounding at the instance's scale (instance.rounding_bound), and no
+    # dual bound lies above it by more
+    scale = 2.0**k
+    inst = validate(raw)
+    scaled = validate({**raw, "c": [v * scale for v in raw["c"]], "alpha": raw["alpha"] * scale})
+    solvers = [solve_topo] + [solve_bruteforce] * (inst.m**inst.n <= 1 << 12)
+    cache = RadiusCache()
+    for delta in halving(inst.delta):
+        at, at_scaled = (dataclasses.replace(i, delta=delta) for i in (inst, scaled))
+        for solve in solvers:
+            sol, unscaled = solve(at_scaled), solve(at)
+            assert sol.d.tolist() == unscaled.d.tolist()
+            assert sol.objective == scale * unscaled.objective
+        optimum, tol = scale * solve_topo(at).objective, rounding_bound(at_scaled)
+        for sol in (solve_astar(at_scaled), solve_astar(at_scaled, cache)):
+            assert abs(sol.objective - optimum) <= tol
+        tables = binary_search(clamp_delta(at_scaled), default_epsilon(clamp_delta(at_scaled)))
+        assert tables.dual_bound() <= optimum + tol
+
+
 @settings(PROPERTY, max_examples=300)
 @given(raw=records(max_n=9, max_m=5), data=st.data())
 def test_objective_and_resource_use_keep_their_floats(raw, data):
@@ -98,11 +131,13 @@ DYADIC = st.integers(-16, 16).map(lambda v: v / 8)
 def test_relaxed_sweep_matches_reference_sweep_on_ties(raw, alpha, lams, nudges):
     # c on a quarter grid and alpha dyadic or some |c_i| (an integer alpha
     # picks one), so that a column's gain in c_i matches its jump exactly;
-    # then some c_i move by multiples of COST_TIE_TOL / 2, so that costs tie
-    # exactly or nearly, within the tie tolerance or just past it
+    # then some c_i move by multiples of half the sweep's tie at the first
+    # multiplier (sweep_tie), so that costs tie exactly or nearly, within the
+    # tie or just past it
     if isinstance(alpha, int):
         alpha = abs(raw["c"][alpha % raw["n"]])
-    c = [v + k * 0.5 * COST_TIE_TOL for v, k in zip(raw["c"], nudges)]
+    unit = 0.5 * sweep_tie(validate({**raw, "alpha": alpha}), lams[0])
+    c = [v + k * unit for v, k in zip(raw["c"], nudges)]
     assert_matches_reference_sweep(validate({**raw, "alpha": alpha, "c": c}), lams)
 
 
