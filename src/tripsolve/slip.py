@@ -33,6 +33,13 @@ relaxed entry lies 0.0099 from a midpoint. The rounded start there is the
 same for every tolerance up to 1e-7; at 1e-6, 11 of its 64 entries change.
 A start is therefore reproducible within one scipy release, but it can move
 between the Fortran L-BFGS-B (scipy <= 1.14) and the C one (>= 1.15).
+
+numpy is the only numerical module imported here at module level, since
+importing tripsolve imports this module and the solvers need nothing else.
+The first scipy submodule adds 27 to 30 MB of RSS, so only when asked: each
+problem builder imports what its closures use (scipy.linalg for heat,
+scipy.fft and scipy.special for signal), and solve_box_relaxation imports
+scipy.optimize.
 """
 
 from __future__ import annotations
@@ -43,10 +50,6 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
-from scipy.fft import irfftn, next_fast_len, rfftn
-from scipy.linalg import solveh_banded
-from scipy.special import erf
 
 from .astar import solve_astar
 from .instance import (InstanceError, RadiusCache, Solution, SolverError,
@@ -249,6 +252,9 @@ def make_heat_problem(n: int, fine_factor: int = 4) -> ControlProblem:
         raise ValueError("n must be at least 2")
     if fine_factor < 4:
         raise ValueError("need at least 4 fine intervals per control interval")
+    from numpy.polynomial.legendre import leggauss
+    from scipy.linalg import solveh_banded
+
     m_fine = fine_factor * n
     # the largest arrays: 8 quadrature nodes on each of the m_fine + 1 pieces
     check_table_bytes("heat problem's quadrature table", (m_fine + 1) * 8 * 8)
@@ -323,9 +329,12 @@ def make_heat_problem(n: int, fine_factor: int = 4) -> ControlProblem:
 # ---------------------------------------------------------------------------
 # built-in problem: signal reconstruction through a causal kernel
 
-# lags per kernel_mass evaluation: its (5, 32, 200) temporaries take 256 kB
-# each, which the allocator reuses; blocks of 256 lags or the whole grid
-# (33 MB each) built the problem more slowly, their pages faulted in afresh
+# lags per kernel_mass evaluation; blocks of 256 lags or the whole grid
+# (33 MB each) built the problem more slowly, their pages faulted in afresh.
+# Every block is computed in one (5, 32, 200) scratch of 256 kB: temporaries
+# of that size are mapped afresh whenever the allocator's mmap threshold,
+# which earlier work sets, lies below it, and a seed-0 signal-slip set-up
+# then faulted in up to 48,000 pages and took up to twice as long
 _KERNEL_BLOCK = 32
 
 
@@ -356,6 +365,10 @@ def make_signal_problem(
         raise ValueError("fine_cells must be a positive integer")
     if fine_cells % n != 0:
         raise ValueError("n must divide the fine-grid size")
+    from numpy.polynomial.legendre import leggauss
+    from scipy.fft import irfftn, next_fast_len, rfftn
+    from scipy.special import erf
+
     m_fine = fine_cells
     h = 1.0 / m_fine
     rep = m_fine // n
@@ -369,13 +382,24 @@ def make_signal_problem(
     offs = (glx + 1.0) * 0.5 * h  # node offsets inside a cell, ascending
     wq = glw * 0.5 * h  # quadrature weights, sum h
 
+    phi0 = 0.5 * (1.0 + erf((0.0 - mu) / sigma / np.sqrt(2.0)))
+    scratch = np.empty((5, _KERNEL_BLOCK, 200))
+
     def kernel_mass(s: np.ndarray) -> np.ndarray:
-        """Integral of the kernel over (0, s] for s >= 0, elementwise."""
-        z = (s[..., None] - mu) / sigma
-        z0 = (0.0 - mu) / sigma
-        phi = 0.5 * (1.0 + erf(z / np.sqrt(2.0)))
-        phi0 = 0.5 * (1.0 + erf(z0 / np.sqrt(2.0)))
-        return ((phi - phi0) * amp).sum(axis=-1)
+        """Integral of the kernel over (0, s] for s >= 0, elementwise, at
+        up to _KERNEL_BLOCK lags: the sum over the bumps of
+        (0.5 * (1 + erf((s - mu) / sigma / sqrt(2))) - phi0) * amp, each
+        step written over the last in scratch."""
+        z = scratch[:, : s.shape[1]]
+        np.subtract(s[..., None], mu, out=z)
+        z /= sigma
+        z /= np.sqrt(2.0)
+        erf(z, out=z)
+        z += 1.0
+        z *= 0.5
+        z -= phi0
+        z *= amp
+        return z.sum(axis=-1)
 
     lags = np.arange(m_fine, dtype=np.float64)
     t_nodes = lags[None, :] * h + offs[:, None]

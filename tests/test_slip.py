@@ -4,6 +4,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.fft
+import scipy.linalg
 from scipy.fft import next_fast_len
 
 import tripsolve.instance
@@ -331,12 +333,14 @@ def test_signal_slip_run_monotone():
 )
 def test_run_solves_each_state_once(monkeypatch, make, solve):
     # a value solves the state; the gradient at the iterate whose value the
-    # run has just computed reuses that state and adds one adjoint solve
-    problem, calls = make(), []
-    real = getattr(tripsolve.slip, solve)
+    # run has just computed reuses that state and adds one adjoint solve.
+    # The builder imports the solve, so the patch goes in before it runs
+    module = {"solveh_banded": scipy.linalg, "irfftn": scipy.fft}[solve]
+    real, calls = getattr(module, solve), []
     monkeypatch.setattr(
-        tripsolve.slip, solve, lambda *args, **kw: calls.append(1) or real(*args, **kw)
+        module, solve, lambda *args, **kw: calls.append(1) or real(*args, **kw)
     )
+    problem = make()
     trace = run_slip(
         problem, np.zeros(problem.n, dtype=int), SlipConfig(alpha=1e-3, delta0=8)
     )
