@@ -32,7 +32,9 @@ rows and the table it keeps serve delta:
   index, weight) triples sorted by (consumption, value index), with the
   dominated edges left out, over the next layer's window. A label with
   capacity eta follows the prefix of the row with consumption <= eta,
-  exactly the heads the budget admits. The record keeps the rows. The
+  exactly the heads the budget admits. The record keeps the rows, and
+  the heads of every layer in that order with their edge terms, so a row
+  is gathered in order and never sorted (Sweeps.successor_terms). The
   pushes of one expansion reach distinct states and every heap entry is a
   distinct tuple, so pushing the heads in this order instead of by value
   index pops the same sequence.
@@ -72,36 +74,34 @@ from .lagrange import Sweeps, binary_search, default_epsilon, heuristic_table
 HEURISTIC_TABLE_CAP = TABLE_BYTES_CAP // 8
 
 
-def successor_row(
-    inst: TripInstance, record: Sweeps, layer: int, j: int
-) -> list[tuple[int, int, float]]:
+def successor_row(record: Sweeps, layer: int, j: int) -> list[tuple[int, int, float]]:
     """The out-edges of value index j of layer 0..n-1, as (consumption,
     head value index, weight) triples sorted by (consumption, value index).
 
-    The heads are the reach window a..b-1 of layer + 1 held by record, the
-    Sweeps record of inst at a radius at least inst.delta; weights and
-    consumptions are the record's graph.edge_terms: linear[layer, j'] +
-    jump[j, j'], and linear[0, j'] from the source. An edge from layer >= 1
-    into j' is left out where its weight exceeds that of the edge into the
-    head layer's zero step z plus jump[z, j']: rerouting through z
-    consumes no budget, and by the triangle inequality the reroute's next
-    jump, jump[z, k], costs at most jump[z, j'] + jump[j', k], so the
-    reroute is strictly cheaper on every path and the edge lies on no
-    optimal one. z itself is never left out. Where the two
-    sides tie exactly, their float sums may round either way; an edge left
-    out then has a reroute that costs no more, so an optimum is kept.
+    The heads are the reach window of layer + 1 held by record, the Sweeps
+    record of the searched instance at a radius at least its delta, in the
+    order record.successor_terms keeps with their terms; the keys are
+    distinct, so the row needs no sort. Weights and consumptions are the
+    record's graph.edge_terms: linear[layer, j'] + jump[j, j'], and
+    linear[0, j'] from the source. An edge from layer >= 1 into j' is left
+    out where its weight exceeds that of the edge into the head layer's
+    zero step z plus jump[z, j']: rerouting through z consumes no budget,
+    and by the triangle inequality the reroute's next jump, jump[z, k],
+    costs at most jump[z, j'] + jump[j', k], so the reroute is strictly
+    cheaper on every path and the edge lies on no optimal one. z itself is
+    never left out. Where the two sides tie exactly, their float sums may
+    round either way; an edge left out then has a reroute that costs no
+    more, so an optimum is kept.
     """
-    cons, linear, jump = record.terms
-    lo, hi, _, _ = record.windows
-    a, b = lo[layer], hi[layer]
-    heads = np.arange(a, b)
-    weights = linear[layer, a:b]
-    if layer >= 1:
-        weights = weights + jump[j, a:b]
-        z = np.searchsorted(inst.xi, inst.x[layer])
-        keep = weights <= weights[z - a] + jump[z, a:b]
-        heads, weights = heads[keep], weights[keep]
-    return sorted(zip(cons[layer, heads].tolist(), heads.tolist(), weights.tolist()))
+    heads, cons, linear, jump_z, z = record.successor_terms()[layer]
+    if layer == 0:
+        weights = linear
+    else:
+        _, linear_all, jump = record.terms
+        weights = linear + jump[j, heads]
+        keep = weights <= linear_all[layer, z] + jump[j, z] + jump_z
+        heads, cons, weights = heads[keep], cons[keep], weights[keep]
+    return list(zip(cons.tolist(), heads.tolist(), weights.tolist()))
 
 
 def solve_astar(
@@ -114,10 +114,11 @@ def solve_astar(
 
     The multiplier search runs first: lagrange.binary_search, a safeguarded
     cutting-plane method on the Lagrangian dual (Kelley 1960; Handler &
-    Zang 1980) that sweeps three multipliers per round and stops when a
-    bracket end or the cut reaches the model value of the dual within
-    lagrange.default_epsilon(inst), 1e-6 * (1 + max|c|); the search is exact
-    at any tolerance, which only moves the multipliers it evaluates. When it
+    Zang 1980) that sweeps each multiplier as it evaluates it, at most two
+    per round, and stops when a bracket end or the cut reaches the model
+    value of the dual within lagrange.default_epsilon(inst), 1e-6 * (1 +
+    max|c|); the search is exact at any tolerance, which only moves the
+    multipliers it evaluates. When it
     proves an optimum on its own (budget met exactly, or the unconstrained
     optimum already feasible) no search happens at all. Otherwise A* runs
     from the source with f = path cost + heuristic; ties prefer larger
@@ -133,10 +134,9 @@ def solve_astar(
     a call at a larger radius, and lagrange.Sweeps says why the answer is
     still an optimum though nodes_expanded, nodes_generated and
     preprocessing_iterations may differ from a fresh solve's. During the
-    search the record keeps alive every table swept, evaluated or not,
-    with the relaxed paths' steps, the edge terms and the windows. The K
-    tables of one sweep are views of one block of arrays, and a sweep's
-    block holds an evaluated table, so the tables not evaluated add little.
+    search the record keeps alive every table swept, each one a multiplier
+    some search evaluated, with the relaxed paths' steps, the edge terms
+    and the windows.
 
     expansion_listener, when given, is called with the node and f of every
     expansion, in order.
@@ -195,7 +195,7 @@ def solve_astar(
 
         row = rows.get(packed // width)
         if row is None:
-            row = rows[packed // width] = successor_row(inst, record, layer, j)
+            row = rows[packed // width] = successor_row(record, layer, j)
         head = layer + 1
         at_head = head * m
         if h_table is not None:

@@ -31,10 +31,12 @@ the cut reaches that bound, and every round also evaluates the midpoint of
 the bracket left, so the bracket halves at least as fast as in a bisection.
 
 Each relaxed graph is evaluated by a backward sweep over the layers.
-`relaxed_costs_to_sink` evaluates several multipliers in one pass, forming
-the edge weights from the terms of graph.edge_terms, and a round sweeps its
-cut together with the midpoints on either side of it, one of which is the
-midpoint it evaluates next.
+`relaxed_costs_to_sink` can evaluate several multipliers in one pass,
+forming the edge weights from the terms of graph.edge_terms, but the search
+sweeps each multiplier alone, when it evaluates it: a pass takes a layer
+step in bulk only where it can for every multiplier of the pass, so a batch
+costs more per multiplier, and a batch ahead of the evaluations would hold
+multipliers the search never reads.
 A layer prices its heads once, g = (linear + lam * consumption) +
 cost-to-sink, and every total of the layer is g[j'] + jump[j, j']. Its rows
 thus minimise over the same priced columns plus an L1 jump, so a column
@@ -61,10 +63,11 @@ are that column's cone, which a retry can stand on. Every table is
 bitwise the one the per-layer sweep gives.
 
 The Sweeps record is the one place an instance's edge terms and windows
-are derived, and it keeps every swept table, A*'s successor rows and the
-last heuristic table; a solve without a RadiusCache makes a record for
-itself alone. In a RadiusCache the record serves every radius up to the
-one it was built at, and Sweeps says why.
+are derived, and it keeps every swept table, A*'s successor rows with the
+head order they are read from, and the last heuristic table; a solve
+without a RadiusCache makes a record for itself alone. In a RadiusCache
+the record serves every radius up to the one it was built at, and Sweeps
+says why.
 """
 
 from __future__ import annotations
@@ -155,9 +158,10 @@ class Sweeps:
     sweeps alone read, and spread and cons_max, which give the sweeps' ties
     (tie) that A*'s pruning reads too; A*'s successor rows themselves,
     rows[layer * m + j], each built on the first expansion of its class
-    (astar.successor_row); and one heuristic table, htable, the last one
-    heuristic_table built from its tables, with the multipliers of those
-    tables in the order of LagrangeTables.zeta, htable_lams.
+    (astar.successor_row) from the heads in row order and their terms,
+    which successor_terms derives once; and one heuristic table, htable, the
+    last one heuristic_table built from its tables, with the multipliers of
+    those tables in the order of LagrangeTables.zeta, htable_lams.
     Everything here goes with the record when a RadiusCache replaces it.
 
     Why the record serves a search at a radius delta <= R (RadiusCache
@@ -185,10 +189,12 @@ class Sweeps:
     steps: dict[float, np.ndarray] = field(default_factory=dict)
     # graph.edge_terms, and the reach windows as lists with their index
     # tables (relaxed_costs_to_sink), set by the first sweep once its table
-    # checks pass; with the terms, the sweep's tie keys of the edges and the
-    # multiplier-free parts of its ties, max|linear| + max jump and max|cons|
+    # checks pass; with the terms, the sweep's tie keys of the edges, cons
+    # as float64, the floats lam * cons casts it to, and the multiplier-free
+    # parts of its ties, max|linear| + max jump and max|cons|
     terms: Optional[tuple[np.ndarray, np.ndarray, np.ndarray]] = None
     key_cons: Optional[np.ndarray] = None
+    float_cons: Optional[np.ndarray] = None
     spread: float = 0.0
     cons_max: float = 0.0
     windows: Optional[
@@ -197,6 +203,8 @@ class Sweeps:
     htable: Optional[np.ndarray] = None
     htable_lams: tuple[float, ...] = ()
     rows: dict[int, list[tuple[int, int, float]]] = field(default_factory=dict)
+    # successor_terms, derived on its first call
+    row_terms: Optional[list[tuple[np.ndarray, ...]]] = None
 
     def sweep(self, lams: list[float]) -> None:
         """Sweep every multiplier of lams not swept yet."""
@@ -210,6 +218,33 @@ class Sweeps:
         if d is None:
             d = self.steps[lam] = extract_path_step(self.inst, self.swept[lam])
         return d
+
+    def successor_terms(self) -> list[tuple[np.ndarray, ...]]:
+        """What A*'s successor rows read, per layer 0..n - 1: the heads, the
+        window of layer + 1, in (consumption, value index) order, then cons,
+        linear and jump[z] at those heads, and z, the value index of layer
+        + 1's zero step. One argsort of key_cons over the windows, whose
+        padding sorts last, gives every order; derived on the first call,
+        once the first sweep has set the terms and windows."""
+        if self.row_terms is None:
+            cons, linear, jump = self.terms
+            lo, hi, cols, pad = self.windows
+            if cols is None:
+                order = self.key_cons.argsort(axis=1)
+            else:
+                keys = np.take_along_axis(self.key_cons, cols, axis=1)
+                keys[pad] = _NO_KEY
+                order = np.take_along_axis(cols, keys.argsort(axis=1), axis=1)
+            zero = np.searchsorted(self.inst.xi, self.inst.x)
+            # views of four (n, W) arrays: 4n arrays of their own raised
+            # knapsack-replay's peak RSS by 0.4 MB
+            layers = np.arange(len(order))[:, None]
+            terms = order, cons[layers, order], linear[layers, order], jump[zero[:, None], order]
+            self.row_terms = [
+                tuple(t[i, :b - a] for t in terms) + (z,)
+                for i, (a, b, z) in enumerate(zip(lo, hi, zero.tolist()))
+            ]
+        return self.row_terms
 
     def tie(self, lam):
         """The sweep's tie at the multiplier lam, a float or an array of
@@ -472,6 +507,7 @@ def relaxed_costs_to_sink(
     if entry.terms is None:
         cons, linear, jump = edge_terms(inst)
         entry.key_cons = cons * m + np.arange(m)  # (budget * m + column) per edge
+        entry.float_cons = cons.astype(np.float64)
         entry.spread = float(np.abs(linear).max()) + float(jump.max())
         entry.cons_max = float(np.abs(cons).max())
         entry.terms = cons, linear, jump
@@ -490,7 +526,8 @@ def relaxed_costs_to_sink(
     top = float(tie.max(initial=0.0))  # eps * n * E at the largest |lam|
     dominance = math.isfinite(2.0 * top / math.ulp(1.0))  # 2 * n * E, eps = ulp(1)
     margin = 17.0 * top  # the tie plus 16 * eps * n * E
-    lin_lam = lam[None, :, None] * cons[:, None, :]  # (n, K, m): g before its cost-to-sink
+    # (n, K, m): g before its cost-to-sink
+    lin_lam = lam[None, :, None] * entry.float_cons[:, None, :]
     lin_lam += linear[:, None, :]
     blocks = np.arange(k)  # each multiplier's block of the tables
     decided = [False] * (n - 1)
@@ -611,19 +648,21 @@ def binary_search(
     Each round cuts the two ends' path lines c + lam * (r - delta) at their
     intersection `cut`, whose model value bounds the dual from above. If
     the better end's dual value is within epsilon of the model value, that
-    end is returned without a sweep. Otherwise one sweep evaluates cut (the
-    bracket's midpoint if cut is not strictly inside it) and the midpoints
-    on either side of it. The round evaluates cut, moves an end to it,
-    evaluates the midpoint of the bracket left and moves an end again, so
-    it at least halves the bracket; an evaluation whose dual value is
+    end is returned without a sweep. Otherwise the round evaluates cut (the
+    bracket's midpoint if cut is not strictly inside it), moves an end to
+    it, evaluates the midpoint of the bracket left and moves an end again,
+    so it at least halves the bracket; an evaluation whose dual value is
     within epsilon of the model value ends the search at its multiplier.
     Path slopes r - delta are integers, so a multiplier within epsilon of
     the dual optimum in value is within epsilon of a maximiser.
 
-    The result's record holds every swept table with the instance's edge
-    terms and windows: the cache's "sweeps" entry, which may have been
-    built at a larger radius (Sweeps says why it serves this one), or,
-    without a cache, a record of the search's own.
+    Every evaluation sweeps its one multiplier, unless the record already
+    holds its table: a search sweeps only the multipliers it reads, and
+    relaxed_costs_to_sink says why each table is the one a batched sweep
+    would give. The result's record holds every swept table with the
+    instance's edge terms and windows: the cache's "sweeps" entry, which
+    may have been built at a larger radius (Sweeps says why it serves this
+    one), or, without a cache, a record of the search's own.
     """
     check_epsilon(epsilon)
     sweeps = (cache or RadiusCache()).entry("sweeps", inst, lambda: Sweeps(inst))
@@ -631,6 +670,7 @@ def binary_search(
     upper0 = float(np.max(np.abs(inst.c))) + 2.0 * inst.alpha
 
     def evaluate(lam: float) -> ZetaTable:
+        sweeps.sweep([lam])
         table = sweeps.swept[lam]
         tables.zeta.append(table)
         tables.log.append((table.lam, dual(table), table.source_res))
@@ -662,7 +702,6 @@ def binary_search(
         tables.zeta.sort(key=lambda t: t.lam)
         return tables
 
-    sweeps.sweep([0.0, upper0])
     lo = evaluate(0.0)
     if lo.source_res <= inst.delta:
         # the unconstrained optimum fits the budget: done
@@ -685,7 +724,6 @@ def binary_search(
             return finish(best)
         if not lo.lam < cut < hi.lam:  # rounding: bisect instead
             cut = 0.5 * (lo.lam + hi.lam)
-        sweeps.sweep([cut, 0.5 * (lo.lam + cut), 0.5 * (cut + hi.lam)])
         tables.iterations += 1
         lam = cut
         for _ in range(2):  # cut, then the midpoint of the bracket left

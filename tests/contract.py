@@ -7,9 +7,10 @@ OUT/counters/, A*'s output with its search counters (COUNTERS) kept, to show
 a change to the search, not to fail on it. compared/ holds every output
 without its one timing field, wall_seconds, and A*'s also without COUNTERS,
 which follow the multiplier search and the heuristic it leaves; sweeps.txt
-counts and hashes the relaxed tables A* sweeps in the SWEPT runs, and
-htables.txt the heuristic tables A* reads there, in their logical order,
-whatever their memory layout. INPUTS
+counts and hashes the relaxed tables A* sweeps in the SWEPT runs, zeta.txt
+the tables each of its multiplier searches evaluated there, whichever
+sweeps computed them, and htables.txt the heuristic tables A* reads there,
+in their logical order, whatever their memory layout. INPUTS
 holds the traces `bench` replays: a run writes the missing ones, so that a
 second run, against another commit, replays the same subproblems under the
 same names. README says how to compare two commits.
@@ -140,14 +141,27 @@ def main(out: Path, inputs: Path) -> None:
     digest, sweeps = hashlib.sha256(), 0
     sweep = lagrange.relaxed_costs_to_sink
 
+    def hash_tables(into, tables):
+        for t in tables:
+            for a in (t.cost, t.res, t.choice):
+                into.update(a.tobytes())
+            into.update(repr((t.source_cost, t.source_res, t.source_choice)).encode())
+
     def hashed(*args):
         nonlocal sweeps
         sweeps += 1
         tables = sweep(*args)
-        for t in tables:
-            for a in (t.cost, t.res, t.choice):
-                digest.update(a.tobytes())
-            digest.update(repr((t.source_cost, t.source_res, t.source_choice)).encode())
+        hash_tables(digest, tables)
+        return tables
+
+    zeta_digest, evaluated = hashlib.sha256(), 0
+    search = tripsolve.astar.binary_search
+
+    def hashed_search(*args):
+        nonlocal evaluated
+        tables = search(*args)
+        evaluated += len(tables.zeta)
+        hash_tables(zeta_digest, tables.zeta)
         return tables
 
     table_digest, tables_read = hashlib.sha256(), 0
@@ -162,11 +176,13 @@ def main(out: Path, inputs: Path) -> None:
 
     for name, argv in commands(compared, inputs):
         lagrange.relaxed_costs_to_sink = hashed if name in SWEPT else sweep
+        tripsolve.astar.binary_search = hashed_search if name in SWEPT else search
         tripsolve.astar.heuristic_table = hashed_table if name in SWEPT else table
         try:
             printed = run(argv)
         finally:
             lagrange.relaxed_costs_to_sink = sweep
+            tripsolve.astar.binary_search = search
             tripsolve.astar.heuristic_table = table
         astar = argv[0] == "bench" or "astar" in argv
         if argv[0] == "bench":
@@ -182,6 +198,9 @@ def main(out: Path, inputs: Path) -> None:
             shutil.copyfile(counters / name, inputs / name)
     (compared / "sweeps.txt").write_text(
         f"sweeps={sweeps} sha256={digest.hexdigest()}\n", encoding="utf-8"
+    )
+    (compared / "zeta.txt").write_text(
+        f"tables={evaluated} sha256={zeta_digest.hexdigest()}\n", encoding="utf-8"
     )
     (compared / "htables.txt").write_text(
         f"tables={tables_read} sha256={table_digest.hexdigest()}\n", encoding="utf-8"

@@ -18,6 +18,7 @@ from conftest import (
 import tripsolve.instance
 from tripsolve import astar
 from tripsolve.astar import solve_astar, successor_row
+from tripsolve.graph import edge_terms
 from tripsolve.instance import RadiusCache, clamp_delta, validate
 from tripsolve.lagrange import Sweeps
 from tripsolve.oracle import gen_random, knapsack_reduce
@@ -127,29 +128,38 @@ def test_edge_dominated_examples():
     }
     # cost 3*alpha for the move: surplus 4*alpha > alpha, pruned
     expensive = validate({**base, "c": [0.0, 3 * alpha, 0.0]})
-    heads = [head for _, head, _ in successor_row(expensive, _record(expensive), 1, 0)]
+    heads = [head for _, head, _ in successor_row(_record(expensive), 1, 0)]
     assert heads == [0]
     # cost -3*alpha: surplus -2*alpha <= alpha, kept
     cheap = validate({**base, "c": [0.0, -3 * alpha, 0.0]})
-    heads = [head for _, head, _ in successor_row(cheap, _record(cheap), 1, 0)]
+    heads = [head for _, head, _ in successor_row(_record(cheap), 1, 0)]
     assert sorted(heads) == [0, 1]
     # the zero step is never pruned
-    heads = [head for _, head, _ in successor_row(expensive, _record(expensive), 1, 1)]
+    heads = [head for _, head, _ in successor_row(_record(expensive), 1, 1)]
     assert heads == [0]
+
+
+def _sorted_row(inst, layer, j, heads):
+    """The row successor_row should give for these heads: (consumption,
+    head, weight) from graph.edge_terms, sorted."""
+    cons, linear, jump = edge_terms(inst)
+    weights = linear[layer, heads] + (jump[j, heads] if layer >= 1 else 0.0)
+    return sorted(zip(cons[layer, heads].tolist(), heads.tolist(), weights.tolist()))
 
 
 def test_edge_dominated_matches_reference_masks():
     # the rows keep exactly the heads of the reach windows that the
-    # reference masks leave
+    # reference masks leave, with their edge terms, sorted; the source's
+    # row is the whole window of layer 1
     for inst in [*radius_corpus(), *_knapsack_instances()]:
         record = _record(inst)
         lo, hi, _, _ = record.windows
+        assert successor_row(record, 0, 0) == _sorted_row(inst, 0, 0, np.arange(lo[0], hi[0]))
         for i, mask in enumerate(dominated_masks(inst), start=1):
             a, b = lo[i], hi[i]
             for j in range(inst.m):
-                row = successor_row(inst, record, i, j)
                 want = np.flatnonzero(~mask[j, a:b]) + a
-                assert sorted(head for _, head, _ in row) == want.tolist()
+                assert successor_row(record, i, j) == _sorted_row(inst, i, j, want)
 
 
 @pytest.mark.parametrize("options", OPTION_VARIANTS[1:])

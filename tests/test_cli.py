@@ -90,9 +90,17 @@ def test_solve_validation_failure(tmp_path, capsys):
     assert "ascending" in err
 
 
-@pytest.mark.parametrize("alpha, c", [("NaN", "[0.0, 0.0]"), ("1.0", "[NaN, 0.0]")])
+@pytest.mark.parametrize(
+    "alpha, c",
+    [
+        ("NaN", "[0.0, 0.0]"),
+        ("1.0", "[NaN, 0.0]"),
+        pytest.param("1" + "0" * 400, "[0.0, 0.0]", id="401-digit-alpha"),
+    ],
+)
 def test_solve_non_finite_input_exits_2(tmp_path, capsys, alpha, c):
-    # json.loads accepts the bare token NaN
+    # json.loads accepts the bare token NaN, and reads a 401-digit alpha as
+    # an int beyond float
     bad = tmp_path / "nan.json"
     bad.write_text(f'{{"n": 2, "alpha": {alpha}, "delta": 2, "xi": [0, 1], '
                    f'"x": [0, 0], "gamma": [1, 1], "c": {c}}}')

@@ -129,6 +129,10 @@ def test_validate_rejects_non_integral_values(overrides, field):
         ({"gamma": [1e20, 1]}, "gamma entries are out of the int64 range"),
         ({"gamma": [10**20, 1]}, "gamma entries are out of the int64 range"),
         ({"bogus": 7, "d": [0, 0]}, "^unknown field\\(s\\): 'bogus', 'd'$"),
+        ({"alpha": True}, "alpha = True must be a finite number"),  # a bool is no number
+        ({"delta": True}, "delta = True must be a nonnegative integer"),
+        ({"alpha": 10**400}, "alpha = 1000+ must be a finite number"),  # an int beyond float
+        ({"xi": [], "x": [0, 0]}, "xi must be a nonempty vector"),
     ],
 )
 def test_validate_rejects_malformed_fields(overrides, message):

@@ -511,13 +511,15 @@ def test_epsilon_must_be_positive(derived3, epsilon):
         binary_search(derived3, epsilon=epsilon)
 
 
-def sequential_cutting_plane(inst, epsilon, built=None):
+def sequential_cutting_plane(inst, epsilon, built=None, bisected=None):
     """binary_search's contract, one relaxed_costs_to_sink call per
     evaluated multiplier, over the reach windows of built, the instance a
     cache entry was built for (inst itself without a cache): (lambdas in
     evaluation order, tables, log, iterations, lambda_star, incumbent step,
     early-exit step and the iteration count each was found at, and whether
-    a cut test stopped the search)."""
+    a cut test stopped the search). bisected, when given, gets the number
+    of each round whose cut fell outside the open bracket, so that the
+    round bisects instead."""
     lambdas, zeta, log = [], [], []
     state = {"iterations": 0, "upper": math.inf, "incumbent": None}
 
@@ -554,9 +556,11 @@ def sequential_cutting_plane(inst, epsilon, built=None):
         model = lo[1] + cut * (lo[2] - inst.delta)
         if model - best[3] <= epsilon:
             return finish(best[0], None, on_cut=True)
+        state["iterations"] += 1
         if not lo[0] < cut < hi[0]:
             cut = 0.5 * (lo[0] + hi[0])
-        state["iterations"] += 1
+            if bisected is not None:
+                bisected.append(state["iterations"])
         for second in (False, True):
             lam = 0.5 * (lo[0] + hi[0]) if second else cut
             d, end = evaluate(lam)
@@ -584,11 +588,11 @@ def assert_tables_equal(a, b):
     )
 
 
-def assert_matches_sequential(inst, eps, tables, built=None) -> bool:
+def assert_matches_sequential(inst, eps, tables, built=None, bisected=None) -> bool:
     """binary_search's result tables equal sequential_cutting_plane's;
     True when the search exited with a proven optimum."""
     lambdas, zeta, log, iterations, lam_star, incumbent, exit_, _ = (
-        sequential_cutting_plane(inst, eps, built)
+        sequential_cutting_plane(inst, eps, built, bisected)
     )
     order = np.argsort(lambdas)
     assert tables.lambdas == [lambdas[k] for k in order]
@@ -626,6 +630,52 @@ def test_cached_searches_match_sequential_cutting_plane():
             for sol in (tables.incumbent, tables.early_exit):
                 if sol is not None:
                     sol.d += 1  # the cache keeps its own copy of every step
+
+
+def test_the_search_sweeps_only_the_multipliers_it_evaluates(monkeypatch):
+    # one multiplier per sweep, as the search evaluates it, and none twice
+    # per record, fresh or through a cache over halving radii
+    sweep = tripsolve.lagrange.relaxed_costs_to_sink
+    calls = []
+
+    def logged(inst, lams, entry=None):
+        calls.append((entry, list(lams)))
+        return sweep(inst, lams, entry)
+
+    monkeypatch.setattr(tripsolve.lagrange, "relaxed_costs_to_sink", logged)
+    for inst in equivalence_instances():
+        calls.clear()
+        fresh = [binary_search(inst, 1e-3)]
+        cache = RadiusCache()
+        cached = [
+            binary_search(dataclasses.replace(inst, delta=delta), 1e-3, cache)
+            for delta in halving(inst.delta)
+        ]
+        assert all(len(lams) == 1 for _, lams in calls)
+        for searches in (fresh, cached):
+            record = searches[0].record
+            assert all(tables.record is record for tables in searches)
+            swept = [lams[0] for entry, lams in calls if entry is record]
+            assert len(swept) == len(set(swept))
+            logged_lams = {lam for tables in searches for lam, _, _ in tables.log}
+            assert set(swept) == set(record.swept) == logged_lams
+        assert len(calls) == len(fresh[0].record.swept) + len(cached[0].record.swept)
+
+
+def test_rounds_bisect_where_the_cut_leaves_the_bracket():
+    # at the smallest positive epsilon the bracket narrows until the ends'
+    # lines no longer meet strictly inside it, and the round bisects
+    rng = np.random.default_rng(2300)
+    bisections = 0
+    for k in range(300):
+        n, m = int(rng.integers(3, 12)), int(rng.integers(2, 6))
+        delta = int(rng.integers(1, 2 * n + 1))
+        inst = gen_random(n, m, delta, float(rng.choice([0.0, 0.1, 1.0])), seed=2300 + k)
+        inst = dataclasses.replace(inst, gamma=np.ones(n, dtype=np.int64))
+        bisected = []
+        assert_matches_sequential(inst, 5e-324, binary_search(inst, 5e-324), bisected=bisected)
+        bisections += len(bisected)
+    assert bisections > 0
 
 
 def exact_dual_optimum(inst, upper0):
@@ -1275,7 +1325,9 @@ def test_batch_tables_are_contiguous_and_give_the_same_steps(monkeypatch):
 )
 def test_relaxed_sweep_tables_checked_before_allocation(monkeypatch, n, xi):
     # the (n, K, m) tables are checked before edge_terms allocates its
-    # (n, m) terms, the (K, m, m) totals right after its (m, m) jump table
+    # (n, m) terms, the (K, m, m) totals right after its (m, m) jump table.
+    # The sweep takes two multipliers: at K = 1 a layer's totals are the
+    # size of the jump table, which edge_terms checks first
     monkeypatch.setattr(tripsolve.instance, "TABLE_BYTES_CAP", 1_000_000)
     inst = validate(
         {"n": n, "alpha": 1.0, "delta": 10, "xi": xi, "x": [0] * n,
@@ -1284,7 +1336,7 @@ def test_relaxed_sweep_tables_checked_before_allocation(monkeypatch, n, xi):
     tracemalloc.start()
     try:
         with pytest.raises(InstanceError, match="relaxed sweep tables"):
-            solve_astar(inst)
+            relaxed_costs_to_sink(inst, [0.0, 1.0])
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
