@@ -30,13 +30,10 @@ model value bounds the dual from above. The search stops when an end or
 the cut reaches that bound, and every round also evaluates the midpoint of
 the bracket left, so the bracket halves at least as fast as in a bisection.
 
-Each relaxed graph is evaluated by a backward sweep over the layers.
-`relaxed_costs_to_sink` can evaluate several multipliers in one pass,
-forming the edge weights from the terms of graph.edge_terms, but the search
-sweeps each multiplier alone, when it evaluates it: a pass takes a layer
-step in bulk only where it can for every multiplier of the pass, so a batch
-costs more per multiplier, and a batch ahead of the evaluations would hold
-multipliers the search never reads.
+Each relaxed graph is evaluated by a backward sweep over the layers, one
+multiplier per sweep, forming the edge weights from the terms of
+graph.edge_terms; the search sweeps each multiplier when it evaluates it,
+so no sweep prices a multiplier the search never reads.
 A layer prices its heads once, g = (linear + lam * consumption) +
 cost-to-sink, and every total of the layer is g[j'] + jump[j, j']. Its rows
 thus minimise over the same priced columns plus an L1 jump, so a column
@@ -53,14 +50,14 @@ against the cone of the next layer's cheapest columns; a layer whose
 tails' window holds one value has one row, and its retry compares that
 row's totals directly. A layer step is of one of two kinds. The layers
 the pass decides form runs, each taken in a few whole-array operations:
-one accumulation gives each multiplier's cone (winner, g at it, budget)
-at every layer of the run, and their rows are written after the last
-layer. An accumulation adds strictly in sequence and float addition
-commutes, so each g is the float a per-layer sweep gives. The other
-layers take the lexicographic minimum of each row, the one place the tie
-rule is applied; where every row of one picks the same column, its rows
-are that column's cone, which a retry can stand on. Every table is
-bitwise the one the per-layer sweep gives.
+one accumulation gives the cone (winner, g at it, budget) at every layer
+of the run, and their rows are written after the last layer. An
+accumulation adds strictly in sequence and float addition commutes, so
+each g is the float a per-layer sweep gives. The other layers take the
+lexicographic minimum of each row, the one place the tie rule is applied;
+where every row of one picks the same column, its rows are that column's
+cone, which a retry can stand on. Every table is bitwise the one the
+per-layer sweep gives.
 
 The Sweeps record is the one place an instance's edge terms and windows
 are derived, and it keeps every swept table, A*'s successor rows with the
@@ -200,17 +197,20 @@ class Sweeps:
     windows: Optional[
         tuple[list[int], list[int], Optional[np.ndarray], Optional[np.ndarray]]
     ] = None
+    # the window ends lo and hi of windows as int arrays, for the bulk pass
+    ends: Optional[tuple[np.ndarray, np.ndarray]] = None
     htable: Optional[np.ndarray] = None
     htable_lams: tuple[float, ...] = ()
     rows: dict[int, list[tuple[int, int, float]]] = field(default_factory=dict)
     # successor_terms, derived on its first call
     row_terms: Optional[list[tuple[np.ndarray, ...]]] = None
 
-    def sweep(self, lams: list[float]) -> None:
-        """Sweep every multiplier of lams not swept yet."""
-        new = [lam for lam in lams if lam not in self.swept]
-        if new:
-            self.swept.update(zip(new, relaxed_costs_to_sink(self.inst, new, self)))
+    def table(self, lam: float) -> ZetaTable:
+        """The table swept at lam, swept on first use."""
+        table = self.swept.get(lam)
+        if table is None:
+            table = self.swept[lam] = relaxed_costs_to_sink(self.inst, lam, self)
+        return table
 
     def step(self, lam: float) -> np.ndarray:
         """The relaxed path's step of the table swept at lam."""
@@ -246,49 +246,46 @@ class Sweeps:
             ]
         return self.row_terms
 
-    def tie(self, lam):
-        """The sweep's tie at the multiplier lam, a float or an array of
-        them: eps * n * E, where E = spread + |lam| * cons_max bounds the
-        terms of one edge, so that every sum of the sweep is at most n * E
-        in size and two of equal value round at most that far apart. Read
-        once the first sweep has set spread and cons_max."""
+    def tie(self, lam: float) -> float:
+        """The sweep's tie at the multiplier lam: eps * n * E, where E =
+        spread + |lam| * cons_max bounds the terms of one edge, so that every
+        sum of the sweep is at most n * E in size and two of equal value
+        round at most that far apart. Read once the first sweep has set
+        spread and cons_max."""
         return math.ulp(1.0) * self.inst.n * (self.spread + abs(lam) * self.cons_max)
 
 
 def _lex_min(
-    total: np.ndarray, key: np.ndarray, m: int, start: int, tie: np.ndarray
+    total: np.ndarray, key: np.ndarray, m: int, start: int, tie: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-row minimum over the last axis of total (K, rows, w), the value
+    """Per-row minimum over the columns of total (rows, w), the value
     indices start..start + w - 1, in the order (cost, budget, column): costs
-    within tie[k] of the row minimum tie, and among them the smallest
-    key = budget * m + column wins.
+    within tie of the row minimum tie, and among them the smallest
+    key = budget * m + column wins. The keys are distinct per column, so
+    one argmin over the tied keys picks it.
 
-    key: (K, w), shared by all rows of one multiplier; tie: (K,), the
-    multipliers' ties (Sweeps.tie).
-    Returns (cost, budget, column), each (K, rows).
+    key: (w,), shared by all rows; tie: the multiplier's tie (Sweeps.tie).
+    Returns (cost, budget, column), each (rows,).
     """
-    k, rows, w = total.shape
-    tied = total <= np.minimum.reduce(total, axis=-1)[..., None] + tie[:, None, None]
-    best = np.minimum.reduce(np.where(tied, key[:, None, :], _NO_KEY), axis=-1)
-    col = best % m
-    offsets = np.arange(0, k * rows * w, w).reshape(k, rows)  # each row's start
-    return total.reshape(-1)[offsets + (col - start)], best // m, col
+    tied = total <= np.minimum.reduce(total, axis=1)[:, None] + tie
+    slot = np.where(tied, key, _NO_KEY).argmin(axis=1)
+    first = np.arange(0, total.size, total.shape[1])  # each row's start
+    return total.reshape(-1).take(first + slot), key.take(slot) // m, slot + start
 
 
 def _pick(a: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    """a[l, ..., idx[l, ..., w]] along the last axis of a C-contiguous a, in
-    one flat take: idx has the leading axes of a, then its own."""
-    start = np.arange(0, a.size, a.shape[-1]).reshape(a.shape[:-1])
-    start = start.reshape(start.shape + (1,) * (idx.ndim - start.ndim))
-    return a.reshape(-1).take(start + idx)
+    """a[l, idx[l]], or a[l, idx[l, w]] when idx is 2-D, for a C-contiguous
+    2-D a, in one flat take."""
+    start = np.arange(0, a.size, a.shape[1])
+    return a.reshape(-1).take(start.reshape((-1,) + (1,) * (idx.ndim - 1)) + idx)
 
 
 def _jump_rows(jump: np.ndarray, s: np.ndarray, cols: Optional[np.ndarray]) -> np.ndarray:
-    """jump[s[l, q], cols[l, w]], shape (L, K, W); the rows jump[s[l, q]],
-    (L, K, m), when cols is None (full windows)."""
+    """jump[s[l], cols[l, w]], shape (L, W); the rows jump[s[l]], (L, m),
+    when cols is None (full windows)."""
     if cols is None:
         return jump.take(s, axis=0)
-    return jump[s[:, :, None], cols[:, None, :]]
+    return jump[s[:, None], cols]
 
 
 def _winners(
@@ -298,39 +295,38 @@ def _winners(
     slack: float | np.ndarray,
     margin: float,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """For prices h (L, K, W) over the windows cols, +inf in their padding,
-    the column s of the smallest price of every step and multiplier, and
-    whether, for every multiplier of a step, each other column j' has
-    h[j'] > h[s] + slack * jump[s, j'] + 2 * margin. slack is a number or
-    an (L, 1, 1) array, one per step."""
-    slot = h.argmin(axis=2)
+    """For prices h (L, W) over the windows cols, +inf in their padding, the
+    column s of the smallest price of every step, and whether each other
+    column j' has h[j'] > h[s] + slack * jump[s, j'] + 2 * margin. slack is
+    a number or an (L, 1) array, one per step."""
+    slot = h.argmin(axis=1)
     s = slot if cols is None else _pick(cols, slot)
     bound = _jump_rows(jump, s, cols)
     bound *= slack
-    bound += (_pick(h, slot) + 2.0 * margin)[:, :, None]
-    # column s itself is one entry at or below the bound per multiplier
-    return s, np.count_nonzero((h <= bound).reshape(len(h), -1), axis=1) == h.shape[1]
+    bound += (_pick(h, slot) + 2.0 * margin)[:, None]
+    # column s itself is the one entry at or below the bound
+    return s, np.count_nonzero(h <= bound, axis=1) == 1
 
 
-def _bulk_pass(lin_lam, cons, jump, windows, margin):
+def _bulk_pass(lin_lam, cons, jump, windows, ends, margin):
     """The predecessor-free and chain tests of relaxed_costs_to_sink on the
     steps into layers 1..n - 1 at once, over the windows (lo, hi, cols, pad)
-    of _window_tables. The chain test of a single-row step compares its one
-    row's totals (slack 0), that of any other step g with slack 1. Returns,
-    over l = i - 1: whether the step into layer i is decided and the
-    winners at layer i + 1 its chain test assumed (None when it passed
-    without them), as lists; its winners, and lin_lam and cons at them, as
-    (n - 1, K) arrays; and low, a list: the lowest step of the run of
-    decided steps that starts at step l, each step below l continuing it
-    when it is decided and its guess, if any, is the bulk winners of the
-    step above it."""
-    lo, hi, cols, pad = windows
+    of _window_tables, whose ends lo and hi are also the int arrays ends.
+    The chain test of a single-row step compares its one row's totals
+    (slack 0), that of any other step g with slack 1. Returns, over
+    l = i - 1: whether the step into layer i is decided and the winner at
+    layer i + 1 its chain test assumed (None when it passed without it), as
+    lists; its winners, and lin_lam and cons at them, as (n - 1,) arrays;
+    and low, a list: the lowest step of the run of decided steps that starts
+    at step l, each step below l continuing it when it is decided and its
+    guess, if any, is the bulk winner of the step above it."""
+    cols, pad = windows[2:]
     heads = None if cols is None else cols[1:]
     if heads is None:
         h = lin_lam[1:]
     else:
-        h = _pick(lin_lam[1:], heads[:, None, :])
-        np.copyto(h, np.inf, where=pad[1:, None, :])
+        h = _pick(lin_lam[1:], heads)
+        np.copyto(h, np.inf, where=pad[1:])
     s, decided = _winners(h, jump, heads, 2.0, margin)
     guess = [None] * len(h)
     follows = decided  # whether step l continues a run that holds step l + 1
@@ -340,16 +336,17 @@ def _bulk_pass(lin_lam, cons, jump, windows, margin):
         at = None if heads is None else heads[retry]
         f = h[retry] + _jump_rows(jump, t, at)
         # a single-row step's tails' window is the one value j0: f + jump[j0]
-        j0 = np.array(lo)[retry]
-        single = np.array(hi)[retry] - j0 == 1
-        f[single] += _jump_rows(jump, j0[single, None], None if at is None else at[single])
+        lo, hi = ends
+        j0 = lo[retry]
+        single = hi[retry] - j0 == 1
+        f[single] += _jump_rows(jump, j0[single], None if at is None else at[single])
         s[retry], decided[retry] = _winners(
-            f, jump, at, np.where(single, 0.0, 1.0)[:, None, None], margin
+            f, jump, at, np.where(single, 0.0, 1.0)[:, None], margin
         )
-        for l, winners in zip(retry.tolist(), t.tolist()):
-            guess[l] = winners
+        for l, winner in zip(retry.tolist(), t.tolist()):
+            guess[l] = winner
         follows = decided.copy()
-        follows[retry] &= (t == s[retry + 1]).all(axis=1)
+        follows[retry] &= t == s[retry + 1]
     # a step that does not follow bounds the runs above it from below
     low = np.maximum.accumulate(np.where(follows, 0, np.arange(1, len(h) + 1)))
     return (
@@ -367,9 +364,9 @@ def _window_tables(inst: TripInstance):
     full, their index table cols (n, W), W the widest window, whose slot w
     holds value index lo[i] + w clipped to m - 1, and pad (n, W), true in
     the slots past the window: the padding repeats value index m - 1, so
-    every gather stays in range. The sweep and heuristic_table both read
-    this layout. Raises InstanceError first when cols would exceed
-    TABLE_BYTES_CAP."""
+    every gather stays in range; then lo and hi as int arrays. The sweep and
+    heuristic_table both read this layout. Raises InstanceError first when
+    cols would exceed TABLE_BYTES_CAP."""
     lo, hi = reach_windows(inst)
     # full windows skip the gathers
     if (lo == 0).all() and (hi == inst.m).all():
@@ -380,15 +377,14 @@ def _window_tables(inst: TripInstance):
         slots = np.arange(width)
         cols = np.minimum(lo[:, None] + slots, inst.m - 1)
         pad = slots >= (hi - lo)[:, None]
-    return lo.tolist(), hi.tolist(), cols, pad
+    return (lo.tolist(), hi.tolist(), cols, pad), (lo, hi)
 
 
 def relaxed_costs_to_sink(
-    inst: TripInstance, lams, entry: Optional[Sweeps] = None
-) -> list[ZetaTable]:
-    """Backward sweeps over the reach windows of the quotient graph, with
-    weights increased by lam times the edge consumption, for every lam in
-    lams at once.
+    inst: TripInstance, lam: float, entry: Optional[Sweeps] = None
+) -> ZetaTable:
+    """Backward sweep over the reach windows of the quotient graph, with
+    weights increased by lam times the edge consumption.
 
     The one sweep function. Keep its name: perfbench's tracer counts the
     sweeps by patching lagrange.relaxed_costs_to_sink, which Sweeps calls.
@@ -402,18 +398,15 @@ def relaxed_costs_to_sink(
 
     Every entry is computed as g[j'] + jump[j, j'], where g = (linear +
     lam * consumption) + cost-to-sink, in that order, with the terms of
-    graph.edge_terms; table k is bitwise the table of a sweep for lams[k]
-    alone. The sweep fills (K, n, m) arrays, and each table's cost, res and
-    choice are C-contiguous views of its multiplier's block: the K tables of
-    one sweep share those three arrays. Raises InstanceError first when the
-    (K, n, m) tables or a layer's (K, m, m) totals would exceed
-    TABLE_BYTES_CAP: the former before edge_terms allocates its (n, m)
-    terms, the latter once edge_terms has checked its (m, m) jump table.
-    The windows' (n, W) index tables, W the widest window, and the bulk
-    pass's (n, K, W) arrays are checked before they are built too. entry,
-    the Sweeps record that calls the sweep, keeps those terms and the
-    windows with their index tables from its first sweep for the later
-    ones; without it they are computed afresh.
+    graph.edge_terms. Raises InstanceError first when the (n, m) tables
+    would exceed TABLE_BYTES_CAP, before edge_terms allocates its (n, m)
+    terms and checks its (m, m) jump table, which is as large as a layer's
+    totals can be. The windows' (n, W) index tables, W the widest window,
+    are checked before they are built too; the bulk pass's arrays are (n, W)
+    too, or (n, m) over full windows, the size of the tables. entry, the
+    Sweeps record that calls the sweep, keeps those terms and the windows
+    with their index tables from its first sweep for the later ones;
+    without it they are computed afresh.
 
     Cones. Row j of the step from layer i - 1 to layer i, the rows of the
     arrays, minimises over the heads' columns j' total[j, j'] = g[j'] +
@@ -443,19 +436,18 @@ def relaxed_costs_to_sink(
     - The chain test: against the cone at t, the argmin of h of the step
       into layer i + 1, f = h + jump[t] and every other column has
       f[j'] > f[s] + jump[s, j'] + 2 * margin. If that step is a cone with
-      winners t, c is jump[t] plus a constant, and g = f plus that constant
+      winner t, c is jump[t] plus a constant, and g = f plus that constant
       up to rounding, so the condition above holds. A single-row step
       needs no triangle inequality: its one row's totals are g + jump[j0],
       which is f + jump[j0] plus that constant up to rounding, so it takes
       f = h + jump[t] + jump[j0] with slack 0, f[j'] > f[s] + 2 * margin,
       and then total[j0, j'] > total[j0, s] + margin.
-    One whole-array pass applies both to every step before the loop, each
-    for all K multipliers of a step at once; a chain-tested step is taken
-    in the loop only when the step into layer i + 1 turned out a cone with
-    winners t for every multiplier. A layer step is then of one of two
-    kinds.
+    One whole-array pass applies both to every step before the loop; a
+    chain-tested step is taken in the loop only when the step into layer
+    i + 1 turned out a cone with winner t. A layer step is then of one of
+    two kinds.
     - Decided steps come in runs. Inside a run the cone that the next
-      step's guess is tested against is the bulk winners of the step above
+      step's guess is tested against is the bulk winner of the step above
       it, so whether a step continues a run is known before the loop, and
       the loop only decides whether a run starts: on the sink row, or
       below a _lex_min step, whose cone the guess must match. A run costs
@@ -470,40 +462,39 @@ def relaxed_costs_to_sink(
       a _lex_min row, the same float. The rows are written after the loop
       in a few whole-array writes.
     - Every other step, an undecided one or one whose chain guess failed,
-      takes _lex_min over the (K, w_i, w_{i+1}) totals of the two windows,
+      takes _lex_min over the (w_i, w_{i+1}) totals of the two windows,
       built with one broadcast addition, w_i the number of values in the
-      window of layer i, and is a cone when its rows pick one column per
-      multiplier. _lex_min is the only code that resolves a tie.
-    The bulk arrays are the (n, K, m) rows when every window is full, and
-    are restricted to the windows, (n, K, W), when one is not.
+      window of layer i, and is a cone when its rows pick one column.
+      _lex_min is the only code that resolves a tie.
+    The bulk arrays are the (n, m) rows when every window is full, and are
+    restricted to the windows, (n, W), when one is not.
 
     Ties. E = max|linear| + max jump + |lam| * max|cons| bounds the terms
-    of one edge at a multiplier lam, so that each finite g or total is at
-    most B = n * E in size, up to factors 1 + O(n * eps). With u = eps / 2,
-    the unit roundoff, a total errs by at most uB, and two totals of equal
-    value round at most 2uB = eps * n * E apart: that is the multiplier's
-    tie (Sweeps.tie). So costs equal in exact arithmetic tie at every scale
-    of c and alpha, an entry exceeds the exact minimum of its row by at most
+    of one edge, so that each finite g or total is at most B = n * E in
+    size, up to factors 1 + O(n * eps). With u = eps / 2, the unit
+    roundoff, a total errs by at most uB, and two totals of equal value
+    round at most 2uB = eps * n * E apart: that is the sweep's tie
+    (Sweeps.tie). So costs equal in exact arithmetic tie at every scale of
+    c and alpha, an entry exceeds the exact minimum of its row by at most
     the tie plus rounding, and a table entry exceeds the exact cost-to-sink
     by at most n ties plus rounding.
 
-    The margin is the largest tie plus 16 * eps * n * E, E at the largest
-    |lam|. The jump table is alpha * |X_j' - X_j|, X the floats of xi, to a
-    relative 2u, and the triangle inequality holds exactly for those X; the
-    tie test's row minimum plus the tie errs by at most u(B + 2uB). These
-    errors stay below 32uB = 16 * eps * n * E, so the computed totals of
-    every row differ from the one at s by more than the tie and the tables
-    are bitwise those of _lex_min. Each test's second margin holds the tie
-    of the Lipschitz bound and its own few roundings of size uB. When
+    The margin is the tie plus 16 * eps * n * E. The jump table is
+    alpha * |X_j' - X_j|, X the floats of xi, to a relative 2u, and the
+    triangle inequality holds exactly for those X; the tie test's row
+    minimum plus the tie errs by at most u(B + 2uB). These errors stay
+    below 32uB = 16 * eps * n * E, so the computed totals of every row
+    differ from the one at s by more than the tie and the tables are
+    bitwise those of _lex_min. Each test's second margin holds the tie of
+    the Lipschitz bound and its own few roundings of size uB. When
     2 * n * E is not finite (overflowing inputs), a g could be too: no test
     runs, and every step takes _lex_min.
     """
     n, m = inst.n, inst.m
-    lam = np.asarray(lams, dtype=np.float64)
-    k = lam.size
+    lam = float(lam)
     if entry is None:
         entry = Sweeps(inst)
-    check_table_bytes("relaxed sweep tables", n * k * m * 8)
+    check_table_bytes("relaxed sweep tables", n * m * 8)
     if entry.terms is None:
         cons, linear, jump = edge_terms(inst)
         entry.key_cons = cons * m + np.arange(m)  # (budget * m + column) per edge
@@ -513,35 +504,29 @@ def relaxed_costs_to_sink(
         entry.terms = cons, linear, jump
     cons, linear, jump = entry.terms
     key_cons = entry.key_cons
-    check_table_bytes("relaxed sweep tables", k * m * m * 8)
     if entry.windows is None:
-        entry.windows = _window_tables(inst)
+        entry.windows, entry.ends = _window_tables(inst)
     lo, hi, cols, pad = entry.windows  # the window of layer i + 1 is lo[i]..hi[i] - 1
-    cost = np.full((k, n, m), np.inf)
-    cost[:, n - 1, lo[n - 1]:hi[n - 1]] = 0.0  # the zero-weight sink edge
-    res = np.zeros((k, n, m), dtype=np.int64)
-    choice = np.full((k, n, m), -1, dtype=np.int64)
+    cost = np.full((n, m), np.inf)
+    cost[n - 1, lo[n - 1]:hi[n - 1]] = 0.0  # the zero-weight sink edge
+    res = np.zeros((n, m), dtype=np.int64)
+    choice = np.full((n, m), -1, dtype=np.int64)
     # |lam| * max|cons| is the float max|lam * cons|: rounding is monotone
     tie = entry.tie(lam)
-    top = float(tie.max(initial=0.0))  # eps * n * E at the largest |lam|
-    dominance = math.isfinite(2.0 * top / math.ulp(1.0))  # 2 * n * E, eps = ulp(1)
-    margin = 17.0 * top  # the tie plus 16 * eps * n * E
-    # (n, K, m): g before its cost-to-sink
-    lin_lam = lam[None, :, None] * entry.float_cons[:, None, :]
-    lin_lam += linear[:, None, :]
-    blocks = np.arange(k)  # each multiplier's block of the tables
+    dominance = math.isfinite(2.0 * tie / math.ulp(1.0))  # 2 * n * E, eps = ulp(1)
+    margin = 17.0 * tie  # the tie plus 16 * eps * n * E
+    lin_lam = lam * entry.float_cons  # g before its cost-to-sink
+    lin_lam += linear
     decided = [False] * (n - 1)
     if dominance and n > 1:
-        width = m if cols is None else cols.shape[1]
-        check_table_bytes("relaxed sweep bulk arrays", n * k * width * 8)
         decided, guess, win, lin_win, cons_win, low = _bulk_pass(
-            lin_lam, cons, jump, entry.windows, margin
+            lin_lam, cons, jump, entry.windows, entry.ends, margin
         )
-    # the cone steps, written after the loop: the tails' layer of each and,
-    # per multiplier, its winner, g at it and budget, one array per run
+    # the cone steps, written after the loop: the tails' layer of each, its
+    # winner, g at it and budget, one array per run
     rows, cone_s, cone_g, cone_b = [], [], [], []
-    # the winners of the step into layer i + 1, a list over the multipliers,
-    # when _lex_min found its rows a cone; None otherwise
+    # the winner of the step into layer i + 1 when _lex_min found its rows
+    # a cone; None otherwise
     cone = None
     i = n - 1
     while i > 0:
@@ -550,67 +535,63 @@ def relaxed_costs_to_sink(
         if decided[l] and (guess[l] is None or cone == guess[l]):
             # the run of steps l down to r, each a cone on the one above
             r = low[l]
-            s = win[r:i][::-1]  # (steps, K), step l first
+            s = win[r:i][::-1]  # step l first
             # g at each winner: the cost-to-sink at the first, read off the
             # heads' row, then lin_win and the jump to the next, in turn
-            seq = np.empty((2 * (i - r), k))
-            seq[0] = cost[blocks, i, s[0]]
+            seq = np.empty(2 * (i - r))
+            seq[0] = cost[i, s[0]]
             seq[1::2] = lin_win[r:i][::-1]
             seq[2::2] = jump[s[:-1], s[1:]]
-            g = np.add.accumulate(seq, axis=0)[1::2]
-            budget = res[blocks, i, s[0]] + np.cumsum(cons_win[r:i][::-1], axis=0)
             rows.append(np.arange(l, r - 1, -1))
             cone_s.append(s)
-            cone_g.append(g)
-            cone_b.append(budget)
+            cone_g.append(np.add.accumulate(seq)[1::2])
+            cone_b.append(res[i, s[0]] + np.cumsum(cons_win[r:i][::-1]))
             cone = None
             i = r
             continue
         if rows and rows[-1][-1] == i:  # the heads' row is a cone not yet written
-            cost[:, i, a:b] = jump[cone_s[-1][-1], a:b] + cone_g[-1][-1][:, None]
-            res[:, i, a:b] = cone_b[-1][-1][:, None]
-        g = lin_lam[i] + cost[:, i]
+            cost[i, a:b] = jump[cone_s[-1][-1], a:b] + cone_g[-1][-1]
+            res[i, a:b] = cone_b[-1][-1]
         tail = slice(lo[l], hi[l])
-        cost[:, l, tail], res[:, l, tail], choice[:, l, tail] = _lex_min(
-            g[:, None, a:b] + jump[tail, a:b], key_cons[i, a:b] + res[:, i, a:b] * m, m, a, tie
+        best = _lex_min(
+            (lin_lam[i, a:b] + cost[i, a:b]) + jump[tail, a:b],
+            key_cons[i, a:b] + res[i, a:b] * m, m, a, tie,
         )
-        s = choice[:, l, lo[l]]
-        # rows that all pick s are its cone: the next step's chain guess may stand
-        cone = s.tolist() if dominance and (choice[:, l, tail] == s[:, None]).all() else None
+        cost[l, tail], res[l, tail], choice[l, tail] = best
+        s = best[2]
+        # rows that all pick one column are its cone: the next step's chain
+        # guess may stand
+        cone = int(s[0]) if dominance and (s == s[0]).all() else None
         i = l
     if rows:
         r = np.concatenate(rows)
-        s = np.concatenate(cone_s).T  # (K, cone steps)
-        gs = np.concatenate(cone_g).T
-        budget = np.concatenate(cone_b).T
+        s = np.concatenate(cone_s)
+        gs = np.concatenate(cone_g)
+        budget = np.concatenate(cone_b)
         if cols is None:
-            cost[:, r] = jump.take(s, axis=0) + gs[:, :, None]
-            res[:, r] = budget[:, :, None]
-            choice[:, r] = s[:, :, None]
+            cost[r] = jump.take(s, axis=0) + gs[:, None]
+            res[r] = budget[:, None]
+            choice[r] = s[:, None]
         else:
             step, slot = np.nonzero(~pad[r])  # every window entry of the rows
             r, j = r[step], cols[r[step], slot]
-            s = s[:, step]
-            cost[:, r, j] = jump[s, j] + gs[:, step]
-            res[:, r, j] = budget[:, step]
-            choice[:, r, j] = s
+            s = s[step]
+            cost[r, j] = jump[s, j] + gs[step]
+            res[r, j] = budget[step]
+            choice[r, j] = s
     a, b = lo[0], hi[0]
     cost_s, res_s, choice_s = _lex_min(
-        (lin_lam[0, :, a:b] + cost[:, 0, a:b])[:, None],
-        key_cons[0, a:b] + res[:, 0, a:b] * m, m, a, tie,
+        (lin_lam[0, a:b] + cost[0, a:b])[None], key_cons[0, a:b] + res[0, a:b] * m, m, a, tie
     )
-    return [
-        ZetaTable(
-            lam=float(lam[q]),
-            cost=cost[q],
-            res=res[q],
-            choice=choice[q],
-            source_cost=float(cost_s[q, 0]),
-            source_res=int(res_s[q, 0]),
-            source_choice=int(choice_s[q, 0]),
-        )
-        for q in range(k)
-    ]
+    return ZetaTable(
+        lam=lam,
+        cost=cost,
+        res=res,
+        choice=choice,
+        source_cost=float(cost_s[0]),
+        source_res=int(res_s[0]),
+        source_choice=int(choice_s[0]),
+    )
 
 
 def extract_path_step(inst: TripInstance, table: ZetaTable) -> np.ndarray:
@@ -656,13 +637,13 @@ def binary_search(
     Path slopes r - delta are integers, so a multiplier within epsilon of
     the dual optimum in value is within epsilon of a maximiser.
 
-    Every evaluation sweeps its one multiplier, unless the record already
-    holds its table: a search sweeps only the multipliers it reads, and
-    relaxed_costs_to_sink says why each table is the one a batched sweep
-    would give. The result's record holds every swept table with the
-    instance's edge terms and windows: the cache's "sweeps" entry, which
-    may have been built at a larger radius (Sweeps says why it serves this
-    one), or, without a cache, a record of the search's own.
+    Every evaluation reads its multiplier's table from the record
+    (Sweeps.table), which sweeps it on first use: a search sweeps only the
+    multipliers it reads, one per sweep. The result's record holds every
+    swept table with the instance's edge terms and windows: the cache's
+    "sweeps" entry, which may have been built at a larger radius (Sweeps
+    says why it serves this one), or, without a cache, a record of the
+    search's own.
     """
     check_epsilon(epsilon)
     sweeps = (cache or RadiusCache()).entry("sweeps", inst, lambda: Sweeps(inst))
@@ -670,8 +651,7 @@ def binary_search(
     upper0 = float(np.max(np.abs(inst.c))) + 2.0 * inst.alpha
 
     def evaluate(lam: float) -> ZetaTable:
-        sweeps.sweep([lam])
-        table = sweeps.swept[lam]
+        table = sweeps.table(lam)
         tables.zeta.append(table)
         tables.log.append((table.lam, dual(table), table.source_res))
         return table
@@ -759,12 +739,18 @@ def heuristic_table(
     outside the windows. No node outside the windows is reachable, so a
     search never reads them. Each entry is cost - lam * capacity, maximised
     over the tables of tables.zeta, which were swept over the same windows.
+    A search that reaches the table has evaluated at least two multipliers;
+    an empty tables.zeta raises ValueError.
+
     The table is a view of a capacity-major (R + 1, n, wmax) array, so that
     each multiplier's subtraction and maximum run over whole (n, wmax)
-    capacity rows, not along the short capacity axis. The window costs of
-    a table are gathered once, and one block holds the rows being priced,
-    as many as _HTABLE_BLOCK entries hold and at least one: the
-    temporaries are one gathered copy and one block.
+    capacity rows, not along the short capacity axis. The first table's
+    prices are written straight into it, and each later table's are
+    maximised into it; max(-inf, x) is x, so every entry is the float a
+    maximum from a -inf fill gives. The window costs of a table are
+    gathered once, and one block holds the rows being priced, as many as
+    _HTABLE_BLOCK entries hold and at least one: the temporaries are one
+    gathered copy and one block.
 
     The record's kept table is returned, not a copy, when it was built from
     exactly the multipliers of tables.zeta at a radius R >= inst.delta
@@ -772,6 +758,8 @@ def heuristic_table(
     kept table is dropped first, so that at most one is alive, and the one
     built at R = inst.delta is kept.
     """
+    if not tables.zeta:
+        raise ValueError("a heuristic table needs at least one evaluated multiplier")
     record = tables.record
     lams = tuple(t.lam for t in tables.zeta)
     if (
@@ -785,17 +773,18 @@ def heuristic_table(
     n, wmax, width = inst.n, (inst.m if cols is None else cols.shape[1]), inst.delta + 1
     layers = np.arange(n)[:, None]
     caps = np.arange(width, dtype=np.float64)
-    h = np.full((width, n, wmax), -np.inf)
+    h = np.empty((width, n, wmax))
     rows = max(1, _HTABLE_BLOCK // (n * wmax))
     block = np.empty((min(rows, width), n, wmax))
-    for t in tables.zeta:
+    for k, t in enumerate(tables.zeta):
         cost = t.cost if cols is None else t.cost[layers, cols]
         priced = t.lam * caps
         for c in range(0, width, rows):
             out = h[c:c + rows]
-            tmp = block[:len(out)]
+            tmp = block[:len(out)] if k else out  # the first table's prices go in whole
             np.subtract(cost, priced[c:c + rows, None, None], out=tmp)
-            np.maximum(out, tmp, out=out)
+            if k:
+                np.maximum(out, tmp, out=out)
     h = np.moveaxis(h, 0, 2)
     record.htable, record.htable_lams = h, lams
     return h

@@ -243,6 +243,19 @@ def full_windows(inst):
     return np.zeros(inst.n, dtype=np.int64), np.full(inst.n, inst.m, dtype=np.int64)
 
 
+def lex_min_rows(total, res_row, tie):
+    """The tie rule spelled out, per row of total (rows, w): the cheapest
+    cost within tie of the row minimum, then the smallest budget of
+    res_row (w,), then the smallest index. Returns (index, cost, budget),
+    each (rows,)."""
+    cmin = total.min(axis=1, keepdims=True)
+    tied = total <= cmin + tie
+    res_masked = np.where(tied, res_row[None, :], np.iinfo(np.int64).max)
+    rmin = res_masked.min(axis=1)
+    idx = (tied & (res_masked == rmin[:, None])).argmax(axis=1)
+    return idx, total[np.arange(total.shape[0]), idx], rmin
+
+
 def reference_sweep(inst, lam, windows=None):
     """One relaxed backward sweep over the reach windows (lo, hi), those of
     inst by default, layer by layer, with the tie rule spelled out: cheapest
@@ -257,15 +270,6 @@ def reference_sweep(inst, lam, windows=None):
     cost = np.where(outside, np.inf, 0.0)
     res = np.zeros((n, m), dtype=np.int64)
     choice = np.full((n, m), -1, dtype=np.int64)
-
-    def lex_min_rows(total, res_row):
-        cmin = total.min(axis=1, keepdims=True)
-        tied = total <= cmin + tie
-        res_masked = np.where(tied, res_row[None, :], np.iinfo(np.int64).max)
-        rmin = res_masked.min(axis=1)
-        idx = (tied & (res_masked == rmin[:, None])).argmax(axis=1)
-        return idx, total[np.arange(total.shape[0]), idx], rmin
-
     shifts_head = inst.shifts(n)
     for i in range(n - 1, 0, -1):
         shifts_tail = inst.shifts(i)
@@ -278,7 +282,7 @@ def reference_sweep(inst, lam, windows=None):
         g = inst.c[i] * shifts_head + lam * cons_head + cost[i]
         total = g[None, :] + inst.alpha * jump
         choice[i - 1], cost[i - 1], res[i - 1] = lex_min_rows(
-            total, cons_head + res[i]
+            total, cons_head + res[i], tie
         )
         gone = outside[i - 1]  # no path from a node outside its window
         cost[i - 1, gone], res[i - 1, gone], choice[i - 1, gone] = np.inf, 0, -1
@@ -286,16 +290,16 @@ def reference_sweep(inst, lam, windows=None):
     shifts1 = inst.shifts(1)
     cons1 = inst.gamma[0] * np.abs(shifts1)
     total_s = (inst.c[0] * shifts1 + lam * cons1 + cost[0])[None, :]
-    idx, cost_s, res_s = lex_min_rows(total_s, cons1 + res[0])
+    idx, cost_s, res_s = lex_min_rows(total_s, cons1 + res[0], tie)
     return cost, res, choice, (float(cost_s[0]), int(res_s[0]), int(idx[0]))
 
 
-def assert_matches_reference_sweep(inst, lams) -> None:
-    """relaxed_costs_to_sink(inst, lams) equals reference_sweep of every
-    multiplier bit for bit."""
-    for lam, got in zip(lams, relaxed_costs_to_sink(inst, lams)):
-        cost, res, choice, source = reference_sweep(inst, lam)
-        assert got.cost.tobytes() == cost.tobytes()
-        assert np.array_equal(got.res, res)
-        assert np.array_equal(got.choice, choice)
-        assert (got.source_cost, got.source_res, got.source_choice) == source
+def assert_matches_reference_sweep(inst, lam) -> None:
+    """relaxed_costs_to_sink(inst, lam) equals reference_sweep(inst, lam)
+    bit for bit."""
+    got = relaxed_costs_to_sink(inst, lam)
+    cost, res, choice, source = reference_sweep(inst, lam)
+    assert got.cost.tobytes() == cost.tobytes()
+    assert np.array_equal(got.res, res)
+    assert np.array_equal(got.choice, choice)
+    assert (got.source_cost, got.source_res, got.source_choice) == source

@@ -148,10 +148,12 @@ def main(out: Path, inputs: Path) -> None:
             into.update(repr((t.source_cost, t.source_res, t.source_choice)).encode())
 
     def hashed(*args):
+        # a sweep returns one table, or a list of them where it takes a
+        # list of multipliers; either way its tables hash in sweep order
         nonlocal sweeps
         sweeps += 1
         tables = sweep(*args)
-        hash_tables(digest, tables)
+        hash_tables(digest, tables if isinstance(tables, list) else [tables])
         return tables
 
     zeta_digest, evaluated = hashlib.sha256(), 0

@@ -112,7 +112,7 @@ def test_no_node_expanded_twice(corpus200):
 def _record(inst):
     """The Sweeps record of inst, with its edge terms and reach windows."""
     record = Sweeps(inst)
-    record.sweep([0.0])
+    record.table(0.0)
     return record
 
 

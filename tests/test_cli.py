@@ -73,6 +73,13 @@ def test_solve_astar_flags_keep_the_objective(instance_file, capsys, flags):
     assert printed["objective"] == pytest.approx(unpruned.objective, abs=1e-12)
 
 
+def test_solve_with_rejects_an_unknown_solver(instance_file):
+    # the branch behind argparse's choices and bench's SOLVERS check
+    inst = read_instance(instance_file.read_text(encoding="utf-8"))
+    with pytest.raises(ValueError, match="unknown solver 'nope'"):
+        tripsolve.cli._solve_with("nope", inst)
+
+
 def test_solve_malformed_file(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{broken")
@@ -326,10 +333,9 @@ def _overuse_at_upper_endpoint(monkeypatch):
     monkeypatch.setattr(
         tripsolve.lagrange,
         "relaxed_costs_to_sink",
-        lambda inst, lams, *rest: [
-            dataclasses.replace(t, source_res=inst.delta + 1)
-            for t in sweep(inst, lams, *rest)
-        ],
+        lambda inst, lam, *rest: dataclasses.replace(
+            sweep(inst, lam, *rest), source_res=inst.delta + 1
+        ),
     )
 
 

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import inspect
 import itertools
 import math
@@ -16,8 +17,10 @@ from tripsolve.graph import NodeRef, edge_terms, reach_windows
 from graph_reference import build_explicit, enumerate_steps, sink_node
 from astar_reference import (
     assert_matches_reference_sweep,
+    dense_heuristic_table,
     heuristic_h,
     full_windows,
+    lex_min_rows,
     reference_sweep,
     relaxed_objective,
     sweep_tie,
@@ -103,7 +106,7 @@ def small_instances(count, seed=100, max_n=6):
 
 
 def test_zeta_last_layer_zero(derived3):
-    table = relaxed_costs_to_sink(derived3, [0.7])[0]
+    table = relaxed_costs_to_sink(derived3, 0.7)
     assert np.all(table.cost[-1] == 0.0)
     assert np.all(table.res[-1] == 0)
 
@@ -120,14 +123,14 @@ def test_zeta_zero_costs_zero_penalty():
             "c": [0.0] * 4,
         }
     )
-    table = relaxed_costs_to_sink(inst, [0.9])[0]
+    table = relaxed_costs_to_sink(inst, 0.9)
     assert np.all(table.cost == 0.0)
     assert np.all(table.res == 0)  # the zero continuation wins the tie
 
 
 def test_zeta_matches_suffix_enumeration(derived3):
     for lam in (0.0, 0.3, 1.0, 4.0):
-        table = relaxed_costs_to_sink(derived3, [lam])[0]
+        table = relaxed_costs_to_sink(derived3, lam)
         for layer in range(1, derived3.n + 1):
             for j in range(derived3.m):
                 cost, res = suffix_oracle(derived3, lam, layer, j)
@@ -150,7 +153,7 @@ def test_zeta_derived_value_at_zero():
         }
     )
     assert suffix_oracle(inst, 0.0, 1, 1) == (0.0, 1)
-    table = relaxed_costs_to_sink(inst, [0.0])[0]
+    table = relaxed_costs_to_sink(inst, 0.0)
     assert table.cost[0, 1] == pytest.approx(0.0, abs=1e-12)
     assert table.res[0, 1] == 1
 
@@ -159,7 +162,7 @@ def test_zeta_random_instances():
     for inst in small_instances(25, seed=300):
         lo, hi = reach_windows(inst)
         for lam in (0.0, 0.5, 2.0):
-            table = relaxed_costs_to_sink(inst, [lam])[0]
+            table = relaxed_costs_to_sink(inst, lam)
             for j in range(lo[0], hi[0]):
                 cost, res = suffix_oracle(inst, lam, 1, j)
                 assert table.cost[0, j] == pytest.approx(cost, abs=1e-9)
@@ -169,7 +172,7 @@ def test_zeta_random_instances():
 def test_extracted_path_minimizes_resource_among_ties():
     for inst in small_instances(40, seed=400):
         for lam in (0.0, 0.25, 1.5):
-            table = relaxed_costs_to_sink(inst, [lam])[0]
+            table = relaxed_costs_to_sink(inst, lam)
             steps = window_steps(inst)
             cost = steps @ inst.c + inst.alpha * np.abs(
                 np.diff(inst.x[None, :] + steps, axis=1)
@@ -316,7 +319,7 @@ def test_dual_lower_bound(corpus200):
 def test_lemma_large_multiplier_matches_zero_step():
     for inst in small_instances(40, seed=800):
         lam = float(np.max(np.abs(inst.c))) + 2.0 * inst.alpha
-        table = relaxed_costs_to_sink(inst, [lam])[0]
+        table = relaxed_costs_to_sink(inst, lam)
         want = relaxed_objective(inst, np.zeros(inst.n, dtype=int), lam)
         got = table.source_cost - lam * inst.delta
         assert got == pytest.approx(want, abs=1e-9)
@@ -376,14 +379,14 @@ def kept_table(inst, tables, noted):
     one is ever alive. The record keeps the table it returns."""
     record = tables.record
     kept = None if record.htable is None else weakref.ref(record.htable)
-    full = np.full
+    empty = np.empty
 
     def allocated(*args, **kwargs):
         assert all(ref() is None for ref in noted)
-        return full(*args, **kwargs)
+        return empty(*args, **kwargs)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(np, "full", allocated)
+        mp.setattr(np, "empty", allocated)
         table = heuristic_table(inst, tables)
     assert record.htable is table
     built = kept is None or kept() is not table
@@ -472,6 +475,41 @@ def test_heuristic_table_is_the_same_in_any_block(monkeypatch, block):
         monkeypatch.undo()
 
 
+def test_heuristic_table_is_the_maximum_over_its_tables(monkeypatch):
+    # tables built by hand from one, two and three swept tables, in every
+    # order: every slot, padding included, is the largest cost - lam *
+    # capacity over the tables, and the windows' slots are those of the
+    # dense table. Blocks of two capacity rows, so that several blocks are
+    # written, the last one short. The heat windows all hold 11 of 26
+    # values; the knapsack's hold 1 or 2, so its table has padding
+    padded = False
+    for inst in (heat_instance(), benchmark_knapsack()):
+        record = tripsolve.lagrange.Sweeps(inst)
+        upper0 = float(np.max(np.abs(inst.c))) + 2.0 * inst.alpha
+        swept = [record.table(lam) for lam in (0.0, 0.3 * upper0, upper0)]
+        lo, hi, cols, pad = record.windows
+        padded |= bool(pad.any())
+        monkeypatch.setattr(tripsolve.lagrange, "_HTABLE_BLOCK", 2 * cols.size)
+        assert (inst.delta + 1) % 2 == 1
+        caps = np.arange(inst.delta + 1, dtype=np.float64)
+        layers = np.arange(inst.n)[:, None]
+        for k in (1, 2, 3):
+            for order in itertools.permutations(swept, k):
+                tables = LagrangeTables(inst=inst, record=record, zeta=list(order))
+                h = np.ascontiguousarray(heuristic_table(inst, tables))
+                want = functools.reduce(
+                    np.maximum, [t.cost[layers, cols][:, :, None] - t.lam * caps for t in order]
+                )
+                assert h.tobytes() == want.tobytes()
+                dense = dense_heuristic_table(inst, tables)
+                for l in range(inst.n):
+                    got = h[l, :hi[l] - lo[l]]
+                    assert got.tobytes() == dense[l, lo[l]:hi[l]].tobytes()
+    assert padded
+    with pytest.raises(ValueError, match="at least one evaluated multiplier"):
+        heuristic_table(inst, LagrangeTables(inst=inst, record=record))
+
+
 def test_windowed_heuristic_table_equals_heuristic_h():
     checked = 0
     for inst in radius_corpus(60):
@@ -524,7 +562,7 @@ def sequential_cutting_plane(inst, epsilon, built=None, bisected=None):
     state = {"iterations": 0, "upper": math.inf, "incumbent": None}
 
     def evaluate(lam):
-        table = relaxed_costs_to_sink(built or inst, [lam])[0]
+        table = relaxed_costs_to_sink(built or inst, lam)
         lambdas.append(table.lam)
         zeta.append(table)
         value = table.source_cost - lam * inst.delta
@@ -638,9 +676,9 @@ def test_the_search_sweeps_only_the_multipliers_it_evaluates(monkeypatch):
     sweep = tripsolve.lagrange.relaxed_costs_to_sink
     calls = []
 
-    def logged(inst, lams, entry=None):
-        calls.append((entry, list(lams)))
-        return sweep(inst, lams, entry)
+    def logged(inst, lam, entry=None):
+        calls.append((entry, lam))
+        return sweep(inst, lam, entry)
 
     monkeypatch.setattr(tripsolve.lagrange, "relaxed_costs_to_sink", logged)
     for inst in equivalence_instances():
@@ -651,11 +689,10 @@ def test_the_search_sweeps_only_the_multipliers_it_evaluates(monkeypatch):
             binary_search(dataclasses.replace(inst, delta=delta), 1e-3, cache)
             for delta in halving(inst.delta)
         ]
-        assert all(len(lams) == 1 for _, lams in calls)
         for searches in (fresh, cached):
             record = searches[0].record
             assert all(tables.record is record for tables in searches)
-            swept = [lams[0] for entry, lams in calls if entry is record]
+            swept = [lam for entry, lam in calls if entry is record]
             assert len(swept) == len(set(swept))
             logged_lams = {lam for tables in searches for lam, _, _ in tables.log}
             assert set(swept) == set(record.swept) == logged_lams
@@ -747,16 +784,59 @@ def test_search_reaches_the_exact_dual_optimum():
 
 def test_relaxed_sweep_matches_reference_sweep():
     for inst in equivalence_instances(60, seed=1300):
-        lams = [0.0, 0.37, 1.0, 2.5]
-        batch = relaxed_costs_to_sink(inst, lams)
-        for lam, got in zip(lams, batch):
-            single = relaxed_costs_to_sink(inst, [lam])[0]
-            assert_tables_equal(got, single)
-            cost, res, choice, source = reference_sweep(inst, lam)
-            assert np.array_equal(single.cost, cost)
-            assert np.array_equal(single.res, res)
-            assert np.array_equal(single.choice, choice)
-            assert (single.source_cost, single.source_res, single.source_choice) == source
+        for lam in (0.0, 0.37, 1.0, 2.5):
+            assert_matches_reference_sweep(inst, lam)
+
+
+def test_lex_min_breaks_cost_ties_by_budget_then_column():
+    # small-integer costs tie exactly, and within ties of 0.5 and 1 too; in
+    # many rows the smallest tied key sits right of another tied entry of a
+    # larger budget, so the budget decides, not the first tied column
+    rng = np.random.default_rng(2400)
+    m, by_budget = 9, 0
+    for _ in range(200):
+        rows, w = int(rng.integers(1, 6)), int(rng.integers(1, 7))
+        start = int(rng.integers(0, m - w + 1))
+        total = rng.integers(0, 3, size=(rows, w)).astype(np.float64)
+        budget = rng.integers(0, 4, size=w)
+        key = budget * m + np.arange(start, start + w)
+        for tie in (0.0, 0.5, 1.0):
+            cost, got_budget, col = tripsolve.lagrange._lex_min(total, key, m, start, tie)
+            idx, want_cost, want_budget = lex_min_rows(total, budget, tie)
+            assert np.array_equal(col, idx + start)
+            assert cost.tobytes() == want_cost.tobytes()
+            assert np.array_equal(got_budget, want_budget)
+            first_tied = (total <= total.min(axis=1, keepdims=True) + tie).argmax(axis=1)
+            by_budget += int(np.count_nonzero(idx > first_tied))
+    assert by_budget > 0
+
+
+def benchmark_knapsack():
+    """A 48-item strongly correlated knapsack reduction, drawn as the
+    knapsack-replay benchmark draws its largest: windows of 1-2 of its 97
+    values."""
+    rng = np.random.default_rng(0)
+    weights = rng.integers(1, 20, size=48)
+    values = weights + 5.0 + rng.uniform(0.0, 0.01, size=48)
+    capacity = int(weights.sum()) // 3
+    return knapsack_reduce(values.tolist(), weights.tolist(), capacity, 1.0).instance
+
+
+def test_relaxed_sweep_matches_reference_sweep_at_benchmark_scale():
+    # the heat instance with full windows and with its own, and a knapsack
+    # of the benchmark's largest size, at both ends of the multiplier
+    # search, half way, and at every multiplier the search evaluates; with
+    # full windows the search exits at lam = 0, on the others it runs rounds
+    heat = heat_instance()
+    at_cap = dataclasses.replace(heat, delta=budget_cap(heat.n, heat.xi, heat.gamma))
+    evaluated = []
+    for inst in (at_cap, heat, benchmark_knapsack()):
+        upper0 = float(np.max(np.abs(inst.c))) + 2.0 * inst.alpha
+        lams = binary_search(inst, default_epsilon(inst)).lambdas
+        evaluated.append(len(lams))
+        for lam in [0.0, upper0 / 2, upper0] + lams:
+            assert_matches_reference_sweep(inst, lam)
+    assert evaluated[0] == 1 and min(evaluated[1:]) > 2
 
 
 def knapsack_instances(count=8, seed=1700):
@@ -808,8 +888,8 @@ def test_full_windows_sweep_the_whole_graph():
     for inst in at_cap:
         lo, hi = reach_windows(inst)
         assert (lo == 0).all() and (hi == inst.m).all()
-        lams = [0.0, 0.37, 1.0, 2.5]
-        for lam, got in zip(lams, relaxed_costs_to_sink(inst, lams)):
+        for lam in (0.0, 0.37, 1.0, 2.5):
+            got = relaxed_costs_to_sink(inst, lam)
             cost, res, choice, source = reference_sweep(inst, lam, full_windows(inst))
             assert got.cost.tobytes() == cost.tobytes()
             assert np.array_equal(got.res, res)
@@ -850,7 +930,7 @@ def test_sweeps_record_computes_its_terms_once(monkeypatch):
     monkeypatch.undo()
     for inst, tables in zip(knapsacks, searched):
         for table in tables.zeta:
-            fresh = relaxed_costs_to_sink(inst, [table.lam])[0]
+            fresh = relaxed_costs_to_sink(inst, table.lam)
             assert table.cost.tobytes() == fresh.cost.tobytes()
             assert np.array_equal(table.res, fresh.res)
             assert np.array_equal(table.choice, fresh.choice)
@@ -860,8 +940,8 @@ def test_sweeps_record_computes_its_terms_once(monkeypatch):
 SWEEP_SETUP = {"_window_tables", "_bulk_pass", "_winners", "_pick", "_jump_rows"}
 
 
-def swept_layer_kinds(inst, lams) -> dict[str, int]:
-    """Sweep lams on inst, check every table against reference_sweep bit for
+def swept_layer_kinds(inst, lam) -> dict[str, int]:
+    """Sweep lam on inst, check the table against reference_sweep bit for
     bit, and count the sweep's layer steps by kind: decided in bulk (before
     the loop) and _lex_min (its calls less the source's). A layer step is one
     of these two: the sweep calls no other private function of lagrange."""
@@ -875,7 +955,7 @@ def swept_layer_kinds(inst, lams) -> dict[str, int]:
                     return fn(*args)
 
                 mp.setattr(tripsolve.lagrange, name, counted)
-        assert_matches_reference_sweep(inst, lams)
+        assert_matches_reference_sweep(inst, lam)
     assert set(calls) <= SWEEP_SETUP | {"_lex_min"}
     lex_min = calls["_lex_min"] - 1
     return {"bulk": inst.n - 1 - lex_min, "lex_min": lex_min}
@@ -912,12 +992,11 @@ def test_dominance_margin_boundary(gap, dominated):
     )
     assert sweep_tie(inst, 0.0) == 2.0**-39
     kind = one_kind("bulk" if gap > alpha else "lex_min")
-    assert swept_layer_kinds(inst, [0.0]) == kind
-    assert relaxed_costs_to_sink(inst, [0.0])[0].choice[0].tolist() == [0, int(not dominated)]
+    assert swept_layer_kinds(inst, 0.0) == kind
+    assert relaxed_costs_to_sink(inst, 0.0).choice[0].tolist() == [0, int(not dominated)]
     # at lam = 3 column 1 beats column 0 by 3 - c_2 > 2 * jump: decided in
-    # bulk; batched with lam = 0 the layer is one decision for both
-    assert swept_layer_kinds(inst, [3.0]) == one_kind("bulk")
-    assert swept_layer_kinds(inst, [0.0, 3.0]) == kind
+    # bulk
+    assert swept_layer_kinds(inst, 3.0) == one_kind("bulk")
 
 
 @pytest.mark.parametrize("gap, bulk", [(2e-12, False), (3e-12, True)])
@@ -925,8 +1004,8 @@ def test_predecessor_free_test_boundary(gap, bulk):
     # At lam = 0 the layer's own prices are h = c_2 * (xi - x_2) = [-c_2, 0]
     # and column 0 beats column 1 by c_2 = 2 * jump[0, 1] + gap. The bulk
     # pass decides the layer only when gap exceeds 2 * margin, 34 ties at
-    # the largest multiplier swept. c_1 sets E = max|linear| + max jump +
-    # lam * max|cons| to 160 at lam = 0 and 163 at lam = 3, so 2 * margin is
+    # the multiplier. c_1 sets E = max|linear| + max jump + lam * max|cons|
+    # to 160 at lam = 0 and 163 at lam = 3, so 2 * margin is
     # 34 * eps * n * E, 2.42e-12 or 2.46e-12: 2e-12 is just under it and
     # 3e-12 just over. Below it the layer takes _lex_min, whose rows both
     # pick column 0.
@@ -938,10 +1017,9 @@ def test_predecessor_free_test_boundary(gap, bulk):
     for lam in (0.0, 3.0):
         assert (gap > 34.0 * sweep_tie(inst, lam)) == bulk
     kind = one_kind("bulk" if bulk else "lex_min")
-    assert swept_layer_kinds(inst, [0.0]) == kind
-    assert relaxed_costs_to_sink(inst, [0.0])[0].choice[0].tolist() == [0, 0]
-    assert swept_layer_kinds(inst, [3.0]) == one_kind("bulk")
-    assert swept_layer_kinds(inst, [0.0, 3.0]) == kind
+    assert swept_layer_kinds(inst, 0.0) == kind
+    assert relaxed_costs_to_sink(inst, 0.0).choice[0].tolist() == [0, 0]
+    assert swept_layer_kinds(inst, 3.0) == one_kind("bulk")
 
 
 @pytest.mark.parametrize(
@@ -979,28 +1057,28 @@ def test_wrong_chain_guess_falls_back(monkeypatch, c3, kinds):
         return out
 
     monkeypatch.setattr(tripsolve.lagrange, "_bulk_pass", recorded)
-    for lams in ([0.0], [0.01], [0.0, 0.01]):
+    for lam in (0.0, 0.01):
         decisions.clear()
-        assert swept_layer_kinds(inst, lams) == kinds
-        # decided on the guess: column 0 at layer 2, for every multiplier
-        assert decisions == [([True, False], [[0] * len(lams), None])]
+        assert swept_layer_kinds(inst, lam) == kinds
+        # decided on the guess: column 0 at layer 2
+        assert decisions == [([True, False], [0, None])]
 
 
-def run_walk(inst, lams, bulk) -> tuple[int, set[str]]:
-    """The layer steps of a sweep of lams on inst as relaxed_costs_to_sink's
+def run_walk(inst, lam, bulk) -> tuple[int, set[str]]:
+    """The layer steps of a sweep of lam on inst as relaxed_costs_to_sink's
     run rule takes them, from its bulk pass's output bulk and the choices of
     reference_sweep: a decided step starts a run when it has no chain guess
-    or its guess is the winners of the step above it, a _lex_min step whose
-    rows all pick one column per multiplier, and the run goes down to the
-    step bulk gives as its lowest. Returns the number of _lex_min steps and
-    the boundaries met: a run of more than one step from the sink row
-    ("sink"); a run right after a _lex_min cone, on a guess of that cone's
-    winners ("cone, guessed") or without a guess ("cone, free"); a decided
-    step whose guess that cone does not match ("cone, wrong guess"); and a
-    run that ends above a decided step ("run, wrong guess")."""
+    or its guess is the winner of the step above it, a _lex_min step whose
+    rows all pick one column, and the run goes down to the step bulk gives
+    as its lowest. Returns the number of _lex_min steps and the boundaries
+    met: a run of more than one step from the sink row ("sink"); a run
+    right after a _lex_min cone, on a guess of that cone's winner ("cone,
+    guessed") or without a guess ("cone, free"); a decided step whose guess
+    that cone does not match ("cone, wrong guess"); and a run that ends
+    above a decided step ("run, wrong guess")."""
     decided, guess, _, _, _, low = bulk
     lo, hi = reach_windows(inst)
-    choices = [reference_sweep(inst, lam)[2] for lam in lams]
+    choice = reference_sweep(inst, lam)[2]
     met, lex_min, cone, i = set(), 0, None, inst.n - 1
     while i > 0:
         l = i - 1
@@ -1015,8 +1093,8 @@ def run_walk(inst, lams, bulk) -> tuple[int, set[str]]:
             continue
         if decided[l] and cone is not None:
             met.add("cone, wrong guess")
-        picks = [c[l, lo[l]:hi[l]] for c in choices]
-        cone = [int(p[0]) for p in picks] if all((p == p[0]).all() for p in picks) else None
+        picks = choice[l, lo[l]:hi[l]]
+        cone = int(picks[0]) if (picks == picks[0]).all() else None
         lex_min, i = lex_min + 1, l
     return lex_min, met
 
@@ -1025,9 +1103,9 @@ def run_walk(inst, lams, bulk) -> tuple[int, set[str]]:
 @pytest.mark.parametrize("windows", ["full", "cols"])
 def test_runs_of_decided_steps_match_reference_sweep(monkeypatch, windows, k):
     # Random instances, x and c drawn per layer, whose decided steps form
-    # runs of every kind: each table is checked bitwise against
-    # reference_sweep, and the sweep takes _lex_min exactly where the run
-    # rule says. A _lex_min cone whose winners are not the guess of the
+    # runs of every kind, swept at k multipliers one by one: each table is
+    # checked bitwise against reference_sweep, and the sweep takes _lex_min
+    # exactly where the run rule says. A _lex_min cone whose winners are not the guess of the
     # step below needs a row of its window that is no head of the step
     # above: full windows never give one.
     bulk_pass = tripsolve.lagrange._bulk_pass
@@ -1052,12 +1130,12 @@ def test_runs_of_decided_steps_match_reference_sweep(monkeypatch, windows, k):
         if bool((lo == 0).all() and (hi == m).all()) != (windows == "full"):
             continue  # narrow radii can still reach every value
         swept += 1
-        lams = [0.0, 0.2, 0.5][:k]
-        recorded.clear()
-        kinds = swept_layer_kinds(inst, lams)
-        lex_min, seen = run_walk(inst, lams, recorded[0])
-        assert kinds["lex_min"] == lex_min
-        met |= seen
+        for lam in [0.0, 0.2, 0.5][:k]:
+            recorded.clear()
+            kinds = swept_layer_kinds(inst, lam)
+            lex_min, seen = run_walk(inst, lam, recorded[0])
+            assert kinds["lex_min"] == lex_min
+            met |= seen
     wrong = {"cone, wrong guess"} if windows == "cols" else set()
     assert met == {"sink", "cone, guessed", "cone, free"} | wrong
 
@@ -1093,20 +1171,19 @@ def test_a_wrong_guess_inside_a_run_ends_it(monkeypatch, xi, delta):
     def misguided(h, jump, cols, slack, margin):
         s, decided = winners(h, jump, cols, slack, margin)
         if np.ndim(slack) == 0:  # the predecessor-free test
-            s = np.where(decided[:, None], s, left if cols is None else cols[:, :1])
+            s = np.where(decided, s, left if cols is None else cols[:, 0])
         return s, decided
 
     monkeypatch.setattr(tripsolve.lagrange, "_bulk_pass", recorded)
-    for lams in ([0.0], [0.0, 0.01, 0.02]):
-        k = len(lams)
+    for lam in (0.0, 0.01, 0.02):
         decisions.clear()
-        assert swept_layer_kinds(inst, lams) == {"bulk": 2, "lex_min": 1}
-        assert decisions == [([False, True, True], [[right] * k, [right] * k, None])]
+        assert swept_layer_kinds(inst, lam) == {"bulk": 2, "lex_min": 1}
+        assert decisions == [([False, True, True], [right, right, None])]
         with monkeypatch.context() as mp:
             mp.setattr(tripsolve.lagrange, "_winners", misguided)
             decisions.clear()
-            assert swept_layer_kinds(inst, lams) == {"bulk": 2, "lex_min": 1}
-        assert decisions == [([True, True, True], [[left] * k, [right] * k, None])]
+            assert swept_layer_kinds(inst, lam) == {"bulk": 2, "lex_min": 1}
+        assert decisions == [([True, True, True], [left, right, None])]
 
 
 @pytest.mark.parametrize(
@@ -1133,10 +1210,9 @@ def test_single_row_ties_go_to_budget_then_index(x, c, picked):
     )
     assert sweep_tie(inst, 0.0) == 3 * 2.0**-42
     assert reach_windows(inst)[1][0] - reach_windows(inst)[0][0] == 1
-    assert swept_layer_kinds(inst, [0.0]) == {"bulk": 0, "lex_min": 2}
-    assert relaxed_costs_to_sink(inst, [0.0])[0].choice[0, 1] == picked
-    for lams in ([1.0], [0.0, 1.0]):
-        swept_layer_kinds(inst, lams)
+    assert swept_layer_kinds(inst, 0.0) == {"bulk": 0, "lex_min": 2}
+    assert relaxed_costs_to_sink(inst, 0.0).choice[0, 1] == picked
+    swept_layer_kinds(inst, 1.0)
 
 
 def test_wide_single_rows_fall_back_when_the_chain_guess_fails(monkeypatch):
@@ -1165,9 +1241,9 @@ def test_wide_single_rows_fall_back_when_the_chain_guess_fails(monkeypatch):
         )
         lo, hi = reach_windows(inst)
         assert hi[0] - lo[0] == 1 and hi[1] - lo[1] == 19
-        for lams in ([0.0], [0.0, 0.01, 0.02]):
+        for lam in (0.0, 0.01, 0.02):
             decisions.clear()
-            assert swept_layer_kinds(inst, lams) == {"bulk": 0, "lex_min": 2}
+            assert swept_layer_kinds(inst, lam) == {"bulk": 0, "lex_min": 2}
             [(decided, guess)] = decisions
             assert decided == [True, False] and guess[0] is not None
 
@@ -1202,12 +1278,10 @@ def test_single_row_chain_test_boundary(gap, bulk, picked):
     assert sweep_tie(inst, 0.0) == 3 * 2.0**-41
     assert reach_windows(inst)[1][0] - reach_windows(inst)[0][0] == 1
     kind = {"bulk": 1 + bulk, "lex_min": int(not bulk)}
-    assert swept_layer_kinds(inst, [0.0]) == kind
-    assert relaxed_costs_to_sink(inst, [0.0])[0].choice[0, 1] == picked
-    # at lam = 3 the row's own prices decide it; batched with lam = 0 the
-    # row is one decision for both
-    assert swept_layer_kinds(inst, [3.0]) == {"bulk": 2, "lex_min": 0}
-    assert swept_layer_kinds(inst, [0.0, 3.0]) == kind
+    assert swept_layer_kinds(inst, 0.0) == kind
+    assert relaxed_costs_to_sink(inst, 0.0).choice[0, 1] == picked
+    # at lam = 3 the row's own prices decide it
+    assert swept_layer_kinds(inst, 3.0) == {"bulk": 2, "lex_min": 0}
 
 
 def heat_instance():
@@ -1225,11 +1299,11 @@ def heat_instance():
 def test_dominance_test_passes_on_heat_layers():
     inst = heat_instance()
     upper0 = float(np.max(np.abs(inst.c))) + 2.0 * inst.alpha
-    lams = [0.0, 0.01 * upper0, 0.5 * upper0, upper0]
-    kinds = swept_layer_kinds(inst, lams)
-    # without the tests: n - 1 layer steps through _lex_min
-    assert kinds["lex_min"] < inst.n - 1
-    assert kinds["bulk"] > kinds["lex_min"]
+    for lam in (0.0, 0.01 * upper0, 0.5 * upper0, upper0):
+        kinds = swept_layer_kinds(inst, lam)
+        # without the tests: n - 1 layer steps through _lex_min
+        assert kinds["lex_min"] < inst.n - 1
+        assert kinds["bulk"] > kinds["lex_min"]
 
 
 def test_dominated_and_lex_min_layers_alternate_on_narrow_windows(monkeypatch):
@@ -1237,7 +1311,7 @@ def test_dominated_and_lex_min_layers_alternate_on_narrow_windows(monkeypatch):
     # The bulk pass decides nearly all of them, each multiplier's one budget
     # passing to the next step, and the cone steps' rows are written after
     # the loop; the few it leaves take _lex_min inside the same sweeps. At
-    # the multipliers the searches evaluate, in one batch and one by one
+    # the multipliers the searches evaluate
     searched = [(inst, binary_search(inst, 1e-6).lambdas) for inst in knapsack_instances()]
     lex_min_rows = []  # the rows of each _lex_min call, the source's last
     lex_min = tripsolve.lagrange._lex_min
@@ -1250,9 +1324,9 @@ def test_dominated_and_lex_min_layers_alternate_on_narrow_windows(monkeypatch):
     single = single_lex_min = mixed = 0
     for inst, lams in searched:
         lo, hi = reach_windows(inst)
-        for batch in [lams] + [[lam] for lam in lams]:
+        for lam in lams:
             lex_min_rows.clear()
-            kinds = swept_layer_kinds(inst, batch)
+            kinds = swept_layer_kinds(inst, lam)
             single += int(np.count_nonzero(hi[:-1] - lo[:-1] == 1))
             single_lex_min += lex_min_rows[:-1].count(1)
             mixed += kinds["bulk"] > 0 and kinds["lex_min"] > 0
@@ -1285,17 +1359,16 @@ def test_overflowing_costs_skip_the_bulk_pass(monkeypatch, seed):
         monkeypatch.setattr(
             tripsolve.lagrange, name, lambda *args, name=name: entered.__setitem__(name, 1)
         )
-    lams = [0.0, 1e300, 1e306]
-    assert swept_layer_kinds(inst, lams) == {"bulk": 0, "lex_min": n - 1}
-    for lam in lams:
-        swept_layer_kinds(inst, [lam])
+    for lam in (0.0, 1e300, 1e306):
+        assert swept_layer_kinds(inst, lam) == {"bulk": 0, "lex_min": n - 1}
     assert entered == {"_bulk_pass": 0}
 
 
 def test_batch_tables_are_contiguous_and_give_the_same_steps(monkeypatch):
     expanded = 0
     for inst in knapsack_instances() + equivalence_instances(40, seed=2100):
-        for table in relaxed_costs_to_sink(inst, [0.0, 0.37, 1.0, 2.5]):
+        for lam in (0.0, 0.37, 1.0, 2.5):
+            table = relaxed_costs_to_sink(inst, lam)
             for a in (table.cost, table.res, table.choice):
                 assert a.shape == (inst.n, inst.m) and a.flags.c_contiguous
             copied = dataclasses.replace(
@@ -1318,25 +1391,26 @@ def test_batch_tables_are_contiguous_and_give_the_same_steps(monkeypatch):
 @pytest.mark.parametrize(
     "n, xi",
     [
-        (2, list(range(300))),  # a layer's (2, 300, 300) totals: 1.44 MB
-        (100000, [0]),  # (100000, 2, 1) tables: 1.6 MB each
-        (20000, list(range(7))),  # (20000, 2, 7) tables: 2.24 MB each
+        (2, list(range(400))),  # (2, 400) tables fit; a (400, 400) jump table: 1.28 MB
+        (150000, [0]),  # (150000, 1) tables: 1.2 MB each
+        (20000, list(range(7))),  # (20000, 7) tables: 1.12 MB each
     ],
 )
 def test_relaxed_sweep_tables_checked_before_allocation(monkeypatch, n, xi):
-    # the (n, K, m) tables are checked before edge_terms allocates its
-    # (n, m) terms, the (K, m, m) totals right after its (m, m) jump table.
-    # The sweep takes two multipliers: at K = 1 a layer's totals are the
-    # size of the jump table, which edge_terms checks first
+    # the (n, m) tables are checked before edge_terms allocates its (n, m)
+    # terms. A layer's totals are at most (m, m), the size of the jump
+    # table, which edge_terms checks before it builds one: a wide instance
+    # whose tables fit is refused there
     monkeypatch.setattr(tripsolve.instance, "TABLE_BYTES_CAP", 1_000_000)
     inst = validate(
         {"n": n, "alpha": 1.0, "delta": 10, "xi": xi, "x": [0] * n,
          "gamma": [1] * n, "c": [-1.0] * n}
     )
+    what = "relaxed sweep tables" if n * len(xi) * 8 > 1_000_000 else "edge term tables"
     tracemalloc.start()
     try:
-        with pytest.raises(InstanceError, match="relaxed sweep tables"):
-            relaxed_costs_to_sink(inst, [0.0, 1.0])
+        with pytest.raises(InstanceError, match=what):
+            relaxed_costs_to_sink(inst, 0.0)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -1344,18 +1418,14 @@ def test_relaxed_sweep_tables_checked_before_allocation(monkeypatch, n, xi):
 
 
 @pytest.mark.parametrize(
-    "what, size",
-    [
-        ("relaxed sweep window index tables", lambda n, k, width: n * width * 8),
-        ("relaxed sweep bulk arrays", lambda n, k, width: n * k * width * 8),
-    ],
+    "what, size", [("relaxed sweep window index tables", lambda n, width: n * width * 8)]
 )
 def test_relaxed_sweep_bulk_arrays_checked_before_allocation(monkeypatch, what, size):
-    # the window index tables of a Sweeps record and the bulk pass's
-    # (n, K, W) arrays are each checked at their own size, W the widest
-    # window: a failing check leaves a new record without windows and stops
-    # the sweep before its bulk pass. Full windows need no index tables, and
-    # their bulk arrays are (n, K, m)
+    # the window index tables of a Sweeps record, (n, W) with W the widest
+    # window, are checked at their size: a failing check leaves a new
+    # record without windows and stops the sweep before its bulk pass,
+    # whose arrays are (n, W) too. Full windows need no index tables, and
+    # their bulk arrays are (n, m), the size of the tables
     check = tripsolve.lagrange.check_table_bytes
     bulk_pass = tripsolve.lagrange._bulk_pass
     checked, entered = [], []
@@ -1375,20 +1445,20 @@ def test_relaxed_sweep_bulk_arrays_checked_before_allocation(monkeypatch, what, 
     heat = heat_instance()
     at_cap = dataclasses.replace(heat, delta=budget_cap(heat.n, heat.xi, heat.gamma))
     kinds = set()
-    for inst, k in [(inst, 3) for inst in knapsack_instances(count=2)] + [(heat, 2), (at_cap, 2)]:
+    for inst in knapsack_instances(count=2) + [heat, at_cap]:
         lo, hi = reach_windows(inst)
         full = bool((lo == 0).all() and (hi == inst.m).all())
         kinds.add(full)
         entry = tripsolve.lagrange.Sweeps(inst)
         checked.clear()
         entered.clear()
-        if full and what.endswith("index tables"):
-            relaxed_costs_to_sink(inst, [0.5] * k, entry)
+        if full:
+            relaxed_costs_to_sink(inst, 0.5, entry)
             assert checked == [] and entry.windows[2] is None and entered == [1]
             continue
         with pytest.raises(InstanceError, match=what):
-            relaxed_costs_to_sink(inst, [0.5] * k, entry)
-        assert checked == [size(inst.n, k, int((hi - lo).max()))]
+            relaxed_costs_to_sink(inst, 0.5, entry)
+        assert checked == [size(inst.n, int((hi - lo).max()))]
         assert entered == []
-        assert (entry.windows is None) == what.endswith("index tables")
+        assert entry.windows is None
     assert kinds == {False, True}

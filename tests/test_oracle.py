@@ -137,6 +137,25 @@ def test_knapsack_extract_rejects_garbage():
         extract_knapsack(red, bad)
 
 
+@pytest.mark.parametrize("pos", [0, 2])
+def test_knapsack_extract_rejects_odd_steps_off_zero(pos):
+    # d_1, d_3, ... are the pinned intervals between the items
+    red = knapsack_reduce([6.0, 10.0], [1, 2], 2, 0.25)
+    bad = np.zeros(red.instance.n, dtype=int)
+    bad[pos] = 1
+    with pytest.raises(ValueError, match=f"d_{pos + 1} = 1 should be pinned to 0"):
+        extract_knapsack(red, bad)
+
+
+def test_knapsack_extract_rejects_a_selection_over_the_budget():
+    # both items fit the budget of 2 alone, not together
+    red = knapsack_reduce([6.0, 10.0], [1, 2], 2, 0.25)
+    both = np.zeros(red.instance.n, dtype=int)
+    both[1], both[3] = 1, 2
+    with pytest.raises(ValueError, match="extracted selection exceeds the budget"):
+        extract_knapsack(red, both)
+
+
 def test_knapsack_value_identity():
     rng = np.random.default_rng(23)
     for _ in range(25):

@@ -138,7 +138,9 @@ def test_relaxed_sweep_matches_reference_sweep_on_ties(raw, alpha, lams, nudges)
         alpha = abs(raw["c"][alpha % raw["n"]])
     unit = 0.5 * sweep_tie(validate({**raw, "alpha": alpha}), lams[0])
     c = [v + k * unit for v, k in zip(raw["c"], nudges)]
-    assert_matches_reference_sweep(validate({**raw, "alpha": alpha, "c": c}), lams)
+    inst = validate({**raw, "alpha": alpha, "c": c})
+    for lam in lams:
+        assert_matches_reference_sweep(inst, lam)
 
 
 def _two_values(raw: dict) -> dict:

@@ -14,6 +14,7 @@ from conftest import assert_cached_astar_matches, solution_fields
 from slip_reference import make_heat_problem_reference, make_signal_problem_reference
 from tripsolve.astar import solve_astar
 from tripsolve.instance import InstanceError, SolverError
+from tripsolve.oracle import gen_random
 from tripsolve.slip import (
     ControlProblem,
     SlipConfig,
@@ -406,6 +407,26 @@ def test_box_relaxation_that_fails_raises_solver_error():
     wrong = replace(problem, gradient_coeffs=lambda x: -problem.gradient_coeffs(x))
     with pytest.raises(SolverError, match="the box relaxation did not converge"):
         solve_box_relaxation(wrong)
+
+
+@pytest.mark.parametrize(
+    "n, fine_factor, message",
+    [(1, 4, "n must be at least 2"), (8, 3, "need at least 4 fine intervals")],
+)
+def test_heat_problem_rejects_too_few_intervals(n, fine_factor, message):
+    with pytest.raises(ValueError, match=message):
+        make_heat_problem(n, fine_factor=fine_factor)
+
+
+def test_trace_reader_skips_blank_lines(tmp_path):
+    instances = [gen_random(4, 3, 2, 0.5, seed=seed) for seed in (1, 2)]
+    records = [json.dumps({"kind": "step", "instance": inst.to_dict()}) for inst in instances]
+    path = tmp_path / "trace.jsonl"
+    path.write_text(records[0] + "\n\n  \n" + records[1] + "\n\n", encoding="utf-8")
+    loaded = read_trace_instances(str(path))
+    assert [record for record, _ in loaded] == [json.loads(r) for r in records]
+    for (_, inst), want in zip(loaded, instances):
+        assert inst.to_dict() == want.to_dict()
 
 
 def test_trace_roundtrip(tmp_path):
