@@ -93,13 +93,17 @@ def successor_row(record: Sweeps, layer: int, j: int) -> list[tuple[int, int, fl
     round either way; an edge left out then has a reroute that costs no
     more, so an optimum is kept.
     """
-    heads, cons, linear, jump_z, z = record.successor_terms()[layer]
+    heads, cons, linear, jump_z, zero = record.successor_terms()
+    lo, hi, _, _ = record.windows
+    w = hi[layer] - lo[layer]
+    heads, cons, linear = heads[layer, :w], cons[layer, :w], linear[layer, :w]
     if layer == 0:
         weights = linear
     else:
         _, linear_all, jump = record.terms
+        z = zero[layer]
         weights = linear + jump[j, heads]
-        keep = weights <= linear_all[layer, z] + jump[j, z] + jump_z
+        keep = weights <= linear_all[layer, z] + jump[j, z] + jump_z[layer, :w]
         heads, cons, weights = heads[keep], cons[keep], weights[keep]
     return list(zip(cons.tolist(), heads.tolist(), weights.tolist()))
 

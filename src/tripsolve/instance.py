@@ -120,16 +120,22 @@ class RadiusCache:
             and _same(ref.c, inst.c)
         )
 
+    def kept(self, name: str, inst: TripInstance) -> Optional[Any]:
+        """The entry `name` when it serves inst, None when entry would build."""
+        kept = self.entries.get(name) if self.matches(inst) else None
+        return kept[1] if kept is not None and kept[0] >= inst.delta else None
+
     def entry(self, name: str, inst: TripInstance, build: Callable[[], T]) -> T:
         """The entry `name` for inst, made by build() when the cache has none
         that serves inst.delta."""
-        if not self.matches(inst):
-            self.inst = inst
-            self.entries = {}
-        kept = self.entries.get(name)
-        if kept is None or kept[0] < inst.delta:
-            kept = self.entries[name] = (inst.delta, build())
-        return kept[1]
+        got = self.kept(name, inst)
+        if got is None:
+            if not self.matches(inst):
+                self.inst = inst
+                self.entries = {}
+            got = build()
+            self.entries[name] = (inst.delta, got)
+        return got
 
 
 @dataclass
@@ -162,7 +168,10 @@ class Solution:
     @classmethod
     def of(cls, inst: TripInstance, d: np.ndarray, **stats: Any) -> "Solution":
         """The answer d to inst, with its objective, its budget use and the
-        SolverStats fields given: the one way a solver builds its answer."""
+        SolverStats fields given: how A* and the multiplier search build
+        their answers. topo.TopoTables.solution reads the budget use off
+        its terminal state instead, which fixes it exactly, and takes the
+        objective from objective() all the same."""
         return cls(d, objective(inst, d), resource_use(inst, d), SolverStats(**stats))
 
     def to_dict(self) -> dict[str, Any]:

@@ -148,7 +148,8 @@ class Sweeps:
     """The multiplier searches' work on one instance at every radius up to
     R, that of inst, the instance it was built for: every relaxed table
     swept so far over the reach windows of inst, by its exact multiplier,
-    and the relaxed path's step of each table whose path a search used. It
+    and the relaxed path's step of each table whose path a search used,
+    with its objective. It
     also keeps the inputs of relaxed_costs_to_sink that depend on inst
     alone, terms and windows, which its first sweep computes and which A*'s
     successor rows and heuristic table read too, with key_cons, which the
@@ -183,7 +184,7 @@ class Sweeps:
 
     inst: TripInstance
     swept: dict[float, ZetaTable] = field(default_factory=dict)
-    steps: dict[float, np.ndarray] = field(default_factory=dict)
+    steps: dict[float, tuple[np.ndarray, float]] = field(default_factory=dict)
     # graph.edge_terms, and the reach windows as lists with their index
     # tables (relaxed_costs_to_sink), set by the first sweep once its table
     # checks pass; with the terms, the sweep's tie keys of the edges, cons
@@ -203,7 +204,9 @@ class Sweeps:
     htable_lams: tuple[float, ...] = ()
     rows: dict[int, list[tuple[int, int, float]]] = field(default_factory=dict)
     # successor_terms, derived on its first call
-    row_terms: Optional[list[tuple[np.ndarray, ...]]] = None
+    row_terms: Optional[
+        tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, list[int]]
+    ] = None
 
     def table(self, lam: float) -> ZetaTable:
         """The table swept at lam, swept on first use."""
@@ -212,23 +215,29 @@ class Sweeps:
             table = self.swept[lam] = relaxed_costs_to_sink(self.inst, lam, self)
         return table
 
-    def step(self, lam: float) -> np.ndarray:
-        """The relaxed path's step of the table swept at lam."""
-        d = self.steps.get(lam)
-        if d is None:
-            d = self.steps[lam] = extract_path_step(self.inst, self.swept[lam])
-        return d
+    def step(self, lam: float) -> tuple[np.ndarray, float]:
+        """The relaxed path's step of the table swept at lam and its
+        objective, which no radius changes."""
+        kept = self.steps.get(lam)
+        if kept is None:
+            d = extract_path_step(self.inst, self.swept[lam])
+            kept = self.steps[lam] = d, objective(self.inst, d)
+        return kept
 
-    def successor_terms(self) -> list[tuple[np.ndarray, ...]]:
-        """What A*'s successor rows read, per layer 0..n - 1: the heads, the
-        window of layer + 1, in (consumption, value index) order, then cons,
-        linear and jump[z] at those heads, and z, the value index of layer
-        + 1's zero step. One argsort of key_cons over the windows, whose
-        padding sorts last, gives every order; derived on the first call,
-        once the first sweep has set the terms and windows."""
+    def successor_terms(
+        self,
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, list[int]]:
+        """What A*'s successor rows read: four (n, W) arrays whose row layer,
+        up to the width of the window of layer + 1, serves layer 0..n - 1.
+        They hold the heads, that window in (consumption, value index)
+        order, then cons, linear and jump[z] at those heads; the list holds
+        z per layer, the value index of layer + 1's zero step. One argsort
+        of key_cons over the windows, whose padding sorts last, gives every
+        order; derived on the first call, once the first sweep has set the
+        terms and windows."""
         if self.row_terms is None:
             cons, linear, jump = self.terms
-            lo, hi, cols, pad = self.windows
+            _, _, cols, pad = self.windows
             if cols is None:
                 order = self.key_cons.argsort(axis=1)
             else:
@@ -236,14 +245,11 @@ class Sweeps:
                 keys[pad] = _NO_KEY
                 order = np.take_along_axis(cols, keys.argsort(axis=1), axis=1)
             zero = np.searchsorted(self.inst.xi, self.inst.x)
-            # views of four (n, W) arrays: 4n arrays of their own raised
-            # knapsack-replay's peak RSS by 0.4 MB
             layers = np.arange(len(order))[:, None]
-            terms = order, cons[layers, order], linear[layers, order], jump[zero[:, None], order]
-            self.row_terms = [
-                tuple(t[i, :b - a] for t in terms) + (z,)
-                for i, (a, b, z) in enumerate(zip(lo, hi, zero.tolist()))
-            ]
+            self.row_terms = (
+                order, cons[layers, order], linear[layers, order],
+                jump[zero[:, None], order], zero.tolist(),
+            )
         return self.row_terms
 
     def tie(self, lam: float) -> float:
@@ -666,11 +672,11 @@ def binary_search(
         return hi if dual(hi) > dual(lo) else lo
 
     def path_solution(table: ZetaTable) -> Solution:
-        d = sweeps.step(table.lam).copy()  # the record keeps its own
+        d = sweeps.step(table.lam)[0].copy()  # the record keeps its own
         return Solution.of(inst, d, preprocessing_iterations=tables.iterations)
 
     def note_feasible(table: ZetaTable) -> None:
-        value = objective(inst, sweeps.step(table.lam))
+        value = sweeps.step(table.lam)[1]
         if value < tables.upper_bound:
             tables.upper_bound = value
             tables.incumbent = path_solution(table)

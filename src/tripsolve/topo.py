@@ -14,6 +14,18 @@ is full. The cost tables roll layer by layer; only the predecessor choices,
 the last layer's costs and what the answer at each radius reads are kept,
 in a TopoTables record, so the optimal step can be reconstructed.
 
+An answer is one Python loop over what the build keeps: it reads each
+layer's predecessor through a flat memoryview of the predecessor table, a
+Python int with no numpy call and no copy, and adds the layer's
+consumption from one list over the reach windows, sum_i w_i entries that
+a few whole-array calls take; it writes the value indices into a
+preallocated index array in layer order. A list of every layer's
+consumptions, n * |xi| entries, would cost each build its conversion, which
+a build answered once never repays. The answer's budget use is read off
+its terminal state: every path in the tables starts at capacity delta and
+ends at its terminal's capacity eta, so it spends delta - eta at every
+radius the tables answer. Its objective is objective()'s.
+
 A layer is taken with one sum and one minimum: the totals of every (tail,
 head, capacity) triple, tails first, and their minimum over the tails. Its
 arrival costs move to the capacities they leave with one gather, not one
@@ -44,6 +56,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Optional
 
 import numpy as np
@@ -53,9 +66,11 @@ from .graph import edge_terms, reach_windows
 from .instance import (
     RadiusCache,
     Solution,
+    SolverStats,
     TripInstance,
     check_table_bytes,
     clamp_delta,
+    objective,
 )
 
 _INF = np.inf
@@ -104,6 +119,13 @@ class TopoTables:
     generated[s] are the answer's nodes_expanded, the reached states of
     capacity at least s plus source and sink, and nodes_generated, the
     edges between them (_Counts sums both).
+
+    The walk (solution) reads pred through flat_pred, its flat memoryview,
+    and cons[i, j] of graph.edge_terms, for the value indices j of the
+    reach window of layer i + 1 only, at window_cons[window_at[i] + j]. A
+    path from the source at capacity delta to a terminal state at capacity
+    eta consumes delta - eta in all, so an answer's budget use is that of
+    its terminal, exactly, whatever the offset s.
     """
 
     delta: int
@@ -112,6 +134,9 @@ class TopoTables:
     terminal: list[tuple[int, int]]  # delta + 1 entries
     expanded: list[int]
     generated: list[int]
+    flat_pred: memoryview  # pred, flat
+    window_cons: list[int]  # one entry per value index of each window
+    window_at: list[int]  # n entries
 
     @classmethod
     def build(cls, inst: TripInstance) -> "TopoTables":
@@ -204,9 +229,17 @@ class TopoTables:
             pred[layer_heads] = got
             np.add.reduce(got >= 0, axis=1, dtype=pred_dtype, out=counts.rows(i, j))
 
+        # cons over the reach windows, the entries where cons <= delta
+        # (graph.reach_windows), in layer order
+        window_cons = cons[cons <= inst.delta].tolist()
+        window_at = [a - b for a, b in zip(accumulate(sizes), hi)]
         last_cost = np.full((m, width), _INF)
         last_cost[lo[-1] : hi[-1]] = cost[lo[-1] - at : hi[-1] - at, :width]
-        return cls(inst.delta, pred, last_cost, _terminals(last_cost), *counts.sums())
+        flat_pred = memoryview(pred).cast("B").cast(pred.dtype.char)
+        return cls(
+            inst.delta, pred, last_cost, _terminals(last_cost), *counts.sums(),
+            flat_pred, window_cons, window_at,
+        )
 
     def solution(self, inst: TripInstance) -> Solution:
         """The optimum of inst, which must be the tables' instance at a
@@ -215,17 +248,23 @@ class TopoTables:
         if s < 0:
             raise ValueError(f"radius {inst.delta} above the tables' {self.delta}")
         j, eta = self.terminal[s]
-        pred = self.pred.item
-        xi, x, gamma = inst.xi.tolist(), inst.x.tolist(), inst.gamma.tolist()
-        js = [j]  # value indices of layers n..1
-        for i in range(inst.n - 1, 0, -1):  # from layer i + 1 back to layer i
-            # the predecessor, and the capacity one layer back
-            j, eta = pred(i, j, eta), eta + gamma[i] * abs(xi[j] - x[i])
-            js.append(j)
-        d = inst.xi.take(js[::-1]) - inst.x
-        return Solution.of(
-            inst, d, nodes_expanded=self.expanded[s], nodes_generated=self.generated[s]
+        n, width, pred = inst.n, self.delta + 1, self.flat_pred
+        cons, row, stride = self.window_cons, self.window_at, inst.m * width
+        js = np.empty(n, dtype=np.intp)  # value indices of layers 1..n
+        out = memoryview(js)
+        out[n - 1] = j
+        at = (n - 1) * stride + eta  # pred's flat index of (n - 1, 0, eta)
+        for i in range(n - 1, 0, -1):  # from layer i + 1 back to layer i
+            # the predecessor of (i, j, eta), and at moves to (i - 1, 0,
+            # eta + cons[i, j]), the capacity one layer back
+            k = pred[at + j * width]
+            at += cons[row[i] + j] - stride
+            out[i - 1] = j = k
+        d = inst.xi.take(js) - inst.x
+        stats = SolverStats(
+            nodes_expanded=self.expanded[s], nodes_generated=self.generated[s]
         )
+        return Solution(d, objective(inst, d), self.delta - eta, stats)
 
 
 def _blocks(
@@ -370,10 +409,13 @@ def solve_topo(inst: TripInstance, cache: Optional[RadiusCache] = None) -> Solut
     instance at a radius no larger reads its answer from them.
     """
     t0 = time.perf_counter()
-    inst = clamp_delta(inst)
     if cache is None:
         cache = RadiusCache()
-    tables = cache.entry("topo", inst, lambda: TopoTables.build(inst))
+    # kept tables serve radii up to theirs, which clamp_delta leaves alone
+    tables = cache.kept("topo", inst)
+    if tables is None:
+        inst = clamp_delta(inst)
+        tables = cache.entry("topo", inst, lambda: TopoTables.build(inst))
     sol = tables.solution(inst)
     sol.stats.wall_seconds = time.perf_counter() - t0
     return sol

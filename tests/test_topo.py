@@ -7,6 +7,7 @@ import pytest
 
 from conftest import (
     assert_cached_radii_match,
+    halving,
     radius_corpus,
     solution_fields,
 )
@@ -20,6 +21,8 @@ from tripsolve.instance import (
     Solution,
     TripInstance,
     clamp_delta,
+    objective,
+    resource_use,
     validate,
 )
 from tripsolve.graph import reach_windows
@@ -414,6 +417,56 @@ def test_windowed_tables_on_knapsack_reductions():
     for items in (3, 8, 16):
         for inst in _knapsacks(items, 4, seed=items):
             assert_matches_dense(inst)
+
+
+def assert_cached_answers_exact(inst: TripInstance) -> None:
+    """Solve inst at halving radii through one RadiusCache: each answer's
+    objective and budget use are bitwise those objective and resource_use
+    give its step, and the step is the dense reference's."""
+    ref = dense_tables(clamp_delta(inst))
+    cache = RadiusCache()
+    for delta in halving(inst.delta):
+        at = dataclasses.replace(inst, delta=delta)
+        sol = solve_topo(at, cache=cache)
+        assert sol.objective.hex() == objective(at, sol.d).hex()
+        assert sol.resource == resource_use(at, sol.d)
+        assert sol.d.tolist() == dense_solution(ref, clamp_delta(at)).d.tolist()
+
+
+def test_cached_answers_report_their_steps_objective_and_budget_use():
+    # the walk reads the budget use off the terminal state, delta - eta at
+    # every offset s, and the consumptions of the layers it passes from
+    # the window lists the build keeps
+    for inst in radius_corpus():
+        assert_cached_answers_exact(inst)
+    assert_cached_answers_exact(gen_random(6, 130, 40, 0.3, seed=11))  # int16
+    for items in (3, 8, 16):
+        for inst in _knapsacks(items, 2, seed=60 + items):
+            assert_cached_answers_exact(inst)
+    # requests above budget_cap, the first building at the cap, the next
+    # ones served by the kept tables
+    above = gen_random(5, 3, 10**6, 0.3, seed=12)
+    assert halving(above.delta)[3] > clamp_delta(above).delta
+    assert_cached_answers_exact(above)
+
+
+def test_cached_answer_allocates_linear_memory():
+    # one answer from kept tables allocates its step and what objective
+    # takes, O(n): no copy of a table such as pred, n * m * (delta + 1)
+    # bytes
+    n = 1000
+    inst = gen_random(n, 5, 40, 0.3, seed=15)
+    cache = RadiusCache()
+    solve_topo(inst, cache=cache)
+    at = dataclasses.replace(inst, delta=20)
+    assert cache.kept("topo", at).pred.nbytes > 64 * n + 8192
+    tracemalloc.start()
+    try:
+        solve_topo(at, cache=cache)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 64 * n + 8192
 
 
 def test_knapsack_reductions_match_bruteforce():
